@@ -47,7 +47,7 @@ fn benches(c: &mut Criterion) {
 
     // design-choice micro-benches
     let schema = AttributeSchema::emagister();
-    let registry = SumRegistry::new(75, SumConfig::default());
+    let registry = SumRegistry::new(&schema, SumConfig::default());
     let user = UserId::new(1);
     registry.with_model(user, |m, config| {
         for i in 0..40u32 {

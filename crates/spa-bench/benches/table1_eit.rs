@@ -13,7 +13,7 @@ fn benches(c: &mut Criterion) {
 
     let engine = EitEngine::standard();
     let schema = AttributeSchema::emagister();
-    let registry = SumRegistry::new(75, SumConfig::default());
+    let registry = SumRegistry::new(&schema, SumConfig::default());
     // pre-load a user with a spread of answers
     let user = UserId::new(1);
     for round in 0..25u64 {

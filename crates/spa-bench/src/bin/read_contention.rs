@@ -7,7 +7,7 @@
 //! record per-call latency, while (optionally) one writer thread drives
 //! `ingest_batch` flat-out against the same platform. The delta between
 //! writers-off and writers-on percentiles is exactly the read path's
-//! exposure to ingest — the quantity the epoch-published snapshot
+//! exposure to ingest — the quantity the epoch-published advice-row
 //! design is meant to pin at zero.
 //!
 //! Environment knobs (all optional):
@@ -109,7 +109,7 @@ fn main() {
             .map(|t| {
                 scope.spawn(move || {
                     // each reader sweeps its own rotating window of the
-                    // population so cache rows stay warm but distinct
+                    // population so CPU-cache lines stay warm but distinct
                     let mut latencies = Vec::with_capacity(1 << 18);
                     let mut offset = (t as u32) * 37;
                     while Instant::now() < deadline {

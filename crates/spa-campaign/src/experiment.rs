@@ -203,10 +203,11 @@ impl Experiment {
         message: &spa_core::messaging::AssignedMessage,
     ) -> SparseVec {
         let base = self.mask(spa.advice_row(user).unwrap_or_else(|_| SparseVec::zeros(75)));
-        // one borrowed read of the user's published model computes every
-        // match feature — no whole-model clone per contact (this runs
-        // inside the per-campaign contact fan-out, so a clone here was
-        // the dominant allocation of the whole experiment)
+        // one borrowed read of the user's model (under its registry
+        // shard mutex) computes every match feature — no whole-model
+        // clone per contact (this runs inside the per-campaign contact
+        // fan-out, so a clone here was the dominant allocation of the
+        // whole experiment)
         let (max_match, mean_match, assigned_estimate, matched_flag): (f64, f64, f64, f64) =
             if self.config.mask_emotional {
                 (0.0, 0.0, 0.0, 0.0)

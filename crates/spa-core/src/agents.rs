@@ -180,7 +180,7 @@ mod tests {
 
     fn wired() -> (StepRuntime<SpaMessage>, Arc<SumRegistry>, Composed, Arc<EitEngine>) {
         let schema = AttributeSchema::emagister();
-        let registry = Arc::new(SumRegistry::new(75, SumConfig::default()));
+        let registry = Arc::new(SumRegistry::new(&schema, SumConfig::default()));
         let courses = CourseCatalog::generate(20, 4, 2).unwrap();
         let preprocessor = Arc::new(LifeLogPreprocessor::new(schema.clone(), &courses));
         let eit = Arc::new(EitEngine::standard());

@@ -86,19 +86,21 @@ impl AttributesManager {
     /// `(attribute, relevance-weighted strength)`, sorted descending —
     /// the input the Messaging Agent's step 3 consumes. Returns an
     /// empty list for unknown users (→ case 3.a, standard message).
+    /// Scans the model's ten emotional attributes through
+    /// [`SumRegistry::with_model_read`] — call it outside any write
+    /// section on `registry`.
     pub fn dominant_sensibilities(
         &self,
         registry: &SumRegistry,
         user: UserId,
         config: &SumConfig,
     ) -> Vec<(EmotionalAttribute, f64)> {
-        let model = match registry.get(user) {
-            Some(m) => m,
-            None => return Vec::new(),
-        };
         let emotional_ids = self.schema.emotional_ids();
-        model
-            .dominant_sensibilities(&emotional_ids, config)
+        registry
+            .with_model_read(user, |model| match model {
+                Some(model) => model.dominant_sensibilities(&emotional_ids, config),
+                None => Vec::new(),
+            })
             .into_iter()
             .map(|(attr, strength)| {
                 let ordinal = emotional_ids
@@ -166,8 +168,9 @@ mod tests {
 
     #[test]
     fn dominant_sensibilities_for_unknown_user_is_empty() {
-        let manager = AttributesManager::new(AttributeSchema::emagister());
-        let registry = SumRegistry::new(75, SumConfig::default());
+        let schema = AttributeSchema::emagister();
+        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let manager = AttributesManager::new(schema);
         assert!(manager
             .dominant_sensibilities(&registry, UserId::new(1), &SumConfig::default())
             .is_empty());
@@ -177,7 +180,7 @@ mod tests {
     fn dominant_sensibilities_map_to_emotional_attributes() {
         let schema = AttributeSchema::emagister();
         let manager = AttributesManager::new(schema.clone());
-        let registry = SumRegistry::new(75, SumConfig::default());
+        let registry = SumRegistry::new(&schema, SumConfig::default());
         let user = UserId::new(3);
         registry.with_model(user, |m, config| {
             // hopeful (ordinal 3) strongly, shy (ordinal 8) weakly

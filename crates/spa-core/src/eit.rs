@@ -132,9 +132,13 @@ impl EitEngine {
     /// Chooses the next question for a user: the attribute with the
     /// fewest incorporated answers (ties break in paper order), cycling
     /// through branches as evidence accumulates. One call = one contact
-    /// (§5.2's one-question-per-push rule).
+    /// (§5.2's one-question-per-push rule). Reads the user's ten answer
+    /// counters through [`SumRegistry::with_model_read`] — call it
+    /// outside any write section on `registry`.
     pub fn next_question(&self, registry: &SumRegistry, user: UserId) -> &EitQuestion {
-        let counts = registry.get(user).map(|m| *m.eit_answer_counts()).unwrap_or([0u32; 10]);
+        let counts = registry
+            .with_model_read(user, |model| model.map(|m| *m.eit_answer_counts()))
+            .unwrap_or([0u32; 10]);
         let target_ordinal = (0..10).min_by_key(|&i| (counts[i], i)).expect("ten attributes");
         let target = EMOTIONAL_ATTRIBUTES[target_ordinal];
         // rotate branch with the answer count so repeated probes of one
@@ -195,34 +199,35 @@ impl EitEngine {
     /// attributes probed, weighted by how much of that evidence came
     /// through each branch. With the standard bank every branch probes
     /// every attribute, so this reduces to the user's mean expressed
-    /// intensity once coverage is complete.
+    /// intensity once coverage is complete. Borrows the model through
+    /// [`SumRegistry::with_model_read`] — call it outside any write
+    /// section on `registry`.
     pub fn branch_scores(
         &self,
         registry: &SumRegistry,
         schema: &spa_types::AttributeSchema,
         user: UserId,
     ) -> BranchScores {
-        let model = match registry.get(user) {
-            Some(m) => m,
-            None => return BranchScores::default(),
-        };
-        let counts = model.eit_answer_counts();
         let emotional = schema.emotional_ids();
-        let mut scores = [None; 4];
-        for (b, branch) in BRANCHES.into_iter().enumerate() {
-            // attributes with at least one answer routed through ≥ this
-            // branch position (branch rotation means count > b implies
-            // branch b was exercised)
-            let covered: Vec<f64> = (0..10)
-                .filter(|&i| counts[i] as usize > b)
-                .map(|i| model.value(emotional[i]))
-                .collect();
-            if !covered.is_empty() {
-                scores[b] = Some(covered.iter().sum::<f64>() / covered.len() as f64);
+        registry.with_model_read(user, |model| {
+            let Some(model) = model else { return BranchScores::default() };
+            let counts = model.eit_answer_counts();
+            let mut scores = [None; 4];
+            for (b, branch) in BRANCHES.into_iter().enumerate() {
+                // attributes with at least one answer routed through ≥
+                // this branch position (branch rotation means count > b
+                // implies branch b was exercised)
+                let covered: Vec<f64> = (0..10)
+                    .filter(|&i| counts[i] as usize > b)
+                    .map(|i| model.value(emotional[i]))
+                    .collect();
+                if !covered.is_empty() {
+                    scores[b] = Some(covered.iter().sum::<f64>() / covered.len() as f64);
+                }
+                let _ = branch;
             }
-            let _ = branch;
-        }
-        BranchScores { scores }
+            BranchScores { scores }
+        })
     }
 }
 
@@ -235,7 +240,7 @@ mod tests {
     fn setup() -> (EitEngine, SumRegistry, AttributeSchema) {
         (
             EitEngine::standard(),
-            SumRegistry::new(75, SumConfig::default()),
+            SumRegistry::new(&AttributeSchema::emagister(), SumConfig::default()),
             AttributeSchema::emagister(),
         )
     }

@@ -398,7 +398,7 @@ impl<T> Drop for AtomicIndex<T> {
 /// here — they are invisible to the write side by design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PublicationStats {
-    /// Per-user model snapshots installed by ingest/restore.
+    /// Per-user advice rows installed by ingest/restore.
     pub model_publishes: u64,
     /// Selection-function snapshots installed by training/outcomes.
     pub selection_publishes: u64,

@@ -8,7 +8,11 @@
 //!   emotional attribute estimates with per-attribute relevance weights,
 //!   maintained through the three stages of §3 (initialization via the
 //!   Gradual EIT, advice via activation/inhibition, update via
-//!   reward/punish);
+//!   reward/punish) — and the registry that keeps one resident model
+//!   per user and epoch-publishes its compact advice row, the one thing
+//!   scoring reads, lock-free;
+//! * [`epoch`] — the pin/publish cell and lock-free index that
+//!   publication runs on;
 //! * [`eit`] — the **Gradual Emotional Intelligence Test**: a
 //!   four-branch question bank, a one-question-per-contact scheduler and
 //!   per-branch EI scoring (Table 1);
@@ -25,8 +29,6 @@
 //!   ranking of users for campaign targeting;
 //! * [`batch`] — the Habitat-Pro-style batch baseline the paper says
 //!   SPA evolved from (retrain-from-scratch, no incremental updates);
-//! * [`cache`] — the epoch-versioned dense advice-row cache behind
-//!   campaign-scale batch scoring;
 //! * [`agents`] — the four platform agents wired onto the
 //!   [`spa_agents`] runtime;
 //! * [`values`] — the Intelligent User Interface's **Human Values
@@ -51,7 +53,6 @@ pub mod agents;
 pub mod api;
 pub mod attributes;
 pub mod batch;
-pub mod cache;
 pub mod eit;
 #[allow(unsafe_code)]
 pub mod epoch;
@@ -71,11 +72,10 @@ pub use api::{
     RequestEnvelope, SpaApi, DEFAULT_DEDUP_CAPACITY, ERR_DEADLINE_EXCEEDED, ERR_DRAINING,
     ERR_SERVER_BUSY,
 };
-pub use cache::{AdviceCache, CacheStats};
 pub use eit::{EitEngine, EitQuestion, QuestionBank};
 pub use epoch::{PublicationStats, Published};
 pub use messaging::{AssignedMessage, AssignmentCase, MessageCatalog, MessagePolicy};
 pub use platform::Spa;
 pub use selection::SelectionFunction;
 pub use shard::{CheckpointReport, CompactionReport, RecoveryReport, ShardedSpa};
-pub use sum::{AdviceFactors, SmartUserModel, SumConfig, SumRegistry};
+pub use sum::{AdviceFactors, CacheStats, SmartUserModel, SumConfig, SumRegistry};

@@ -13,14 +13,13 @@
 //! * message assignment ([`Spa::assign_message`]).
 
 use crate::attributes::AttributesManager;
-use crate::cache::{AdviceCache, CacheStats};
 use crate::eit::{EitEngine, EitQuestion};
 use crate::messaging::{AssignedMessage, MessageCatalog, MessagePolicy, MessagingAgent};
 use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
 use crate::selection::SelectionFunction;
 use crate::snapshot::{SECTION_MODELS, SECTION_SELECTION, SECTION_STATS};
-use crate::sum::{AdviceFactors, SumConfig, SumRegistry};
-use spa_linalg::{RowScratch, RowView, SparseVec};
+use crate::sum::{CacheStats, SumConfig, SumRegistry};
+use spa_linalg::{RowView, SparseVec};
 use spa_ml::Dataset;
 use spa_store::snapshot::{Snapshot, SnapshotBuilder};
 use spa_store::LogPosition;
@@ -153,10 +152,6 @@ pub struct Spa {
     manager: Arc<AttributesManager>,
     messaging: Arc<MessagingAgent>,
     selection: SelectionFunction,
-    /// Schema part of the advice transform, folded once at bring-up.
-    advice_factors: AdviceFactors,
-    /// Dense advice rows keyed by the per-model update counter.
-    advice_cache: AdviceCache,
     /// Batch-ingest buffers reused across [`Spa::ingest_batch`] calls.
     ingest_scratch: parking_lot::Mutex<GroupScratch>,
 }
@@ -165,7 +160,7 @@ impl Spa {
     /// Builds a platform over the emagister schema and a course catalog.
     pub fn new(courses: &CourseCatalog, config: SpaConfig) -> Self {
         let schema = AttributeSchema::emagister();
-        let registry = Arc::new(SumRegistry::new(schema.len(), config.sum.clone()));
+        let registry = Arc::new(SumRegistry::new(&schema, config.sum.clone()));
         let eit = Arc::new(EitEngine::standard());
         let preprocessor = Arc::new(LifeLogPreprocessor::new(schema.clone(), courses));
         let manager = Arc::new(AttributesManager::new(schema.clone()));
@@ -174,8 +169,6 @@ impl Spa {
             config.policy,
         ));
         let selection = SelectionFunction::with_imbalance(schema.len(), config.positive_weight);
-        let advice_factors = AdviceFactors::new(&schema);
-        let advice_cache = AdviceCache::new(schema.len());
         Self {
             schema,
             registry,
@@ -184,8 +177,6 @@ impl Spa {
             manager,
             messaging,
             selection,
-            advice_factors,
-            advice_cache,
             ingest_scratch: parking_lot::Mutex::new(GroupScratch::default()),
         }
     }
@@ -220,16 +211,13 @@ impl Spa {
         &self.selection
     }
 
-    /// The precomputed advice factor table (schema part of the advice
-    /// transform; shared with the sharded platform's global-model path).
-    pub fn advice_factors(&self) -> &AdviceFactors {
-        &self.advice_factors
-    }
-
-    /// Hit/miss counters of the advice-row cache behind
-    /// [`Spa::score_users`].
+    /// Counters of the published-row read path behind
+    /// [`Spa::score_users`]: `misses` = advice rows computed at
+    /// publication, `hits` = scores served from an already-published
+    /// row. There is no cache any more; the accessor keeps its name for
+    /// the frozen `benchmark/` crate (see [`CacheStats`]).
     pub fn advice_cache_stats(&self) -> CacheStats {
-        self.advice_cache.stats()
+        self.registry.row_stats()
     }
 
     /// Ingests one raw LifeLog event.
@@ -332,6 +320,7 @@ impl Spa {
     }
 
     /// Plain observed feature row for a user (empty row for unknowns).
+    /// A whole-model read: takes the user's registry shard mutex.
     pub fn feature_row(&self, user: UserId) -> SparseVec {
         self.registry.with_model_read(user, |model| match model {
             Some(model) => model.feature_row(),
@@ -339,14 +328,15 @@ impl Spa {
         })
     }
 
-    /// Advice-stage (activated/inhibited) feature row. This is the
-    /// cache-free reference computation — batch scoring goes through
-    /// the advice-row cache instead (see [`Spa::score_users`]).
+    /// Advice-stage (activated/inhibited) feature row: an owned copy
+    /// of the user's published row, read lock-free (the allocating
+    /// reference it is pinned to is
+    /// [`crate::sum::SmartUserModel::advice_row`]).
     pub fn advice_row(&self, user: UserId) -> Result<SparseVec> {
-        self.registry.with_model_read(user, |model| match model {
-            Some(model) => model.advice_row(&self.schema),
-            None => Ok(SparseVec::zeros(self.schema.len())),
-        })
+        Ok(self.registry.with_advice_row(user, |row| match row {
+            Some(row) => row.to_owned_vec(),
+            None => SparseVec::zeros(self.schema.len()),
+        }))
     }
 
     /// Trains the selection function on labelled campaign history.
@@ -359,15 +349,13 @@ impl Spa {
     ///
     /// This is the paper-scale path — one campaign scores millions of
     /// users through exactly this call — and it performs **zero clones
-    /// and zero allocations per user**: each score borrows the model
-    /// under its registry shard's read lock, reads (or refills) the
-    /// user's compact sparse advice row in the epoch-versioned
-    /// [`AdviceCache`], and dots it against the SVM weights through the
-    /// same kernel as every other surface. A repeat sweep over a quiet
-    /// population is a cached-row scan. Scores are
-    /// bit-identical to the cache-free reference
-    /// (`selection().score(&advice_row(user))`), enforced by
-    /// `tests/scoring_fastpath.rs`.
+    /// and zero allocations per user, and takes no lock**: each score
+    /// resolves the user through the registry's atomic index, pins the
+    /// compact advice row the writer published at its last section end,
+    /// and dots it against the SVM weights through the same kernel as
+    /// every other surface. Scores are bit-identical to the allocating
+    /// reference (`selection().score(&model.advice_row(schema))`),
+    /// enforced by `tests/scoring_fastpath.rs`.
     ///
     /// With the `parallel` feature (default) the work fans out across
     /// threads and results are assembled in input order, so the output
@@ -375,36 +363,50 @@ impl Spa {
     pub fn score_users(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
         #[cfg(feature = "parallel")]
         {
-            if users.len() >= spa_ml::PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1 {
+            let threads = rayon::current_num_threads();
+            if users.len() >= spa_ml::PARALLEL_BATCH_THRESHOLD && threads > 1 {
                 use rayon::prelude::*;
-                let scored: Vec<Result<(UserId, f64)>> =
-                    users.par_iter().map(|&user| self.score_user(user)).collect();
-                return scored.into_iter().collect();
+                // one contiguous part per thread, re-joined in order
+                let parts: Vec<&[UserId]> = users.chunks(users.len().div_ceil(threads)).collect();
+                let scored: Vec<Result<Vec<(UserId, f64)>>> = parts
+                    .par_iter()
+                    .map(|part| self.score_with(&self.selection, part.iter().copied()))
+                    .collect();
+                let mut out = Vec::with_capacity(users.len());
+                for part in scored {
+                    out.extend(part?);
+                }
+                return Ok(out);
             }
         }
-        users.iter().map(|&user| self.score_user(user)).collect()
+        self.score_with(&self.selection, users.iter().copied())
     }
 
-    /// Scores one user's advice-stage row with the selection function.
-    fn score_user(&self, user: UserId) -> Result<(UserId, f64)> {
-        Ok((user, self.score_user_with(&self.selection, user)?))
-    }
-
-    /// Scores one user's advice row against a *supplied* selection
-    /// function through the zero-allocation cached path — the hook the
-    /// sharded platform uses to score shard-local models with its
-    /// global selection function. Unknown users score as the empty row
-    /// (the SVM bias), exactly like [`Spa::advice_row`]'s zero row.
-    pub fn score_user_with(&self, selection: &SelectionFunction, user: UserId) -> Result<f64> {
-        self.registry.with_model_read(user, |model| match model {
-            Some(model) => self.advice_cache.with_row(
-                user,
-                model.updates(),
-                |indices, values| model.advice_compact_into(&self.advice_factors, indices, values),
-                |row| selection.score_view(row),
-            ),
-            None => selection.score_view(RowView::empty(self.schema.len())),
-        })
+    /// Scores `users`' published advice rows against a *supplied*
+    /// selection function, in order — the one scoring loop, which the
+    /// sharded platform also drives with its global selection function
+    /// over each shard's slice of an audience. Per user: index lookup →
+    /// pin → sparse dot; no lock, no allocation. Unknown users score as
+    /// the empty row (the SVM bias), exactly like [`Spa::advice_row`]'s
+    /// zero row. The served-row counter is bumped once per call.
+    pub(crate) fn score_with(
+        &self,
+        selection: &SelectionFunction,
+        users: impl Iterator<Item = UserId>,
+    ) -> Result<Vec<(UserId, f64)>> {
+        let dim = self.schema.len();
+        let mut served = 0u64;
+        let scored = users
+            .map(|user| {
+                let score = self.registry.with_advice_row(user, |row| {
+                    served += u64::from(row.is_some());
+                    selection.score_view(row.unwrap_or(RowView::empty(dim)))
+                })?;
+                Ok((user, score))
+            })
+            .collect();
+        self.registry.note_rows_served(served);
+        scored
     }
 
     /// Ranks users by propensity, descending (ties break by user id for
@@ -428,9 +430,9 @@ impl Spa {
     }
 
     /// Incrementally folds one observed outcome into the selection
-    /// function (SPA's incremental-learning mode). The advice row is
-    /// built into a scratch buffer under the registry read lock — no
-    /// model clone — and the update is bit-identical to
+    /// function (SPA's incremental-learning mode). The example is the
+    /// user's published advice row, read in place — no lock, no clone —
+    /// and the update is bit-identical to
     /// `partial_fit(&advice_row(user))`.
     ///
     /// Errors with [`SpaError::UnknownUser`] when no model exists for
@@ -438,12 +440,9 @@ impl Spa {
     /// seen user would corrupt the selection function with no signal to
     /// the caller. Ingest at least one event first.
     pub fn observe_outcome(&mut self, user: UserId, responded: bool) -> Result<()> {
-        let Spa { registry, selection, advice_factors, .. } = self;
-        registry.with_model_read(user, |model| {
-            let model = model.ok_or(SpaError::UnknownUser(user))?;
-            let mut scratch = RowScratch::new(model.dim());
-            let view = model.advice_into(advice_factors, &mut scratch)?;
-            selection.partial_fit_view(view, responded)
+        let Spa { registry, selection, .. } = self;
+        registry.with_advice_row(user, |row| {
+            selection.partial_fit_view(row.ok_or(SpaError::UnknownUser(user))?, responded)
         })
     }
 
@@ -481,10 +480,9 @@ impl Spa {
     /// platform: models land in the registry, counters resume from
     /// their checkpointed values, and the selection function scores
     /// bit-identically to the one that was checkpointed (no retraining;
-    /// missing selection section leaves it untrained). The advice-row
-    /// cache is cleared so every row refills from the restored models —
-    /// epoch invalidation alone cannot see a wholesale model swap
-    /// ([`AdviceCache::clear`]).
+    /// missing selection section leaves it untrained). Every restored
+    /// model's advice row is republished as it lands, whatever its
+    /// update counter, so scores follow the restored contents.
     ///
     /// Campaign registrations are configuration, not snapshot state —
     /// re-register them as at any bring-up (the contract is documented
@@ -501,7 +499,6 @@ impl Spa {
         if let Some(selection) = snapshot.section(SECTION_SELECTION) {
             self.selection.restore_state(selection)?;
         }
-        self.advice_cache.clear();
         Ok(restored)
     }
 
@@ -689,22 +686,29 @@ mod tests {
         (spa, users)
     }
 
+    /// The allocating reference every score is pinned to: the master
+    /// model's `advice_row(schema)` through the ordinary SVM surface.
+    fn reference_score(spa: &Spa, user: UserId) -> f64 {
+        let model = spa.registry().get(user).expect("seeded user");
+        spa.selection().score(&model.advice_row(spa.schema()).unwrap()).unwrap()
+    }
+
     #[test]
-    fn repeated_scans_hit_the_advice_cache_and_ingest_invalidates() {
+    fn quiet_sweeps_publish_nothing_and_one_ingest_republishes_exactly_that_row() {
         let (spa, users) = trained_platform(40);
+        let seeded = spa.advice_cache_stats();
+        assert_eq!(seeded.misses as usize, users.len(), "one row published per seeded user");
         let first = spa.score_users(&users).unwrap();
-        let after_first = spa.advice_cache_stats();
-        assert_eq!(after_first.misses as usize, users.len(), "first sweep fills every row");
         let second = spa.score_users(&users).unwrap();
-        let after_second = spa.advice_cache_stats();
-        assert_eq!(after_second.hits - after_first.hits, users.len() as u64);
-        assert_eq!(after_second.misses, after_first.misses, "quiet sweep must not refill");
+        let quiet = spa.advice_cache_stats();
+        assert_eq!(quiet.misses, seeded.misses, "a quiet sweep must not publish");
+        assert_eq!(quiet.hits - seeded.hits, 2 * users.len() as u64, "every score was served");
         for (a, b) in first.iter().zip(second.iter()) {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
-        // mutate one user: exactly that row refills, and its score
-        // matches the cache-free reference
+        // mutate one user: exactly that row is republished, and every
+        // score matches the reference bit for bit
         let touched = users[7];
         let q = spa.next_eit_question(touched);
         spa.ingest(&LifeLogEvent::new(
@@ -713,13 +717,16 @@ mod tests {
             EventKind::EitAnswer { question: q.id, answer: Valence::new(0.9) },
         ))
         .unwrap();
-        let third = spa.score_users(&users).unwrap();
-        let after_third = spa.advice_cache_stats();
-        assert_eq!(after_third.misses - after_second.misses, 1, "only the touched user refills");
-        for &(user, score) in &third {
-            let reference = spa.selection().score(&spa.advice_row(user).unwrap()).unwrap();
-            assert_eq!(score.to_bits(), reference.to_bits(), "cached score diverges for {user}");
+        assert_eq!(spa.advice_cache_stats().misses - quiet.misses, 1, "only the touched user");
+        for &(user, score) in &spa.score_users(&users).unwrap() {
+            let via_row = spa.selection().score(&spa.advice_row(user).unwrap()).unwrap();
+            assert_eq!(score.to_bits(), via_row.to_bits(), "score ≠ advice_row score for {user}");
+            assert_eq!(score.to_bits(), reference_score(&spa, user).to_bits(), "{user}");
         }
+        // an unknown user is scored (the bias) but served from no row
+        let before = spa.advice_cache_stats();
+        spa.score_users(&[UserId::new(9999)]).unwrap();
+        assert_eq!(spa.advice_cache_stats(), before);
     }
 
     #[test]
@@ -820,7 +827,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for &user in &users {
-            // rows, schedules and cached-path scores all match
+            // rows, schedules and scores all match
             let row_a = spa.advice_row(user).unwrap();
             let row_b = restored.advice_row(user).unwrap();
             assert_eq!(row_a.indices(), row_b.indices());
@@ -834,33 +841,6 @@ mod tests {
         for (a, b) in scores_live.iter().zip(scores_restored.iter()) {
             assert_eq!(a.0, b.0);
             assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn restore_clears_the_advice_cache() {
-        let (spa, users) = trained_platform(20);
-        let warm = spa.score_users(&users).unwrap();
-        assert!(spa.advice_cache_stats().misses > 0);
-        let path = std::env::temp_dir()
-            .join(format!("spa-platform-cacheckpt-{}.snap", std::process::id()));
-        spa.checkpoint(&path, spa_store::LogPosition::default()).unwrap();
-        // restore INTO the same (warm-cached) platform: without the
-        // clear, cached rows at matching epochs would mask the restored
-        // models
-        let mut spa = spa;
-        spa.restore(&spa_store::Snapshot::read(&path).unwrap()).unwrap();
-        let before = spa.advice_cache_stats();
-        let rescored = spa.score_users(&users).unwrap();
-        let after = spa.advice_cache_stats();
-        assert_eq!(
-            after.misses - before.misses,
-            users.len() as u64,
-            "every row must refill from restored models"
-        );
-        for (a, b) in warm.iter().zip(rescored.iter()) {
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "state was identical, so scores must be");
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -431,11 +431,8 @@ mod tests {
     fn setup() -> (LifeLogPreprocessor, SumRegistry, EitEngine) {
         let schema = AttributeSchema::emagister();
         let courses = CourseCatalog::generate(30, 6, 9).unwrap();
-        (
-            LifeLogPreprocessor::new(schema, &courses),
-            SumRegistry::new(75, SumConfig::default()),
-            EitEngine::standard(),
-        )
+        let registry = SumRegistry::new(&schema, SumConfig::default());
+        (LifeLogPreprocessor::new(schema, &courses), registry, EitEngine::standard())
     }
 
     fn at(ms: u64) -> Timestamp {

@@ -91,7 +91,7 @@ impl SelectionFunction {
     }
 
     /// Propensity score of one borrowed feature row (zero-copy) — the
-    /// kernel every scoring surface routes through, cached advice rows
+    /// kernel every scoring surface routes through, published advice rows
     /// included.
     pub fn score_view(&self, features: RowView<'_>) -> Result<f64> {
         self.svm.decision_view(features)

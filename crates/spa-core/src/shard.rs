@@ -347,9 +347,9 @@ pub struct ShardedSpa {
     /// serializing that shard, so the recorded log position and the
     /// serialized state agree — and other shards keep ingesting
     /// meanwhile. Scoring and ranking never touch this latch (or any
-    /// lock): they read epoch-published model and selection snapshots,
-    /// so a checkpoint effectively captures a pinned epoch while reads
-    /// proceed untouched. Uncontended shared acquisition is a couple of
+    /// lock): they read epoch-published advice rows and selection
+    /// snapshots, so a checkpoint serializes the quiesced masters while
+    /// reads proceed untouched. Uncontended shared acquisition is a couple of
     /// atomic ops, invisible next to a WAL append.
     pauses: Vec<RwLock<()>>,
     /// Serializes checkpoint/compaction against each other: both are
@@ -933,7 +933,7 @@ impl ShardedSpa {
         self.selection.snapshot()
     }
 
-    /// Epoch-publication counters: how many model snapshots the shard
+    /// Epoch-publication counters: how many advice rows the shard
     /// registries have installed (one per touched user per write
     /// section) and how many selection snapshots writers have
     /// published. Monotonic; serves the stats endpoint.
@@ -1148,9 +1148,9 @@ impl ShardedSpa {
     }
 
     /// Incrementally folds one observed outcome into the global
-    /// selection function, through the same clone-free scratch path as
-    /// [`Spa::observe_outcome`] (bit-identical update). Requires an
-    /// existing user model.
+    /// selection function, from the same published advice row
+    /// [`Spa::observe_outcome`] reads (bit-identical update). Requires
+    /// an existing user model.
     ///
     /// Durable platforms write-ahead log the outcome to the root-level
     /// selection WAL first, **with the advice row captured verbatim**:
@@ -1162,23 +1162,20 @@ impl ShardedSpa {
     /// master, so log order is apply order; the updated weights are
     /// published for readers before the call returns.
     pub fn observe_outcome(&self, user: UserId, responded: bool) -> Result<()> {
-        let owner = self.owner(user);
-        // the advice row is captured from the user's published model
-        // snapshot before the selection master is taken — readers never
-        // hold locks, so no lock-order concern remains, but capturing
-        // first keeps the master hold as short as the update itself
-        let event = owner.registry().with_model_read(user, |model| -> Result<LifeLogEvent> {
-            let model = model.ok_or(SpaError::UnknownUser(user))?;
-            let mut scratch = spa_linalg::RowScratch::new(model.dim());
-            let view = model.advice_into(owner.advice_factors(), &mut scratch)?;
-            Ok(LifeLogEvent::new(
+        // the user's published advice row is copied out before the
+        // selection master is taken — the read holds no lock, so no
+        // lock-order concern exists, but capturing first keeps the
+        // master hold as short as the update itself
+        let event = self.owner(user).registry().with_advice_row(user, |row| {
+            let row = row.ok_or(SpaError::UnknownUser(user))?;
+            Ok::<_, SpaError>(LifeLogEvent::new(
                 user,
                 Timestamp::from_millis(0),
                 EventKind::OutcomeObserved {
                     responded,
-                    dim: view.dim() as u32,
-                    indices: view.indices().to_vec(),
-                    values: view.values().to_vec(),
+                    dim: row.dim() as u32,
+                    indices: row.indices().to_vec(),
+                    values: row.values().to_vec(),
                 },
             ))
         })?;
@@ -1196,8 +1193,8 @@ impl ShardedSpa {
 
     /// Batch propensity scoring in **input order**: each shard scores
     /// its slice of the audience (in parallel under the `parallel`
-    /// feature) through its zero-allocation cached advice-row path
-    /// ([`Spa::score_user_with`]) against the **global** selection
+    /// feature) through its lock-free published-row path
+    /// (`Spa::score_with`) against the **global** selection
     /// function, then results scatter back to the caller's order.
     /// Bit-identical to [`Spa::score_users`] over the same stream and
     /// training data, at any shard count and thread count.
@@ -1211,22 +1208,17 @@ impl ShardedSpa {
         // observe_outcome publishes a new snapshot instead of mutating
         // this one, and never waits on the scorers)
         let selection = self.selection.snapshot();
-        let score_shard = |index: usize| -> Result<Vec<(usize, f64)>> {
-            by_shard[index]
-                .iter()
-                .map(|&position| {
-                    let score = self.shards[index].score_user_with(&selection, users[position])?;
-                    Ok((position, score))
-                })
-                .collect()
+        let score_shard = |index: usize| {
+            let slice = by_shard[index].iter().map(|&position| users[position]);
+            self.shards[index].score_with(&selection, slice)
         };
         let parallel_ok = batch_is_parallel_worthy(users.len());
-        let per_shard: Vec<Result<Vec<(usize, f64)>>> =
+        let per_shard: Vec<Result<Vec<(UserId, f64)>>> =
             fan_out(self.shards.len(), parallel_ok, score_shard);
         let mut out: Vec<Option<(UserId, f64)>> = vec![None; users.len()];
-        for scored in per_shard {
-            for (position, score) in scored? {
-                out[position] = Some((users[position], score));
+        for (positions, scored) in by_shard.iter().zip(per_shard) {
+            for (&position, entry) in positions.iter().zip(scored?) {
+                out[position] = Some(entry);
             }
         }
         Ok(out.into_iter().map(|slot| slot.expect("every input position scored once")).collect())
@@ -1256,13 +1248,8 @@ impl ShardedSpa {
         }
         let selection = self.selection.snapshot();
         let top_of_shard = |index: usize| -> Result<Vec<(UserId, f64)>> {
-            let mut scored = by_shard[index]
-                .iter()
-                .map(|&position| {
-                    let user = users[position];
-                    Ok((user, self.shards[index].score_user_with(&selection, user)?))
-                })
-                .collect::<Result<Vec<(UserId, f64)>>>()?;
+            let slice = by_shard[index].iter().map(|&position| users[position]);
+            let mut scored = self.shards[index].score_with(&selection, slice)?;
             SelectionFunction::top_k_by_propensity(&mut scored, k);
             Ok(scored)
         };

@@ -20,7 +20,7 @@
 use crate::epoch::{AtomicIndex, Published};
 use crate::fastmap::FastIdMap;
 use parking_lot::Mutex;
-use spa_linalg::{RowScratch, RowView, SparseVec};
+use spa_linalg::{RowView, SparseVec};
 use spa_store::{ProfileStore, UserProfile};
 use spa_types::{
     AttributeId, AttributeKind, AttributeSchema, Result, SpaError, Timestamp, UserId, Valence,
@@ -289,35 +289,13 @@ impl SmartUserModel {
         SparseVec::from_pairs(self.dim(), pairs)
     }
 
-    /// [`SmartUserModel::advice_row`] written into a reusable
-    /// [`RowScratch`] instead of a fresh allocation — the zero-allocation
-    /// form the campaign-scoring hot path uses. The returned view
-    /// borrows the scratch buffers; contents are bit-identical to
-    /// `advice_row(schema)` for the schema `factors` was built from.
-    pub fn advice_into<'a>(
-        &self,
-        factors: &AdviceFactors,
-        scratch: &'a mut RowScratch,
-    ) -> Result<RowView<'a>> {
-        if factors.len() != self.dim() {
-            return Err(SpaError::DimensionMismatch { got: factors.len(), expected: self.dim() });
-        }
-        scratch.reset(self.dim());
-        for (i, pair) in self.cells.chunks_exact(2).enumerate() {
-            let (v, r) = (pair[0], pair[1]);
-            if r > 0.0 {
-                scratch.push(i as u32, (v * factors.factor(i, r)).max(1e-9));
-            }
-        }
-        Ok(scratch.view())
-    }
-
     /// [`SmartUserModel::advice_row`] written compactly into caller
     /// buffers: the row's `(index, value)` entries land at the front of
     /// `indices`/`values` (ascending, the [`spa_linalg::RowView`]
     /// invariants) and the entry count is returned. This is the
-    /// advice-row cache's fill kernel — it writes straight into the
-    /// cache's contiguous slot arrays.
+    /// registry's publication kernel: the one place a reader-visible
+    /// row is derived from a master ([`SumRegistry`]), pinned
+    /// bit-for-bit to `advice_row(schema)` by the unit tests.
     ///
     /// # Panics
     /// When `factors` or the buffers disagree with the model dimension
@@ -368,44 +346,88 @@ impl SmartUserModel {
     }
 }
 
-/// One user's writer-side registry entry: the **master** copy every
-/// mutation applies to in place (the same cheap update path the locked
-/// registry had), plus the reader-visible epoch-published cell a
-/// snapshot of the master is installed into whenever a locked section
-/// ends with the master changed.
+/// What a reader sees of one user: the compact advice-stage row, as
+/// [`SmartUserModel::advice_compact_into`] derived it from the master
+/// when `updates` was the master's update counter. Tens of bytes — a
+/// handful of nonzeros out of 75 attributes (§5.2).
+#[derive(Default)]
+struct PublishedRow {
+    updates: u64,
+    indices: Vec<u32>,
+    values: Vec<f64>,
+}
+
+/// The epoch-published cell scoring reads pin.
+type RowCell = Published<PublishedRow>;
+
+/// One user's registry entry: the **master** model — the only resident
+/// copy, which every mutation applies to in place — and the
+/// reader-visible cell its advice row is installed into whenever a
+/// locked section ends with the master changed.
 struct Entry {
     master: SmartUserModel,
-    /// `master.updates()` at the last publication — the epoch deciding
-    /// whether a section end needs to republish.
-    published_updates: u64,
     /// Already queued in the current section's dirty list.
     pending: bool,
     /// The cell readers pin. Boxed so its address survives map growth;
     /// entries are never removed, which is what lets the lock-free
     /// index hand out references to it (see [`AtomicIndex`]).
-    cell: Box<Published<SmartUserModel>>,
+    cell: Box<RowCell>,
 }
 
-/// Writer-side state of one registry shard, behind the shard's writer
-/// mutex. Readers never touch this — they go through the shard's
+impl Entry {
+    /// A new entry publishing the empty row (what an unknown user
+    /// scores as), entered into the lock-free index immediately.
+    fn new(master: SmartUserModel, index: &AtomicIndex<RowCell>) -> Self {
+        let cell = Box::new(Published::new(PublishedRow::default()));
+        index.insert(master.user.raw(), NonNull::from(&*cell));
+        Self { master, pending: false, cell }
+    }
+
+    /// Derives the master's advice row into the scratch buffers and
+    /// installs it as the published row. The retired slot's buffers are
+    /// refilled in place: no allocation once both slots are warm.
+    fn publish(&self, factors: &AdviceFactors, indices: &mut [u32], values: &mut [f64]) {
+        let len = self.master.advice_compact_into(factors, indices, values);
+        self.cell.publish_with(|slot| {
+            let row = slot.get_or_insert_with(PublishedRow::default);
+            row.updates = self.master.updates;
+            row.indices.clear();
+            row.indices.extend_from_slice(&indices[..len]);
+            row.values.clear();
+            row.values.extend_from_slice(&values[..len]);
+        });
+    }
+}
+
+/// Writer-side state of one registry shard, behind the shard's mutex.
+/// Scoring never touches this — it goes through the shard's
 /// [`AtomicIndex`] straight to the published cells.
-#[derive(Default)]
 struct ShardState {
     entries: FastIdMap<Entry>,
     /// Users touched by the current locked section; drained (and
     /// published) when the section ends. Lives here so per-event ingest
     /// stays allocation-free.
     dirty: Vec<u32>,
+    /// `dim`-long scratch the publication kernel writes a row into
+    /// before it is copied, trimmed, into the retired slot.
+    row_indices: Vec<u32>,
+    row_values: Vec<f64>,
 }
 
 struct RegistryShard {
     state: Mutex<ShardState>,
-    index: AtomicIndex<Published<SmartUserModel>>,
+    index: AtomicIndex<RowCell>,
 }
 
 impl RegistryShard {
-    fn new() -> Self {
-        Self { state: Mutex::new(ShardState::default()), index: AtomicIndex::new() }
+    fn new(dim: usize) -> Self {
+        let state = ShardState {
+            entries: FastIdMap::default(),
+            dirty: Vec::new(),
+            row_indices: vec![0; dim],
+            row_values: vec![0.0; dim],
+        };
+        Self { state: Mutex::new(state), index: AtomicIndex::new() }
     }
 }
 
@@ -415,7 +437,7 @@ impl RegistryShard {
 /// holding the slot.
 pub struct ModelSlot<'a> {
     state: &'a mut ShardState,
-    index: &'a AtomicIndex<Published<SmartUserModel>>,
+    index: &'a AtomicIndex<RowCell>,
     user: UserId,
     dim: usize,
 }
@@ -427,22 +449,16 @@ impl ModelSlot<'_> {
     }
 
     /// Borrows the user's **master** model, creating an empty one on
-    /// first touch. Mutations apply to the master only; readers keep
-    /// seeing the previously published snapshot until the enclosing
-    /// locked section ends and publishes.
+    /// first touch. Mutations apply to the master only; scoring keeps
+    /// seeing the previously published row until the enclosing locked
+    /// section ends and publishes.
     #[inline]
     pub fn get_or_create(&mut self) -> &mut SmartUserModel {
-        let ShardState { entries, dirty } = &mut *self.state;
+        let ShardState { entries, dirty, .. } = &mut *self.state;
         let (user, dim, index) = (self.user, self.dim, self.index);
-        let entry = entries.entry(user.raw()).or_insert_with(|| {
-            let master = SmartUserModel::new(user, dim);
-            let cell = Box::new(Published::new(master.clone()));
-            // the cell enters the lock-free index immediately: readers
-            // may observe the fresh (empty) model from here on, which
-            // is exactly what the locked registry exposed too
-            index.insert(user.raw(), NonNull::from(&*cell));
-            Entry { master, published_updates: 0, pending: false, cell }
-        });
+        let entry = entries
+            .entry(user.raw())
+            .or_insert_with(|| Entry::new(SmartUserModel::new(user, dim), index));
         if !entry.pending {
             entry.pending = true;
             dirty.push(user.raw());
@@ -455,7 +471,7 @@ impl ModelSlot<'_> {
 /// [`SumRegistry::with_shard_models`]).
 pub(crate) struct ShardModels<'a> {
     state: &'a mut ShardState,
-    index: &'a AtomicIndex<Published<SmartUserModel>>,
+    index: &'a AtomicIndex<RowCell>,
     dim: usize,
     shard_index: usize,
 }
@@ -469,39 +485,65 @@ impl ShardModels<'_> {
     }
 }
 
+/// Counters of the published-row read path (monotone since creation).
+///
+/// The type and [`crate::platform::Spa::advice_cache_stats`] keep the
+/// names of the advice cache they outlived because the frozen
+/// `benchmark/` crate reads them (`fixture.rs`, `cache_counts`); both
+/// go when a later `benchmark` issue renames the probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Scores served from an already-published row.
+    pub hits: u64,
+    /// Advice rows computed at publication (ingest section ends and
+    /// restores).
+    pub misses: u64,
+}
+
 /// Concurrent registry of SUMs for a whole population, persistable via
 /// [`spa_store::ProfileStore`] snapshots.
 ///
-/// **Epoch-published, lock-free reads.** Internally each of the 32
-/// shards keeps a writer-side master map behind a mutex *and* a
-/// reader-side [`AtomicIndex`] of [`Published`] model cells. Writers
+/// **One resident copy, one read mechanism.** Each of the 32 shards
+/// keeps its users' master models in a map behind a mutex *and* a
+/// reader-side [`AtomicIndex`] of [`Published`] advice rows. Writers
 /// mutate masters in place under the shard mutex and, when their locked
-/// section ends, install one snapshot per touched user into that user's
-/// cell (`clone_from` into the retired slot — allocation-free once
-/// warm). Readers ([`SumRegistry::with_model_read`],
-/// [`SumRegistry::get`]) resolve the user through the index and pin the
-/// cell — **no lock, ever**: a scoring sweep proceeds untouched through
-/// concurrent `ingest_batch`, checkpoint and compaction. A reader sees
-/// each user's model exactly as it stood at some section boundary —
-/// never a torn intermediate — because publication is all-or-nothing
-/// per cell.
+/// section ends, derive each touched user's compact advice row once and
+/// install it into that user's cell. What is lock-free and what is not:
+///
+/// * [`SumRegistry::with_advice_row`] — everything scoring, ranking and
+///   outcome capture read — resolves the user through the index and
+///   pins the cell: **no lock, ever**. A scoring sweep proceeds
+///   untouched through concurrent `ingest_batch`, checkpoint and
+///   compaction, and sees each user's row exactly as it stood at some
+///   section boundary — never a torn intermediate — because publication
+///   is all-or-nothing per cell.
+/// * [`SumRegistry::with_model_read`] / [`SumRegistry::get`] — the rare
+///   whole-model reads (feature rows, EIT scheduling, dominant
+///   sensibilities, checkpoint serialisation) — borrow the master under
+///   the shard mutex and wait for a writer holding it.
 pub struct SumRegistry {
     dim: usize,
     config: SumConfig,
+    /// Schema part of the advice transform, folded once at bring-up.
+    factors: AdviceFactors,
     shards: Vec<RegistryShard>,
     publishes: AtomicU64,
+    rows_served: AtomicU64,
 }
 
 const SHARDS: usize = 32;
 
 impl SumRegistry {
-    /// Creates an empty registry for `dim`-attribute models.
-    pub fn new(dim: usize, config: SumConfig) -> Self {
+    /// Creates an empty registry of models over `schema`'s attributes.
+    pub fn new(schema: &AttributeSchema, config: SumConfig) -> Self {
+        let dim = schema.len();
         Self {
             dim,
             config,
-            shards: (0..SHARDS).map(|_| RegistryShard::new()).collect(),
+            factors: AdviceFactors::new(schema),
+            shards: (0..SHARDS).map(|_| RegistryShard::new(dim)).collect(),
             publishes: AtomicU64::new(0),
+            rows_served: AtomicU64::new(0),
         }
     }
 
@@ -519,31 +561,18 @@ impl SumRegistry {
         &self.shards[user.raw() as usize % SHARDS]
     }
 
-    /// Publishes every master the just-ended section mutated, one
-    /// whole-model snapshot per touched user. Runs with the shard
-    /// writer mutex still held, so a single-threaded caller observes
-    /// its own writes immediately and publications are section-atomic
-    /// per user.
+    /// Publishes the advice row of every master the just-ended section
+    /// mutated. Runs with the shard mutex still held, so a
+    /// single-threaded caller observes its own writes immediately and
+    /// publications are section-atomic per user.
     fn flush_dirty(&self, state: &mut ShardState) {
-        let ShardState { entries, dirty } = state;
+        let ShardState { entries, dirty, row_indices, row_values } = state;
         let mut published = 0u64;
         for key in dirty.drain(..) {
             let entry = entries.get_mut(&key).expect("dirty user exists");
             entry.pending = false;
-            if entry.master.updates != entry.published_updates {
-                let master = &entry.master;
-                entry.cell.publish_with(|slot| match slot {
-                    // clone into the retired slot's buffers: no
-                    // allocation once both slots are warm
-                    Some(spare) => {
-                        spare.user = master.user;
-                        spare.cells.clone_from(&master.cells);
-                        spare.eit_answers = master.eit_answers;
-                        spare.updates = master.updates;
-                    }
-                    None => *slot = Some(master.clone()),
-                });
-                entry.published_updates = entry.master.updates;
+            if entry.cell.pin().updates != entry.master.updates {
+                entry.publish(&self.factors, row_indices, row_values);
                 published += 1;
             }
         }
@@ -552,10 +581,26 @@ impl SumRegistry {
         }
     }
 
-    /// How many model snapshots have been published so far (monotone) —
+    /// How many advice rows have been published so far (monotone) —
     /// the write half of the epoch machinery, surfaced for stats.
     pub fn model_publishes(&self) -> u64 {
         self.publishes.load(Ordering::Relaxed)
+    }
+
+    /// Read-path counters: rows published, and scores the callers of
+    /// [`SumRegistry::with_advice_row`] reported as served from one.
+    pub fn row_stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.rows_served.load(Ordering::Relaxed),
+            misses: self.model_publishes(),
+        }
+    }
+
+    /// Records `count` scores served from published rows. Batch scorers
+    /// call this once per sweep, so the read path shares no written
+    /// cache line per user.
+    pub(crate) fn note_rows_served(&self, count: u64) {
+        self.rows_served.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Number of models stored.
@@ -568,9 +613,8 @@ impl SumRegistry {
         self.len() == 0
     }
 
-    /// Clones the model for `user`, if present — the published
-    /// snapshot, which for a quiescent registry equals the master
-    /// bit-for-bit.
+    /// Clones the model for `user`, if present (takes the shard mutex,
+    /// see [`SumRegistry::with_model_read`]).
     pub fn get(&self, user: UserId) -> Option<SmartUserModel> {
         self.with_model_read(user, |model| model.cloned())
     }
@@ -643,25 +687,39 @@ impl SumRegistry {
         result
     }
 
-    /// Applies `f` to a *borrowed* model — the clone-free counterpart
-    /// of [`SumRegistry::get`] for hot read paths (`None` when the user
-    /// has no model). **Lock-free**: the user resolves through the
-    /// shard's atomic index and the model is the pinned published
-    /// snapshot, so this never waits on ingest, checkpoint or any
-    /// other writer. Holding the pin only delays the *second-next*
-    /// publication of this one user's cell; keep `f` short anyway.
+    /// Applies `f` to `user`'s published advice row — bit-identical to
+    /// `advice_row(schema)` of the model as it stood when the last
+    /// write section touching it ended; `None` when the user has no
+    /// model. **Lock-free**: the user resolves through the shard's
+    /// atomic index and the row is the pinned published value, so this
+    /// never waits on ingest, checkpoint or any other writer. Holding
+    /// the pin only delays the *second-next* publication of this one
+    /// user's cell; keep `f` short anyway.
+    #[inline]
+    pub fn with_advice_row<T>(&self, user: UserId, f: impl FnOnce(Option<RowView<'_>>) -> T) -> T {
+        match self.shard(user).index.get(user.raw()) {
+            Some(cell) => {
+                let row = cell.pin();
+                f(Some(RowView::new(self.dim, &row.indices, &row.values)))
+            }
+            None => f(None),
+        }
+    }
+
+    /// Applies `f` to a *borrowed* master model — the clone-free
+    /// counterpart of [`SumRegistry::get`] (`None` when the user has no
+    /// model). Holds the user's shard mutex for the duration of `f`, so
+    /// it waits for a write section on that shard to end, and — the
+    /// mutex is not re-entrant — must not be called from inside
+    /// [`SumRegistry::with_model`] / [`SumRegistry::with_model_slot`]
+    /// or another `with_model_read`.
     pub fn with_model_read<T>(
         &self,
         user: UserId,
         f: impl FnOnce(Option<&SmartUserModel>) -> T,
     ) -> T {
-        match self.shard(user).index.get(user.raw()) {
-            Some(cell) => {
-                let pinned = cell.pin();
-                f(Some(&pinned))
-            }
-            None => f(None),
-        }
+        let state = self.shard(user).state.lock();
+        f(state.entries.get(&user.raw()).map(|entry| &entry.master))
     }
 
     /// Inserts (or replaces) a fully materialized model — the snapshot
@@ -673,31 +731,15 @@ impl SumRegistry {
         debug_assert_eq!(model.dim(), self.dim, "model dimension must match the registry");
         let shard = self.shard(model.user);
         let mut state = shard.state.lock();
-        match state.entries.get_mut(&model.user.raw()) {
-            Some(entry) => {
-                entry.published_updates = model.updates;
-                entry.master = model;
-                let master = &entry.master;
-                entry.cell.publish_with(|slot| match slot {
-                    Some(spare) => {
-                        spare.user = master.user;
-                        spare.cells.clone_from(&master.cells);
-                        spare.eit_answers = master.eit_answers;
-                        spare.updates = master.updates;
-                    }
-                    None => *slot = Some(master.clone()),
-                });
-            }
+        let ShardState { entries, row_indices, row_values, .. } = &mut *state;
+        let key = model.user.raw();
+        match entries.get_mut(&key) {
+            Some(entry) => entry.master = model,
             None => {
-                let cell = Box::new(Published::new(model.clone()));
-                shard.index.insert(model.user.raw(), NonNull::from(&*cell));
-                let published_updates = model.updates;
-                state.entries.insert(
-                    model.user.raw(),
-                    Entry { master: model, published_updates, pending: false, cell },
-                );
+                entries.insert(key, Entry::new(model, &shard.index));
             }
         }
+        entries[&key].publish(&self.factors, row_indices, row_values);
         self.publishes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -837,11 +879,16 @@ impl SumRegistry {
 
     /// Restores a registry from the layout written by
     /// [`Self::to_profile_store`].
-    pub fn from_profile_store(store: &ProfileStore, dim: usize, config: SumConfig) -> Result<Self> {
+    pub fn from_profile_store(
+        store: &ProfileStore,
+        schema: &AttributeSchema,
+        config: SumConfig,
+    ) -> Result<Self> {
+        let dim = schema.len();
         if store.dim() != dim * 2 + 10 {
             return Err(SpaError::DimensionMismatch { got: store.dim(), expected: dim * 2 + 10 });
         }
-        let registry = SumRegistry::new(dim, config);
+        let registry = SumRegistry::new(schema, config);
         let mut error: Option<SpaError> = None;
         store.for_each(|user, profile| {
             if error.is_some() {
@@ -1037,29 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn advice_into_is_bit_identical_to_advice_row() {
-        let s = schema();
-        let m = mixed_model(&s);
-        let factors = AdviceFactors::new(&s);
-        let reference = m.advice_row(&s).unwrap();
-        let mut scratch = RowScratch::new(0);
-        let view = m.advice_into(&factors, &mut scratch).unwrap();
-        assert_eq!(view.indices(), reference.indices());
-        for (a, b) in view.values().iter().zip(reference.values().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "advice_into diverges from advice_row");
-        }
-        // refill after a mutation stays equivalent (no stale entries)
-        let mut m2 = m.clone();
-        m2.reward(&[emo_attr(&s, 0)], &SumConfig::default()).unwrap();
-        let reference2 = m2.advice_row(&s).unwrap();
-        let view2 = m2.advice_into(&factors, &mut scratch).unwrap();
-        assert_eq!(view2.indices(), reference2.indices());
-        for (a, b) in view2.values().iter().zip(reference2.values().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn advice_compact_into_matches_advice_row() {
         let s = schema();
         let m = mixed_model(&s);
@@ -1076,21 +1100,68 @@ mod tests {
     }
 
     #[test]
-    fn advice_into_checks_dimensions() {
-        let s = schema();
-        let m = SmartUserModel::new(UserId::new(1), 10);
-        let factors = AdviceFactors::new(&s);
-        let mut scratch = RowScratch::new(0);
-        assert!(m.advice_into(&factors, &mut scratch).is_err());
-    }
-
-    #[test]
     fn with_model_read_borrows_without_cloning() {
-        let reg = SumRegistry::new(75, SumConfig::default());
+        let reg = SumRegistry::new(&schema(), SumConfig::default());
         assert!(reg.with_model_read(UserId::new(3), |m| m.is_none()));
         reg.with_model(UserId::new(3), |m, _| m.set_observed(AttributeId::new(2), 0.8).unwrap());
         let value = reg.with_model_read(UserId::new(3), |m| m.unwrap().value(AttributeId::new(2)));
         assert_eq!(value, 0.8);
+    }
+
+    /// The registry's published row against the allocating reference.
+    fn assert_published_row_matches(reg: &SumRegistry, user: UserId, model: &SmartUserModel) {
+        let reference = model.advice_row(&schema()).unwrap();
+        reg.with_advice_row(user, |row| {
+            let row = row.expect("user has a published row");
+            assert_eq!(row.dim(), 75);
+            assert_eq!(row.indices(), reference.indices());
+            for (a, b) in row.values().iter().zip(reference.values().iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "published row diverges from advice_row");
+            }
+        });
+    }
+
+    #[test]
+    fn section_end_publishes_the_advice_row_of_the_master() {
+        let s = schema();
+        let reg = SumRegistry::new(&s, SumConfig::default());
+        let user = UserId::new(7);
+        assert!(reg.with_advice_row(user, |row| row.is_none()), "unknown users have no row");
+        // three sections, so both slots of the cell get refilled
+        for round in 0..3 {
+            reg.with_model(user, |m, config| {
+                if round == 0 {
+                    *m = mixed_model(&s);
+                } else {
+                    m.reward(&[emo_attr(&s, 0)], config).unwrap();
+                }
+            });
+            assert_published_row_matches(&reg, user, &reg.get(user).unwrap());
+        }
+        assert_eq!(reg.model_publishes(), 3);
+        // a section that materializes the model without mutating it
+        // publishes nothing
+        reg.with_model_slot(user, |slot, _| {
+            slot.get_or_create();
+        });
+        assert_eq!(reg.row_stats(), CacheStats { hits: 0, misses: 3 });
+    }
+
+    #[test]
+    fn insert_model_republishes_even_at_an_unchanged_update_counter() {
+        let s = schema();
+        let reg = SumRegistry::new(&s, SumConfig::default());
+        let original = mixed_model(&s);
+        reg.insert_model(original.clone());
+        assert_published_row_matches(&reg, original.user, &original);
+        // same user, same `updates`, different contents — what a
+        // restore into a warm registry hands over
+        let mut swapped = original.clone();
+        swapped.cells[0] = 0.9;
+        assert_eq!(swapped.updates(), original.updates());
+        reg.insert_model(swapped.clone());
+        assert_published_row_matches(&reg, swapped.user, &swapped);
+        assert_eq!(reg.model_publishes(), 2);
     }
 
     #[test]
@@ -1129,7 +1200,7 @@ mod tests {
 
     #[test]
     fn registry_creates_on_demand_and_counts() {
-        let reg = SumRegistry::new(75, SumConfig::default());
+        let reg = SumRegistry::new(&schema(), SumConfig::default());
         assert!(reg.is_empty());
         reg.with_model(UserId::new(5), |m, _| {
             m.set_observed(AttributeId::new(1), 0.3).unwrap();
@@ -1142,7 +1213,7 @@ mod tests {
     #[test]
     fn registry_round_trips_through_profile_store() {
         let s = schema();
-        let reg = SumRegistry::new(75, SumConfig::default());
+        let reg = SumRegistry::new(&s, SumConfig::default());
         for id in 0..50u32 {
             reg.with_model(UserId::new(id), |m, config| {
                 m.set_observed(AttributeId::new(id % 40), id as f64 / 50.0).unwrap();
@@ -1156,7 +1227,8 @@ mod tests {
             });
         }
         let store = reg.to_profile_store();
-        let restored = SumRegistry::from_profile_store(&store, 75, SumConfig::default()).unwrap();
+        let restored =
+            SumRegistry::from_profile_store(&store, &schema(), SumConfig::default()).unwrap();
         assert_eq!(restored.len(), 50);
         for id in 0..50u32 {
             assert_eq!(restored.get(UserId::new(id)), reg.get(UserId::new(id)));
@@ -1166,7 +1238,7 @@ mod tests {
     #[test]
     fn registry_state_round_trips_bit_exactly() {
         let s = schema();
-        let reg = SumRegistry::new(75, SumConfig::default());
+        let reg = SumRegistry::new(&s, SumConfig::default());
         for id in 0..40u32 {
             reg.with_model(UserId::new(id), |m, config| {
                 m.set_observed(AttributeId::new(id % 40), id as f64 / 41.0).unwrap();
@@ -1184,7 +1256,7 @@ mod tests {
         }
         let mut state = Vec::new();
         reg.write_state(&mut state);
-        let restored = SumRegistry::new(75, SumConfig::default());
+        let restored = SumRegistry::new(&schema(), SumConfig::default());
         assert_eq!(restored.restore_state(&state).unwrap(), 40);
         assert_eq!(restored.len(), 40);
         for id in 0..40u32 {
@@ -1201,19 +1273,25 @@ mod tests {
         // trailing garbage and dimension mismatches are loud
         let mut trailing = state.clone();
         trailing.push(0);
-        assert!(SumRegistry::new(75, SumConfig::default()).restore_state(&trailing).is_err());
-        assert!(SumRegistry::new(10, SumConfig::default()).restore_state(&state).is_err());
+        assert!(SumRegistry::new(&schema(), SumConfig::default())
+            .restore_state(&trailing)
+            .is_err());
+        let mut narrow = AttributeSchema::new();
+        for i in 0..10 {
+            narrow.push(format!("a{i}"), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
+        }
+        assert!(SumRegistry::new(&narrow, SumConfig::default()).restore_state(&state).is_err());
     }
 
     #[test]
     fn registry_restore_validates_dimensions() {
         let store = ProfileStore::new(10);
-        assert!(SumRegistry::from_profile_store(&store, 75, SumConfig::default()).is_err());
+        assert!(SumRegistry::from_profile_store(&store, &schema(), SumConfig::default()).is_err());
     }
 
     #[test]
     fn registry_is_thread_safe() {
-        let reg = std::sync::Arc::new(SumRegistry::new(75, SumConfig::default()));
+        let reg = std::sync::Arc::new(SumRegistry::new(&schema(), SumConfig::default()));
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let reg = reg.clone();

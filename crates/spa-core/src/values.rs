@@ -118,7 +118,7 @@ mod tests {
 
     fn registry_with_user(strengths: &[(usize, f64)]) -> (SumRegistry, AttributeSchema, UserId) {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(75, SumConfig::default());
+        let registry = SumRegistry::new(&schema, SumConfig::default());
         let user = UserId::new(1);
         registry.with_model(user, |model, config| {
             for &(ordinal, v) in strengths {
@@ -156,14 +156,14 @@ mod tests {
     #[test]
     fn unknown_user_is_an_error() {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(75, SumConfig::default());
+        let registry = SumRegistry::new(&schema, SumConfig::default());
         assert!(HumanValuesScale::from_registry(&registry, &schema, UserId::new(9)).is_err());
     }
 
     #[test]
     fn empty_model_has_no_top_value() {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(75, SumConfig::default());
+        let registry = SumRegistry::new(&schema, SumConfig::default());
         let user = UserId::new(2);
         registry.with_model(user, |_, _| {});
         let scale = HumanValuesScale::from_registry(&registry, &schema, user).unwrap();

@@ -22,7 +22,7 @@ use std::sync::Arc;
 fn main() -> Result<(), SpaError> {
     // shared platform state (the blackboard of Fig 3)
     let schema = AttributeSchema::emagister();
-    let registry = Arc::new(SumRegistry::new(schema.len(), SumConfig::default()));
+    let registry = Arc::new(SumRegistry::new(&schema, SumConfig::default()));
     let courses = CourseCatalog::generate(20, 4, 2)?;
     let preprocessor = Arc::new(LifeLogPreprocessor::new(schema.clone(), &courses));
     let eit = Arc::new(EitEngine::standard());

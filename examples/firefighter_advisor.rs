@@ -20,7 +20,7 @@ use spa::synth::physio::{self, StressState};
 
 fn main() -> spa::types::Result<()> {
     let schema = AttributeSchema::emagister();
-    let registry = SumRegistry::new(schema.len(), SumConfig::default());
+    let registry = SumRegistry::new(&schema, SumConfig::default());
 
     // a brigade of six, each currently in a latent stress state the
     // commander cannot observe directly

@@ -64,7 +64,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0usize..10, -1.0f64..1.0), 1..60),
     ) {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(75, SumConfig::default());
+        let registry = SumRegistry::new(&schema, SumConfig::default());
         let user = UserId::new(1);
         let ids = schema.emotional_ids();
         for (op, ordinal, v) in ops {

@@ -96,10 +96,10 @@ fn cross_validation_parallel_matches_serial() {
     }
 }
 
-/// The cached batch-scoring engine (`Spa::score_users` / `rank_top_k`)
-/// under parallel fan-out: at every thread count, with cold and warm
-/// caches, the output is bit-identical to the serial cache-free
-/// reference (`selection().score(&advice_row(user))`).
+/// The published-row batch-scoring engine (`Spa::score_users` /
+/// `rank_top_k`) under parallel fan-out: at every thread count, on
+/// repeated sweeps, the output is bit-identical to the serial
+/// allocating reference (`selection().score(&model.advice_row(schema))`).
 #[test]
 fn cached_score_users_is_identical_across_thread_counts() {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
@@ -128,14 +128,17 @@ fn cached_score_users_is_identical_across_thread_counts() {
 
     let reference: Vec<(UserId, f64)> = users
         .iter()
-        .map(|&user| (user, spa.selection().score(&spa.advice_row(user).unwrap()).unwrap()))
+        .map(|&user| {
+            let row = spa.registry().get(user).unwrap().advice_row(spa.schema()).unwrap();
+            (user, spa.selection().score(&row).unwrap())
+        })
         .collect();
     let mut reference_ranked = reference.clone();
     SelectionFunction::sort_by_propensity(&mut reference_ranked);
 
     for threads in [1usize, 2, 5] {
-        // two sweeps per thread count: the first fills cold cache rows,
-        // the second reads warm ones — both must match the reference
+        // two sweeps per thread count: a repeated read of the same
+        // published rows must match the reference too
         for sweep in 0..2 {
             let scored = with_threads(threads, || spa.score_users(&users).unwrap());
             assert_eq!(scored.len(), reference.len());

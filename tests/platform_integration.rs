@@ -57,7 +57,8 @@ fn sum_registry_snapshot_survives_a_restart() {
     store.save_snapshot(&path).unwrap();
     let restored_store = ProfileStore::load_snapshot(&path).unwrap();
     let restored =
-        SumRegistry::from_profile_store(&restored_store, 75, SumConfig::default()).unwrap();
+        SumRegistry::from_profile_store(&restored_store, spa.schema(), SumConfig::default())
+            .unwrap();
     assert_eq!(restored.len(), spa.registry().len());
     for user in population.users().take(20) {
         assert_eq!(restored.get(user.id), spa.registry().get(user.id));

@@ -1,8 +1,8 @@
-//! Reads racing writes on the epoch-published model path.
+//! Reads racing writes on the epoch-published read path.
 //!
-//! Scoring no longer takes any lock: readers pin the current published
-//! snapshot of each model and of the selection function. These tests
-//! pin down the two guarantees that replace lock-based consistency:
+//! Scoring takes no lock: readers pin each user's published advice row
+//! and the published selection function. These tests pin down the
+//! guarantees that replace lock-based consistency:
 //!
 //! 1. **Prefix validity** — every score a concurrent reader observes is
 //!    bit-identical to the score a serial locked reference computes at
@@ -11,6 +11,11 @@
 //! 2. **Liveness** — scoring proceeds while a checkpoint is mid-flight:
 //!    a full score sweep starts and completes strictly inside a single
 //!    `checkpoint()` call, with concurrent ingest running too.
+//! 3. **No lock on the read path** — with a writer parked *inside* a
+//!    write section (registry shard mutex held), `score_users`,
+//!    `rank_top_k`, `advice_row` and `observe_outcome` still return, and
+//!    return the last published row; `feature_row` — a whole-model read
+//!    — waits for the section to end.
 
 use proptest::prelude::*;
 use spa::prelude::*;
@@ -100,8 +105,8 @@ proptest! {
 
     /// Concurrent readers racing a serial writer only ever observe
     /// scores the locked serial reference produces at some event
-    /// prefix — snapshots are whole models, never torn state — and the
-    /// final scores are bit-identical to the reference's.
+    /// prefix — a published row is a whole row, never torn state — and
+    /// the final scores are bit-identical to the reference's.
     #[test]
     fn concurrent_reads_observe_only_event_prefix_states(
         raw in proptest::collection::vec(
@@ -294,4 +299,124 @@ fn scoring_never_blocks_across_a_checkpoint() {
         "no score sweep completed inside a checkpoint window within the deadline"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Parks a writer inside `registry.with_model_slot(user, …)` — the
+/// master already mutated, the shard mutex held, nothing published yet —
+/// and checks, from other threads, that `reads()` returns exactly what
+/// it returned before the section began (the last published row), that
+/// `also_lock_free()` returns too, and that `feature_row()` does not
+/// return until the section ends, when it sees the section's write.
+fn assert_reads_pass_a_parked_writer(
+    registry: &SumRegistry,
+    user: UserId,
+    reads: impl Fn() -> Vec<u64> + Sync,
+    also_lock_free: impl Fn() + Sync,
+    feature_row: impl Fn() -> SparseVec + Sync,
+) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    const PROBE: AttributeId = AttributeId::new(5);
+    let (reads, also_lock_free, feature_row) = (&reads, &also_lock_free, &feature_row);
+    let before = reads();
+    let (parked_tx, parked_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            registry.with_model_slot(user, |slot, _| {
+                slot.get_or_create().set_observed(PROBE, 0.875).unwrap();
+                parked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            })
+        });
+        parked_rx.recv().unwrap();
+
+        let (during_tx, during_rx) = channel();
+        scope.spawn(move || {
+            let during = reads();
+            also_lock_free();
+            during_tx.send(during).unwrap();
+        });
+        // a read that needed the shard mutex would sit here until the
+        // writer is released below, i.e. time out
+        let during = during_rx.recv_timeout(Duration::from_secs(20));
+
+        let (feature_tx, feature_rx) = channel();
+        scope.spawn(move || feature_tx.send(feature_row()).unwrap());
+        let early = feature_rx.recv_timeout(Duration::from_millis(200));
+
+        release_tx.send(()).unwrap();
+        assert_eq!(
+            during.expect("published-row reads blocked behind a parked writer"),
+            before,
+            "reads during the section must return the last published row"
+        );
+        assert!(
+            matches!(early, Err(RecvTimeoutError::Timeout)),
+            "feature_row returned while the writer held the shard mutex"
+        );
+        let row = feature_rx.recv().unwrap();
+        assert_eq!(row.get(PROBE.raw()), 0.875, "feature_row ran after the section, so sees it");
+    });
+    assert_ne!(reads(), before, "the section's end published the new row");
+}
+
+/// Scores, a top-k and `user`'s advice row, as comparable bit patterns.
+fn read_bits(
+    scored: Vec<(UserId, f64)>,
+    top: Vec<(UserId, f64)>,
+    advice_row: SparseVec,
+) -> Vec<u64> {
+    let pairs = scored.into_iter().chain(top).flat_map(|(u, s)| [u64::from(u.raw()), s.to_bits()]);
+    let row = advice_row.iter().flat_map(|(i, v)| [u64::from(i), v.to_bits()]);
+    pairs.chain(row).collect()
+}
+
+/// The README's lock-free claim, on both platform types: no registry
+/// mutex is on the path of `score_users` / `rank_top_k` / `advice_row`
+/// or of the row capture in `observe_outcome`; `feature_row` takes it.
+#[test]
+fn published_row_reads_never_wait_for_a_parked_writer_but_feature_row_does() {
+    let courses = CourseCatalog::generate(25, 5, 3).unwrap();
+    let users = users();
+    let parked = UserId::new(3);
+
+    let sharded = seeded(&courses);
+    sharded.train_selection(&training_data(&sharded, &users)).unwrap();
+    assert_reads_pass_a_parked_writer(
+        sharded.shard(sharded.shard_of(parked)).registry(),
+        parked,
+        || {
+            read_bits(
+                sharded.score_users(&users).unwrap(),
+                sharded.rank_top_k(&users, 3).unwrap(),
+                sharded.advice_row(parked).unwrap(),
+            )
+        },
+        || sharded.observe_outcome(parked, true).unwrap(),
+        || sharded.feature_row(parked),
+    );
+
+    let mut single = Spa::new(&courses, SpaConfig::default());
+    for &user in &users {
+        single.import_objective(user, &[0.25 + f64::from(user.raw()) / 16.0]).unwrap();
+    }
+    let mut data = Dataset::new(75);
+    for &user in &users {
+        let label = if user.raw() % 2 == 0 { 1.0 } else { -1.0 };
+        data.push(&single.advice_row(user).unwrap(), label).unwrap();
+    }
+    single.train_selection(&data).unwrap();
+    assert_reads_pass_a_parked_writer(
+        single.registry(),
+        parked,
+        || {
+            read_bits(
+                single.score_users(&users).unwrap(),
+                single.rank_top_k(&users, 3).unwrap(),
+                single.advice_row(parked).unwrap(),
+            )
+        },
+        || (), // `Spa::observe_outcome` is `&mut self`: no second thread can call it
+        || single.feature_row(parked),
+    );
 }

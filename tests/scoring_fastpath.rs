@@ -1,13 +1,12 @@
 //! Differential tests for the zero-allocation scoring engine.
 //!
-//! `Spa::score_users` serves campaign sweeps through an epoch-versioned
-//! dense advice-row cache plus precomputed advice factors. These
-//! proptests interleave arbitrary ingest (cache invalidation), batch
+//! `Spa::score_users` serves campaign sweeps from the compact advice
+//! rows the registry publishes at the end of every write section.
+//! These proptests interleave arbitrary ingest (republication), batch
 //! scoring, top-k ranking and incremental selection updates, asserting
-//! after every step that the cached engine is **bit-identical** to a
-//! cache-free reference recomputed from first principles
-//! (`selection().score(&advice_row(user))` — the pre-cache formulation,
-//! kept as the reference path).
+//! after every step that the published-row engine is **bit-identical**
+//! to a reference recomputed from first principles: the master model's
+//! allocating `advice_row(schema)` through `selection().score`.
 
 use proptest::prelude::*;
 use spa::prelude::*;
@@ -15,12 +14,17 @@ use spa::prelude::*;
 const N_USERS: u32 = 40;
 
 fn platform() -> (Spa, Vec<UserId>) {
+    platform_answering(|i| (i as f64 / N_USERS as f64) * 2.0 - 1.0)
+}
+
+/// A trained platform whose user `i` gave one EIT answer `answer(i)`.
+fn platform_answering(answer: impl Fn(usize) -> f64) -> (Spa, Vec<UserId>) {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
     let mut spa = Spa::new(&courses, SpaConfig::default());
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
     // seed every model so observe_outcome is always legal, then train
     for (i, &user) in users.iter().enumerate() {
-        ingest_answer(&spa, user, i as u64, (i as f64 / N_USERS as f64) * 2.0 - 1.0);
+        ingest_answer(&spa, user, i as u64, answer(i));
     }
     let mut data = Dataset::new(75);
     for &user in &users {
@@ -41,11 +45,16 @@ fn ingest_answer(spa: &Spa, user: UserId, at: u64, valence: f64) {
     .unwrap();
 }
 
-/// Cache-free reference scores in input order.
+/// Reference scores in input order, from each master model's
+/// allocating advice row — nothing on this path is published state.
 fn reference_scores(spa: &Spa, users: &[UserId]) -> Vec<(UserId, f64)> {
     users
         .iter()
-        .map(|&user| (user, spa.selection().score(&spa.advice_row(user).unwrap()).unwrap()))
+        .map(|&user| {
+            let model = spa.registry().get(user).expect("seeded user");
+            let row = model.advice_row(spa.schema()).unwrap();
+            (user, spa.selection().score(&row).unwrap())
+        })
         .collect()
 }
 
@@ -60,10 +69,10 @@ fn assert_scored_bits_equal(a: &[(UserId, f64)], b: &[(UserId, f64)], what: &str
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Arbitrary interleavings of ingest (which must invalidate cached
-    /// rows), batch scoring, `rank_top_k` and incremental selection
-    /// updates: the cached engine equals the cache-free reference at
-    /// every step, and `rank_top_k(k)` equals the sorted reference
+    /// Arbitrary interleavings of ingest (which must republish the
+    /// touched rows), batch scoring, `rank_top_k` and incremental
+    /// selection updates: the published-row engine equals the reference
+    /// at every step, and `rank_top_k(k)` equals the sorted reference
     /// truncated to `k`, for arbitrary `k`. Each op is a raw
     /// `(selector, user, valence, k)` tuple: selector 0-2 ingests (the
     /// common case), 3-4 scores the audience, 5-6 takes a top-k, 7
@@ -84,9 +93,9 @@ proptest! {
                     ingest_answer(&spa, users[user_seed as usize], at, valence);
                 }
                 3 | 4 => {
-                    let cached = spa.score_users(&users).unwrap();
+                    let scored = spa.score_users(&users).unwrap();
                     let reference = reference_scores(&spa, &users);
-                    assert_scored_bits_equal(&cached, &reference, &format!("step {step} scores"));
+                    assert_scored_bits_equal(&scored, &reference, &format!("step {step} scores"));
                 }
                 5 | 6 => {
                     let top = spa.rank_top_k(&users, k).unwrap();
@@ -96,22 +105,20 @@ proptest! {
                     assert_scored_bits_equal(&top, &reference, &format!("step {step} top-{k}"));
                 }
                 _ => {
-                    // mutates the selection function: every cached row
-                    // stays valid but all scores change
+                    // mutates the selection function: every published
+                    // row stays valid but all scores change
                     spa.observe_outcome(users[user_seed as usize], valence > 0.0).unwrap();
                 }
             }
         }
         // closing sweep: a final full comparison after the whole history
-        let cached = spa.score_users(&users).unwrap();
+        let scored = spa.score_users(&users).unwrap();
         let reference = reference_scores(&spa, &users);
-        assert_scored_bits_equal(&cached, &reference, "final sweep");
-        let stats = spa.advice_cache_stats();
-        prop_assert!(stats.hits + stats.misses > 0, "the cache must actually serve the sweeps");
+        assert_scored_bits_equal(&scored, &reference, "final sweep");
     }
 
     /// `rank_top_k(k)` ≡ `rank_users()[..k]` for arbitrary k on a
-    /// platform with a mid-stream mutation (mixed cache hits/misses).
+    /// platform with a mid-stream mutation (one row republished).
     #[test]
     fn rank_top_k_equals_rank_prefix_for_arbitrary_k(
         k in 0usize..(N_USERS as usize + 20),
@@ -119,10 +126,42 @@ proptest! {
         valence in -1.0f64..1.0,
     ) {
         let (spa, users) = platform();
-        let _ = spa.score_users(&users).unwrap(); // warm the cache
-        ingest_answer(&spa, users[touched as usize], 99_999, valence); // invalidate one row
+        ingest_answer(&spa, users[touched as usize], 99_999, valence);
         let full = spa.rank_users(&users).unwrap();
         let top = spa.rank_top_k(&users, k).unwrap();
         assert_scored_bits_equal(&top, &full[..k.min(full.len())], "top-k vs rank prefix");
     }
+}
+
+/// Restoring a snapshot into a **warm** platform whose models carry the
+/// *same* `updates` counters as the snapshot's but different contents:
+/// the update counter cannot tell the two apart, so the restore itself
+/// must republish every row. Rescored bits equal the reference computed
+/// from the restored masters, and equal the checkpointed platform's.
+#[test]
+fn restore_into_a_warm_platform_republishes_rows_at_unchanged_update_counters() {
+    let (source, users) = platform();
+    // same users, same number of events each — so the same counters —
+    // but every answer is different
+    let (mut warm, _) = platform_answering(|i| 0.8 - 1.7 * (i as f64 / N_USERS as f64));
+    for &user in &users {
+        let (a, b) = (source.registry().get(user).unwrap(), warm.registry().get(user).unwrap());
+        assert_eq!(a.updates(), b.updates(), "premise: equal update counters");
+        assert_ne!(a, b, "premise: different contents");
+    }
+    let stale = warm.score_users(&users).unwrap(); // warm: rows published and read
+
+    let path =
+        std::env::temp_dir().join(format!("spa-fastpath-restore-{}.snap", std::process::id()));
+    source.checkpoint(&path, LogPosition::default()).unwrap();
+    warm.restore(&Snapshot::read(&path).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&path);
+
+    let rescored = warm.score_users(&users).unwrap();
+    assert_scored_bits_equal(&rescored, &reference_scores(&warm, &users), "restored vs reference");
+    assert_scored_bits_equal(&rescored, &source.score_users(&users).unwrap(), "restored vs source");
+    assert!(
+        stale.iter().zip(&rescored).any(|(a, b)| a.1.to_bits() != b.1.to_bits()),
+        "the pre-restore rows scored differently, so a stale row would have shown"
+    );
 }

@@ -186,8 +186,8 @@ fn sharded_platform_matches_single_platform_bit_for_bit() {
             }
         }
 
-        // a second scan (served from the advice-row caches on both
-        // sides) must not drift from the first
+        // a second scan over the same published rows must not drift
+        // from the first
         let rescored = sharded.score_users(&users).unwrap();
         for ((u_a, s_a), (u_b, s_b)) in rescored.iter().zip(scores.iter()) {
             assert_eq!(u_a, u_b);
