@@ -363,10 +363,10 @@ impl Spa {
     pub fn score_users(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
         #[cfg(feature = "parallel")]
         {
-            let threads = rayon::current_num_threads();
-            if users.len() >= spa_ml::PARALLEL_BATCH_THRESHOLD && threads > 1 {
+            if spa_ml::parallel_worthy(users.len()) {
                 use rayon::prelude::*;
                 // one contiguous part per thread, re-joined in order
+                let threads = rayon::current_num_threads();
                 let parts: Vec<&[UserId]> = users.chunks(users.len().div_ceil(threads)).collect();
                 let scored: Vec<Result<Vec<(UserId, f64)>>> = parts
                     .par_iter()

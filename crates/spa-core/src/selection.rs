@@ -12,8 +12,6 @@
 
 use spa_linalg::{RowView, SparseVec};
 use spa_ml::svm::{LinearSvm, SvmConfig};
-#[cfg(feature = "parallel")]
-use spa_ml::PARALLEL_BATCH_THRESHOLD;
 use spa_ml::{Classifier, Dataset, OnlineLearner};
 use spa_types::{Result, SpaError, UserId};
 
@@ -153,7 +151,7 @@ impl SelectionFunction {
     fn score_audience(&self, audience: &[(UserId, SparseVec)]) -> Result<Vec<(UserId, f64)>> {
         #[cfg(feature = "parallel")]
         {
-            if audience.len() >= PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1 {
+            if spa_ml::parallel_worthy(audience.len()) {
                 use rayon::prelude::*;
                 let scored: Vec<Result<(UserId, f64)>> = audience
                     .par_iter()

@@ -82,36 +82,22 @@ pub fn shard_index(user: UserId, shards: usize) -> usize {
 }
 
 /// The one per-shard fan-out used by every multi-shard operation:
-/// applies `f` to each shard index, across threads under the `parallel`
-/// feature when `parallel_ok` holds (and there is real parallelism to
-/// gain), serially otherwise. Results come back in index order either
-/// way — the bit-identity-across-thread-counts guarantee every caller
-/// relies on.
-fn fan_out<T: Send>(n: usize, parallel_ok: bool, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    #[cfg(feature = "parallel")]
-    {
-        if parallel_ok && n > 1 && rayon::current_num_threads() > 1 {
+/// applies `f` to each shard index — across threads when `work` items
+/// (events, users) are [`spa_ml::parallel_worthy`], inline on the caller
+/// in shard order otherwise. A hand-off costs ≈ 0.25 ms of spawn, wake
+/// and join, so a batch earns one from 2048 items up; checkpoint and
+/// recovery (tens of milliseconds per shard) pass `usize::MAX`. Results
+/// come back in index order either way — the
+/// bit-identity-across-thread-counts guarantee every caller relies on.
+fn fan_out<T: Send>(n: usize, work: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if spa_ml::parallel_worthy(work) {
+        #[cfg(feature = "parallel")]
+        {
             use rayon::prelude::*;
             return (0..n).into_par_iter().map(f).collect();
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = parallel_ok;
     (0..n).map(f).collect()
-}
-
-/// Scoring-path gate for [`fan_out`]: small audiences are not worth a
-/// thread fan-out even on multi-core hosts.
-fn batch_is_parallel_worthy(audience: usize) -> bool {
-    #[cfg(feature = "parallel")]
-    {
-        audience >= spa_ml::PARALLEL_BATCH_THRESHOLD
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = audience;
-        false
-    }
 }
 
 /// Collapses the failures of a multi-shard fan-out into one error. A
@@ -607,7 +593,7 @@ impl ShardedSpa {
                 ShardOutcome { applied, skipped, torn, snapshot: loaded, fallback, stale_temps },
             ))
         };
-        let outcomes: Vec<Result<(Spa, ShardOutcome)>> = fan_out(shards, true, recover_shard);
+        let outcomes: Vec<Result<(Spa, ShardOutcome)>> = fan_out(shards, usize::MAX, recover_shard);
         // assemble the facade around the recovered shards directly (no
         // throwaway `Spa`s: the per-shard platforms were already built
         // inside the recovery fan-out)
@@ -791,7 +777,7 @@ impl ShardedSpa {
             Ok((position, bytes))
         };
         let written: Vec<Result<(LogPosition, u64)>> =
-            fan_out(self.shards.len(), true, snapshot_shard);
+            fan_out(self.shards.len(), usize::MAX, snapshot_shard);
         let mut positions = Vec::with_capacity(self.shards.len());
         let mut snapshot_bytes = 0u64;
         let mut errors = Vec::new();
@@ -965,14 +951,19 @@ impl ShardedSpa {
 
     /// Ingests a batch: events are routed to their shards (preserving
     /// per-shard arrival order), then each involved shard runs its
-    /// whole *log sub-batch → apply sub-batch* pipeline as one
-    /// fanned-out unit (across threads under the `parallel` feature) —
-    /// no global barrier between the log phase and the apply phase, so
-    /// one slow shard's disk write never stalls another shard's
-    /// in-memory apply. Per-shard WAL-before-apply ordering (the
-    /// invariant recovery equivalence depends on) is untouched: within
-    /// a shard, the sub-batch is durably buffered before any of it
-    /// mutates state, under that shard's write-pause latch so a
+    /// whole *log sub-batch → apply sub-batch* pipeline as one unit. A
+    /// batch of [`spa_ml::PARALLEL_BATCH_THRESHOLD`] events or more
+    /// fans the shards out across threads (`parallel` feature, more
+    /// than one thread) — no global barrier between the log phase and
+    /// the apply phase, so one slow shard's disk write never stalls
+    /// another shard's in-memory apply. A smaller batch runs the same
+    /// pipelines inline on the caller, in shard order: the hand-off
+    /// would cost more than the apply, and the rows it publishes stay
+    /// in the cache of the thread that scores them next. Either way
+    /// every shard is attempted and per-shard WAL-before-apply ordering
+    /// (the invariant recovery equivalence depends on) is untouched:
+    /// within a shard, the sub-batch is durably buffered before any of
+    /// it mutates state, under that shard's write-pause latch so a
     /// concurrent [`ShardedSpa::checkpoint`] never lands between the
     /// two. Routing buffers are reused across calls
     /// ([`RoutingScratch`]) — steady-state batch ingest allocates
@@ -1012,14 +1003,16 @@ impl ShardedSpa {
         // durable platforms frame each event during routing, while it
         // is hot in cache — the log phase writes the pre-encoded run
         // without ever walking the events again
-        if self.log.is_some() {
-            for event in events {
-                scratch.by_shard[shard_index(event.user, self.shards.len())].push_framed(event);
+        let durable = self.log.is_some();
+        let mut routed = 0usize;
+        for event in events {
+            let batch = &mut scratch.by_shard[shard_index(event.user, self.shards.len())];
+            if durable {
+                batch.push_framed(event);
+            } else {
+                batch.push(event);
             }
-        } else {
-            for event in events {
-                scratch.by_shard[shard_index(event.user, self.shards.len())].push(event);
-            }
+            routed += 1;
         }
         let run_shard = |index: usize| -> Result<usize> {
             let batch = &scratch.by_shard[index];
@@ -1037,7 +1030,7 @@ impl ShardedSpa {
             }
             Ok(self.shards[index].apply_grouped(batch))
         };
-        let outcomes: Vec<Result<usize>> = fan_out(self.shards.len(), true, run_shard);
+        let outcomes: Vec<Result<usize>> = fan_out(self.shards.len(), routed, run_shard);
         let mut applied = 0usize;
         let mut errors = Vec::new();
         for outcome in outcomes {
@@ -1212,9 +1205,8 @@ impl ShardedSpa {
             let slice = by_shard[index].iter().map(|&position| users[position]);
             self.shards[index].score_with(&selection, slice)
         };
-        let parallel_ok = batch_is_parallel_worthy(users.len());
         let per_shard: Vec<Result<Vec<(UserId, f64)>>> =
-            fan_out(self.shards.len(), parallel_ok, score_shard);
+            fan_out(self.shards.len(), users.len(), score_shard);
         let mut out: Vec<Option<(UserId, f64)>> = vec![None; users.len()];
         for (positions, scored) in by_shard.iter().zip(per_shard) {
             for (&position, entry) in positions.iter().zip(scored?) {
@@ -1253,9 +1245,8 @@ impl ShardedSpa {
             SelectionFunction::top_k_by_propensity(&mut scored, k);
             Ok(scored)
         };
-        let parallel_ok = batch_is_parallel_worthy(users.len());
         let per_shard: Vec<Result<Vec<(UserId, f64)>>> =
-            fan_out(self.shards.len(), parallel_ok, top_of_shard);
+            fan_out(self.shards.len(), users.len(), top_of_shard);
         let mut merged: Vec<(UserId, f64)> = Vec::with_capacity(k.min(users.len()));
         for part in per_shard {
             merged.extend(part?);

@@ -16,12 +16,10 @@
 pub mod dense;
 pub mod matrix;
 pub mod row;
-pub mod scratch;
 pub mod similarity;
 pub mod sparse;
 pub mod stats;
 
 pub use matrix::{CsrMatrix, DenseMatrix};
 pub use row::{RowView, SparseRow};
-pub use scratch::RowScratch;
 pub use sparse::SparseVec;

@@ -41,12 +41,28 @@ pub use svm::LinearSvm;
 use spa_linalg::{RowView, SparseVec};
 use spa_types::Result;
 
-/// Row count below which batch scoring stays serial even with the
-/// `parallel` feature on (thread fan-out costs more than it saves).
-/// Shared by every batch-scoring gate in the workspace
-/// (`decision_batch`, `SelectionFunction::rank`, `Spa::score_users`)
-/// so the tuning lives in one place.
+/// Work-item count (rows, users, events) below which a batch stays on
+/// the calling thread even with the `parallel` feature on: a thread
+/// hand-off costs more than it saves. Compared in exactly one place,
+/// [`parallel_worthy`].
 pub const PARALLEL_BATCH_THRESHOLD: usize = 2048;
+
+/// The workspace's one "is this worth a thread hand-off" decision,
+/// taken from the amount of work. Always `false` without the `parallel`
+/// feature. With it, the size test runs **first** and the thread count
+/// is resolved only for batches that pass it, so a small call never
+/// pays `rayon::current_num_threads()` (≈ 9 µs outside a pool).
+pub fn parallel_worthy(items: usize) -> bool {
+    #[cfg(feature = "parallel")]
+    {
+        items >= PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1
+    }
+    #[cfg(not(feature = "parallel"))]
+    {
+        let _ = items;
+        false
+    }
+}
 
 /// Minimum rows per worker chunk for cheap per-row kernels: the
 /// vendored rayon spawns threads per call, so each worker must
@@ -92,7 +108,7 @@ pub trait Classifier: Send + Sync {
     fn decision_batch(&self, data: &Dataset) -> Result<Vec<f64>> {
         #[cfg(feature = "parallel")]
         {
-            if data.len() >= PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1 {
+            if parallel_worthy(data.len()) {
                 use rayon::prelude::*;
                 let scores: Vec<Result<f64>> = (0..data.len())
                     .into_par_iter()
@@ -117,4 +133,33 @@ pub trait Classifier: Send + Sync {
 pub trait OnlineLearner: Classifier {
     /// Updates the model with a single labelled example.
     fn partial_fit(&mut self, x: &SparseVec, y: f64) -> Result<()>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The hand-off gate: work size first, thread count second, and
+    /// never in a serial build.
+    #[test]
+    fn parallel_gate_is_sized_by_work_and_threads() {
+        #[cfg(feature = "parallel")]
+        {
+            let with_threads = |n: usize, f: fn()| {
+                rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
+            };
+            with_threads(5, || {
+                assert!(!parallel_worthy(0));
+                assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD - 1));
+                assert!(parallel_worthy(PARALLEL_BATCH_THRESHOLD));
+                assert!(parallel_worthy(usize::MAX));
+            });
+            with_threads(1, || {
+                assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD));
+                assert!(!parallel_worthy(usize::MAX));
+            });
+        }
+        #[cfg(not(feature = "parallel"))]
+        assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD) && !parallel_worthy(usize::MAX));
+    }
 }

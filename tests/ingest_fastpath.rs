@@ -11,8 +11,15 @@
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
+use spa::ml::PARALLEL_BATCH_THRESHOLD;
 use spa::prelude::*;
-use std::path::PathBuf;
+use spa::store::fault::{StorageIo, WriteFault, INJECTED_TRANSIENT_EIO};
+use spa::store::log::WRITE_RETRY_LIMIT;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 /// Raw generator tuple: (user, kind selector, id payload, small
 /// payload, valence).
@@ -147,6 +154,104 @@ fn tmp_root(tag: &str) -> PathBuf {
     dir
 }
 
+/// Identical segment layout, identical bytes, shard by shard.
+fn assert_wal_bytes_equal(root_a: &Path, root_b: &Path, shards: usize) {
+    let list = |dir: &Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("segment-"))
+            .collect();
+        names.sort();
+        names
+    };
+    for shard in 0..shards {
+        let dir_a = ShardedEventLog::shard_path(root_a, ShardId::new(shard as u32));
+        let dir_b = ShardedEventLog::shard_path(root_b, ShardId::new(shard as u32));
+        let segments = list(&dir_a);
+        assert_eq!(segments, list(&dir_b), "shard {shard}: segment layout diverges");
+        for name in segments {
+            let a = std::fs::read(dir_a.join(&name)).unwrap();
+            let b = std::fs::read(dir_b.join(&name)).unwrap();
+            assert!(a == b, "shard {shard} {name}: WAL bytes diverge");
+        }
+    }
+}
+
+/// A deterministic stream of `len` events over the whole accept/reject
+/// surface [`decode_op`] covers (every user, hence every shard, appears
+/// within any 12 consecutive events).
+fn long_stream(len: usize) -> Vec<LifeLogEvent> {
+    let mut rng = spa::store::fault::SplitMix64::new(0x5EED);
+    (0..len)
+        .map(|i| {
+            let r = rng.next_u64();
+            let op = (
+                i as u32,
+                (r >> 8) as u8,
+                (r >> 16) as u32 % 10_000,
+                (r >> 48) as u8 % 250,
+                (r >> 56) as f64 / 128.0 - 1.0,
+            );
+            decode_op(i as u64, &op)
+        })
+        .collect()
+}
+
+fn durable_sharded(root: &Path, shards: usize, io: Arc<dyn StorageIo>) -> ShardedSpa {
+    let courses = courses();
+    // small segments so a batch crosses many roll boundaries
+    let log_config = LogConfig { segment_bytes: 4096, fsync: false };
+    let sharded =
+        ShardedSpa::with_log_io(&courses, SpaConfig::default(), shards, root, log_config, io)
+            .unwrap();
+    sharded
+        .register_campaign(REGISTERED, &[EmotionalAttribute::Hopeful, EmotionalAttribute::Lively]);
+    sharded
+}
+
+/// Whether the platform under test was built with the `parallel`
+/// feature. Asked of the product, not of this crate's own feature:
+/// Cargo unifies features across the workspace, so `spa-core` can be
+/// parallel under `--no-default-features` here.
+fn built_parallel() -> bool {
+    with_threads(2, || spa::ml::parallel_worthy(usize::MAX))
+}
+
+/// A fault-free [`StorageIo`] that records which threads wrote: the
+/// seam is consulted on the writing thread before every physical write,
+/// so it sees where a batch's log phase ran without a hook in product
+/// code.
+#[derive(Debug, Default)]
+struct WriterThreads(Mutex<HashSet<ThreadId>>);
+
+impl WriterThreads {
+    fn take(&self) -> HashSet<ThreadId> {
+        std::mem::take(&mut self.0.lock().unwrap())
+    }
+}
+
+impl StorageIo for WriterThreads {
+    fn write_fault(&self, _len: usize) -> Option<WriteFault> {
+        self.0.lock().unwrap().insert(std::thread::current().id());
+        None
+    }
+}
+
+/// Fails every write transiently, forever: each shard's append
+/// exhausts its retry budget and surfaces the same size-independent
+/// error text, so the inline and the threaded arm can be compared
+/// verbatim.
+#[derive(Debug, Default)]
+struct EveryWriteFails(AtomicU64);
+
+impl StorageIo for EveryWriteFails {
+    fn write_fault(&self, _len: usize) -> Option<WriteFault> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Some(WriteFault::Transient)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -268,27 +373,7 @@ proptest! {
             prop_assert_eq!(applied, accepted);
             by_batch.flush().unwrap();
 
-            // identical segment layout, identical bytes, shard by shard
-            for shard in 0..shards {
-                let dir_e = ShardedEventLog::shard_path(&root_event, ShardId::new(shard as u32));
-                let dir_b = ShardedEventLog::shard_path(&root_batch, ShardId::new(shard as u32));
-                let list = |dir: &std::path::Path| {
-                    let mut names: Vec<String> = std::fs::read_dir(dir)
-                        .unwrap()
-                        .map(|e| e.unwrap().file_name().into_string().unwrap())
-                        .filter(|n| n.starts_with("segment-"))
-                        .collect();
-                    names.sort();
-                    names
-                };
-                let segments = list(&dir_e);
-                prop_assert_eq!(&segments, &list(&dir_b), "segment layout diverges");
-                for name in segments {
-                    let a = std::fs::read(dir_e.join(&name)).unwrap();
-                    let b = std::fs::read(dir_b.join(&name)).unwrap();
-                    prop_assert_eq!(a, b, "shard {} {}: WAL bytes diverge", shard, name);
-                }
-            }
+            assert_wal_bytes_equal(&root_event, &root_batch, shards);
         } // crash: both platforms dropped
 
         let (recovered, report) = ShardedSpa::recover(
@@ -311,6 +396,140 @@ proptest! {
         let _ = std::fs::remove_dir_all(&root_event);
         let _ = std::fs::remove_dir_all(&root_batch);
     }
+}
+
+/// Batches of 2 × `PARALLEL_BATCH_THRESHOLD` events — the size at which
+/// `ShardedSpa::ingest_batch` hands its per-shard log → apply pipelines
+/// to worker threads — under pools of 1 / 2 / 5 threads and several
+/// shard counts: stats, rows, EIT schedule, scores, ranking **and the
+/// per-shard WAL bytes** equal the serial per-event reference. (The
+/// proptests above feed 30–140 events, which run inline at any pool.)
+#[test]
+fn over_threshold_durable_batches_equal_the_per_event_reference() {
+    let batch = 2 * PARALLEL_BATCH_THRESHOLD;
+    let stream = long_stream(2 * batch + 77);
+    let courses = courses();
+    let mut reference = fresh_single(&courses);
+    let accepted = reference_ingest(&reference, &stream);
+    let data = training_data(&reference);
+    reference.train_selection(&data).unwrap();
+    let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
+    let expected_scores = reference.score_users(&users).unwrap();
+    let expected_rank = reference.rank_users(&users).unwrap();
+
+    for shards in [1usize, 3, 4] {
+        let root_event = tmp_root(&format!("big-event-{shards}"));
+        let by_event = durable_sharded(&root_event, shards, Arc::new(spa::store::RealIo));
+        for event in &stream {
+            let _ = by_event.ingest(event);
+        }
+        by_event.flush().unwrap();
+        for threads in [1usize, 2, 5] {
+            let what = format!("over-threshold sharded({shards})x{threads}");
+            let root_batch = tmp_root(&format!("big-batch-{shards}-{threads}"));
+            let writers = Arc::new(WriterThreads::default());
+            let by_batch = durable_sharded(&root_batch, shards, writers.clone());
+            writers.take();
+            let applied: usize = with_threads(threads, || {
+                stream.chunks(batch).map(|chunk| by_batch.ingest_batch(chunk).unwrap()).sum()
+            });
+            by_batch.flush().unwrap();
+            assert_eq!(applied, accepted, "{what}: applied count diverges");
+            // the full batches really took the threaded pipeline
+            let off_caller = writers.take().iter().any(|&id| id != std::thread::current().id());
+            assert_eq!(
+                off_caller,
+                built_parallel() && threads > 1 && shards > 1,
+                "{what}: log phase ran on the wrong side of the gate"
+            );
+            assert_wal_bytes_equal(&root_event, &root_batch, shards);
+            assert_platform_equals_reference(
+                &reference,
+                by_batch.stats(),
+                |u| by_batch.feature_row(u),
+                |u| by_batch.advice_row(u).unwrap(),
+                |u| by_batch.next_eit_question(u).id,
+                &what,
+            );
+            by_batch.train_selection(&data).unwrap();
+            let scored = with_threads(threads, || by_batch.score_users(&users).unwrap());
+            let ranked = with_threads(threads, || by_batch.rank(&users).unwrap());
+            for (got, expected) in [(&scored, &expected_scores), (&ranked, &expected_rank)] {
+                assert_eq!(got.len(), expected.len());
+                for ((ua, sa), (ub, sb)) in got.iter().zip(expected.iter()) {
+                    assert_eq!(ua, ub, "{what}: order diverges");
+                    assert!(sa.to_bits() == sb.to_bits(), "{what}: score diverges for {ua}");
+                }
+            }
+            drop(by_batch);
+            let _ = std::fs::remove_dir_all(&root_batch);
+        }
+        drop(by_event);
+        let _ = std::fs::remove_dir_all(&root_event);
+    }
+}
+
+/// Where a batch runs, observed through the storage seam: under the
+/// threshold every write comes from the caller's thread whatever the
+/// pool; at it, under a 2-thread pool, the shards' writes come from
+/// worker threads.
+#[test]
+fn small_batches_stay_on_the_caller_and_large_ones_hand_off() {
+    let stream = long_stream(PARALLEL_BATCH_THRESHOLD);
+    let root = tmp_root("where");
+    let writers = Arc::new(WriterThreads::default());
+    let sharded = durable_sharded(&root, 4, writers.clone());
+    writers.take();
+    let caller = HashSet::from([std::thread::current().id()]);
+    with_threads(2, || {
+        sharded.ingest_batch(&stream[..PARALLEL_BATCH_THRESHOLD - 1]).unwrap();
+        sharded.flush().unwrap();
+        assert_eq!(writers.take(), caller, "a sub-threshold batch must write inline");
+
+        sharded.ingest_batch(&stream).unwrap();
+        sharded.flush().unwrap();
+        let threads = writers.take();
+        if built_parallel() {
+            assert!(threads.iter().any(|id| !caller.contains(id)), "no hand-off at the threshold");
+        } else {
+            assert_eq!(threads, caller, "a serial build never hands off");
+        }
+    });
+    drop(sharded);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The error contract of `ingest_batch` holds on the inline arm: when
+/// several shards' appends fail, every shard is still attempted and one
+/// error carries each failing shard's text — verbatim what the
+/// threaded arm produces under the same plan.
+#[test]
+fn inline_batches_attempt_every_shard_and_join_every_error() {
+    const SHARDS: usize = 3;
+    let stream = long_stream(PARALLEL_BATCH_THRESHOLD);
+    let failure_of = |events: &[LifeLogEvent], threads: usize| {
+        let root = tmp_root(&format!("errors-{}-{threads}", events.len()));
+        let io = Arc::new(EveryWriteFails::default());
+        let sharded = durable_sharded(&root, SHARDS, io.clone());
+        io.0.store(0, Ordering::Relaxed);
+        let error = with_threads(threads, || sharded.ingest_batch(events).unwrap_err());
+        // each shard's one write was tried, then retried to the limit
+        assert_eq!(
+            io.0.load(Ordering::Relaxed),
+            SHARDS as u64 * (u64::from(WRITE_RETRY_LIMIT) + 1),
+            "every shard must be attempted"
+        );
+        assert_eq!(sharded.stats().actions, 0, "a shard whose append failed applies nothing");
+        drop(sharded);
+        let _ = std::fs::remove_dir_all(&root);
+        error.to_string()
+    };
+    // 40 events touch all three shards; far below the threshold, so the
+    // 5-thread pool is never asked
+    let inline = failure_of(&stream[..40], 5);
+    assert!(inline.contains(&format!("{SHARDS} shards failed: ")), "{inline}");
+    assert_eq!(inline.matches(INJECTED_TRANSIENT_EIO).count(), SHARDS, "{inline}");
+    assert_eq!(failure_of(&stream, 2), inline, "threaded arm's error text differs");
 }
 
 /// Satellite regression: `Spa::ingest_batch` skips rejected events and
