@@ -3,7 +3,8 @@
 //! contact round plus the reward/punish update path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use spa_core::platform::{Spa, SpaConfig};
+use spa_core::platform::SpaConfig;
+use spa_core::ShardedSpa;
 use spa_synth::catalog::CourseCatalog;
 use spa_synth::eit::AnswerSimulator;
 use spa_synth::{Population, PopulationConfig};
@@ -15,7 +16,7 @@ fn regenerate_fig4() {
     let population =
         Population::generate(PopulationConfig { n_users, ..Default::default() }).unwrap();
     let courses = CourseCatalog::generate(20, 4, 5).unwrap();
-    let spa = Spa::new(&courses, SpaConfig::default());
+    let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
     let sim = AnswerSimulator::default();
     println!("\n=== regenerated Fig 4 convergence (coverage / fidelity by round) ===");
     for round in 0..18u64 {
@@ -30,7 +31,7 @@ fn regenerate_fig4() {
             let mut est = Vec::new();
             let mut truth = Vec::new();
             for user in population.users() {
-                if let Some(m) = spa.registry().get(user.id) {
+                if let Some(m) = spa.model(user.id) {
                     for (o, &attr) in ids.iter().enumerate() {
                         if m.relevance(attr) > 0.0 {
                             observed += 1;
@@ -60,7 +61,7 @@ fn bench_eit_round(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("eit_contact_round_1000_users", |b| {
         b.iter_batched(
-            || Spa::new(&courses, SpaConfig::default()),
+            || ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap(),
             |spa| {
                 for user in population.users() {
                     let q = spa.next_eit_question(user.id);
@@ -77,7 +78,7 @@ fn bench_eit_round(c: &mut Criterion) {
 
 fn bench_reward_punish(c: &mut Criterion) {
     let courses = CourseCatalog::generate(20, 4, 5).unwrap();
-    let spa = Spa::new(&courses, SpaConfig::default());
+    let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
     let campaign = CampaignId::new(1);
     spa.register_campaign(campaign, &[EmotionalAttribute::Hopeful, EmotionalAttribute::Lively]);
     let user = spa_types::UserId::new(1);
@@ -86,7 +87,7 @@ fn bench_reward_punish(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4");
     group.bench_function("reward_open_event", |b| b.iter(|| spa.ingest(black_box(&open)).unwrap()));
     group.bench_function("punish_ignored", |b| {
-        b.iter(|| spa.punish_ignored(black_box(user), black_box(campaign)))
+        b.iter(|| spa.punish_ignored(black_box(user), black_box(campaign)).unwrap())
     });
     group.finish();
 }

@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spa_bench::BENCH_USERS;
 use spa_campaign::report;
 use spa_campaign::{CampaignRunner, CampaignSpec, Channel, Experiment, ExperimentConfig};
-use spa_core::platform::{Spa, SpaConfig};
+use spa_core::platform::SpaConfig;
+use spa_core::ShardedSpa;
 use spa_ml::metrics;
 use spa_synth::catalog::CourseCatalog;
 use spa_synth::{Population, PopulationConfig, ResponseConfig, ResponseModel};
@@ -52,7 +53,7 @@ fn bench_campaign_execution(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("campaign_800_contacts", |b| {
         b.iter_batched(
-            || Spa::new(&courses, SpaConfig::default()),
+            || ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap(),
             |spa| {
                 let outcome =
                     runner.run(&spa, &spec, |_, _, _| 0.0, |_, _, _| {}).expect("campaign runs");

@@ -11,7 +11,11 @@
 //! | `dataset_synth` | §5.1 dataset generation |
 //! | `ablation_emotional` | E7 emotional-context ablation |
 //! | `substrates` | micro-benches of the SVM, sparse kernels, event log and profile store |
-//! | `sharded` | sharded vs single-platform ingest/scoring + durable-ingest/recovery costs |
+//! | `chaos` | what the `StorageIo` fault seam costs the WAL path when no fault fires |
+//!
+//! Platform ingest, scoring, checkpoint and recovery are measured by the
+//! repository's one benchmark (`benchmark/`, see `BENCHMARK.json`), not
+//! here.
 //!
 //! Each figure/table bench prints the regenerated artifact once during
 //! setup (so `cargo bench` reproduces the numbers reported in

@@ -18,7 +18,7 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use spa_core::messaging::AssignedMessage;
-use spa_core::platform::Spa;
+use spa_core::ShardedSpa;
 use spa_synth::catalog::Course;
 use spa_synth::{Population, ResponseModel};
 use spa_types::{
@@ -127,12 +127,12 @@ impl<'a> CampaignRunner<'a> {
     /// audience, then keep only the top `fraction` by trained
     /// propensity ("the effort to send Push and newsletters", Fig 6a —
     /// the platform contacts the best slice, not everyone). Selection
-    /// goes through [`Spa::rank_top_k`], so the candidate pool is
+    /// goes through [`ShardedSpa::rank_top_k`], so the candidate pool is
     /// scored once and never fully sorted; the contacted set is
     /// identical to ranking everything and taking the head.
     pub fn draw_targeted_audience(
         &self,
-        spa: &Spa,
+        spa: &ShardedSpa,
         spec: &CampaignSpec,
         fraction: f64,
     ) -> Result<Vec<UserId>> {
@@ -153,10 +153,10 @@ impl<'a> CampaignRunner<'a> {
     /// updates are order-dependent).
     pub fn run(
         &self,
-        spa: &Spa,
+        spa: &ShardedSpa,
         spec: &CampaignSpec,
-        mut score_user: impl FnMut(&Spa, UserId, &AssignedMessage) -> f64,
-        mut update_model: impl FnMut(&Spa, UserId, bool),
+        mut score_user: impl FnMut(&ShardedSpa, UserId, &AssignedMessage) -> f64,
+        mut update_model: impl FnMut(&ShardedSpa, UserId, bool),
     ) -> Result<CampaignOutcome> {
         if spec.course.appeal.is_empty() {
             return Err(SpaError::Invalid("campaign course has no appeal attributes".into()));
@@ -192,9 +192,9 @@ impl<'a> CampaignRunner<'a> {
     /// order-dependent across users); use [`Self::run`] for those.
     pub fn run_collect<T: Send>(
         &self,
-        spa: &Spa,
+        spa: &ShardedSpa,
         spec: &CampaignSpec,
-        contact_hook: impl Fn(&Spa, UserId, &AssignedMessage) -> (f64, T) + Sync,
+        contact_hook: impl Fn(&ShardedSpa, UserId, &AssignedMessage) -> (f64, T) + Sync,
     ) -> Result<(CampaignOutcome, Vec<T>)> {
         if spec.course.appeal.is_empty() {
             return Err(SpaError::Invalid("campaign course has no appeal attributes".into()));
@@ -234,11 +234,11 @@ impl<'a> CampaignRunner<'a> {
     /// users commute.
     fn contact<T>(
         &self,
-        spa: &Spa,
+        spa: &ShardedSpa,
         spec: &CampaignSpec,
         k: usize,
         user: UserId,
-        contact_hook: impl FnOnce(&Spa, UserId, &AssignedMessage) -> (f64, T),
+        contact_hook: impl FnOnce(&ShardedSpa, UserId, &AssignedMessage) -> (f64, T),
     ) -> Result<(ContactRecord, T)> {
         let latent =
             self.population.user(user).ok_or_else(|| SpaError::NotFound(format!("user {user}")))?;
@@ -278,7 +278,7 @@ impl<'a> CampaignRunner<'a> {
                 EventKind::Transaction { course: spec.course.id, campaign: Some(spec.id) },
             ))?;
         } else {
-            spa.punish_ignored(user, spec.id);
+            spa.punish_ignored(user, spec.id)?;
         }
         Ok((ContactRecord { user, score, appeal: message.attribute, responded }, payload))
     }
@@ -291,14 +291,14 @@ mod tests {
     use spa_synth::catalog::CourseCatalog;
     use spa_synth::{PopulationConfig, ResponseConfig};
 
-    fn setup() -> (Population, ResponseModel, CourseCatalog, Spa) {
+    fn setup() -> (Population, ResponseModel, CourseCatalog, ShardedSpa) {
         let population =
             Population::generate(PopulationConfig { n_users: 800, ..Default::default() }).unwrap();
         let response = ResponseModel::new(ResponseConfig::default())
             .calibrate_mixed(&population, 0.21, 0.2)
             .unwrap();
         let courses = CourseCatalog::generate(20, 5, 4).unwrap();
-        let spa = Spa::new(&courses, SpaConfig::default());
+        let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
         (population, response, courses, spa)
     }
 
@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn targeted_audience_is_the_ranked_prefix() {
-        let (population, response, courses, mut spa) = setup();
+        let (population, response, courses, spa) = setup();
         let runner = CampaignRunner::new(&population, &response);
         // build differentiated user models + a trained selection
         let warmup = spec(&courses, 8, 400);
@@ -346,7 +346,7 @@ mod tests {
         let s = spec(&courses, 9, 500);
         let targeted = runner.draw_targeted_audience(&spa, &s, 0.3).unwrap();
         let candidates = runner.draw_audience(&s);
-        let ranked = spa.rank_users(&candidates).unwrap();
+        let ranked = spa.rank(&candidates).unwrap();
         let expected: Vec<UserId> =
             ranked[..targeted.len()].iter().map(|&(user, _)| user).collect();
         assert_eq!(targeted.len(), 150, "30% of 500 candidates");
@@ -385,8 +385,8 @@ mod tests {
         let (population, response, courses, _) = setup();
         let runner = CampaignRunner::new(&population, &response);
         let s = spec(&courses, 5, 200);
-        let spa_a = Spa::new(&courses, SpaConfig::default());
-        let spa_b = Spa::new(&courses, SpaConfig::default());
+        let spa_a = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+        let spa_b = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
         let a = runner.run(&spa_a, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
         let b = runner.run(&spa_b, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
         assert_eq!(a.contacts, b.contacts);

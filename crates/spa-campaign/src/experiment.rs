@@ -21,8 +21,9 @@
 //!      message, unranked) marketing.
 
 use crate::campaign::{CampaignOutcome, CampaignRunner, CampaignSpec, Channel};
-use spa_core::platform::{Spa, SpaConfig};
+use spa_core::platform::SpaConfig;
 use spa_core::selection::SelectionFunction;
+use spa_core::ShardedSpa;
 use spa_linalg::SparseVec;
 use spa_ml::metrics::{self, GainsPoint};
 use spa_ml::Dataset;
@@ -197,7 +198,7 @@ impl Experiment {
     /// emotional block.
     fn featurize(
         &self,
-        spa: &Spa,
+        spa: &ShardedSpa,
         user: UserId,
         appeal: &[spa_types::EmotionalAttribute],
         message: &spa_core::messaging::AssignedMessage,
@@ -212,7 +213,7 @@ impl Experiment {
             if self.config.mask_emotional {
                 (0.0, 0.0, 0.0, 0.0)
             } else {
-                spa.registry().with_model_read(user, |model| match model {
+                spa.with_model_read(user, |model| match model {
                     Some(model) => {
                         let ids = spa.schema().emotional_ids();
                         let estimates = appeal.iter().map(|e| {
@@ -279,7 +280,7 @@ impl Experiment {
 
     /// Runs the full experiment.
     pub fn run(&self) -> Result<ExperimentResult> {
-        let spa = Spa::new(&self.courses, SpaConfig::default());
+        let spa = ShardedSpa::new(&self.courses, SpaConfig::default(), 1)?;
 
         // --- 1. history build-up -----------------------------------------
         // objective attributes from the socio-demographic database

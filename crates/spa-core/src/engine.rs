@@ -1,0 +1,316 @@
+//! The per-shard engine.
+//!
+//! [`Engine`] owns one shard's share of Fig 3 — the SUM registry, the
+//! Gradual-EIT engine, the LifeLogs Pre-processor, the Attributes
+//! Manager and the Messaging Agent — and applies events to it. It has
+//! no selection function, no write-ahead log and no parallelism of its
+//! own: those are platform-wide and live on
+//! [`crate::shard::ShardedSpa`], which routes every operation to the
+//! engine that owns the user. A platform of one shard is one engine
+//! behind that routing.
+
+use crate::attributes::AttributesManager;
+use crate::eit::{EitEngine, EitQuestion};
+use crate::messaging::{AssignedMessage, MessageCatalog, MessagingAgent};
+use crate::platform::SpaConfig;
+use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
+use crate::selection::SelectionFunction;
+use crate::snapshot::{SECTION_MODELS, SECTION_STATS};
+use crate::sum::{CacheStats, SumRegistry};
+use spa_linalg::{RowView, SparseVec};
+use spa_store::snapshot::{Snapshot, SnapshotBuilder};
+use spa_store::LogPosition;
+use spa_synth::catalog::CourseCatalog;
+use spa_types::{
+    AttributeId, AttributeSchema, CampaignId, EmotionalAttribute, LifeLogEvent, Result, SpaError,
+    UserId,
+};
+
+/// Reusable batch-ingest buffers: events in arrival order (the order a
+/// write-ahead log must frame them in) plus per-registry-shard index
+/// buckets, so the apply phase takes each registry shard's write lock
+/// **once per bucket** instead of once per event — the lock-light half
+/// of the batched write path. Bucketing is a modulo, not a hash, and
+/// per-user event order is preserved inside each bucket (users live in
+/// exactly one bucket). Cross-user apply order differs from arrival
+/// order, which is bit-identically irrelevant: every per-event
+/// mutation touches only that event's user, and the only cross-user
+/// state is commutative counters (the invariant
+/// `tests/shard_equivalence.rs` pins, re-pinned for this path by
+/// `tests/ingest_fastpath.rs`).
+///
+/// All buffers retain capacity across batches — steady-state batch
+/// ingest allocates nothing for routing or grouping — but an outsized
+/// batch (a bulk backfill) does not pin its peak footprint forever:
+/// [`GroupScratch::recycle`] drops the buffers once they exceed
+/// [`SCRATCH_RETAIN_EVENTS`].
+#[derive(Default)]
+pub(crate) struct GroupScratch {
+    /// Events in arrival order (owned copies — a reusable buffer
+    /// cannot hold caller-lifetime borrows).
+    events: Vec<LifeLogEvent>,
+    /// Event indices per registry shard, in arrival order.
+    buckets: Vec<Vec<u32>>,
+    /// WAL frames for the buffered events, in arrival order — encoded
+    /// during routing ([`GroupScratch::push_framed`]) while each event
+    /// is still hot in cache, and handed to the log as one pre-encoded
+    /// run ([`spa_store::EventLog::append_encoded`]): the log phase
+    /// never walks the events again.
+    frames: bytes::BytesMut,
+}
+
+impl GroupScratch {
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.frames.clear();
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Buffers one event into its registry-shard bucket.
+    #[inline]
+    pub(crate) fn push(&mut self, event: &LifeLogEvent) {
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(SumRegistry::shard_count_static(), Vec::new);
+        }
+        let index = self.events.len() as u32;
+        self.buckets[SumRegistry::shard_index_of(event.user)].push(index);
+        self.events.push(event.clone());
+    }
+
+    /// [`GroupScratch::push`] plus WAL framing into the scratch's
+    /// frame buffer — the durable-ingest routing pass.
+    #[inline]
+    pub(crate) fn push_framed(&mut self, event: &LifeLogEvent) {
+        self.push(event);
+        spa_store::codec::encode_frame(event, &mut self.frames);
+    }
+
+    /// The pre-encoded WAL frames (arrival order), when the batch was
+    /// routed with [`GroupScratch::push_framed`].
+    pub(crate) fn frames(&self) -> &[u8] {
+        &self.frames
+    }
+
+    /// Empties the scratch for storage between batches: contents are
+    /// dropped (no stale event copies linger), and capacity is kept
+    /// only while it stays under [`SCRATCH_RETAIN_EVENTS`] — one
+    /// outsized backfill batch must not pin its peak footprint for the
+    /// platform's lifetime.
+    pub(crate) fn recycle(&mut self) {
+        if self.events.capacity() > SCRATCH_RETAIN_EVENTS {
+            *self = GroupScratch::default();
+        } else {
+            self.clear();
+        }
+    }
+}
+
+/// Batch-ingest scratch capacity kept across batches (events; the
+/// index buckets and frame buffer scale with it). 256k events ≈ 8 MiB
+/// of event copies — comfortably above any steady-state batch, far
+/// below a bulk backfill's peak.
+const SCRATCH_RETAIN_EVENTS: usize = 1 << 18;
+
+/// One shard's Smart Prediction Assistant state: every model, schedule
+/// and counter of the users that hash to it.
+pub struct Engine {
+    schema: AttributeSchema,
+    registry: SumRegistry,
+    eit: EitEngine,
+    preprocessor: LifeLogPreprocessor,
+    manager: AttributesManager,
+    messaging: MessagingAgent,
+}
+
+impl Engine {
+    /// Builds an empty engine over the emagister schema and a course
+    /// catalog.
+    pub(crate) fn new(courses: &CourseCatalog, config: &SpaConfig) -> Self {
+        let schema = AttributeSchema::emagister();
+        Self {
+            registry: SumRegistry::new(&schema, config.sum.clone()),
+            eit: EitEngine::standard(),
+            preprocessor: LifeLogPreprocessor::new(schema.clone(), courses),
+            manager: AttributesManager::new(schema.clone()),
+            messaging: MessagingAgent::new(
+                MessageCatalog::standard_catalog("this course"),
+                config.policy,
+            ),
+            schema,
+        }
+    }
+
+    /// The attribute schema.
+    pub fn schema(&self) -> &AttributeSchema {
+        &self.schema
+    }
+
+    /// This shard's SUM registry.
+    pub fn registry(&self) -> &SumRegistry {
+        &self.registry
+    }
+
+    /// The Gradual-EIT engine.
+    pub fn eit(&self) -> &EitEngine {
+        &self.eit
+    }
+
+    /// Counters of the published-row read path: `misses` = advice rows
+    /// computed at publication, `hits` = scores served from an
+    /// already-published row. There is no cache any more; the accessor
+    /// keeps its name for the frozen `benchmark/` crate (see
+    /// [`CacheStats`]).
+    pub fn advice_cache_stats(&self) -> CacheStats {
+        self.registry.row_stats()
+    }
+
+    /// Applies one raw LifeLog event.
+    pub(crate) fn ingest(&self, event: &LifeLogEvent) -> Result<()> {
+        self.preprocessor.ingest(&self.registry, &self.eit, event)
+    }
+
+    /// Applies a buffered batch registry-bucket by registry-bucket,
+    /// returning how many events were applied (rejected events are
+    /// skipped and uncounted — the skip-and-count semantics live
+    /// ingest, batch ingest and WAL replay share). The platform's
+    /// per-shard pipeline calls this after write-ahead logging the same
+    /// buffer in arrival order.
+    pub(crate) fn apply_grouped(&self, scratch: &GroupScratch) -> usize {
+        let mut applied = 0usize;
+        // counters accumulate locally and fold in once per batch — six
+        // atomic adds per batch, zero per event
+        let mut stats = PreprocessorStats::default();
+        // appeal map read once per batch, before any registry lock (the
+        // one lock order, see LifeLogPreprocessor::apply)
+        let appeal = self.preprocessor.appeal_read();
+        for (shard, bucket) in scratch.buckets.iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            self.registry.with_shard_models(shard, |models, config| {
+                for &index in bucket {
+                    let event = &scratch.events[index as usize];
+                    let mut slot = models.slot(event.user);
+                    let outcome = self
+                        .preprocessor
+                        .apply(&mut slot, config, &self.eit, &appeal, event, &mut stats);
+                    if outcome.is_ok() {
+                        applied += 1;
+                    }
+                }
+            });
+        }
+        drop(appeal);
+        self.preprocessor.merge_stats(&stats);
+        applied
+    }
+
+    /// Pre-processing counters.
+    pub fn stats(&self) -> PreprocessorStats {
+        self.preprocessor.stats()
+    }
+
+    /// The next Gradual-EIT question for a user (one per contact).
+    pub(crate) fn next_eit_question(&self, user: UserId) -> EitQuestion {
+        self.eit.next_question(&self.registry, user).clone()
+    }
+
+    /// Plain observed feature row for a user (empty row for unknowns).
+    /// A whole-model read: takes the user's registry shard mutex.
+    pub(crate) fn feature_row(&self, user: UserId) -> SparseVec {
+        self.registry.with_model_read(user, |model| match model {
+            Some(model) => model.feature_row(),
+            None => SparseVec::zeros(self.schema.len()),
+        })
+    }
+
+    /// Advice-stage (activated/inhibited) feature row: an owned copy
+    /// of the user's published row, read lock-free (the allocating
+    /// reference it is pinned to is
+    /// [`crate::sum::SmartUserModel::advice_row`]).
+    pub(crate) fn advice_row(&self, user: UserId) -> SparseVec {
+        self.registry.with_advice_row(user, |row| match row {
+            Some(row) => row.to_owned_vec(),
+            None => SparseVec::zeros(self.schema.len()),
+        })
+    }
+
+    /// Scores one user's published advice row against `selection`:
+    /// index lookup → pin → sparse dot; no lock, no allocation. An
+    /// unknown user scores as the empty row (the SVM bias), exactly
+    /// like [`Engine::advice_row`]'s zero row. The flag says whether a
+    /// published row was served, for the caller's once-per-sweep
+    /// [`Engine::note_rows_served`].
+    #[inline]
+    pub(crate) fn score(&self, selection: &SelectionFunction, user: UserId) -> Result<(f64, bool)> {
+        self.registry.with_advice_row(user, |row| {
+            let score = selection.score_view(row.unwrap_or(RowView::empty(self.schema.len())))?;
+            Ok((score, row.is_some()))
+        })
+    }
+
+    /// Records `count` scores served from this engine's published rows.
+    pub(crate) fn note_rows_served(&self, count: u64) {
+        self.registry.note_rows_served(count);
+    }
+
+    /// Serializes the engine's event-derived state — SUM models and
+    /// pre-processor counters — into a snapshot covering `position`
+    /// (the log prefix the state reflects). The caller guarantees no
+    /// concurrent writes while this runs (the platform holds the
+    /// shard's write-pause latch), so the serialized registry, counters
+    /// and position agree.
+    pub(crate) fn build_snapshot(&self, position: LogPosition) -> SnapshotBuilder {
+        let mut builder = SnapshotBuilder::new(position);
+        let mut models = Vec::new();
+        self.registry.write_state(&mut models);
+        builder
+            .section(SECTION_MODELS, models)
+            .section(SECTION_STATS, crate::snapshot::encode_stats(&self.stats()));
+        builder
+    }
+
+    /// Restores state from a snapshot into this **freshly built**
+    /// engine: models land in the registry and counters resume from
+    /// their checkpointed values. Every restored model's advice row is
+    /// republished as it lands, whatever its update counter, so scores
+    /// follow the restored contents. Sections the engine does not own
+    /// are ignored (see [`crate::snapshot`]).
+    pub(crate) fn restore(&self, snapshot: &Snapshot) -> Result<u64> {
+        let models = snapshot
+            .section(SECTION_MODELS)
+            .ok_or_else(|| SpaError::Corrupt("snapshot has no SUM models section".into()))?;
+        let restored = self.registry.restore_state(models)?;
+        let stats = snapshot
+            .section(SECTION_STATS)
+            .ok_or_else(|| SpaError::Corrupt("snapshot has no stats section".into()))?;
+        self.preprocessor.restore_stats(crate::snapshot::decode_stats(stats)?);
+        Ok(restored)
+    }
+
+    /// Registers a campaign's appeal attributes so opens/transactions
+    /// reward them (update stage).
+    pub(crate) fn register_campaign(&self, campaign: CampaignId, appeal: &[EmotionalAttribute]) {
+        let ids = self.schema.emotional_ids();
+        let attrs: Vec<AttributeId> = appeal.iter().map(|e| ids[e.ordinal()]).collect();
+        self.preprocessor.register_campaign(campaign, attrs);
+    }
+
+    /// Assigns the individualized message for (user, course-appeal):
+    /// the Messaging Agent pipeline of §5.3.
+    pub(crate) fn assign_message(
+        &self,
+        user: UserId,
+        appeal: &[EmotionalAttribute],
+    ) -> Result<AssignedMessage> {
+        let sensibilities =
+            self.manager.dominant_sensibilities(&self.registry, user, self.registry.config());
+        self.messaging.assign(appeal, &sensibilities)
+    }
+}

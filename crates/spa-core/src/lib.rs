@@ -33,12 +33,16 @@
 //!   [`spa_agents`] runtime;
 //! * [`values`] — the Intelligent User Interface's **Human Values
 //!   Scale** and coherence function (§4, component 5);
-//! * [`platform`] — the [`platform::Spa`] facade tying everything
-//!   together;
-//! * [`shard`] — the horizontally sharded serving platform
-//!   ([`shard::ShardedSpa`]): N independent `Spa` shards keyed by a
-//!   stable user hash, with write-ahead durable ingest and
-//!   crash-recovery replay;
+//! * [`engine`] — the per-shard [`engine::Engine`]: one registry,
+//!   pre-processor, EIT engine, attributes manager and messaging agent
+//!   — no selection function, no log, no threads of its own;
+//! * [`shard`] — the one platform ([`shard::ShardedSpa`]): N engines
+//!   keyed by a stable user hash behind one routing facade that owns
+//!   the global selection function, the write-ahead logs and the
+//!   fan-out, with crash-recovery replay. `shards = 1` and no log is
+//!   the in-memory single-node case;
+//! * [`platform`] — what the platform is configured with
+//!   ([`platform::SpaConfig`]);
 //! * [`snapshot`] — the contents of a platform checkpoint (section
 //!   tags + codecs), so recovery loads a snapshot and replays only the
 //!   WAL tail behind it instead of the whole history.
@@ -54,6 +58,7 @@ pub mod api;
 pub mod attributes;
 pub mod batch;
 pub mod eit;
+pub mod engine;
 #[allow(unsafe_code)]
 pub mod epoch;
 mod fastmap;
@@ -73,8 +78,10 @@ pub use api::{
     ERR_SERVER_BUSY,
 };
 pub use eit::{EitEngine, EitQuestion, QuestionBank};
+pub use engine::Engine;
 pub use epoch::{PublicationStats, Published};
 pub use messaging::{AssignedMessage, AssignmentCase, MessageCatalog, MessagePolicy};
+#[doc(hidden)]
 pub use platform::Spa;
 pub use selection::SelectionFunction;
 pub use shard::{CheckpointReport, CompactionReport, RecoveryReport, ShardedSpa};

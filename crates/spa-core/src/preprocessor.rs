@@ -192,8 +192,21 @@ impl LifeLogPreprocessor {
     }
 
     fn subjective_attr_for(slot: usize) -> AttributeId {
-        // subjective block starts after the 40 objective attributes
-        AttributeId::new((40 + slot.min(24)) as u32)
+        // subjective block starts after the objective attributes
+        AttributeId::new((AttributeSchema::EMAGISTER_OBJECTIVE_WIDTH + slot.min(24)) as u32)
+    }
+
+    /// Rejects an objective import wider than the schema's objective
+    /// block — the one width check, run by the platform before it logs
+    /// an import and by [`LifeLogPreprocessor::apply`] on every
+    /// `ObjectiveImported` event (replayed and wire-ingested ones never
+    /// passed through the platform's).
+    pub(crate) fn check_objective_width(got: usize) -> Result<()> {
+        let expected = AttributeSchema::EMAGISTER_OBJECTIVE_WIDTH;
+        if got > expected {
+            return Err(spa_types::SpaError::DimensionMismatch { got, expected });
+        }
+        Ok(())
     }
 
     /// Processes one raw event against the registry (routing EIT events
@@ -268,7 +281,7 @@ impl LifeLogPreprocessor {
     }
 
     /// Folds a batch's locally accumulated counters into the live
-    /// stats (used by the platforms' grouped batch apply, which counts
+    /// stats (used by the engine's grouped batch apply, which counts
     /// into a plain local struct while it holds registry locks).
     pub(crate) fn merge_stats(&self, delta: &PreprocessorStats) {
         self.stats.merge(delta);
@@ -283,9 +296,9 @@ impl LifeLogPreprocessor {
 
     /// The one per-event distillation, against an already-locked model
     /// slot: [`LifeLogPreprocessor::ingest`] wraps it for a single
-    /// event, and the platforms' batched ingest calls it for a whole
-    /// run of one user's events under a single lock acquisition
-    /// ([`crate::platform::Spa::ingest_batch`]). Events that touch no
+    /// event, and the platform's batched ingest calls it for a whole
+    /// registry bucket of events under a single lock acquisition
+    /// ([`crate::engine::Engine::apply_grouped`]). Events that touch no
     /// per-user state (deliveries, rejected EIT answers, opens of
     /// unregistered campaigns) never materialize a model — the slot
     /// stays untouched.
@@ -293,7 +306,7 @@ impl LifeLogPreprocessor {
     /// Lock order: every caller acquires the campaign-appeal read
     /// guard (when the event can consult it) **before** the slot's
     /// registry shard lock — [`LifeLogPreprocessor::ingest`],
-    /// [`LifeLogPreprocessor::punish_ignored`] and the platforms'
+    /// [`LifeLogPreprocessor::punish_ignored`] and the platform's
     /// grouped apply all do — and registration takes the appeal lock
     /// alone. One consistent order (appeal → registry), no cycle;
     /// never acquire the appeal lock while holding a registry shard
@@ -350,12 +363,7 @@ impl LifeLogPreprocessor {
                 Ok(())
             }
             EventKind::ObjectiveImported { values } => {
-                if values.len() > 40 {
-                    return Err(spa_types::SpaError::DimensionMismatch {
-                        got: values.len(),
-                        expected: 40,
-                    });
-                }
+                Self::check_objective_width(values.len())?;
                 stats.objective_imports += 1;
                 let model = slot.get_or_create();
                 for (i, &v) in values.iter().enumerate() {

@@ -50,7 +50,7 @@ impl SelectionFunction {
     }
 
     /// [`SelectionFunction::partial_fit`] over a borrowed row — the
-    /// zero-copy form the platforms' `observe_outcome` fast path uses
+    /// zero-copy form the platform's `observe_outcome` fast path uses
     /// (bit-identical update).
     pub fn partial_fit_view(&mut self, features: RowView<'_>, responded: bool) -> Result<()> {
         self.svm.partial_fit_view(features, if responded { 1.0 } else { -1.0 })
@@ -104,9 +104,9 @@ impl SelectionFunction {
 
     /// The **single** ranking comparator shared by every surface
     /// ([`SelectionFunction::rank`], [`SelectionFunction::rank_top_k`],
-    /// `Spa::rank_users`, the sharded merges) — the bit-identical
-    /// sharded-vs-single ranking guarantee depends on there being
-    /// exactly one. Descending by score; ties break by ascending user
+    /// the platform's `rank` and its per-part top-k merge) — the
+    /// bit-identical ranking at any shard and thread count depends on
+    /// there being exactly one. Descending by score; ties break by ascending user
     /// id, so the order is total whenever ids are distinct.
     pub fn propensity_cmp(a: &(UserId, f64), b: &(UserId, f64)) -> std::cmp::Ordering {
         b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))

@@ -1,31 +1,31 @@
-//! Horizontally sharded serving platform.
+//! The platform: one [`Engine`] per shard behind one routing facade.
 //!
-//! One [`Spa`] holds the whole population in a single in-memory state.
-//! [`ShardedSpa`] partitions users across N independent `Spa` shards by
-//! a **stable hash** of their [`UserId`] (FNV-1a, so the user → shard
+//! [`ShardedSpa`] partitions users across N independent engines by a
+//! **stable hash** of their [`UserId`] (FNV-1a, so the user → shard
 //! assignment never changes across runs, platforms or restarts), which
 //! is the horizontal-scaling shape the paper's deployment implies:
 //! WebLogs arrive at ≈50 GB/month and campaigns score millions of users
-//! (§4–§5), far past what one lock domain should absorb.
+//! (§4–§5), far past what one lock domain should absorb. It is the only
+//! platform type: `shards = 1` with no log is the in-memory single-node
+//! case the examples, the campaign experiments and most tests build.
+//! Every operation exists once, takes `&self`, and returns `Result`.
 //!
 //! Design invariants, enforced by `tests/shard_equivalence.rs`:
 //!
 //! * **Per-user state is shard-local.** Every SUM, EIT schedule and
-//!   advice row a user owns lives on exactly one shard, so routing an
+//!   advice row a user owns lives on exactly one engine, so routing an
 //!   identical event stream through any shard count produces
 //!   bit-identical per-user state — order across *different* users only
 //!   touches commutative aggregates (stat counters).
 //! * **The selection model is global.** Campaign propensity is one
-//!   model for the whole population; [`ShardedSpa`] owns a single
-//!   [`SelectionFunction`] trained once, not N drifting replicas (the
-//!   per-shard `Spa` selection functions stay dormant).
-//! * **Cross-shard reads merge in deterministic index order.**
-//!   [`ShardedSpa::score_users`] scores each shard's slice of the
-//!   audience (fanned out across threads under the `parallel` feature)
-//!   and scatters results back into *input* order;
-//!   [`ShardedSpa::rank`] sorts the merged scores with the same
-//!   comparator as [`SelectionFunction::rank`]. Both are bit-identical
-//!   to a single-`Spa` evaluation at any thread count.
+//!   model for the whole population; the platform owns the single
+//!   [`SelectionFunction`], and engines have none.
+//! * **One scoring loop.** [`ShardedSpa::score_users`] and
+//!   [`ShardedSpa::rank_top_k`] walk the audience in input order,
+//!   resolving each user's engine as they go; an audience worth a
+//!   thread hand-off is split into contiguous parts that are re-joined
+//!   in order (scores) or merged under the one comparator (top-k), so
+//!   results are bit-identical at any shard count and thread count.
 //! * **Ingest is write-ahead durable.** With a [`ShardedEventLog`]
 //!   attached, every event is appended to its shard's segmented log
 //!   *before* it mutates in-memory state, so
@@ -33,8 +33,9 @@
 //!   replaying segments — tolerating a torn tail write in each shard's
 //!   last segment (the crash-during-append signature).
 
-use crate::platform::{Spa, SpaConfig};
-use crate::preprocessor::PreprocessorStats;
+use crate::engine::{Engine, GroupScratch};
+use crate::platform::SpaConfig;
+use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
 use crate::selection::SelectionFunction;
 use crate::snapshot::SECTION_SELECTION;
 use parking_lot::{Mutex, RwLock};
@@ -74,6 +75,11 @@ const SELECTION_WAL_DIR: &str = "selection-wal";
 /// per-shard logs back onto the shard that wrote them.
 pub fn shard_index(user: UserId, shards: usize) -> usize {
     debug_assert!(shards > 0);
+    // the single-node platform routes on every call too: anything
+    // modulo one is zero, so it skips the hash and the divide
+    if shards == 1 {
+        return 0;
+    }
     let mut h: u32 = 0x811c_9dc5;
     for b in user.raw().to_le_bytes() {
         h = (h ^ b as u32).wrapping_mul(0x0100_0193);
@@ -81,16 +87,16 @@ pub fn shard_index(user: UserId, shards: usize) -> usize {
     h as usize % shards
 }
 
-/// The one per-shard fan-out used by every multi-shard operation:
-/// applies `f` to each shard index — across threads when `work` items
-/// (events, users) are [`spa_ml::parallel_worthy`], inline on the caller
-/// in shard order otherwise. A hand-off costs ≈ 0.25 ms of spawn, wake
-/// and join, so a batch earns one from 2048 items up; checkpoint and
-/// recovery (tens of milliseconds per shard) pass `usize::MAX`. Results
-/// come back in index order either way — the
+/// The one fan-out used by every multi-part operation: applies `f` to
+/// each part index — across threads when there is more than one part
+/// and `work` items (events, users) are [`spa_ml::parallel_worthy`],
+/// inline on the caller in index order otherwise. A hand-off costs
+/// ≈ 0.25 ms of spawn, wake and join, so a batch earns one from 2048
+/// items up; checkpoint and recovery (tens of milliseconds per shard)
+/// pass `usize::MAX`. Results come back in index order either way — the
 /// bit-identity-across-thread-counts guarantee every caller relies on.
 fn fan_out<T: Send>(n: usize, work: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if spa_ml::parallel_worthy(work) {
+    if n > 1 && spa_ml::parallel_worthy(work) {
         #[cfg(feature = "parallel")]
         {
             use rayon::prelude::*;
@@ -98,6 +104,16 @@ fn fan_out<T: Send>(n: usize, work: usize, f: impl Fn(usize) -> T + Sync) -> Vec
         }
     }
     (0..n).map(f).collect()
+}
+
+/// How many contiguous parts a read over `users` items splits into: one
+/// per pool thread when the hand-off pays, one (the caller) otherwise.
+fn read_parts(users: usize) -> usize {
+    if spa_ml::parallel_worthy(users) {
+        #[cfg(feature = "parallel")]
+        return rayon::current_num_threads();
+    }
+    1
 }
 
 /// Collapses the failures of a multi-shard fan-out into one error. A
@@ -113,8 +129,27 @@ fn join_shard_errors(mut errors: Vec<SpaError>) -> SpaError {
     SpaError::Io(std::io::Error::other(format!("{} shards failed: {joined}", errors.len())))
 }
 
+/// A multi-shard fan-out's results, in shard order, when every shard
+/// succeeded; otherwise every failing shard's error
+/// ([`join_shard_errors`]).
+fn all_shards<T>(outcomes: Vec<Result<T>>) -> Result<Vec<T>> {
+    let mut done = Vec::with_capacity(outcomes.len());
+    let mut errors = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Ok(value) => done.push(value),
+            Err(e) => errors.push(e),
+        }
+    }
+    if errors.is_empty() {
+        Ok(done)
+    } else {
+        Err(join_shard_errors(errors))
+    }
+}
+
 /// What [`ShardedSpa::recover`] found while replaying per-shard logs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Events replayed and applied per shard (index = shard id). With a
     /// snapshot this counts only the **tail** behind it — the events
@@ -250,8 +285,8 @@ pub struct CompactionReport {
 }
 
 /// Reusable routing buffers for [`ShardedSpa::ingest_batch`]: one
-/// owned per-shard event buffer (with its user-run grouping built
-/// during routing — [`crate::platform::GroupScratch`]), swapped out of
+/// owned per-shard event buffer (with its registry-bucket grouping
+/// built during routing — [`GroupScratch`]), swapped out of
 /// the platform for the duration of a batch and swapped back (capacity
 /// intact) when it completes. Steady-state batch ingest therefore
 /// routes and groups with **zero allocations** — a concurrent second
@@ -259,7 +294,7 @@ pub struct CompactionReport {
 /// buffers once.
 #[derive(Default)]
 struct RoutingScratch {
-    by_shard: Vec<crate::platform::GroupScratch>,
+    by_shard: Vec<GroupScratch>,
 }
 
 impl RoutingScratch {
@@ -309,10 +344,12 @@ impl SelectionCell {
     }
 }
 
-/// N independent [`Spa`] shards behind one facade, with optional
-/// write-ahead durability through a per-shard [`ShardedEventLog`].
+/// The assembled Smart Prediction Assistant: N independent [`Engine`]
+/// shards behind one facade, one global selection function, and
+/// optional write-ahead durability through a per-shard
+/// [`ShardedEventLog`].
 pub struct ShardedSpa {
-    shards: Vec<Spa>,
+    shards: Vec<Engine>,
     /// The global selection function: a writer-side master plus the
     /// epoch-published snapshot scoring reads — see [`SelectionCell`].
     selection: SelectionCell,
@@ -347,25 +384,33 @@ pub struct ShardedSpa {
 }
 
 impl ShardedSpa {
-    /// Builds an ephemeral (no durability) sharded platform.
+    /// Builds an ephemeral (no durability) platform of `shards` engines;
+    /// `shards = 1` is the in-memory single-node case.
     pub fn new(courses: &CourseCatalog, config: SpaConfig, shards: usize) -> Result<Self> {
         if shards == 0 {
             return Err(SpaError::Invalid("shard count must be at least 1".into()));
         }
-        let schema = AttributeSchema::emagister();
-        let selection = SelectionFunction::with_imbalance(schema.len(), config.positive_weight);
-        let pauses = (0..shards).map(|_| RwLock::new(())).collect();
-        let shards = (0..shards).map(|_| Spa::new(courses, config.clone())).collect();
-        Ok(Self {
-            shards,
-            selection: SelectionCell::new(selection),
+        let engines = (0..shards).map(|_| Engine::new(courses, &config)).collect();
+        Ok(Self::assemble(engines, &config, real_io()))
+    }
+
+    /// The facade around `engines` (never empty: [`ShardedSpa::new`]
+    /// and the manifest parser both reject a zero shard count): an
+    /// untrained selection function, no logs attached yet.
+    fn assemble(engines: Vec<Engine>, config: &SpaConfig, io: Arc<dyn StorageIo>) -> Self {
+        Self {
+            selection: SelectionCell::new(SelectionFunction::with_imbalance(
+                engines[0].schema().len(),
+                config.positive_weight,
+            )),
             log: None,
             selection_log: None,
-            io: real_io(),
+            io,
             routing: Mutex::new(RoutingScratch::default()),
-            pauses,
+            pauses: engines.iter().map(|_| RwLock::new(())).collect(),
             maintenance: Mutex::new(()),
-        })
+            shards: engines,
+        }
     }
 
     /// Builds a sharded platform whose ingest is write-ahead logged to
@@ -485,16 +530,20 @@ impl ShardedSpa {
             fallback: bool,
             stale_temps: u64,
         }
-        // each shard recovers independently (its own snapshot, its own
-        // segments, its own Spa): build the shard, load the registered
-        // snapshot, then stream-replay the tail behind it one segment
-        // at a time — fanned out across threads under the `parallel`
-        // feature, like every multi-shard path
-        let recover_shard = |index: usize| -> Result<(Spa, ShardOutcome)> {
-            let mut spa = Spa::new(courses, config.clone());
+        let fresh_engine = || {
+            let engine = Engine::new(courses, &config);
             for (campaign, appeal) in campaigns {
-                spa.register_campaign(*campaign, appeal);
+                engine.register_campaign(*campaign, appeal);
             }
+            engine
+        };
+        // each shard recovers independently (its own snapshot, its own
+        // segments, its own engine): build the engine, load the
+        // registered snapshot, then stream-replay the tail behind it one
+        // segment at a time — fanned out across threads under the
+        // `parallel` feature, like every multi-shard path
+        let recover_shard = |index: usize| -> Result<(Engine, ShardOutcome)> {
+            let mut engine = fresh_engine();
             let dir = ShardedEventLog::shard_path(root, ShardId::new(index as u32));
             // a crash mid-checkpoint leaves `*.snap-tmp` partials in the
             // shard directory; remove them first (and count them in the
@@ -514,7 +563,7 @@ impl ShardedSpa {
                             snap.position()
                         )));
                     }
-                    spa.restore(&snap)
+                    engine.restore(&snap)
                 });
                 match restore {
                     Ok(_) => {
@@ -536,23 +585,17 @@ impl ShardedSpa {
                         //    covered events exist nowhere else, and
                         //    replaying a partial log would silently
                         //    serve wrong state.
-                        let rebuild = |spa: &mut Spa| {
-                            *spa = Spa::new(courses, config.clone());
-                            for (campaign, appeal) in campaigns {
-                                spa.register_campaign(*campaign, appeal);
-                            }
-                        };
                         // a failed restore may have landed partial state
-                        rebuild(&mut spa);
+                        engine = fresh_engine();
                         let first = spa_store::EventLog::first_segment_index(&dir)?;
                         let mut older_loaded = None;
                         if let Some((older, _)) = snapshot::latest_valid_snapshot(&dir)? {
                             let older_position = older.position();
                             if first.is_some_and(|f| f <= older_position.segment) {
-                                if spa.restore(&older).is_ok() {
+                                if engine.restore(&older).is_ok() {
                                     older_loaded = Some(older_position);
                                 } else {
-                                    rebuild(&mut spa);
+                                    engine = fresh_engine();
                                 }
                             }
                         }
@@ -578,7 +621,7 @@ impl ShardedSpa {
             let mut skipped = 0u64;
             for event in iter.by_ref() {
                 // mid-log corruption is still a loud error
-                if spa.ingest(&event?).is_ok() {
+                if engine.ingest(&event?).is_ok() {
                     applied += 1;
                 } else {
                     skipped += 1;
@@ -589,47 +632,30 @@ impl ShardedSpa {
                 spa_store::EventLog::truncate_torn_tail(&dir, torn)?;
             }
             Ok((
-                spa,
+                engine,
                 ShardOutcome { applied, skipped, torn, snapshot: loaded, fallback, stale_temps },
             ))
         };
-        let outcomes: Vec<Result<(Spa, ShardOutcome)>> = fan_out(shards, usize::MAX, recover_shard);
-        // assemble the facade around the recovered shards directly (no
-        // throwaway `Spa`s: the per-shard platforms were already built
-        // inside the recovery fan-out)
-        let schema = AttributeSchema::emagister();
-        let mut sharded = Self {
-            shards: Vec::with_capacity(shards),
-            selection: SelectionCell::new(SelectionFunction::with_imbalance(
-                schema.len(),
-                config.positive_weight,
-            )),
-            log: None,
-            selection_log: None,
-            io: io.clone(),
-            routing: Mutex::new(RoutingScratch::default()),
-            pauses: (0..shards).map(|_| RwLock::new(())).collect(),
-            maintenance: Mutex::new(()),
+        let mut engines = Vec::with_capacity(shards);
+        let mut report = RecoveryReport {
+            // the root itself holds atomic-write temps too (selection
+            // snapshot, manifest rewrite); clean it like the shard dirs
+            stale_temps_removed: snapshot::remove_stale_temps(root)?.len() as u64,
+            ..RecoveryReport::default()
         };
-        let mut events_replayed = Vec::with_capacity(shards);
-        let mut events_skipped = Vec::with_capacity(shards);
-        let mut torn_tails = Vec::with_capacity(shards);
-        let mut snapshots_loaded = Vec::with_capacity(shards);
-        let mut snapshot_fallbacks = 0u64;
-        // the root itself holds atomic-write temps too (selection
-        // snapshot, manifest rewrite); clean it like the shard dirs
-        let mut stale_temps_removed = snapshot::remove_stale_temps(root)?.len() as u64;
-        for outcome in outcomes {
-            let (spa, ShardOutcome { applied, skipped, torn, snapshot, fallback, stale_temps }) =
+        for outcome in fan_out(shards, usize::MAX, recover_shard) {
+            let (engine, ShardOutcome { applied, skipped, torn, snapshot, fallback, stale_temps }) =
                 outcome?;
-            sharded.shards.push(spa);
-            events_replayed.push(applied);
-            events_skipped.push(skipped);
-            torn_tails.push(torn);
-            snapshots_loaded.push(snapshot);
-            snapshot_fallbacks += fallback as u64;
-            stale_temps_removed += stale_temps;
+            engines.push(engine);
+            report.events_replayed.push(applied);
+            report.events_skipped.push(skipped);
+            report.torn_tails.push(torn);
+            report.snapshots_loaded.push(snapshot);
+            report.snapshot_fallbacks += fallback as u64;
+            report.stale_temps_removed += stale_temps;
         }
+        // assemble the facade around the recovered engines directly
+        let mut sharded = Self::assemble(engines, &config, io.clone());
         // the global selection function: restored from the checkpoint's
         // weight snapshot when one is present and valid, then rolled
         // forward by replaying the selection WAL tail behind the
@@ -642,18 +668,15 @@ impl ShardedSpa {
         // silently) and leaves the function untrained — surfaced in the
         // report, not failed: unlike event-derived state, the function
         // is re-fittable from campaign history.
-        let mut selection_restored = false;
-        let mut selection_events_replayed = 0u64;
-        let mut selection_torn_tail = None;
         let selection_dir = root.join(SELECTION_WAL_DIR);
         let selection_path = root.join(SELECTION_SNAPSHOT);
         let mut selection_replay_from = None;
         if selection_path.exists() {
             if let Ok(snap) = Snapshot::read_with(&selection_path, io.clone()) {
                 if let Some(bytes) = snap.section(SECTION_SELECTION) {
-                    selection_restored =
+                    report.selection_restored =
                         sharded.selection.master.get_mut().restore_state(bytes).is_ok();
-                    if selection_restored {
+                    if report.selection_restored {
                         selection_replay_from = Some(snap.position());
                     }
                 }
@@ -694,10 +717,10 @@ impl ShardedSpa {
                         RowView::new(*dim as usize, indices, values),
                         *responded,
                     )?;
-                    selection_events_replayed += 1;
+                    report.selection_events_replayed += 1;
                 }
-                selection_torn_tail = iter.torn_tail();
-                if let Some(torn) = &selection_torn_tail {
+                report.selection_torn_tail = iter.torn_tail();
+                if let Some(torn) = &report.selection_torn_tail {
                     EventLog::truncate_torn_tail(&selection_dir, torn)?;
                 }
             }
@@ -709,20 +732,7 @@ impl ShardedSpa {
         sharded.log =
             Some(ShardedEventLog::open_existing_with_io(root, log_config.clone(), io.clone())?);
         sharded.selection_log = Some(EventLog::open_with_io(&selection_dir, log_config, io)?);
-        Ok((
-            sharded,
-            RecoveryReport {
-                events_replayed,
-                events_skipped,
-                torn_tails,
-                snapshots_loaded,
-                selection_restored,
-                selection_events_replayed,
-                selection_torn_tail,
-                snapshot_fallbacks,
-                stale_temps_removed,
-            },
-        ))
+        Ok((sharded, report))
     }
 
     /// Checkpoints every shard: under that shard's write-pause latch,
@@ -776,47 +786,16 @@ impl ShardedSpa {
                 .write_atomic_with(snapshot::snapshot_path(&dir, position), self.io.as_ref())?;
             Ok((position, bytes))
         };
-        let written: Vec<Result<(LogPosition, u64)>> =
-            fan_out(self.shards.len(), usize::MAX, snapshot_shard);
-        let mut positions = Vec::with_capacity(self.shards.len());
-        let mut snapshot_bytes = 0u64;
-        let mut errors = Vec::new();
-        for outcome in written {
-            match outcome {
-                Ok((position, bytes)) => {
-                    positions.push(position);
-                    snapshot_bytes += bytes;
-                }
-                Err(e) => errors.push(e),
-            }
-        }
         // a failed shard aborts the checkpoint before the manifest
         // commit — the previous checkpoint stays fully intact; every
         // failing shard's error is preserved in the joined message
-        if !errors.is_empty() {
-            return Err(join_shard_errors(errors));
-        }
+        let written = all_shards(fan_out(self.shards.len(), usize::MAX, snapshot_shard))?;
+        let positions: Vec<LogPosition> = written.iter().map(|&(position, _)| position).collect();
+        let mut snapshot_bytes: u64 = written.iter().map(|&(_, bytes)| bytes).sum();
         // global selection weights, anchored to the selection-WAL
-        // position they reflect (holding the master excludes concurrent
-        // observe_outcome appends, so position and weights agree);
-        // recovery restores the weights and replays only the outcomes
-        // logged after this position. As with the shards, the covered
-        // prefix is fsynced before the snapshot lands.
-        let (selection_position, selection_state) = {
-            let selection = self.selection.master.lock();
-            let position =
-                self.selection_log.as_ref().map(|l| l.buffered_position()).unwrap_or_default();
-            let mut state = Vec::new();
-            selection.write_state(&mut state);
-            (position, state)
-        };
-        if let Some(selection_log) = &self.selection_log {
-            selection_log.sync_up_to(selection_position)?;
-        }
-        let mut builder = SnapshotBuilder::new(selection_position);
-        builder.section(SECTION_SELECTION, selection_state);
-        snapshot_bytes +=
-            builder.write_atomic_with(log.root().join(SELECTION_SNAPSHOT), self.io.as_ref())?;
+        // position they reflect; recovery restores the weights and
+        // replays only the outcomes logged after this position
+        snapshot_bytes += self.write_selection_snapshot(log, self.selection.master.lock())?;
         // commit: one atomic manifest rewrite registers everything
         let registrations: Vec<Option<LogPosition>> = positions.iter().copied().map(Some).collect();
         ShardedEventLog::register_snapshots(log.root(), &registrations)?;
@@ -894,9 +873,14 @@ impl ShardedSpa {
         ShardId::new(shard_index(user, self.shards.len()) as u32)
     }
 
-    /// Direct access to one shard's platform.
-    pub fn shard(&self, shard: ShardId) -> &Spa {
+    /// Direct access to one shard's engine.
+    pub fn shard(&self, shard: ShardId) -> &Engine {
         &self.shards[shard.index()]
+    }
+
+    /// The attribute schema (one for the whole platform).
+    pub fn schema(&self) -> &AttributeSchema {
+        self.shards[0].schema()
     }
 
     /// The attached write-ahead log set, when durable.
@@ -911,9 +895,8 @@ impl ShardedSpa {
     }
 
     /// The global selection function (one model for the whole
-    /// population; per-shard selection functions stay dormant). Returns
-    /// the most recently published snapshot — taking it never blocks,
-    /// and holding it never blocks a concurrent
+    /// population). Returns the most recently published snapshot —
+    /// taking it never blocks, and holding it never blocks a concurrent
     /// [`ShardedSpa::observe_outcome`] or [`ShardedSpa::train_selection`].
     pub fn selection(&self) -> Arc<SelectionFunction> {
         self.selection.snapshot()
@@ -930,7 +913,7 @@ impl ShardedSpa {
         }
     }
 
-    fn owner(&self, user: UserId) -> &Spa {
+    fn owner(&self, user: UserId) -> &Engine {
         &self.shards[shard_index(user, self.shards.len())]
     }
 
@@ -1030,26 +1013,14 @@ impl ShardedSpa {
             }
             Ok(self.shards[index].apply_grouped(batch))
         };
-        let outcomes: Vec<Result<usize>> = fan_out(self.shards.len(), routed, run_shard);
-        let mut applied = 0usize;
-        let mut errors = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                Ok(count) => applied += count,
-                Err(e) => errors.push(e),
-            }
-        }
+        let applied = all_shards(fan_out(self.shards.len(), routed, run_shard));
         // hand the buffers back for the next batch to reuse (dropping
         // them instead when an outsized batch inflated them)
         for batch in &mut scratch.by_shard {
             batch.recycle();
         }
         *self.routing.lock() = scratch;
-        if errors.is_empty() {
-            Ok(applied)
-        } else {
-            Err(join_shard_errors(errors))
-        }
+        Ok(applied?.into_iter().sum())
     }
 
     /// Flushes every shard's log — and the selection WAL — to the OS
@@ -1065,8 +1036,8 @@ impl ShardedSpa {
     }
 
     /// Aggregate pre-processing counters across shards. Counters are
-    /// sums, so the aggregate equals a single-`Spa` run over the same
-    /// stream regardless of how users hash.
+    /// sums, so the aggregate is the same at any shard count regardless
+    /// of how users hash.
     pub fn stats(&self) -> PreprocessorStats {
         let mut total = PreprocessorStats::default();
         for shard in &self.shards {
@@ -1075,23 +1046,22 @@ impl ShardedSpa {
         total
     }
 
-    /// The next Gradual-EIT question for a user (shard-local schedule,
-    /// identical to the single-platform schedule for the same per-user
-    /// history).
+    /// The next Gradual-EIT question for a user, one per contact (the
+    /// schedule is a function of the user's own history, so it is the
+    /// same at any shard count).
     pub fn next_eit_question(&self, user: UserId) -> crate::eit::EitQuestion {
         self.owner(user).next_eit_question(user)
     }
 
-    /// Imports socio-demographic attributes for a user, as an
+    /// Imports socio-demographic (objective) attributes for a user —
+    /// the off-line data-selection path of §4 — as an
     /// [`EventKind::ObjectiveImported`] event through the ordinary
-    /// ingest path — write-ahead logged on durable platforms and
+    /// ingest path: write-ahead logged on durable platforms and
     /// replayed on recovery like any LifeLog event. (It mutates SUM
     /// state; an unlogged import would silently vanish on crash.)
     /// Over-wide imports are rejected before anything is logged.
     pub fn import_objective(&self, user: UserId, values: &[f64]) -> Result<()> {
-        if values.len() > 40 {
-            return Err(SpaError::DimensionMismatch { got: values.len(), expected: 40 });
-        }
+        LifeLogPreprocessor::check_objective_width(values.len())?;
         self.ingest(&LifeLogEvent::new(
             user,
             Timestamp::from_millis(0),
@@ -1099,14 +1069,37 @@ impl ShardedSpa {
         ))
     }
 
-    /// Plain observed feature row (routed; empty row for unknowns).
+    /// A clone of `user`'s master model, if one exists — the routed
+    /// [`crate::sum::SumRegistry::get`] (takes the user's registry
+    /// shard mutex).
+    pub fn model(&self, user: UserId) -> Option<crate::sum::SmartUserModel> {
+        self.owner(user).registry().get(user)
+    }
+
+    /// Applies `f` to `user`'s *borrowed* master model (`None` when the
+    /// user has none) — the routed
+    /// [`crate::sum::SumRegistry::with_model_read`], with its caveats:
+    /// it holds the user's registry shard mutex for the duration of
+    /// `f`.
+    pub fn with_model_read<T>(
+        &self,
+        user: UserId,
+        f: impl FnOnce(Option<&crate::sum::SmartUserModel>) -> T,
+    ) -> T {
+        self.owner(user).registry().with_model_read(user, f)
+    }
+
+    /// Plain observed feature row (routed; empty row for unknowns). A
+    /// whole-model read: takes the user's registry shard mutex.
     pub fn feature_row(&self, user: UserId) -> SparseVec {
         self.owner(user).feature_row(user)
     }
 
-    /// Advice-stage feature row (routed).
+    /// Advice-stage (activated/inhibited) feature row: an owned copy of
+    /// the user's published row, read lock-free (routed; empty row for
+    /// unknowns).
     pub fn advice_row(&self, user: UserId) -> Result<SparseVec> {
-        self.owner(user).advice_row(user)
+        Ok(self.owner(user).advice_row(user))
     }
 
     /// Trains the global selection function on labelled campaign
@@ -1127,23 +1120,45 @@ impl ShardedSpa {
         // publish before the snapshot I/O: readers see the fitted
         // weights as soon as the fit lands, not after the disk write
         self.selection.published.publish(Arc::new(selection.clone()));
-        if let (Some(log), Some(selection_log)) = (&self.log, &self.selection_log) {
-            let position = selection_log.buffered_position();
-            let mut state = Vec::new();
-            selection.write_state(&mut state);
-            drop(selection);
-            selection_log.sync_up_to(position)?;
-            let mut builder = SnapshotBuilder::new(position);
-            builder.section(SECTION_SELECTION, state);
-            builder.write_atomic_with(log.root().join(SELECTION_SNAPSHOT), self.io.as_ref())?;
+        if let Some(log) = &self.log {
+            self.write_selection_snapshot(log, selection)?;
         }
         Ok(())
     }
 
+    /// Writes `selection.snap` under `log`'s root from the held master:
+    /// the weights, anchored at the selection-WAL position they reflect
+    /// (holding the master excludes concurrent `observe_outcome`
+    /// appends, so position and weights agree). The master is released
+    /// before any I/O; the covered WAL prefix is fsynced before the
+    /// snapshot lands, as for the shards. Returns the bytes written.
+    fn write_selection_snapshot(
+        &self,
+        log: &ShardedEventLog,
+        selection: parking_lot::MutexGuard<'_, SelectionFunction>,
+    ) -> Result<u64> {
+        let position =
+            self.selection_log.as_ref().map(|l| l.buffered_position()).unwrap_or_default();
+        let mut state = Vec::new();
+        selection.write_state(&mut state);
+        drop(selection);
+        if let Some(selection_log) = &self.selection_log {
+            selection_log.sync_up_to(position)?;
+        }
+        let mut builder = SnapshotBuilder::new(position);
+        builder.section(SECTION_SELECTION, state);
+        builder.write_atomic_with(log.root().join(SELECTION_SNAPSHOT), self.io.as_ref())
+    }
+
     /// Incrementally folds one observed outcome into the global
-    /// selection function, from the same published advice row
-    /// [`Spa::observe_outcome`] reads (bit-identical update). Requires
-    /// an existing user model.
+    /// selection function (SPA's incremental-learning mode). The
+    /// example is the user's published advice row — the update is
+    /// bit-identical to `partial_fit(&advice_row(user))`.
+    ///
+    /// Errors with [`SpaError::UnknownUser`] when no model exists for
+    /// `user`: silently training on the all-zero advice row of a never-
+    /// seen user would corrupt the selection function with no signal to
+    /// the caller. Ingest at least one event first.
     ///
     /// Durable platforms write-ahead log the outcome to the root-level
     /// selection WAL first, **with the advice row captured verbatim**:
@@ -1184,79 +1199,95 @@ impl ShardedSpa {
         Ok(())
     }
 
-    /// Batch propensity scoring in **input order**: each shard scores
-    /// its slice of the audience (in parallel under the `parallel`
-    /// feature) through its lock-free published-row path
-    /// (`Spa::score_with`) against the **global** selection
-    /// function, then results scatter back to the caller's order.
-    /// Bit-identical to [`Spa::score_users`] over the same stream and
-    /// training data, at any shard count and thread count.
-    pub fn score_users(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (position, &user) in users.iter().enumerate() {
-            by_shard[shard_index(user, self.shards.len())].push(position);
-        }
-        // one snapshot for the whole fan-out: every shard scores
-        // against the same published weights (a concurrent
-        // observe_outcome publishes a new snapshot instead of mutating
-        // this one, and never waits on the scorers)
+    /// The one scoring loop, behind [`ShardedSpa::score_users`] and
+    /// [`ShardedSpa::rank_top_k`]: scores `users`' published advice
+    /// rows against the current selection snapshot in input order,
+    /// passes each contiguous part's scores through `finish`, and joins
+    /// the parts in order. Per user: the owning engine by hash, index
+    /// lookup → pin → sparse dot — **no lock, no clone, no allocation**,
+    /// bit-identical to the allocating reference
+    /// (`selection().score(&model.advice_row(schema))`, enforced by
+    /// `tests/scoring_fastpath.rs`). There is one part unless the
+    /// audience is worth a thread hand-off ([`read_parts`]).
+    fn score_with(
+        &self,
+        users: &[UserId],
+        finish: impl Fn(&mut Vec<(UserId, f64)>) + Sync,
+    ) -> Result<Vec<(UserId, f64)>> {
+        // one snapshot for the whole sweep: every part scores against
+        // the same published weights (a concurrent observe_outcome
+        // publishes a new snapshot instead of mutating this one, and
+        // never waits on the scorers)
         let selection = self.selection.snapshot();
-        let score_shard = |index: usize| {
-            let slice = by_shard[index].iter().map(|&position| users[position]);
-            self.shards[index].score_with(&selection, slice)
-        };
-        let per_shard: Vec<Result<Vec<(UserId, f64)>>> =
-            fan_out(self.shards.len(), users.len(), score_shard);
-        let mut out: Vec<Option<(UserId, f64)>> = vec![None; users.len()];
-        for (positions, scored) in by_shard.iter().zip(per_shard) {
-            for (&position, entry) in positions.iter().zip(scored?) {
-                out[position] = Some(entry);
+        let parts = read_parts(users.len());
+        let part_len = users.len().div_ceil(parts).max(1);
+        let score_part = |part: usize| -> Result<Vec<(UserId, f64)>> {
+            let lo = (part * part_len).min(users.len());
+            let part = &users[lo..(lo + part_len).min(users.len())];
+            // served-row counters fold in once per part and engine, so
+            // the read path shares no written cache line per user
+            let mut served = vec![0u64; self.shards.len()];
+            let mut scored = Vec::with_capacity(part.len());
+            for &user in part {
+                let shard = shard_index(user, self.shards.len());
+                let (score, from_row) = self.shards[shard].score(&selection, user)?;
+                served[shard] += u64::from(from_row);
+                scored.push((user, score));
             }
+            for (engine, &count) in self.shards.iter().zip(&served) {
+                engine.note_rows_served(count);
+            }
+            finish(&mut scored);
+            Ok(scored)
+        };
+        let mut scored = fan_out(parts, users.len(), score_part).into_iter();
+        // the common single part is moved out, not copied
+        let mut out = scored.next().expect("at least one part")?;
+        for part in scored {
+            out.extend(part?);
         }
-        Ok(out.into_iter().map(|slot| slot.expect("every input position scored once")).collect())
+        Ok(out)
+    }
+
+    /// Batch propensity scoring in **input order** against the global
+    /// selection function. This is the paper-scale path — one campaign
+    /// scores millions of users through exactly this call
+    /// (`ShardedSpa::score_with`). Unknown users score as the empty row
+    /// (the SVM bias). Bit-identical at any shard count and thread
+    /// count.
+    pub fn score_users(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
+        self.score_with(users, |_| {})
     }
 
     /// Ranks an audience by propensity, descending (ties break by user
-    /// id): per-shard scores merged under the one shared comparator
-    /// ([`SelectionFunction::sort_by_propensity`]), so the result is
-    /// identical to a single-platform ranking.
+    /// id for determinism): [`ShardedSpa::score_users`] sorted under
+    /// the one shared comparator
+    /// ([`SelectionFunction::sort_by_propensity`]).
     pub fn rank(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
         let mut scored = self.score_users(users)?;
         SelectionFunction::sort_by_propensity(&mut scored);
         Ok(scored)
     }
 
-    /// The best `k` users by propensity — exactly
-    /// `rank(users)[..k]`. Each shard scores its audience slice and
-    /// keeps only its own top `k` (any global top-`k` user is top-`k`
-    /// within its shard), so the merge handles at most `shards × k`
-    /// candidates and a final [`SelectionFunction::top_k_by_propensity`]
-    /// under the one shared comparator reproduces the global prefix —
-    /// no full audience sort anywhere.
+    /// The best `k` users by propensity — exactly `rank(users)[..k]`
+    /// (same comparator, same tie-breaks). Each part of the scoring
+    /// loop keeps only its own top `k` (any global top-`k` user is
+    /// top-`k` within its part), so a final
+    /// [`SelectionFunction::top_k_by_propensity`] over at most
+    /// `parts × k` candidates reproduces the global prefix — no full
+    /// audience sort anywhere.
     pub fn rank_top_k(&self, users: &[UserId], k: usize) -> Result<Vec<(UserId, f64)>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (position, &user) in users.iter().enumerate() {
-            by_shard[shard_index(user, self.shards.len())].push(position);
-        }
-        let selection = self.selection.snapshot();
-        let top_of_shard = |index: usize| -> Result<Vec<(UserId, f64)>> {
-            let slice = by_shard[index].iter().map(|&position| users[position]);
-            let mut scored = self.shards[index].score_with(&selection, slice)?;
-            SelectionFunction::top_k_by_propensity(&mut scored, k);
-            Ok(scored)
+        let keep_top = |scored: &mut Vec<(UserId, f64)>| {
+            SelectionFunction::top_k_by_propensity(scored, k);
         };
-        let per_shard: Vec<Result<Vec<(UserId, f64)>>> =
-            fan_out(self.shards.len(), users.len(), top_of_shard);
-        let mut merged: Vec<(UserId, f64)> = Vec::with_capacity(k.min(users.len()));
-        for part in per_shard {
-            merged.extend(part?);
-        }
-        SelectionFunction::top_k_by_propensity(&mut merged, k);
+        let mut merged = self.score_with(users, keep_top)?;
+        keep_top(&mut merged);
         Ok(merged)
     }
 
     /// Registers a campaign's appeal attributes on **every** shard (any
-    /// user, on any shard, may open its messages).
+    /// user, on any shard, may open its messages), so opens and
+    /// attributed transactions reward them (update stage).
     pub fn register_campaign(&self, campaign: CampaignId, appeal: &[EmotionalAttribute]) {
         for shard in &self.shards {
             shard.register_campaign(campaign, appeal);
@@ -1264,10 +1295,11 @@ impl ShardedSpa {
     }
 
     /// Punishes a campaign's appeal attributes for a user who ignored
-    /// its message, as an [`EventKind::CampaignIgnored`] event through
-    /// the ordinary ingest path (see
-    /// [`ShardedSpa::import_objective`]). The in-memory punish itself
-    /// cannot fail; the `Result` is the durable platform's WAL append.
+    /// its message (called at campaign close-out), as an
+    /// [`EventKind::CampaignIgnored`] event through the ordinary ingest
+    /// path (see [`ShardedSpa::import_objective`]). The in-memory
+    /// punish itself cannot fail; the `Result` is the durable
+    /// platform's WAL append.
     pub fn punish_ignored(&self, user: UserId, campaign: CampaignId) -> Result<()> {
         self.ingest(&LifeLogEvent::new(
             user,
@@ -1276,7 +1308,8 @@ impl ShardedSpa {
         ))
     }
 
-    /// Assigns the individualized message for a user (routed).
+    /// Assigns the individualized message for (user, course-appeal):
+    /// the Messaging Agent pipeline of §5.3 (routed).
     pub fn assign_message(
         &self,
         user: UserId,
@@ -1374,6 +1407,7 @@ mod tests {
             sharded.observe_outcome(unknown, true),
             Err(SpaError::UnknownUser(user)) if user == unknown
         ));
+        assert!(!sharded.selection().is_trained(), "the bad call must not touch the model");
         let known = UserId::new(1);
         let event = eit_event(&sharded, known, 0, 0.9);
         sharded.ingest(&event).unwrap();
@@ -1383,25 +1417,27 @@ mod tests {
 
     #[test]
     fn sharded_rank_top_k_equals_rank_prefix() {
-        let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), 5).unwrap();
-        let users: Vec<UserId> = (0..90).map(UserId::new).collect();
-        for (i, &user) in users.iter().enumerate() {
-            let event = eit_event(&sharded, user, i as u64, (i as f64 / 90.0) * 2.0 - 1.0);
-            sharded.ingest(&event).unwrap();
-        }
-        let mut data = spa_ml::Dataset::new(75);
-        for &user in &users {
-            let row = sharded.advice_row(user).unwrap();
-            data.push(&row, if row.get(65) > 0.5 { 1.0 } else { -1.0 }).unwrap();
-        }
-        sharded.train_selection(&data).unwrap();
-        let full = sharded.rank(&users).unwrap();
-        for k in [0usize, 1, 17, 89, 90, 300] {
-            let top = sharded.rank_top_k(&users, k).unwrap();
-            assert_eq!(top.len(), k.min(users.len()));
-            for ((ua, sa), (ub, sb)) in top.iter().zip(full.iter()) {
-                assert_eq!(ua, ub, "k={k}: sharded top-k order diverges");
-                assert_eq!(sa.to_bits(), sb.to_bits(), "k={k}: sharded top-k score diverges");
+        for shards in [1usize, 5] {
+            let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), shards).unwrap();
+            let users: Vec<UserId> = (0..90).map(UserId::new).collect();
+            for (i, &user) in users.iter().enumerate() {
+                let event = eit_event(&sharded, user, i as u64, (i as f64 / 90.0) * 2.0 - 1.0);
+                sharded.ingest(&event).unwrap();
+            }
+            let mut data = spa_ml::Dataset::new(75);
+            for &user in &users {
+                let row = sharded.advice_row(user).unwrap();
+                data.push(&row, if row.get(65) > 0.5 { 1.0 } else { -1.0 }).unwrap();
+            }
+            sharded.train_selection(&data).unwrap();
+            let full = sharded.rank(&users).unwrap();
+            for k in [0usize, 1, 17, 89, 90, 300] {
+                let top = sharded.rank_top_k(&users, k).unwrap();
+                assert_eq!(top.len(), k.min(users.len()));
+                for ((ua, sa), (ub, sb)) in top.iter().zip(full.iter()) {
+                    assert_eq!(ua, ub, "{shards} shards, k={k}: top-k order diverges");
+                    assert_eq!(sa.to_bits(), sb.to_bits(), "{shards} shards, k={k}: score");
+                }
             }
         }
     }

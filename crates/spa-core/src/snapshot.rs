@@ -3,25 +3,30 @@
 //! [`spa_store::snapshot`] provides the container — a versioned,
 //! CRC-checked, atomically written file covering one
 //! [`spa_store::LogPosition`]. This module defines the **contents**: the
-//! section tags a [`crate::platform::Spa`] serializes itself into, and
-//! the codecs for the sections that don't belong to a more specific
-//! home ([`crate::sum::SumRegistry::write_state`] and
+//! section tags a platform checkpoint is made of, and the codecs for
+//! the sections that don't belong to a more specific home
+//! ([`crate::sum::SumRegistry::write_state`] and
 //! [`crate::selection::SelectionFunction::write_state`] own theirs).
 //!
-//! A platform snapshot carries everything recovery would otherwise
-//! reconstruct by replaying the full event history:
+//! A checkpoint is one snapshot file per shard plus one for the
+//! platform, and together they carry everything recovery would
+//! otherwise reconstruct by replaying the full event history:
 //!
-//! * **SUM models** ([`SECTION_MODELS`]) — every user's attribute
-//!   estimates, relevance weights, EIT answer counters and update
-//!   counter. The EIT *schedule* needs no section of its own: the
-//!   scheduler is a pure function of the per-model answer counters
+//! * **SUM models** ([`SECTION_MODELS`], per shard) — every user's
+//!   attribute estimates, relevance weights, EIT answer counters and
+//!   update counter. The EIT *schedule* needs no section of its own:
+//!   the scheduler is a pure function of the per-model answer counters
 //!   ([`crate::eit::EitEngine::next_question`]), so restoring the
 //!   models restores the schedule.
-//! * **Pre-processor counters** ([`SECTION_STATS`]) — the platform's
-//!   monotone event statistics.
-//! * **Selection weights** ([`SECTION_SELECTION`]) — the trained SVM
-//!   state, so recovery no longer loses (or silently retrains) the
-//!   propensity ranker.
+//! * **Pre-processor counters** ([`SECTION_STATS`], per shard) — the
+//!   engine's monotone event statistics.
+//! * **Selection weights** ([`SECTION_SELECTION`], in the root-level
+//!   `selection.snap` only) — the trained SVM state, so recovery
+//!   neither loses nor silently retrains the propensity ranker. Shard
+//!   snapshots written before engines lost their dormant selection
+//!   function also carry this section; shard restore reads sections by
+//!   tag and ignores it (`tests/snapshot_recovery.rs` pins that both
+//!   layouts recover bit-identically).
 //!
 //! What is deliberately **not** in a snapshot: campaign → appeal
 //! registrations. They are configuration, not state derived from the

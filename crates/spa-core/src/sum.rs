@@ -487,7 +487,7 @@ impl ShardModels<'_> {
 
 /// Counters of the published-row read path (monotone since creation).
 ///
-/// The type and [`crate::platform::Spa::advice_cache_stats`] keep the
+/// The type and [`crate::engine::Engine::advice_cache_stats`] keep the
 /// names of the advice cache they outlived because the frozen
 /// `benchmark/` crate reads them (`fixture.rs`, `cache_counts`); both
 /// go when a later `benchmark` issue renames the probe.

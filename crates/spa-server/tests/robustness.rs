@@ -232,6 +232,7 @@ fn overload_sheds_fast_and_accepted_writes_land_exactly_once() {
     }
     assert_eq!(ok_total + busy_total, calls_total, "every call accounted");
     assert!(busy_total > 0, "clients racing one slot must shed");
+    assert!(ok_total > 0, "shedding must leave goodput: accepted requests still complete");
     assert_eq!(handle.stats().sheds.load(Ordering::Relaxed), busy_total);
     // shed requests were never dispatched: the platform holds exactly
     // the accepted writes, every accepted batch whole

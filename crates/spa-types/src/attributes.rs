@@ -153,12 +153,16 @@ impl AttributeSchema {
         Self::default()
     }
 
+    /// Width of the objective block [`AttributeSchema::emagister`] opens
+    /// with (ids `0..40`): the most values one objective import carries.
+    pub const EMAGISTER_OBJECTIVE_WIDTH: usize = 40;
+
     /// Builds the 75-attribute schema of the emagister.com business case:
     /// 40 objective + 25 subjective + the 10 canonical emotional
     /// attributes (paper §5.1).
     pub fn emagister() -> Self {
         let mut schema = Self::new();
-        for i in 0..40 {
+        for i in 0..Self::EMAGISTER_OBJECTIVE_WIDTH {
             schema
                 .push(format!("objective_{i:02}"), AttributeKind::Objective, Valence::NEUTRAL)
                 .expect("names are unique");

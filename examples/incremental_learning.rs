@@ -21,7 +21,7 @@ fn main() -> Result<(), SpaError> {
     let rounds = 30u64;
     let population = Population::generate(PopulationConfig { n_users, ..Default::default() })?;
     let courses = CourseCatalog::generate(40, 8, 11)?;
-    let platform = Spa::new(&courses, SpaConfig::default());
+    let platform = ShardedSpa::new(&courses, SpaConfig::default(), 1)?;
     let simulator = spa::synth::eit::AnswerSimulator::default();
 
     println!("{:>6} {:>10} {:>10} {:>10}", "round", "coverage", "fidelity", "sparsity");
@@ -48,7 +48,7 @@ fn main() -> Result<(), SpaError> {
         let mut latent = Vec::new();
         let mut observed_cells = 0usize;
         for user in population.users() {
-            if let Some(model) = platform.registry().get(user.id) {
+            if let Some(model) = platform.model(user.id) {
                 for (ordinal, &attr) in emotional_ids.iter().enumerate() {
                     if model.relevance(attr) > 0.0 {
                         discovered.push(model.value(attr));
@@ -76,7 +76,7 @@ fn main() -> Result<(), SpaError> {
     let campaign = CampaignId::new(900);
     platform.register_campaign(campaign, &[EmotionalAttribute::Motivated]);
     let attr = platform.schema().emotional_ids()[EmotionalAttribute::Motivated.ordinal()];
-    let before = platform.registry().get(user).map(|m| m.value(attr)).unwrap_or(0.0);
+    let before = platform.model(user).map(|m| m.value(attr)).unwrap_or(0.0);
     for i in 0..5 {
         platform.ingest(&LifeLogEvent::new(
             user,
@@ -84,11 +84,11 @@ fn main() -> Result<(), SpaError> {
             EventKind::MessageOpened { campaign },
         ))?;
     }
-    let after_rewards = platform.registry().get(user).map(|m| m.value(attr)).unwrap_or(0.0);
+    let after_rewards = platform.model(user).map(|m| m.value(attr)).unwrap_or(0.0);
     for _ in 0..5 {
-        platform.punish_ignored(user, campaign);
+        platform.punish_ignored(user, campaign)?;
     }
-    let after_punish = platform.registry().get(user).map(|m| m.value(attr)).unwrap_or(0.0);
+    let after_punish = platform.model(user).map(|m| m.value(attr)).unwrap_or(0.0);
     println!("  motivated estimate: {before:.3} → {after_rewards:.3} after 5 opens → {after_punish:.3} after 5 ignores");
     assert!(after_rewards > before && after_punish < after_rewards);
     println!("\nFig 4 loop reproduced: coverage grows, fidelity stays high, sparsity falls ✓");

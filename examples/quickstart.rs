@@ -12,7 +12,8 @@ fn main() -> Result<(), SpaError> {
     // --- a tiny synthetic world -----------------------------------------
     let population = Population::generate(PopulationConfig { n_users: 100, ..Default::default() })?;
     let courses = CourseCatalog::generate(12, 4, 7)?;
-    let platform = Spa::new(&courses, SpaConfig::default());
+    // the in-memory single-node platform: one shard, no write-ahead log
+    let platform = ShardedSpa::new(&courses, SpaConfig::default(), 1)?;
 
     // one user, with latent ground truth we can peek at (the platform
     // itself never sees this)
@@ -46,7 +47,7 @@ fn main() -> Result<(), SpaError> {
     );
 
     // --- what the Smart User Model learned ---------------------------------
-    let model = platform.registry().get(user).expect("model materialized");
+    let model = platform.model(user).expect("model materialized");
     println!("\ndiscovered emotional profile (estimate vs latent):");
     for (ordinal, emo) in EMOTIONAL_ATTRIBUTES.into_iter().enumerate() {
         let attr = platform.schema().emotional_ids()[ordinal];
@@ -65,7 +66,8 @@ fn main() -> Result<(), SpaError> {
     println!("\nafter learning   [{:?}] {}", after.case, after.text);
 
     // --- per-branch emotional-intelligence scores (Table 1 structure) --------
-    let scores = platform.eit().branch_scores(platform.registry(), platform.schema(), user);
+    let engine = platform.shard(platform.shard_of(user));
+    let scores = engine.eit().branch_scores(engine.registry(), engine.schema(), user);
     println!("\nfour-branch EI scores:");
     for (branch, score) in BRANCHES.into_iter().zip(scores.scores) {
         match score {

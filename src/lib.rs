@@ -27,9 +27,10 @@
 //! ```
 //! use spa::prelude::*;
 //!
-//! // a tiny synthetic world
+//! // a tiny synthetic world, and the platform in its in-memory
+//! // single-node form: one shard, no write-ahead log
 //! let courses = CourseCatalog::generate(10, 4, 7).unwrap();
-//! let platform = Spa::new(&courses, SpaConfig::default());
+//! let platform = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
 //!
 //! // a user answers one Gradual-EIT question per contact
 //! let user = UserId::new(0);
@@ -48,6 +49,10 @@
 //!     .unwrap();
 //! println!("{}", message.text);
 //! ```
+//!
+//! The same type scales out: `ShardedSpa::new(.., n)` spreads users over
+//! `n` engines, and `ShardedSpa::with_log` / `ShardedSpa::recover` add
+//! write-ahead durability (`examples/sharded_serving.rs`).
 //!
 //! Run `cargo run --release --example campaign_simulation` to regenerate
 //! the paper's Fig 6, and see `EXPERIMENTS.md` for the full experiment
@@ -71,11 +76,12 @@ pub mod prelude {
         CampaignOutcome, CampaignRunner, CampaignSpec, Channel, Experiment, ExperimentConfig,
         ExperimentResult,
     };
-    pub use spa_core::platform::{Spa, SpaConfig};
+    pub use spa_core::platform::SpaConfig;
     pub use spa_core::{
         ApiRequest, ApiResponse, AssignedMessage, AssignmentCase, CheckpointReport,
-        CompactionReport, EitEngine, MessageCatalog, MessagePolicy, RecoverStatus, RecoveryReport,
-        SelectionFunction, ShardedSpa, SmartUserModel, SpaApi, SumConfig, SumRegistry,
+        CompactionReport, EitEngine, Engine, MessageCatalog, MessagePolicy, RecoverStatus,
+        RecoveryReport, SelectionFunction, ShardedSpa, SmartUserModel, SpaApi, SumConfig,
+        SumRegistry,
     };
     pub use spa_linalg::{CsrMatrix, SparseVec};
     pub use spa_ml::{

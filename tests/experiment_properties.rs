@@ -97,7 +97,7 @@ proptest! {
             ..Default::default()
         }).unwrap();
         let courses = CourseCatalog::generate(5, 2, seed).unwrap();
-        let spa = Spa::new(&courses, SpaConfig::default());
+        let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
         let user = population.users().next().unwrap();
         let sim = AnswerSimulator { noise: 0.0, seed };
         for round in 0..contacts {
@@ -105,7 +105,7 @@ proptest! {
             let event = sim.react(user, q.id, q.target, round as u64, Timestamp::from_millis(0));
             spa.ingest(&event).unwrap();
         }
-        if let Some(model) = spa.registry().get(user.id) {
+        if let Some(model) = spa.model(user.id) {
             let counts = model.eit_answer_counts();
             let lo = counts.iter().min().unwrap();
             let hi = counts.iter().max().unwrap();
@@ -133,9 +133,11 @@ proptest! {
             at: Timestamp::from_millis(0),
             seed,
         };
-        let run = |spa: &Spa| runner.run(spa, &spec, |_, _, _| 0.0, |_, _, _| {}).unwrap();
-        let a = run(&Spa::new(&courses, SpaConfig::default()));
-        let b = run(&Spa::new(&courses, SpaConfig::default()));
+        let run = || {
+            let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+            runner.run(&spa, &spec, |_, _, _| 0.0, |_, _, _| {}).unwrap()
+        };
+        let (a, b) = (run(), run());
         prop_assert_eq!(a.responses, b.responses);
         prop_assert_eq!(a.contacts, b.contacts);
     }

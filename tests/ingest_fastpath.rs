@@ -76,12 +76,6 @@ fn raw_ops() -> impl Strategy<Value = Vec<RawOp>> {
     )
 }
 
-fn fresh_single(courses: &CourseCatalog) -> Spa {
-    let spa = Spa::new(courses, SpaConfig::default());
-    spa.register_campaign(REGISTERED, &[EmotionalAttribute::Hopeful, EmotionalAttribute::Lively]);
-    spa
-}
-
 fn fresh_sharded(courses: &CourseCatalog, shards: usize) -> ShardedSpa {
     let sharded = ShardedSpa::new(courses, SpaConfig::default(), shards).unwrap();
     sharded
@@ -93,9 +87,9 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
 }
 
-/// Serial reference: per-event `Spa::ingest` loop; returns how many
-/// events the platform accepted.
-fn reference_ingest(spa: &Spa, stream: &[LifeLogEvent]) -> usize {
+/// Serial reference: per-event `ingest` loop on a 1-shard platform;
+/// returns how many events the platform accepted.
+fn reference_ingest(spa: &ShardedSpa, stream: &[LifeLogEvent]) -> usize {
     stream.iter().filter(|event| spa.ingest(event).is_ok()).count()
 }
 
@@ -109,7 +103,7 @@ fn assert_rows_bit_identical(a: &SparseVec, b: &SparseVec, what: &str) {
 /// Every per-user observable plus the aggregate counters must match
 /// the reference platform (`get_model` closures adapt single/sharded).
 fn assert_platform_equals_reference(
-    reference: &Spa,
+    reference: &ShardedSpa,
     stats: spa::core::preprocessor::PreprocessorStats,
     feature_row: impl Fn(UserId) -> SparseVec,
     advice_row: impl Fn(UserId) -> SparseVec,
@@ -139,7 +133,7 @@ fn assert_platform_equals_reference(
 
 /// Training data derived from the reference rows, shared by every
 /// platform under comparison so scores are comparable bit-for-bit.
-fn training_data(reference: &Spa) -> Dataset {
+fn training_data(reference: &ShardedSpa) -> Dataset {
     let mut data = Dataset::new(reference.schema().len());
     for raw in 0..N_USERS {
         let row = reference.advice_row(UserId::new(raw)).unwrap();
@@ -271,11 +265,11 @@ proptest! {
         let stream = stream_of(&ops);
         let cut = (cut_seed % stream.len().max(1)).max(1);
 
-        let reference = fresh_single(&courses);
+        let reference = fresh_sharded(&courses, 1);
         let accepted = reference_ingest(&reference, &stream);
 
-        // single platform, batched in two arbitrary chunks
-        let single = fresh_single(&courses);
+        // one shard, batched in two arbitrary chunks
+        let single = fresh_sharded(&courses, 1);
         let applied_single = single.ingest_batch(stream[..cut].iter()).unwrap()
             + single.ingest_batch(stream[cut..].iter()).unwrap();
         prop_assert_eq!(applied_single, accepted, "single batch count diverges");
@@ -306,18 +300,15 @@ proptest! {
         );
 
         // scores and rankings under one shared trained selection
-        let mut single = single;
-        let sharded = sharded;
-        let mut reference = reference;
         let data = training_data(&reference);
         reference.train_selection(&data).unwrap();
         single.train_selection(&data).unwrap();
         sharded.train_selection(&data).unwrap();
         let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
         let expected_scores = reference.score_users(&users).unwrap();
-        let expected_rank = reference.rank_users(&users).unwrap();
+        let expected_rank = reference.rank(&users).unwrap();
         for (scored, ranking, what) in [
-            (single.score_users(&users).unwrap(), single.rank_users(&users).unwrap(), "single"),
+            (single.score_users(&users).unwrap(), single.rank(&users).unwrap(), "single"),
             (sharded.score_users(&users).unwrap(), sharded.rank(&users).unwrap(), "sharded"),
         ] {
             for ((ua, sa), (ub, sb)) in scored.iter().zip(expected_scores.iter()) {
@@ -349,7 +340,7 @@ proptest! {
         // tiny segments so batches cross several roll boundaries
         let log_config = LogConfig { segment_bytes: 256, fsync: false };
 
-        let reference = fresh_single(&courses);
+        let reference = fresh_sharded(&courses, 1);
         let accepted = reference_ingest(&reference, &stream);
 
         let root_event = tmp_root("event");
@@ -409,13 +400,13 @@ fn over_threshold_durable_batches_equal_the_per_event_reference() {
     let batch = 2 * PARALLEL_BATCH_THRESHOLD;
     let stream = long_stream(2 * batch + 77);
     let courses = courses();
-    let mut reference = fresh_single(&courses);
+    let reference = fresh_sharded(&courses, 1);
     let accepted = reference_ingest(&reference, &stream);
     let data = training_data(&reference);
     reference.train_selection(&data).unwrap();
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
     let expected_scores = reference.score_users(&users).unwrap();
-    let expected_rank = reference.rank_users(&users).unwrap();
+    let expected_rank = reference.rank(&users).unwrap();
 
     for shards in [1usize, 3, 4] {
         let root_event = tmp_root(&format!("big-event-{shards}"));
@@ -532,14 +523,13 @@ fn inline_batches_attempt_every_shard_and_join_every_error() {
     assert_eq!(failure_of(&stream, 2), inline, "threaded arm's error text differs");
 }
 
-/// Satellite regression: `Spa::ingest_batch` skips rejected events and
-/// counts the rest — identically to `ShardedSpa::ingest_batch` and to
-/// replay — instead of aborting at the first rejection (the old,
-/// divergent behavior).
+/// Regression: `ingest_batch` skips rejected events and counts the
+/// rest — identically at one shard, at several, and to per-event ingest
+/// and replay — instead of aborting at the first rejection.
 #[test]
 fn single_platform_batch_skips_and_counts_rejected_events() {
     let courses = courses();
-    let spa = fresh_single(&courses);
+    let spa = fresh_sharded(&courses, 1);
     let user = UserId::new(3);
     let good = |at: u64| {
         let question = spa.next_eit_question(user).id;
@@ -560,8 +550,8 @@ fn single_platform_batch_skips_and_counts_rejected_events() {
     assert_eq!(spa.ingest_batch([&a, &bad, &c]).unwrap(), 2);
     assert_eq!(spa.stats().eit_answers, 2);
 
-    // bit-identical to the sharded batch and to the serial reference
-    let reference = fresh_single(&courses);
+    // bit-identical to the serial reference and to a multi-shard batch
+    let reference = fresh_sharded(&courses, 1);
     assert!(reference.ingest(&a).is_ok());
     assert!(reference.ingest(&bad).is_err());
     assert!(reference.ingest(&c).is_ok());
@@ -637,7 +627,7 @@ fn concurrent_multi_writer_stats_are_exact() {
     }
     reader.join().unwrap();
 
-    let reference = fresh_single(&courses);
+    let reference = fresh_sharded(&courses, 1);
     for stream in &streams {
         for event in stream {
             let _ = reference.ingest(event);

@@ -217,59 +217,38 @@ fn trained_selection_survives_a_crash_without_a_checkpoint() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The sharded admin surface stays equivalent to the single-platform
-/// one: the same mutations through `Spa` and `ShardedSpa` produce
-/// bit-identical per-user state at any shard count.
+/// The admin surface is shard-count-invariant: the same mutations at 1,
+/// 3 and 8 shards produce bit-identical per-user state and counters.
 #[test]
 fn sharded_admin_mutations_match_the_single_platform() {
     let courses = courses();
     let campaign = CampaignId::new(2);
     let appeal = vec![EmotionalAttribute::Stimulated, EmotionalAttribute::Hopeful];
     let users: Vec<UserId> = (0..20).map(UserId::new).collect();
-    let single = Spa::new(&courses, SpaConfig::default());
-    single.register_campaign(campaign, &appeal);
-    for shards in [1usize, 3, 8] {
-        let sharded = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
-        sharded.register_campaign(campaign, &appeal);
-        seed_users(&sharded, &users);
+    let mutated = |shards: usize| {
+        let platform = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
+        platform.register_campaign(campaign, &appeal);
+        seed_users(&platform, &users);
         for (i, &user) in users.iter().enumerate() {
             let objective: Vec<f64> = (0..=(i % 4)).map(|j| 0.2 * (j as f64 + 1.0)).collect();
-            sharded.import_objective(user, &objective).unwrap();
-            sharded.punish_ignored(user, campaign).unwrap();
+            platform.import_objective(user, &objective).unwrap();
+            platform.punish_ignored(user, campaign).unwrap();
         }
-        if shards == 1 {
-            // build the single-platform reference once, through the
-            // identical event order
-            for (i, &user) in users.iter().enumerate() {
-                let question = single.next_eit_question(user).id;
-                single
-                    .ingest(&LifeLogEvent::new(
-                        user,
-                        Timestamp::from_millis(i as u64),
-                        EventKind::EitAnswer {
-                            question,
-                            answer: Valence::new(((i % 7) as f64 / 3.5) - 1.0),
-                        },
-                    ))
-                    .unwrap();
-            }
-            for (i, &user) in users.iter().enumerate() {
-                let objective: Vec<f64> = (0..=(i % 4)).map(|j| 0.2 * (j as f64 + 1.0)).collect();
-                single.import_objective(user, &objective).unwrap();
-                single.punish_ignored(user, campaign);
-            }
-        }
+        // over-wide imports are rejected before anything is logged
+        assert!(platform.import_objective(users[0], &[0.0; 41]).is_err());
+        platform
+    };
+    let single = mutated(1);
+    for shards in [3usize, 8] {
+        let sharded = mutated(shards);
         assert_eq!(sharded.stats(), single.stats(), "{shards} shards: counters diverge");
         for &user in &users {
+            assert_eq!(sharded.model(user), single.model(user), "{shards} shards, {user}");
             assert_rows_equal(
                 &single.feature_row(user),
                 &sharded.feature_row(user),
                 &format!("{shards} shards, {user}"),
             );
         }
-        // over-wide imports are rejected before anything is logged,
-        // identically on both surfaces
-        assert!(single.import_objective(users[0], &[0.0; 41]).is_err());
-        assert!(sharded.import_objective(users[0], &[0.0; 41]).is_err());
     }
 }

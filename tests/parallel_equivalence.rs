@@ -96,16 +96,11 @@ fn cross_validation_parallel_matches_serial() {
     }
 }
 
-/// The published-row batch-scoring engine (`Spa::score_users` /
-/// `rank_top_k`) under parallel fan-out: at every thread count, on
-/// repeated sweeps, the output is bit-identical to the serial
-/// allocating reference (`selection().score(&model.advice_row(schema))`).
-#[test]
-fn cached_score_users_is_identical_across_thread_counts() {
+/// A platform of `shards` engines holding `n_users` differentiated
+/// users, with a selection function trained on every third of them.
+fn trained_platform(shards: usize, n_users: u32) -> (ShardedSpa, Vec<UserId>) {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
-    // enough users to cross PARALLEL_BATCH_THRESHOLD (2048)
-    let n_users = 2600u32;
-    let mut spa = Spa::new(&courses, SpaConfig::default());
+    let spa = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
     let users: Vec<UserId> = (0..n_users).map(UserId::new).collect();
     for (i, &user) in users.iter().enumerate() {
         let question = spa.next_eit_question(user).id;
@@ -125,11 +120,21 @@ fn cached_score_users_is_identical_across_thread_counts() {
         data.push(&row, if row.get(65) > 0.5 { 1.0 } else { -1.0 }).unwrap();
     }
     spa.train_selection(&data).unwrap();
+    (spa, users)
+}
 
+/// The scoring loop (`ShardedSpa::score_users` / `rank_top_k`) under
+/// parallel fan-out: at every thread count, on repeated sweeps, the
+/// output is bit-identical to the serial allocating reference
+/// (`selection().score(&model.advice_row(schema))`).
+#[test]
+fn cached_score_users_is_identical_across_thread_counts() {
+    // enough users to cross PARALLEL_BATCH_THRESHOLD (2048)
+    let (spa, users) = trained_platform(1, 2600);
     let reference: Vec<(UserId, f64)> = users
         .iter()
         .map(|&user| {
-            let row = spa.registry().get(user).unwrap().advice_row(spa.schema()).unwrap();
+            let row = spa.model(user).unwrap().advice_row(spa.schema()).unwrap();
             (user, spa.selection().score(&row).unwrap())
         })
         .collect();
@@ -156,6 +161,37 @@ fn cached_score_users_is_identical_across_thread_counts() {
         for ((u_a, s_a), (u_b, s_b)) in top.iter().zip(reference_ranked.iter()) {
             assert_eq!(u_a, u_b, "{threads} threads: top-k diverges");
             assert!(s_a.to_bits() == s_b.to_bits());
+        }
+    }
+}
+
+/// `rank_top_k(users, k)` ≡ `rank(users)[..k]` at pools {1, 2, 5} ×
+/// shards {1, 3}, on audiences either side of the 2048-user hand-off
+/// threshold — so both with one scoring part and with per-thread parts
+/// whose own top-k lists are merged. The audience ends in never-seen
+/// users, which all score the bias: a run of exact ties that the merge
+/// must break by id exactly as the full sort does.
+#[test]
+fn rank_top_k_is_the_rank_prefix_at_every_pool_and_shard_count() {
+    for shards in [1usize, 3] {
+        let (spa, known) = trained_platform(shards, 2600);
+        for n_known in [300usize, 2600] {
+            let mut audience = known[..n_known].to_vec();
+            audience.extend((0..40).map(|i| UserId::new(900_000 + i)));
+            let n = audience.len();
+            let full = spa.rank(&audience).unwrap();
+            for threads in [1usize, 2, 5] {
+                for k in [0, 1, 2, 41, n / 2, n - 1, n, n + 7] {
+                    let top = with_threads(threads, || spa.rank_top_k(&audience, k).unwrap());
+                    let want = &full[..k.min(n)];
+                    assert_eq!(top.len(), want.len());
+                    for ((u_a, s_a), (u_b, s_b)) in top.iter().zip(want) {
+                        let what = format!("{shards} shards, {n} users, {threads} threads, k={k}");
+                        assert_eq!(u_a, u_b, "{what}: order diverges");
+                        assert!(s_a.to_bits() == s_b.to_bits(), "{what}: score diverges");
+                    }
+                }
+            }
         }
     }
 }
@@ -218,11 +254,11 @@ fn run_collect_matches_serial_run() {
     };
     let runner = CampaignRunner::new(&population, &response);
 
-    let spa_serial = Spa::new(&courses, SpaConfig::default());
+    let spa_serial = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
     let serial = runner.run(&spa_serial, &spec, |_, _, _| 0.5, |_, _, _| {}).unwrap();
 
     for threads in [1usize, 4] {
-        let spa_par = Spa::new(&courses, SpaConfig::default());
+        let spa_par = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
         let (parallel, users) = with_threads(threads, || {
             runner.run_collect(&spa_par, &spec, |_, user, _| (0.5, user)).unwrap()
         });

@@ -6,13 +6,20 @@ use spa::store::log::LogConfig;
 use spa::synth::eit::AnswerSimulator;
 use spa::synth::weblog::{self, WeblogConfig};
 
-fn world(n_users: usize) -> (Population, CourseCatalog, ActionCatalog, Spa) {
+/// A single-node world: one shard, no write-ahead log.
+fn world(n_users: usize) -> (Population, CourseCatalog, ActionCatalog, ShardedSpa) {
     let population =
         Population::generate(PopulationConfig { n_users, ..Default::default() }).unwrap();
     let courses = CourseCatalog::generate(30, 6, 9).unwrap();
     let actions = ActionCatalog::emagister();
-    let spa = Spa::new(&courses, SpaConfig::default());
+    let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
     (population, courses, actions, spa)
+}
+
+/// The registry of the world's one engine — every model lives there,
+/// which is what the profile-store export below walks.
+fn registry(spa: &ShardedSpa) -> &SumRegistry {
+    spa.shard(ShardId::new(0)).registry()
 }
 
 #[test]
@@ -36,7 +43,7 @@ fn weblogs_flow_through_event_log_into_the_platform() {
     spa.ingest_batch(replayed.iter()).unwrap();
     let processed = spa.stats();
     assert_eq!(processed.actions + processed.transactions, stats.events);
-    assert!(!spa.registry().is_empty(), "models materialized from the log");
+    assert!(!registry(&spa).is_empty(), "models materialized from the log");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -53,15 +60,15 @@ fn sum_registry_snapshot_survives_a_restart() {
     }
     // snapshot through the profile store, save to disk, reload
     let path = std::env::temp_dir().join(format!("spa-int-snap-{}.bin", std::process::id()));
-    let store = spa.registry().to_profile_store();
+    let store = registry(&spa).to_profile_store();
     store.save_snapshot(&path).unwrap();
     let restored_store = ProfileStore::load_snapshot(&path).unwrap();
     let restored =
         SumRegistry::from_profile_store(&restored_store, spa.schema(), SumConfig::default())
             .unwrap();
-    assert_eq!(restored.len(), spa.registry().len());
+    assert_eq!(restored.len(), registry(&spa).len());
     for user in population.users().take(20) {
-        assert_eq!(restored.get(user.id), spa.registry().get(user.id));
+        assert_eq!(restored.get(user.id), spa.model(user.id));
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -78,8 +85,8 @@ fn sensibility_index_agrees_with_the_messaging_agent() {
         }
     }
     // build the inverted index over the *emotional block* values
-    let store = spa.registry().to_profile_store();
-    let threshold = spa.registry().config().sensibility_threshold;
+    let store = registry(&spa).to_profile_store();
+    let threshold = registry(&spa).config().sensibility_threshold;
     let index = SensibilityIndex::build(&store, threshold).unwrap();
     // for each user the messaging agent claims is sensitive to an
     // attribute, the index must agree (layout: values live at the

@@ -73,8 +73,8 @@ fn users() -> Vec<UserId> {
 
 /// A platform with every user's model pre-created (so scoring never
 /// hits `UnknownUser` mid-race) and the campaign registered.
-fn seeded(courses: &CourseCatalog) -> ShardedSpa {
-    let sharded = ShardedSpa::new(courses, SpaConfig::default(), SHARDS).unwrap();
+fn seeded(courses: &CourseCatalog, shards: usize) -> ShardedSpa {
+    let sharded = ShardedSpa::new(courses, SpaConfig::default(), shards).unwrap();
     sharded.register_campaign(REGISTERED, &[EmotionalAttribute::Hopeful]);
     for raw in 0..N_USERS {
         sharded
@@ -121,7 +121,7 @@ proptest! {
 
         // serial reference: apply one event at a time, collecting the
         // set of valid score bit-patterns per user at every prefix
-        let reference = seeded(&courses);
+        let reference = seeded(&courses, SHARDS);
         let data = training_data(&reference, &users);
         reference.train_selection(&data).unwrap();
         let mut valid: Vec<HashSet<u64>> = vec![HashSet::new(); N_USERS as usize];
@@ -137,7 +137,7 @@ proptest! {
 
         // the race: identical platform, serial writer thread, two
         // reader threads sweeping scores the whole time
-        let live = seeded(&courses);
+        let live = seeded(&courses, SHARDS);
         live.train_selection(&data).unwrap();
         let done = AtomicBool::new(false);
         let observations: Vec<Vec<(u32, u64)>> = std::thread::scope(|scope| {
@@ -371,52 +371,30 @@ fn read_bits(
     pairs.chain(row).collect()
 }
 
-/// The README's lock-free claim, on both platform types: no registry
-/// mutex is on the path of `score_users` / `rank_top_k` / `advice_row`
-/// or of the row capture in `observe_outcome`; `feature_row` takes it.
+/// The README's lock-free claim, at one shard and at several: no
+/// registry mutex is on the path of `score_users` / `rank_top_k` /
+/// `advice_row` or of the row capture in `observe_outcome`;
+/// `feature_row` takes it.
 #[test]
 fn published_row_reads_never_wait_for_a_parked_writer_but_feature_row_does() {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
     let users = users();
     let parked = UserId::new(3);
-
-    let sharded = seeded(&courses);
-    sharded.train_selection(&training_data(&sharded, &users)).unwrap();
-    assert_reads_pass_a_parked_writer(
-        sharded.shard(sharded.shard_of(parked)).registry(),
-        parked,
-        || {
-            read_bits(
-                sharded.score_users(&users).unwrap(),
-                sharded.rank_top_k(&users, 3).unwrap(),
-                sharded.advice_row(parked).unwrap(),
-            )
-        },
-        || sharded.observe_outcome(parked, true).unwrap(),
-        || sharded.feature_row(parked),
-    );
-
-    let mut single = Spa::new(&courses, SpaConfig::default());
-    for &user in &users {
-        single.import_objective(user, &[0.25 + f64::from(user.raw()) / 16.0]).unwrap();
+    for shards in [3usize, 1] {
+        let platform = seeded(&courses, shards);
+        platform.train_selection(&training_data(&platform, &users)).unwrap();
+        assert_reads_pass_a_parked_writer(
+            platform.shard(platform.shard_of(parked)).registry(),
+            parked,
+            || {
+                read_bits(
+                    platform.score_users(&users).unwrap(),
+                    platform.rank_top_k(&users, 3).unwrap(),
+                    platform.advice_row(parked).unwrap(),
+                )
+            },
+            || platform.observe_outcome(parked, true).unwrap(),
+            || platform.feature_row(parked),
+        );
     }
-    let mut data = Dataset::new(75);
-    for &user in &users {
-        let label = if user.raw() % 2 == 0 { 1.0 } else { -1.0 };
-        data.push(&single.advice_row(user).unwrap(), label).unwrap();
-    }
-    single.train_selection(&data).unwrap();
-    assert_reads_pass_a_parked_writer(
-        single.registry(),
-        parked,
-        || {
-            read_bits(
-                single.score_users(&users).unwrap(),
-                single.rank_top_k(&users, 3).unwrap(),
-                single.advice_row(parked).unwrap(),
-            )
-        },
-        || (), // `Spa::observe_outcome` is `&mut self`: no second thread can call it
-        || single.feature_row(parked),
-    );
 }

@@ -1,7 +1,7 @@
 //! Differential tests for the zero-allocation scoring engine.
 //!
-//! `Spa::score_users` serves campaign sweeps from the compact advice
-//! rows the registry publishes at the end of every write section.
+//! `ShardedSpa::score_users` serves campaign sweeps from the compact
+//! advice rows the registry publishes at the end of every write section.
 //! These proptests interleave arbitrary ingest (republication), batch
 //! scoring, top-k ranking and incremental selection updates, asserting
 //! after every step that the published-row engine is **bit-identical**
@@ -13,18 +13,14 @@ use spa::prelude::*;
 
 const N_USERS: u32 = 40;
 
-fn platform() -> (Spa, Vec<UserId>) {
-    platform_answering(|i| (i as f64 / N_USERS as f64) * 2.0 - 1.0)
-}
-
-/// A trained platform whose user `i` gave one EIT answer `answer(i)`.
-fn platform_answering(answer: impl Fn(usize) -> f64) -> (Spa, Vec<UserId>) {
+/// A trained single-node platform whose every user gave one EIT answer.
+fn platform() -> (ShardedSpa, Vec<UserId>) {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
-    let mut spa = Spa::new(&courses, SpaConfig::default());
+    let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
     // seed every model so observe_outcome is always legal, then train
     for (i, &user) in users.iter().enumerate() {
-        ingest_answer(&spa, user, i as u64, answer(i));
+        ingest_answer(&spa, user, i as u64, (i as f64 / N_USERS as f64) * 2.0 - 1.0);
     }
     let mut data = Dataset::new(75);
     for &user in &users {
@@ -35,7 +31,7 @@ fn platform_answering(answer: impl Fn(usize) -> f64) -> (Spa, Vec<UserId>) {
     (spa, users)
 }
 
-fn ingest_answer(spa: &Spa, user: UserId, at: u64, valence: f64) {
+fn ingest_answer(spa: &ShardedSpa, user: UserId, at: u64, valence: f64) {
     let question = spa.next_eit_question(user).id;
     spa.ingest(&LifeLogEvent::new(
         user,
@@ -47,11 +43,11 @@ fn ingest_answer(spa: &Spa, user: UserId, at: u64, valence: f64) {
 
 /// Reference scores in input order, from each master model's
 /// allocating advice row — nothing on this path is published state.
-fn reference_scores(spa: &Spa, users: &[UserId]) -> Vec<(UserId, f64)> {
+fn reference_scores(spa: &ShardedSpa, users: &[UserId]) -> Vec<(UserId, f64)> {
     users
         .iter()
         .map(|&user| {
-            let model = spa.registry().get(user).expect("seeded user");
+            let model = spa.model(user).expect("seeded user");
             let row = model.advice_row(spa.schema()).unwrap();
             (user, spa.selection().score(&row).unwrap())
         })
@@ -84,7 +80,7 @@ proptest! {
             20..45,
         ),
     ) {
-        let (mut spa, users) = platform();
+        let (spa, users) = platform();
         let mut at = 10_000u64;
         for (step, (selector, user_seed, valence, k)) in ops.into_iter().enumerate() {
             match selector {
@@ -117,7 +113,7 @@ proptest! {
         assert_scored_bits_equal(&scored, &reference, "final sweep");
     }
 
-    /// `rank_top_k(k)` ≡ `rank_users()[..k]` for arbitrary k on a
+    /// `rank_top_k(k)` ≡ `rank()[..k]` for arbitrary k on a
     /// platform with a mid-stream mutation (one row republished).
     #[test]
     fn rank_top_k_equals_rank_prefix_for_arbitrary_k(
@@ -127,41 +123,8 @@ proptest! {
     ) {
         let (spa, users) = platform();
         ingest_answer(&spa, users[touched as usize], 99_999, valence);
-        let full = spa.rank_users(&users).unwrap();
+        let full = spa.rank(&users).unwrap();
         let top = spa.rank_top_k(&users, k).unwrap();
         assert_scored_bits_equal(&top, &full[..k.min(full.len())], "top-k vs rank prefix");
     }
-}
-
-/// Restoring a snapshot into a **warm** platform whose models carry the
-/// *same* `updates` counters as the snapshot's but different contents:
-/// the update counter cannot tell the two apart, so the restore itself
-/// must republish every row. Rescored bits equal the reference computed
-/// from the restored masters, and equal the checkpointed platform's.
-#[test]
-fn restore_into_a_warm_platform_republishes_rows_at_unchanged_update_counters() {
-    let (source, users) = platform();
-    // same users, same number of events each — so the same counters —
-    // but every answer is different
-    let (mut warm, _) = platform_answering(|i| 0.8 - 1.7 * (i as f64 / N_USERS as f64));
-    for &user in &users {
-        let (a, b) = (source.registry().get(user).unwrap(), warm.registry().get(user).unwrap());
-        assert_eq!(a.updates(), b.updates(), "premise: equal update counters");
-        assert_ne!(a, b, "premise: different contents");
-    }
-    let stale = warm.score_users(&users).unwrap(); // warm: rows published and read
-
-    let path =
-        std::env::temp_dir().join(format!("spa-fastpath-restore-{}.snap", std::process::id()));
-    source.checkpoint(&path, LogPosition::default()).unwrap();
-    warm.restore(&Snapshot::read(&path).unwrap()).unwrap();
-    let _ = std::fs::remove_file(&path);
-
-    let rescored = warm.score_users(&users).unwrap();
-    assert_scored_bits_equal(&rescored, &reference_scores(&warm, &users), "restored vs reference");
-    assert_scored_bits_equal(&rescored, &source.score_users(&users).unwrap(), "restored vs source");
-    assert!(
-        stale.iter().zip(&rescored).any(|(a, b)| a.1.to_bits() != b.1.to_bits()),
-        "the pre-restore rows scored differently, so a stale row would have shown"
-    );
 }

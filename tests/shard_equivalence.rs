@@ -1,7 +1,13 @@
-//! Differential tests: a [`ShardedSpa`] fed an identical event stream
-//! must be *bit-identical* to a single [`Spa`] — same selection scores,
-//! same rankings, same EIT schedules, same aggregate stats — for every
-//! shard count and thread count.
+//! Differential tests: the platform fed an identical event stream is
+//! *bit-identical* at every shard count and thread count — same
+//! models, same selection scores, same rankings, same EIT schedules,
+//! same aggregate stats.
+//!
+//! The reference is the plainest path through the one type: a 1-shard
+//! platform ingesting **one event at a time**, with every score
+//! recomputed through the allocating surface (`model.advice_row(schema)`
+//! → `selection.score`). Platforms under test batch-ingest the same
+//! stream at shard counts {1, 2, 3, 8}.
 //!
 //! The stream is generated once (EIT answers follow each user's real
 //! per-contact question schedule, probed through an oracle platform)
@@ -10,7 +16,7 @@
 use rayon::ThreadPoolBuilder;
 use spa::prelude::*;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const N_USERS: u32 = 240;
 
 fn courses() -> CourseCatalog {
@@ -26,8 +32,7 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// matches the schedule), web actions, transactions, ratings and
 /// message opens against a registered campaign.
 fn build_stream(courses: &CourseCatalog) -> Vec<LifeLogEvent> {
-    let oracle = Spa::new(courses, SpaConfig::default());
-    oracle.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
+    let oracle = fresh(courses, 1);
     let mut events = Vec::new();
     let mut at = 0u64;
     let mut push = |user: UserId, kind: EventKind| {
@@ -74,15 +79,47 @@ fn build_stream(courses: &CourseCatalog) -> Vec<LifeLogEvent> {
     events
 }
 
+/// An empty in-memory platform of `shards` engines with the stream's
+/// campaign registered.
+fn fresh(courses: &CourseCatalog, shards: usize) -> ShardedSpa {
+    let spa = ShardedSpa::new(courses, SpaConfig::default(), shards).unwrap();
+    spa.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
+    spa
+}
+
+/// The reference platform: one shard, the stream ingested one event at
+/// a time.
+fn reference(courses: &CourseCatalog, stream: &[LifeLogEvent]) -> ShardedSpa {
+    let spa = fresh(courses, 1);
+    for event in stream {
+        spa.ingest(event).unwrap();
+    }
+    spa
+}
+
 /// Labelled training data derived from the reference platform's advice
 /// rows (shared by every platform under comparison).
-fn training_data(reference: &Spa, users: &[UserId]) -> Dataset {
+fn training_data(reference: &ShardedSpa, users: &[UserId]) -> Dataset {
     let mut data = Dataset::new(reference.schema().len());
     for &user in users {
         let row = reference.advice_row(user).unwrap();
         data.push(&row, if row.get(65) > 0.3 { 1.0 } else { -1.0 }).unwrap();
     }
     data
+}
+
+/// The allocating reference every score is pinned to: each master
+/// model's `advice_row(schema)` through the ordinary SVM surface, in
+/// input order.
+fn reference_scores(spa: &ShardedSpa, users: &[UserId]) -> Vec<(UserId, f64)> {
+    let selection = spa.selection();
+    users
+        .iter()
+        .map(|&user| {
+            let row = spa.model(user).expect("streamed user").advice_row(spa.schema()).unwrap();
+            (user, selection.score(&row).unwrap())
+        })
+        .collect()
 }
 
 fn assert_rows_bit_identical(a: &SparseVec, b: &SparseVec, what: &str) {
@@ -93,32 +130,40 @@ fn assert_rows_bit_identical(a: &SparseVec, b: &SparseVec, what: &str) {
     }
 }
 
+fn assert_scored_bit_identical(got: &[(UserId, f64)], want: &[(UserId, f64)], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length diverges");
+    for ((u_g, s_g), (u_w, s_w)) in got.iter().zip(want.iter()) {
+        assert_eq!(u_g, u_w, "{what}: order diverges");
+        assert!(s_g.to_bits() == s_w.to_bits(), "{what}: {u_g} scores {s_g:?} vs {s_w:?}");
+    }
+}
+
 #[test]
 fn sharded_platform_matches_single_platform_bit_for_bit() {
     let courses = courses();
     let stream = build_stream(&courses);
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
 
-    // reference: one monolithic platform
-    let mut single = Spa::new(&courses, SpaConfig::default());
-    single.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
-    assert_eq!(single.ingest_batch(stream.iter()).unwrap(), stream.len());
+    let single = reference(&courses, &stream);
     let data = training_data(&single, &users);
     single.train_selection(&data).unwrap();
-    let single_scores = single.score_users(&users).unwrap();
-    let single_ranking = single.rank_users(&users).unwrap();
+    let single_scores = reference_scores(&single, &users);
+    let mut single_ranking = single_scores.clone();
+    SelectionFunction::sort_by_propensity(&mut single_ranking);
 
     for shards in SHARD_COUNTS {
-        let sharded = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
-        sharded.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
+        let sharded = fresh(&courses, shards);
         assert_eq!(sharded.ingest_batch(stream.iter()).unwrap(), stream.len());
         sharded.train_selection(&data).unwrap();
 
-        // aggregate stats equal the monolithic counters
+        // aggregate stats equal the reference counters
         assert_eq!(sharded.stats(), single.stats(), "{shards} shards: stats diverge");
 
-        // per-user state: feature + advice rows bit-identical
+        // per-user state: whole models (values, relevances, EIT
+        // coverage, update counters), feature + advice rows, and the
+        // next scheduled question
         for &user in &users {
+            assert_eq!(sharded.model(user), single.model(user), "{shards} shards: {user} model");
             assert_rows_bit_identical(
                 &single.feature_row(user),
                 &sharded.feature_row(user),
@@ -129,21 +174,6 @@ fn sharded_platform_matches_single_platform_bit_for_bit() {
                 &sharded.advice_row(user).unwrap(),
                 &format!("{shards} shards, {user} advice row"),
             );
-        }
-
-        // EIT schedules: identical per-attribute coverage and identical
-        // next question for every user
-        for &user in &users {
-            assert_eq!(
-                *single.registry().get(user).unwrap().eit_answer_counts(),
-                *sharded
-                    .shard(sharded.shard_of(user))
-                    .registry()
-                    .get(user)
-                    .unwrap()
-                    .eit_answer_counts(),
-                "{shards} shards: EIT coverage diverges for {user}"
-            );
             assert_eq!(
                 single.next_eit_question(user).id,
                 sharded.next_eit_question(user).id,
@@ -153,71 +183,46 @@ fn sharded_platform_matches_single_platform_bit_for_bit() {
 
         // selection scores and ranking, bit for bit
         let scores = sharded.score_users(&users).unwrap();
-        assert_eq!(scores.len(), single_scores.len());
-        for ((u_s, s_s), (u_m, s_m)) in scores.iter().zip(single_scores.iter()) {
-            assert_eq!(u_s, u_m, "{shards} shards: score_users order diverges");
-            assert!(
-                s_s.to_bits() == s_m.to_bits(),
-                "{shards} shards: score diverges for {u_s}: {s_s:?} vs {s_m:?}"
-            );
-        }
-        let ranking = sharded.rank(&users).unwrap();
-        assert_eq!(ranking.len(), single_ranking.len());
-        for ((u_s, s_s), (u_m, s_m)) in ranking.iter().zip(single_ranking.iter()) {
-            assert_eq!(u_s, u_m, "{shards} shards: ranking diverges");
-            assert!(s_s.to_bits() == s_m.to_bits());
-        }
+        assert_scored_bit_identical(&scores, &single_scores, &format!("{shards} shards, scores"));
+        assert_scored_bit_identical(
+            &sharded.rank(&users).unwrap(),
+            &single_ranking,
+            &format!("{shards} shards, ranking"),
+        );
 
-        // top-k selection: single and sharded prefixes equal the full
-        // ranking's head, bit for bit, at every k (including ties)
+        // top-k selection equals the full ranking's head, bit for bit,
+        // at every k (including ties)
         for k in [0usize, 1, 2, 39, N_USERS as usize / 2, N_USERS as usize, 1000] {
-            let single_top = single.rank_top_k(&users, k).unwrap();
-            let sharded_top = sharded.rank_top_k(&users, k).unwrap();
-            let expected = &single_ranking[..k.min(single_ranking.len())];
-            assert_eq!(single_top.len(), expected.len(), "k={k}");
-            assert_eq!(sharded_top.len(), expected.len(), "{shards} shards, k={k}");
-            for (((u_a, s_a), (u_b, s_b)), (u_c, s_c)) in
-                single_top.iter().zip(sharded_top.iter()).zip(expected.iter())
-            {
-                assert_eq!(u_a, u_c, "k={k}: single top-k diverges from ranking prefix");
-                assert_eq!(u_b, u_c, "{shards} shards, k={k}: sharded top-k diverges");
-                assert!(s_a.to_bits() == s_c.to_bits());
-                assert!(s_b.to_bits() == s_c.to_bits());
-            }
+            assert_scored_bit_identical(
+                &sharded.rank_top_k(&users, k).unwrap(),
+                &single_ranking[..k.min(single_ranking.len())],
+                &format!("{shards} shards, top {k}"),
+            );
         }
 
         // a second scan over the same published rows must not drift
         // from the first
         let rescored = sharded.score_users(&users).unwrap();
-        for ((u_a, s_a), (u_b, s_b)) in rescored.iter().zip(scores.iter()) {
-            assert_eq!(u_a, u_b);
-            assert!(s_a.to_bits() == s_b.to_bits(), "{shards} shards: cached rescan diverges");
-        }
+        assert_scored_bit_identical(&rescored, &scores, &format!("{shards} shards, rescan"));
     }
 }
 
-/// The parallel ingest fan-out and cross-shard scoring are pinned to
+/// The parallel ingest fan-out and the scoring loop are pinned to
 /// explicit thread counts: outputs must not depend on parallelism.
 #[test]
 fn sharded_results_are_identical_across_thread_counts() {
     let courses = courses();
     let stream = build_stream(&courses);
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
+    let data = training_data(&reference(&courses, &stream), &users);
 
     type ThreadRun =
         (Vec<(UserId, f64)>, Vec<(UserId, f64)>, spa::core::preprocessor::PreprocessorStats);
     let run = |threads: usize| -> ThreadRun {
         with_threads(threads, || {
-            let sharded = ShardedSpa::new(&courses, SpaConfig::default(), 7).unwrap();
-            sharded.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
+            let sharded = fresh(&courses, 3);
             sharded.ingest_batch(stream.iter()).unwrap();
-            let reference = {
-                let single = Spa::new(&courses, SpaConfig::default());
-                single.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
-                single.ingest_batch(stream.iter()).unwrap();
-                training_data(&single, &users)
-            };
-            sharded.train_selection(&reference).unwrap();
+            sharded.train_selection(&data).unwrap();
             (
                 sharded.rank(&users).unwrap(),
                 sharded.rank_top_k(&users, 25).unwrap(),
@@ -231,46 +236,36 @@ fn sharded_results_are_identical_across_thread_counts() {
     for threads in [2usize, 5] {
         let (rank_n, top_n, stats_n) = run(threads);
         assert_eq!(stats_1, stats_n, "{threads} threads: stats diverge");
-        assert_eq!(rank_1.len(), rank_n.len());
-        for ((u_a, s_a), (u_b, s_b)) in rank_1.iter().zip(rank_n.iter()) {
-            assert_eq!(u_a, u_b, "{threads} threads: ranking diverges");
-            assert!(s_a.to_bits() == s_b.to_bits());
-        }
-        for ((u_a, s_a), (u_b, s_b)) in top_1.iter().zip(top_n.iter()) {
-            assert_eq!(u_a, u_b, "{threads} threads: top-k diverges");
-            assert!(s_a.to_bits() == s_b.to_bits());
-        }
+        assert_scored_bit_identical(&rank_n, &rank_1, &format!("{threads} threads, ranking"));
+        assert_scored_bit_identical(&top_n, &top_1, &format!("{threads} threads, top-k"));
     }
 }
 
-/// Observed outcomes folded into the global selection function keep the
-/// sharded platform equivalent to the monolithic one (incremental
-/// learning path).
+/// Observed outcomes folded into the global selection function keep
+/// every shard count equivalent to the reference (incremental learning
+/// path).
 #[test]
 fn incremental_outcomes_stay_equivalent() {
     let courses = courses();
     let stream = build_stream(&courses);
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
 
-    let mut single = Spa::new(&courses, SpaConfig::default());
-    single.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
-    single.ingest_batch(stream.iter()).unwrap();
-    let sharded = ShardedSpa::new(&courses, SpaConfig::default(), 7).unwrap();
-    sharded.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
-    sharded.ingest_batch(stream.iter()).unwrap();
-
-    for (i, &user) in users.iter().enumerate() {
-        let responded = i % 3 == 0;
-        single.observe_outcome(user, responded).unwrap();
-        sharded.observe_outcome(user, responded).unwrap();
-    }
-    let single_scores = single.score_users(&users).unwrap();
-    let sharded_scores = sharded.score_users(&users).unwrap();
-    for ((u_s, s_s), (u_m, s_m)) in sharded_scores.iter().zip(single_scores.iter()) {
-        assert_eq!(u_s, u_m);
-        assert!(
-            s_s.to_bits() == s_m.to_bits(),
-            "incremental path diverges for {u_s}: {s_s:?} vs {s_m:?}"
+    let observe_all = |spa: &ShardedSpa| {
+        for (i, &user) in users.iter().enumerate() {
+            spa.observe_outcome(user, i % 3 == 0).unwrap();
+        }
+    };
+    let single = reference(&courses, &stream);
+    observe_all(&single);
+    let single_scores = reference_scores(&single, &users);
+    for shards in SHARD_COUNTS {
+        let sharded = fresh(&courses, shards);
+        sharded.ingest_batch(stream.iter()).unwrap();
+        observe_all(&sharded);
+        assert_scored_bit_identical(
+            &sharded.score_users(&users).unwrap(),
+            &single_scores,
+            &format!("{shards} shards, incremental path"),
         );
     }
 }

@@ -343,3 +343,88 @@ fn concurrent_ingest_and_checkpoint_stay_consistent() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Shard snapshots written before engines lost their dormant selection
+/// function carry a third section (`SECTION_SELECTION`, the untrained
+/// per-shard copy) after models and stats. Recovery reads sections by
+/// tag and ignores it: a root whose shard snapshots are rewritten into
+/// that old layout recovers bit-identically to the same root in
+/// today's layout, and to the live platform — the global function still
+/// comes from `selection.snap`, never from a shard file.
+#[test]
+fn old_layout_shard_snapshots_recover_bit_identically() {
+    use spa::core::snapshot::{SECTION_MODELS, SECTION_SELECTION, SECTION_STATS};
+    const SHARDS: usize = 3;
+    let courses = CourseCatalog::generate(25, 5, 3).unwrap();
+    let campaigns = [(CampaignId::new(1), vec![EmotionalAttribute::Hopeful])];
+    let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
+    let log_config = LogConfig::default();
+    let root = tmp_root();
+    let event =
+        |i: u32| make_event(i as u8, i * 7, u64::from(i), i * 13, 0.9 - f64::from(i) / 90.0);
+
+    let live =
+        ShardedSpa::with_log(&courses, SpaConfig::default(), SHARDS, &root, log_config.clone())
+            .unwrap();
+    live.register_campaign(campaigns[0].0, &campaigns[0].1);
+    for i in 0..160 {
+        let _ = live.ingest(&event(i)); // rejections are part of the stream
+    }
+    let known: Vec<UserId> = users.iter().copied().filter(|&u| live.model(u).is_some()).collect();
+    live.train_selection(&training_data(&live, &known)).unwrap();
+    live.observe_outcome(known[0], true).unwrap();
+    let positions = live.checkpoint().unwrap().positions;
+    for i in 160..200 {
+        let _ = live.ingest(&event(i)); // a tail behind the checkpoint
+    }
+    live.observe_outcome(known[1], false).unwrap();
+    live.flush().unwrap();
+
+    let recover = || {
+        ShardedSpa::recover(&courses, SpaConfig::default(), &campaigns, &root, log_config.clone())
+            .unwrap()
+    };
+    let assert_same_state = |a: &ShardedSpa, b: &ShardedSpa, what: &str| {
+        assert_eq!(a.stats(), b.stats(), "{what}: counters");
+        assert_weights_equal(&a.selection(), &b.selection(), what);
+        for &user in &users {
+            assert_eq!(a.model(user), b.model(user), "{what}: {user} model");
+            assert_rows_equal(&a.advice_row(user).unwrap(), &b.advice_row(user).unwrap(), what);
+            assert_eq!(a.next_eit_question(user).id, b.next_eit_question(user).id, "{what}");
+        }
+        for (x, y) in a.rank(&users).unwrap().iter().zip(b.rank(&users).unwrap().iter()) {
+            assert_eq!(x.0, y.0, "{what}: ranking");
+            assert!(x.1.to_bits() == y.1.to_bits(), "{what}: score of {}", x.0);
+        }
+    };
+
+    let (current, current_report) = recover();
+    assert_same_state(&current, &live, "current layout vs live");
+    drop(current);
+
+    // rewrite every shard snapshot into the old three-section layout
+    let mut dormant = Vec::new();
+    SelectionFunction::with_imbalance(75, SpaConfig::default().positive_weight)
+        .write_state(&mut dormant);
+    for (shard, &position) in positions.iter().enumerate() {
+        let dir = ShardedEventLog::shard_path(&root, ShardId::new(shard as u32));
+        let path = spa::store::snapshot::snapshot_path(&dir, position);
+        let snapshot = Snapshot::read(&path).unwrap();
+        let tags: Vec<u32> = snapshot.sections().iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, [SECTION_MODELS, SECTION_STATS], "shard snapshots hold models + stats");
+        let before = std::fs::metadata(&path).unwrap().len();
+        let mut builder = SnapshotBuilder::new(position);
+        for (tag, payload) in snapshot.sections() {
+            builder.section(*tag, payload.clone());
+        }
+        builder.section(SECTION_SELECTION, dormant.clone());
+        let after = builder.write_atomic(&path).unwrap();
+        assert!(after > before + dormant.len() as u64, "the old layout is the larger one");
+    }
+    let (old_layout, old_report) = recover();
+    assert_eq!(old_report, current_report, "same snapshots loaded, same tail replayed");
+    assert_eq!(old_report.shards_from_snapshot(), SHARDS);
+    assert_eq!(old_report.snapshot_fallbacks, 0, "the extra section is not a corruption");
+    assert_same_state(&old_layout, &live, "old layout vs live");
+    let _ = std::fs::remove_dir_all(&root);
+}
