@@ -55,8 +55,7 @@ fn bench_campaign_execution(c: &mut Criterion) {
         b.iter_batched(
             || ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap(),
             |spa| {
-                let outcome =
-                    runner.run(&spa, &spec, |_, _, _| 0.0, |_, _, _| {}).expect("campaign runs");
+                let outcome = runner.run(&spa, &spec, |_, _, _| 0.0).expect("campaign runs");
                 black_box(outcome.responses)
             },
             BatchSize::PerIteration,

@@ -1,6 +1,5 @@
 //! Substrate micro-benches: the hot paths every experiment leans on —
-//! Pegasos SVM training/prediction, sparse kernels, the event log and
-//! the profile store.
+//! Pegasos SVM training/prediction, sparse kernels and the event log.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::prelude::*;
@@ -9,7 +8,6 @@ use spa_linalg::{SparseRow, SparseVec};
 use spa_ml::svm::{LinearSvm, SvmConfig};
 use spa_ml::{Classifier, Dataset, OnlineLearner};
 use spa_store::log::{EventLog, LogConfig};
-use spa_store::ProfileStore;
 use spa_types::{ActionId, EventKind, LifeLogEvent, Timestamp, UserId};
 use std::hint::black_box;
 
@@ -116,23 +114,6 @@ fn bench_event_log(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&replay_dir);
 }
 
-fn bench_profile_store(c: &mut Criterion) {
-    let store = ProfileStore::new(75);
-    let mut group = c.benchmark_group("store");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("profile_update", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            store.update(UserId::new(i % 10_000), Timestamp::from_millis(0), |v| v[0] += 1.0);
-        })
-    });
-    group.bench_function("profile_get", |b| {
-        b.iter(|| black_box(store.get(UserId::new(123)).map(|p| p.updates)))
-    });
-    group.finish();
-}
-
 /// Row access: the old owned-clone path (`row_vec`) versus the
 /// zero-copy `RowView` path, scoring every row of a 20k×75 matrix
 /// against a dense weight vector. The delta is exactly the per-row
@@ -193,7 +174,6 @@ fn benches(c: &mut Criterion) {
     bench_row_access(c);
     bench_decision_batch(c);
     bench_event_log(c);
-    bench_profile_store(c);
 }
 
 criterion_group!(substrates, benches);

@@ -10,7 +10,7 @@
 //! | `table1_eit` | Table 1 Four-Branch EIT |
 //! | `dataset_synth` | §5.1 dataset generation |
 //! | `ablation_emotional` | E7 emotional-context ablation |
-//! | `substrates` | micro-benches of the SVM, sparse kernels, event log and profile store |
+//! | `substrates` | micro-benches of the SVM, sparse kernels and event log |
 //! | `chaos` | what the `StorageIo` fault seam costs the WAL path when no fault fires |
 //!
 //! Platform ingest, scoring, checkpoint and recovery are measured by the

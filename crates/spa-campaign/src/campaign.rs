@@ -12,8 +12,7 @@
 //! 4. the user responds or not according to the latent
 //!    [`ResponseModel`] — a response is a *useful impact* (transaction);
 //! 5. outcomes feed back as LifeLog events: opens reward the appealed
-//!    attributes, ignored messages punish them (Fig 4), and the
-//!    selection model can be updated incrementally.
+//!    attributes, ignored messages punish them (Fig 4).
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -144,19 +143,17 @@ impl<'a> CampaignRunner<'a> {
         Ok(spa.rank_top_k(&candidates, k)?.into_iter().map(|(user, _)| user).collect())
     }
 
-    /// Runs one campaign serially. `score_user` supplies the
-    /// selection-function score recorded per contact (pass a constant
-    /// for untrained runs); it also receives the message the platform
-    /// is about to send — known before the response, so legitimate
-    /// scoring input. `update_model` receives each outcome for
-    /// incremental learning (the reason this path stays serial: online
-    /// updates are order-dependent).
+    /// Runs one campaign serially, contacts in audience order.
+    /// `score_user` supplies the selection-function score recorded per
+    /// contact (pass a constant for untrained runs); it also receives
+    /// the message the platform is about to send — known before the
+    /// response, so legitimate scoring input. The serial reference for
+    /// [`Self::run_collect`].
     pub fn run(
         &self,
         spa: &ShardedSpa,
         spec: &CampaignSpec,
         mut score_user: impl FnMut(&ShardedSpa, UserId, &AssignedMessage) -> f64,
-        mut update_model: impl FnMut(&ShardedSpa, UserId, bool),
     ) -> Result<CampaignOutcome> {
         if spec.course.appeal.is_empty() {
             return Err(SpaError::Invalid("campaign course has no appeal attributes".into()));
@@ -170,7 +167,6 @@ impl<'a> CampaignRunner<'a> {
                 (score_user(spa, user, message), ())
             })?;
             responses += record.responded as usize;
-            update_model(spa, user, record.responded);
             contacts.push(record);
         }
         Ok(CampaignOutcome { id: spec.id, channel: spec.channel, contacts, responses })
@@ -187,9 +183,6 @@ impl<'a> CampaignRunner<'a> {
     /// independent and the outcome is **byte-identical at any thread
     /// count**, including 1. The hook sees the contact index `k` and
     /// must be a pure function of the platform state for its user.
-    ///
-    /// Incremental model updates don't fit this shape (they are
-    /// order-dependent across users); use [`Self::run`] for those.
     pub fn run_collect<T: Send>(
         &self,
         spa: &ShardedSpa,
@@ -334,7 +327,7 @@ mod tests {
         let runner = CampaignRunner::new(&population, &response);
         // build differentiated user models + a trained selection
         let warmup = spec(&courses, 8, 400);
-        runner.run(&spa, &warmup, |_, _, _| 0.0, |_, _, _| {}).unwrap();
+        runner.run(&spa, &warmup, |_, _, _| 0.0).unwrap();
         let mut data = spa_ml::Dataset::new(75);
         for raw in (0..800u32).step_by(4) {
             let row = spa.advice_row(UserId::new(raw)).unwrap();
@@ -368,7 +361,7 @@ mod tests {
         let (population, response, courses, spa) = setup();
         let runner = CampaignRunner::new(&population, &response);
         let s = spec(&courses, 4, 400);
-        let outcome = runner.run(&spa, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
+        let outcome = runner.run(&spa, &s, |_, _, _| 0.0).unwrap();
         assert_eq!(outcome.contacts.len(), 400);
         assert_eq!(outcome.responses, outcome.contacts.iter().filter(|c| c.responded).count());
         // calibrated near 21% but messages are model-assigned, so allow slack
@@ -387,8 +380,8 @@ mod tests {
         let s = spec(&courses, 5, 200);
         let spa_a = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
         let spa_b = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
-        let a = runner.run(&spa_a, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
-        let b = runner.run(&spa_b, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
+        let a = runner.run(&spa_a, &s, |_, _, _| 0.0).unwrap();
+        let b = runner.run(&spa_b, &s, |_, _, _| 0.0).unwrap();
         assert_eq!(a.contacts, b.contacts);
         assert_eq!(a.responses, b.responses);
     }
@@ -399,17 +392,7 @@ mod tests {
         let runner = CampaignRunner::new(&population, &response);
         let mut s = spec(&courses, 6, 10);
         s.course.appeal.clear();
-        assert!(runner.run(&spa, &s, |_, _, _| 0.0, |_, _, _| {}).is_err());
-    }
-
-    #[test]
-    fn update_hook_sees_every_contact() {
-        let (population, response, courses, spa) = setup();
-        let runner = CampaignRunner::new(&population, &response);
-        let s = spec(&courses, 7, 150);
-        let mut seen = 0usize;
-        runner.run(&spa, &s, |_, _, _| 0.0, |_, _, _| seen += 1).unwrap();
-        assert_eq!(seen, 150);
+        assert!(runner.run(&spa, &s, |_, _, _| 0.0).is_err());
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!   training, ten evaluation campaigns, cumulative-redemption curve
 //!   (Fig 6a) and per-campaign predictive scores (Fig 6b), plus the
 //!   emotional-ablation variant (E7);
-//! * [`report`] — plain-text/CSV rendering of the experiment tables.
+//! * [`report`] — plain-text/CSV rendering of the experiment tables;
+//! * [`csv`] — the writer that puts those CSV tables on disk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod csv;
 pub mod experiment;
 pub mod report;
 

@@ -7,8 +7,6 @@
 //! by automatically assigning weights (relevancies)."
 //!
 //! Concretely:
-//! * [`fuse_schemas`] merges two domains' attribute schemas by name
-//!   (cross-domain SUMs, the point of González et al. 2005);
 //! * [`AttributesManager::dominant_sensibilities`] extracts a user's
 //!   dominant emotional attributes as weighted sensibilities;
 //! * [`AttributesManager::select_features`] performs the paper's
@@ -18,52 +16,7 @@
 use crate::sum::{SumConfig, SumRegistry};
 use spa_ml::feature_selection::FeatureMask;
 use spa_ml::svm::LinearSvm;
-use spa_types::{
-    AttributeSchema, EmotionalAttribute, Result, SpaError, UserId, EMOTIONAL_ATTRIBUTES,
-};
-
-/// Result of fusing two schemas: the merged schema plus, for each input
-/// schema, the mapping from its attribute ids to fused ids.
-#[derive(Debug, Clone)]
-pub struct FusedSchema {
-    /// The merged schema (union of attributes by name; first schema's
-    /// definitions win on conflicts of kind/valence).
-    pub schema: AttributeSchema,
-    /// `map_a[i]` = fused index of attribute `i` of schema A.
-    pub map_a: Vec<u32>,
-    /// `map_b[i]` = fused index of attribute `i` of schema B.
-    pub map_b: Vec<u32>,
-}
-
-/// Merges two attribute schemas by attribute name.
-pub fn fuse_schemas(a: &AttributeSchema, b: &AttributeSchema) -> Result<FusedSchema> {
-    let mut fused = AttributeSchema::new();
-    let mut map_a = Vec::with_capacity(a.len());
-    for def in a.iter() {
-        let id = fused.push(def.name.clone(), def.kind, def.valence)?;
-        map_a.push(id.raw());
-    }
-    let mut map_b = Vec::with_capacity(b.len());
-    for def in b.iter() {
-        match fused.id_of(&def.name) {
-            Some(existing) => {
-                let kept = fused.get(existing).expect("looked up by name");
-                if kept.kind != def.kind {
-                    return Err(SpaError::Invalid(format!(
-                        "attribute {:?} is {} in one domain and {} in the other",
-                        def.name, kept.kind, def.kind
-                    )));
-                }
-                map_b.push(existing.raw());
-            }
-            None => {
-                let id = fused.push(def.name.clone(), def.kind, def.valence)?;
-                map_b.push(id.raw());
-            }
-        }
-    }
-    Ok(FusedSchema { schema: fused, map_a, map_b })
-}
+use spa_types::{AttributeSchema, EmotionalAttribute, Result, UserId, EMOTIONAL_ATTRIBUTES};
 
 /// The Attributes Manager: user-level sensibility extraction and
 /// population-level attribute selection.
@@ -122,49 +75,7 @@ impl AttributesManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spa_types::{AttributeKind, Valence};
-
-    #[test]
-    fn fusing_disjoint_schemas_concatenates() {
-        let mut a = AttributeSchema::new();
-        a.push("age".into(), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
-        let mut b = AttributeSchema::new();
-        b.push("region".into(), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
-        let fused = fuse_schemas(&a, &b).unwrap();
-        assert_eq!(fused.schema.len(), 2);
-        assert_eq!(fused.map_a, vec![0]);
-        assert_eq!(fused.map_b, vec![1]);
-    }
-
-    #[test]
-    fn fusing_shared_names_dedups() {
-        let mut a = AttributeSchema::new();
-        a.push("age".into(), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
-        a.push("hopeful".into(), AttributeKind::Emotional, Valence::MAX).unwrap();
-        let mut b = AttributeSchema::new();
-        b.push("hopeful".into(), AttributeKind::Emotional, Valence::MAX).unwrap();
-        b.push("budget".into(), AttributeKind::Subjective, Valence::NEUTRAL).unwrap();
-        let fused = fuse_schemas(&a, &b).unwrap();
-        assert_eq!(fused.schema.len(), 3, "hopeful is shared");
-        assert_eq!(fused.map_b[0], fused.map_a[1], "shared attribute maps to one id");
-    }
-
-    #[test]
-    fn fusing_conflicting_kinds_fails() {
-        let mut a = AttributeSchema::new();
-        a.push("x".into(), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
-        let mut b = AttributeSchema::new();
-        b.push("x".into(), AttributeKind::Emotional, Valence::MAX).unwrap();
-        assert!(fuse_schemas(&a, &b).is_err());
-    }
-
-    #[test]
-    fn fused_emagister_with_itself_is_identity() {
-        let schema = AttributeSchema::emagister();
-        let fused = fuse_schemas(&schema, &schema).unwrap();
-        assert_eq!(fused.schema.len(), 75);
-        assert_eq!(fused.map_a, fused.map_b);
-    }
+    use spa_types::Valence;
 
     #[test]
     fn dominant_sensibilities_for_unknown_user_is_empty() {

@@ -19,8 +19,8 @@
 //! * [`preprocessor`] — the **LifeLogs Pre-processor**: distills raw
 //!   [`spa_types::LifeLogEvent`] streams into SUM updates;
 //! * [`attributes`] — the **Attributes Manager**: sensibility weighting,
-//!   thresholding, dominant-attribute extraction and cross-domain
-//!   attribute fusion;
+//!   thresholding, dominant-attribute extraction and SVM-based feature
+//!   selection;
 //! * [`messaging`] — the **Messaging Agent**: individualized sales
 //!   messages following §5.3's assignment cases (Fig 5);
 //! * [`recommend`] — the **recommendation function**: the per-user

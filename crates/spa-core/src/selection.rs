@@ -6,14 +6,16 @@
 //! their propensity to accept a recommended item."
 //!
 //! [`SelectionFunction`] trains a linear SVM on labelled campaign
-//! history (features → responded) and ranks the audience by decision
-//! score; the campaign engine then contacts the top slice, which is
-//! exactly what the cumulative-redemption curve of Fig 6(a) measures.
+//! history (features → responded) and scores one user's features. The
+//! platform ([`crate::shard::ShardedSpa::rank_top_k`]) ranks an
+//! audience by those scores under the one comparator defined here, and
+//! the campaign engine contacts the top slice — exactly what the
+//! cumulative-redemption curve of Fig 6(a) measures.
 
 use spa_linalg::{RowView, SparseVec};
 use spa_ml::svm::{LinearSvm, SvmConfig};
-use spa_ml::{Classifier, Dataset, OnlineLearner};
-use spa_types::{Result, SpaError, UserId};
+use spa_ml::{Classifier, Dataset};
+use spa_types::{Result, UserId};
 
 /// SVM-backed propensity ranker.
 ///
@@ -43,15 +45,9 @@ impl SelectionFunction {
         self.svm.fit(data)
     }
 
-    /// Incrementally folds in one observed outcome (SPA's incremental
-    /// learning; the batch baseline retrains instead).
-    pub fn partial_fit(&mut self, features: &SparseVec, responded: bool) -> Result<()> {
-        self.svm.partial_fit(features, if responded { 1.0 } else { -1.0 })
-    }
-
-    /// [`SelectionFunction::partial_fit`] over a borrowed row — the
-    /// zero-copy form the platform's `observe_outcome` fast path uses
-    /// (bit-identical update).
+    /// Incrementally folds in one observed outcome over a borrowed row
+    /// (SPA's incremental learning; the batch baseline retrains
+    /// instead) — what the platform's `observe_outcome` applies.
     pub fn partial_fit_view(&mut self, features: RowView<'_>, responded: bool) -> Result<()> {
         self.svm.partial_fit_view(features, if responded { 1.0 } else { -1.0 })
     }
@@ -95,16 +91,8 @@ impl SelectionFunction {
         self.svm.decision_view(features)
     }
 
-    /// Propensity scores for every row of a dataset, in row order —
-    /// zero-copy per row and parallel with the `parallel` feature
-    /// (bit-identical to the serial path at any thread count).
-    pub fn score_batch(&self, data: &Dataset) -> Result<Vec<f64>> {
-        self.svm.decision_batch(data)
-    }
-
-    /// The **single** ranking comparator shared by every surface
-    /// ([`SelectionFunction::rank`], [`SelectionFunction::rank_top_k`],
-    /// the platform's `rank` and its per-part top-k merge) — the
+    /// The **single** ranking comparator shared by every surface (the
+    /// platform's `rank` and its per-part top-k merge) — the
     /// bit-identical ranking at any shard and thread count depends on
     /// there being exactly one. Descending by score; ties break by ascending user
     /// id, so the order is total whenever ids are distinct.
@@ -133,66 +121,6 @@ impl SelectionFunction {
             scored.truncate(k);
         }
         scored.sort_by(Self::propensity_cmp);
-    }
-
-    /// Ranks an audience by propensity, descending. Ties break by user
-    /// id for determinism. Scoring fans out across threads for large
-    /// audiences (`parallel` feature); the ranking is identical to the
-    /// serial evaluation because scores are assembled in input order
-    /// before the sort.
-    pub fn rank(&self, audience: &[(UserId, SparseVec)]) -> Result<Vec<(UserId, f64)>> {
-        let mut scored = self.score_audience(audience)?;
-        Self::sort_by_propensity(&mut scored);
-        Ok(scored)
-    }
-
-    /// Scores an audience in input order (the parallel fan-out under
-    /// [`Self::rank`]).
-    fn score_audience(&self, audience: &[(UserId, SparseVec)]) -> Result<Vec<(UserId, f64)>> {
-        #[cfg(feature = "parallel")]
-        {
-            if spa_ml::parallel_worthy(audience.len()) {
-                use rayon::prelude::*;
-                let scored: Vec<Result<(UserId, f64)>> = audience
-                    .par_iter()
-                    .map(|(user, features)| Ok((*user, self.score(features)?)))
-                    .with_min_len(512)
-                    .collect();
-                return scored.into_iter().collect();
-            }
-        }
-        audience.iter().map(|(user, features)| Ok((*user, self.score(features)?))).collect()
-    }
-
-    /// The best `k` of the audience under the shared ranking comparator
-    /// — exactly `rank(audience)[..k]`, computed with
-    /// [`SelectionFunction::top_k_by_propensity`] so the full audience
-    /// is scored but never fully sorted.
-    pub fn rank_top_k(
-        &self,
-        audience: &[(UserId, SparseVec)],
-        k: usize,
-    ) -> Result<Vec<(UserId, f64)>> {
-        let mut scored = self.score_audience(audience)?;
-        Self::top_k_by_propensity(&mut scored, k);
-        Ok(scored)
-    }
-
-    /// The top `fraction` of the ranked audience — the users the
-    /// campaign will actually contact ("the effort to send Push and
-    /// newsletters" axis of Fig 6a). Uses the top-k path: identical
-    /// output to ranking everything and taking the head, without the
-    /// O(n log n) sort.
-    pub fn select_top(
-        &self,
-        audience: &[(UserId, SparseVec)],
-        fraction: f64,
-    ) -> Result<Vec<UserId>> {
-        if !(0.0..=1.0).contains(&fraction) {
-            return Err(SpaError::Invalid(format!("fraction {fraction} out of [0,1]")));
-        }
-        let k = ((audience.len() as f64) * fraction).round() as usize;
-        Ok(self.rank_top_k(audience, k)?.into_iter().map(|(u, _)| u).collect())
     }
 
     /// Feature dimensionality.
@@ -239,27 +167,21 @@ mod tests {
             .collect()
     }
 
+    /// Scores an audience in input order, one user at a time.
+    fn scored(sel: &SelectionFunction, audience: &[(UserId, SparseVec)]) -> Vec<(UserId, f64)> {
+        audience.iter().map(|(user, row)| (*user, sel.score(row).unwrap())).collect()
+    }
+
     #[test]
     fn ranks_responders_to_the_top() {
         let mut sel = SelectionFunction::with_imbalance(5, 4.0);
         sel.fit(&history(1000, 1)).unwrap();
-        let ranked = sel.rank(&audience(100, 2)).unwrap();
+        let mut ranked = scored(&sel, &audience(100, 2));
+        SelectionFunction::sort_by_propensity(&mut ranked);
         // top 25 should be exactly the "hot" users (i % 4 == 0)
         let top: Vec<u32> = ranked[..25].iter().map(|(u, _)| u.raw()).collect();
         let hot_in_top = top.iter().filter(|&&u| u % 4 == 0).count();
         assert!(hot_in_top >= 23, "only {hot_in_top}/25 hot users on top");
-    }
-
-    #[test]
-    fn select_top_returns_the_requested_slice() {
-        let mut sel = SelectionFunction::with_imbalance(5, 4.0);
-        sel.fit(&history(500, 3)).unwrap();
-        let aud = audience(200, 4);
-        let chosen = sel.select_top(&aud, 0.4).unwrap();
-        assert_eq!(chosen.len(), 80);
-        assert!(sel.select_top(&aud, 0.0).unwrap().is_empty());
-        assert_eq!(sel.select_top(&aud, 1.0).unwrap().len(), 200);
-        assert!(sel.select_top(&aud, 1.5).is_err());
     }
 
     #[test]
@@ -271,9 +193,12 @@ mod tests {
         for i in 0..20u32 {
             aud.push((UserId::new(1000 + i), SparseVec::zeros(5)));
         }
-        let full = sel.rank(&aud).unwrap();
+        let scores = scored(&sel, &aud);
+        let mut full = scores.clone();
+        SelectionFunction::sort_by_propensity(&mut full);
         for k in [0usize, 1, 2, 37, 149, 150, 170, 500] {
-            let top = sel.rank_top_k(&aud, k).unwrap();
+            let mut top = scores.clone();
+            SelectionFunction::top_k_by_propensity(&mut top, k);
             let expect = &full[..k.min(full.len())];
             assert_eq!(top.len(), expect.len(), "k={k}");
             for ((ua, sa), (ub, sb)) in top.iter().zip(expect.iter()) {
@@ -295,7 +220,7 @@ mod tests {
         let mut sel = SelectionFunction::with_imbalance(5, 1.0);
         let d = history(2000, 5);
         for r in 0..d.len() {
-            sel.partial_fit(&d.x.row_vec(r), d.y[r] > 0.0).unwrap();
+            sel.partial_fit_view(d.x.row(r), d.y[r] > 0.0).unwrap();
         }
         assert!(sel.is_trained());
         let hot = SparseVec::from_pairs(5, [(0u32, 0.9)]).unwrap();
@@ -303,16 +228,18 @@ mod tests {
         assert!(sel.score(&hot).unwrap() > sel.score(&cold).unwrap());
     }
 
+    /// The SVM's batch scorer and the selection function's per-user
+    /// scores agree bit for bit, row by row.
     #[test]
     fn score_batch_matches_single_scoring() {
         let mut sel = SelectionFunction::with_imbalance(5, 4.0);
         let d = history(600, 9);
         sel.fit(&d).unwrap();
-        let batch = sel.score_batch(&d).unwrap();
+        let batch = sel.svm().decision_batch(&d).unwrap();
         assert_eq!(batch.len(), d.len());
         for (r, &score) in batch.iter().enumerate() {
-            assert_eq!(score, sel.score_view(d.x.row(r)).unwrap());
-            assert_eq!(score, sel.score(&d.x.row_vec(r)).unwrap());
+            assert_eq!(score.to_bits(), sel.score_view(d.x.row(r)).unwrap().to_bits());
+            assert_eq!(score.to_bits(), sel.score(&d.x.row_vec(r)).unwrap().to_bits());
         }
     }
 
@@ -320,13 +247,21 @@ mod tests {
     fn ranking_is_deterministic_including_ties() {
         let mut sel = SelectionFunction::with_imbalance(5, 1.0);
         sel.fit(&history(500, 6)).unwrap();
-        let aud: Vec<(UserId, SparseVec)> =
-            (0..10).map(|i| (UserId::new(i), SparseVec::zeros(5))).collect();
-        let r1 = sel.rank(&aud).unwrap();
-        let r2 = sel.rank(&aud).unwrap();
+        // all-zero features tie; fed in descending and in interleaved
+        // id order, both orderings must come out identical, ids ascending
+        let descending: Vec<(UserId, SparseVec)> =
+            (0..10).rev().map(|i| (UserId::new(i), SparseVec::zeros(5))).collect();
+        let interleaved: Vec<(UserId, SparseVec)> =
+            [3, 8, 0, 5, 9, 1, 6, 2, 7, 4].map(|i| (UserId::new(i), SparseVec::zeros(5))).into();
+        let mut r1 = scored(&sel, &descending);
+        let mut r2 = scored(&sel, &interleaved);
+        SelectionFunction::sort_by_propensity(&mut r1);
+        SelectionFunction::sort_by_propensity(&mut r2);
         assert_eq!(r1, r2);
-        // all-zero features tie; ids ascend
         let ids: Vec<u32> = r1.iter().map(|(u, _)| u.raw()).collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        let mut top = scored(&sel, &interleaved);
+        SelectionFunction::top_k_by_propensity(&mut top, 4);
+        assert_eq!(top, r1[..4], "top-k breaks the tie the same way");
     }
 }

@@ -1153,7 +1153,7 @@ impl ShardedSpa {
     /// Incrementally folds one observed outcome into the global
     /// selection function (SPA's incremental-learning mode). The
     /// example is the user's published advice row — the update is
-    /// bit-identical to `partial_fit(&advice_row(user))`.
+    /// bit-identical to `partial_fit_view(advice_row(user).view())`.
     ///
     /// Errors with [`SpaError::UnknownUser`] when no model exists for
     /// `user`: silently training on the all-zero advice row of a never-

@@ -21,10 +21,7 @@ use crate::epoch::{AtomicIndex, Published};
 use crate::fastmap::FastIdMap;
 use parking_lot::Mutex;
 use spa_linalg::{RowView, SparseVec};
-use spa_store::{ProfileStore, UserProfile};
-use spa_types::{
-    AttributeId, AttributeKind, AttributeSchema, Result, SpaError, Timestamp, UserId, Valence,
-};
+use spa_types::{AttributeId, AttributeKind, AttributeSchema, Result, SpaError, UserId, Valence};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -500,8 +497,9 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Concurrent registry of SUMs for a whole population, persistable via
-/// [`spa_store::ProfileStore`] snapshots.
+/// Concurrent registry of SUMs for a whole population, persisted as the
+/// SUM section of the platform's engine snapshots
+/// ([`SumRegistry::write_state`] / [`SumRegistry::restore_state`]).
 ///
 /// **One resident copy, one read mechanism.** Each of the 32 shards
 /// keeps its users' master models in a map behind a mutex *and* a
@@ -851,73 +849,6 @@ impl SumRegistry {
         }
         Ok(count)
     }
-
-    /// Persists the registry into a [`ProfileStore`] snapshot layout:
-    /// `[values(dim) ++ relevance(dim) ++ eit_counts(10)]`.
-    pub fn to_profile_store(&self) -> ProfileStore {
-        let store = ProfileStore::new(self.dim * 2 + 10);
-        for user in self.user_ids() {
-            let model = self.get(user).expect("listed user exists");
-            let mut values = Vec::with_capacity(self.dim * 2 + 10);
-            // the profile layout keeps separate value/relevance blocks
-            values.extend(model.cells.iter().step_by(2));
-            values.extend(model.cells.iter().skip(1).step_by(2));
-            values.extend(model.eit_answers.iter().map(|&c| c as f64));
-            store
-                .put(
-                    user,
-                    UserProfile {
-                        values,
-                        updates: model.updates,
-                        last_update: Timestamp::from_millis(0),
-                    },
-                )
-                .expect("dimensions line up by construction");
-        }
-        store
-    }
-
-    /// Restores a registry from the layout written by
-    /// [`Self::to_profile_store`].
-    pub fn from_profile_store(
-        store: &ProfileStore,
-        schema: &AttributeSchema,
-        config: SumConfig,
-    ) -> Result<Self> {
-        let dim = schema.len();
-        if store.dim() != dim * 2 + 10 {
-            return Err(SpaError::DimensionMismatch { got: store.dim(), expected: dim * 2 + 10 });
-        }
-        let registry = SumRegistry::new(schema, config);
-        let mut error: Option<SpaError> = None;
-        store.for_each(|user, profile| {
-            if error.is_some() {
-                return;
-            }
-            let mut cells = vec![0.0; 2 * dim];
-            for i in 0..dim {
-                cells[2 * i] = profile.values[i];
-                cells[2 * i + 1] = profile.values[dim + i];
-            }
-            let mut eit_answers = [0u32; 10];
-            for (i, slot) in eit_answers.iter_mut().enumerate() {
-                let c = profile.values[2 * dim + i];
-                if c < 0.0 || c.fract() != 0.0 {
-                    error = Some(SpaError::Corrupt(format!(
-                        "eit counter {c} for {user} is not a whole number"
-                    )));
-                    return;
-                }
-                *slot = c as u32;
-            }
-            let model = SmartUserModel { user, cells, eit_answers, updates: profile.updates };
-            registry.insert_model(model);
-        });
-        match error {
-            Some(e) => Err(e),
-            None => Ok(registry),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1211,31 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_round_trips_through_profile_store() {
-        let s = schema();
-        let reg = SumRegistry::new(&s, SumConfig::default());
-        for id in 0..50u32 {
-            reg.with_model(UserId::new(id), |m, config| {
-                m.set_observed(AttributeId::new(id % 40), id as f64 / 50.0).unwrap();
-                m.apply_eit_answer(
-                    s.emotional_ids()[(id % 10) as usize],
-                    (id % 10) as usize,
-                    Valence::new(0.1),
-                    config,
-                )
-                .unwrap();
-            });
-        }
-        let store = reg.to_profile_store();
-        let restored =
-            SumRegistry::from_profile_store(&store, &schema(), SumConfig::default()).unwrap();
-        assert_eq!(restored.len(), 50);
-        for id in 0..50u32 {
-            assert_eq!(restored.get(UserId::new(id)), reg.get(UserId::new(id)));
-        }
-    }
-
-    #[test]
     fn registry_state_round_trips_bit_exactly() {
         let s = schema();
         let reg = SumRegistry::new(&s, SumConfig::default());
@@ -1270,23 +1176,30 @@ mod tests {
                 assert_eq!(a.relevance(attr).to_bits(), b.relevance(attr).to_bits());
             }
         }
-        // trailing garbage and dimension mismatches are loud
+        // trailing garbage is loud
         let mut trailing = state.clone();
         trailing.push(0);
         assert!(SumRegistry::new(&schema(), SumConfig::default())
             .restore_state(&trailing)
             .is_err());
-        let mut narrow = AttributeSchema::new();
-        for i in 0..10 {
-            narrow.push(format!("a{i}"), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
-        }
-        assert!(SumRegistry::new(&narrow, SumConfig::default()).restore_state(&state).is_err());
     }
 
     #[test]
     fn registry_restore_validates_dimensions() {
-        let store = ProfileStore::new(10);
-        assert!(SumRegistry::from_profile_store(&store, &schema(), SumConfig::default()).is_err());
+        let reg = SumRegistry::new(&schema(), SumConfig::default());
+        reg.with_model(UserId::new(1), |m, _| m.set_observed(AttributeId::new(0), 0.5).unwrap());
+        let mut state = Vec::new();
+        reg.write_state(&mut state);
+        let mut narrow = AttributeSchema::new();
+        for i in 0..10 {
+            narrow.push(format!("a{i}"), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
+        }
+        let restored = SumRegistry::new(&narrow, SumConfig::default());
+        assert!(matches!(
+            restored.restore_state(&state),
+            Err(SpaError::DimensionMismatch { got: 75, expected: 10 })
+        ));
+        assert!(restored.is_empty(), "a refused state restores nothing");
     }
 
     #[test]

@@ -20,6 +20,6 @@ pub mod similarity;
 pub mod sparse;
 pub mod stats;
 
-pub use matrix::{CsrMatrix, DenseMatrix};
+pub use matrix::CsrMatrix;
 pub use row::{RowView, SparseRow};
 pub use sparse::SparseVec;

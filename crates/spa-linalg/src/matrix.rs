@@ -1,69 +1,8 @@
-//! Dense and CSR sparse matrices.
+//! The CSR sparse matrix.
 
 use crate::row::{RowView, SparseRow};
 use crate::sparse::SparseVec;
 use spa_types::{Result, SpaError};
-
-/// Row-major dense matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl DenseMatrix {
-    /// All-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Builds from a flat row-major buffer.
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(SpaError::DimensionMismatch { got: data.len(), expected: rows * cols });
-        }
-        Ok(Self { rows, cols, data })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Immutable row view.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable row view.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Element accessor.
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols + c]
-    }
-
-    /// Element setter.
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Matrix–vector product `A x`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(SpaError::DimensionMismatch { got: x.len(), expected: self.cols });
-        }
-        Ok((0..self.rows).map(|r| crate::dense::dot(self.row(r), x)).collect())
-    }
-}
 
 /// Compressed sparse row matrix: the dataset container for training.
 ///
@@ -189,7 +128,7 @@ impl CsrMatrix {
         (0..self.rows()).map(move |r| (r, self.row(r)))
     }
 
-    /// Column L2 norms (used by scalers and feature selection).
+    /// Column L2 norms.
     pub fn col_norms(&self) -> Vec<f64> {
         let mut acc = vec![0.0; self.cols];
         for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
@@ -213,32 +152,6 @@ mod tests {
             SparseVec::zeros(4),
         ];
         CsrMatrix::from_rows(4, rows.iter()).unwrap()
-    }
-
-    #[test]
-    fn dense_matrix_basics() {
-        let mut m = DenseMatrix::zeros(2, 3);
-        m.set(1, 2, 5.0);
-        assert_eq!(m.get(1, 2), 5.0);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m.row(1), &[0.0, 0.0, 5.0]);
-        m.row_mut(0)[0] = 1.0;
-        assert_eq!(m.get(0, 0), 1.0);
-    }
-
-    #[test]
-    fn dense_from_flat_checks_size() {
-        assert!(DenseMatrix::from_flat(2, 2, vec![1.0; 3]).is_err());
-        let m = DenseMatrix::from_flat(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m.get(1, 0), 3.0);
-    }
-
-    #[test]
-    fn dense_matvec() {
-        let m = DenseMatrix::from_flat(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(m.matvec(&[1.0]).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   filtering ([`knn`]) and popularity ranking;
 //! * evaluation **metrics** including ROC-AUC and the cumulative-gains
 //!   machinery behind the paper's Fig 6(a) redemption curve;
-//! * dataset containers, scalers and cross-validation utilities.
+//! * dataset containers and cross-validation utilities.
 //!
 //! All learners are deterministic given a seed and operate on sparse
 //! rows ([`spa_linalg::CsrMatrix`]) because the user×attribute matrix is
@@ -30,7 +30,6 @@ pub mod knn;
 pub mod logreg;
 pub mod metrics;
 pub mod naive_bayes;
-pub mod scaler;
 pub mod svm;
 
 pub use dataset::Dataset;

@@ -4,25 +4,20 @@
 //! and massive databases to extract, pre-process and deliver distilled
 //! user LifeLogs" (§4), with WebLogs arriving at ≈50 GB/month (§5.1).
 //! This crate provides the embedded storage layer that plays that role
-//! in the reproduction:
+//! in the reproduction — storage formats only:
 //!
 //! * [`log`] — a durable, append-only, segmented **event log** holding
 //!   raw [`spa_types::LifeLogEvent`] records behind a CRC-checked binary
 //!   framing ([`codec`]); replayable from the start, tolerant of a
 //!   truncated tail (crash during append);
-//! * [`profile`] — a sharded, concurrently readable **profile store**
-//!   mapping users to their attribute-value vectors, with snapshot
-//!   save/load;
-//! * [`index`] — a secondary **sensibility index** (attribute → users
-//!   above a threshold) used by the Attributes Manager;
 //! * [`shard_log`] — **per-shard** event-log handles under one root
 //!   directory with a manifest, backing the sharded serving platform;
 //! * [`snapshot`] — versioned, checksummed, atomically written
 //!   **state snapshots** covering a [`log::LogPosition`], so recovery
 //!   loads a checkpoint and replays only the log tail behind it
 //!   (bounded-time recovery) and covered segments can be compacted
-//!   away;
-//! * [`csv`] — plain-text import/export for datasets and reports;
+//!   away. A platform checkpoint is the one on-disk format for a user
+//!   model;
 //! * [`fault`] — a deterministic **storage fault-injection** seam
 //!   ([`StorageIo`]) with a seeded [`FaultPlan`], so chaos harnesses
 //!   can prove the recovery machinery against torn writes, fsync
@@ -32,20 +27,15 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod csv;
 pub mod fault;
-pub mod index;
 pub mod log;
-pub mod profile;
 pub mod shard_log;
 pub mod snapshot;
 
 pub use fault::{FaultCounts, FaultLedger, FaultPlan, FaultPlanConfig, RealIo, StorageIo};
-pub use index::SensibilityIndex;
 pub use log::{
     CompactionStats, EventLog, LogPosition, LogStats, ReplayIter, ReplayOutcome, TornTail,
     WriteFaultCounters,
 };
-pub use profile::{ProfileStore, UserProfile};
 pub use shard_log::ShardedEventLog;
 pub use snapshot::{Snapshot, SnapshotBuilder};

@@ -21,8 +21,6 @@
 //! * [`response`] — the latent campaign-response model: the probability
 //!   a user transacts given the message variant they received, used as
 //!   ground truth by the campaign engine;
-//! * [`physio`] — the wearIT@work future-work substrate (§7):
-//!   physiological signal windows mapped to emotional context;
 //! * [`scenario`] — declarative lifecycle scenarios ("production
 //!   weather"): Zipf-skewed hot users, arriving/departing cohorts,
 //!   valence drift and overlapping campaign flights, expressed as
@@ -36,7 +34,6 @@
 
 pub mod catalog;
 pub mod eit;
-pub mod physio;
 pub mod population;
 pub mod response;
 pub mod scenario;

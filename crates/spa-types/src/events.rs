@@ -3,8 +3,8 @@
 //! §4 of the paper: "The user's LifeLog is a complex set of all the raw
 //! data about the user generated by the interaction with multiple
 //! applications … (socio-demographic data, web usage data, transactional
-//! data, explicit ratings, attribute databases, physiological signals,
-//! etc.)". [`LifeLogEvent`] is the single raw record type ingested by the
+//! data, explicit ratings, attribute databases, … etc.)".
+//! [`LifeLogEvent`] is the single raw record type ingested by the
 //! LifeLogs Pre-processor Agent; everything downstream (user models,
 //! feature vectors, campaign outcomes) is derived from streams of these.
 

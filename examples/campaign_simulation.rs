@@ -15,7 +15,7 @@
 //! pass a larger count if you have the minutes to spare. Results land on
 //! stdout and in `target/fig6a.csv` / `target/fig6b.csv`.
 
-use spa::campaign::report;
+use spa::campaign::{csv, report};
 use spa::prelude::*;
 
 fn main() -> Result<(), SpaError> {
@@ -37,16 +37,17 @@ fn main() -> Result<(), SpaError> {
     // headline claims of §5.4
     println!("{}", report::render_summary(&result));
 
-    // scale the impact counts to the paper's audience for comparison
-    let paper_targets = 1_340_432.0 * 10.0;
+    // scale one campaign's impact count to the paper's per-campaign
+    // audience, the unit its 282,938 is given in
+    let paper_targets_per_campaign = 1_340_432.0;
     println!(
-        "scaled to the paper's audience (10 × 1,340,432 targets): {:.0} useful impacts\n\
-         (the paper reports 282,938 per-campaign-average ≙ 21% of 1,340,432)",
-        result.spa_rate * paper_targets
+        "scaled to the paper's audience (1,340,432 targets per campaign): {:.0} useful impacts \
+         per campaign\n(the paper reports 282,938 per campaign ≙ 21% of 1,340,432)",
+        result.spa_rate * paper_targets_per_campaign
     );
 
-    spa::store::csv::write_csv("target/fig6a.csv", &report::gains_csv(&result.gains))?;
-    spa::store::csv::write_csv("target/fig6b.csv", &report::campaigns_csv(&result))?;
+    csv::write_csv("target/fig6a.csv", &report::gains_csv(&result.gains))?;
+    csv::write_csv("target/fig6b.csv", &report::campaigns_csv(&result))?;
     println!("\nwrote target/fig6a.csv and target/fig6b.csv");
     Ok(())
 }

@@ -15,11 +15,11 @@
 //! | [`types`] | ids, attributes, valences, LifeLog events, Four-Branch model |
 //! | [`linalg`] | dense/sparse vectors, CSR matrices, similarities, stats |
 //! | [`ml`] | linear SVM (Pegasos), logistic regression, naive Bayes, kNN CF, metrics, CV |
-//! | [`store`] | append-only event log, profile store, sensibility index, CSV |
+//! | [`store`] | append-only event log, per-shard log layout, checkpoint snapshots, fault injection |
 //! | [`agents`] | message-passing agent runtimes |
 //! | [`synth`] | synthetic population / WebLogs / EIT answers / response model |
 //! | [`core`] | the SPA platform itself (SUM, EIT, messaging, recommend/select) |
-//! | [`campaign`] | push & newsletter campaign engine + the Fig 6 experiment |
+//! | [`campaign`] | push & newsletter campaign engine + the Fig 6 experiment and its CSV reports |
 //! | [`server`] | TCP serving layer: binary wire protocol over the `SpaApi` facade |
 //!
 //! ## Quickstart
@@ -88,10 +88,7 @@ pub mod prelude {
         BernoulliNb, Classifier, Dataset, LinearSvm, LogisticRegression, OnlineLearner,
     };
     pub use spa_store::log::LogConfig;
-    pub use spa_store::{
-        EventLog, LogPosition, ProfileStore, SensibilityIndex, ShardedEventLog, Snapshot,
-        SnapshotBuilder,
-    };
+    pub use spa_store::{EventLog, LogPosition, ShardedEventLog, Snapshot, SnapshotBuilder};
     pub use spa_synth::{
         ActionCatalog, ActionKind, Course, CourseCatalog, LatentUser, Population, PopulationConfig,
         ResponseConfig, ResponseModel,

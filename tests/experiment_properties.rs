@@ -135,7 +135,7 @@ proptest! {
         };
         let run = || {
             let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
-            runner.run(&spa, &spec, |_, _, _| 0.0, |_, _, _| {}).unwrap()
+            runner.run(&spa, &spec, |_, _, _| 0.0).unwrap()
         };
         let (a, b) = (run(), run());
         prop_assert_eq!(a.responses, b.responses);

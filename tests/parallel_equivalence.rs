@@ -255,7 +255,7 @@ fn run_collect_matches_serial_run() {
     let runner = CampaignRunner::new(&population, &response);
 
     let spa_serial = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
-    let serial = runner.run(&spa_serial, &spec, |_, _, _| 0.5, |_, _, _| {}).unwrap();
+    let serial = runner.run(&spa_serial, &spec, |_, _, _| 0.5).unwrap();
 
     for threads in [1usize, 4] {
         let spa_par = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
