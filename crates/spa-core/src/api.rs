@@ -579,6 +579,37 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_objective_values_are_refused_and_change_nothing() {
+        let api = api();
+        let platform = api.platform();
+        let (imported, fresh) = (UserId::new(4), UserId::new(5));
+        platform.import_objective(imported, &[0.25, 0.5]).unwrap();
+        let (model, stats) = (platform.model(imported), platform.stats());
+        for bad in [f64::NAN, f64::INFINITY] {
+            for user in [imported, fresh] {
+                assert!(matches!(
+                    platform.import_objective(user, &[bad]),
+                    Err(spa_types::SpaError::Invalid(_))
+                ));
+                let event = LifeLogEvent::new(
+                    user,
+                    Timestamp::from_millis(0),
+                    EventKind::ObjectiveImported { values: vec![0.75, bad] },
+                );
+                match api.dispatch(&ApiRequest::Ingest { event }) {
+                    ApiResponse::Error { message } => {
+                        assert!(message.contains("not finite"), "{message}")
+                    }
+                    other => panic!("expected an error response, got {other:?}"),
+                }
+            }
+            assert_eq!(platform.model(imported), model, "the master is untouched");
+            assert_eq!(platform.model(fresh), None, "no model materializes");
+            assert_eq!(platform.stats(), stats);
+        }
+    }
+
+    #[test]
     fn cold_start_reports_no_recovery() {
         let api = api();
         assert_eq!(

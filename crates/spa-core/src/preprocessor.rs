@@ -197,14 +197,22 @@ impl LifeLogPreprocessor {
     }
 
     /// Rejects an objective import wider than the schema's objective
-    /// block — the one width check, run by the platform before it logs
-    /// an import and by [`LifeLogPreprocessor::apply`] on every
-    /// `ObjectiveImported` event (replayed and wire-ingested ones never
-    /// passed through the platform's).
-    pub(crate) fn check_objective_width(got: usize) -> Result<()> {
-        let expected = AttributeSchema::EMAGISTER_OBJECTIVE_WIDTH;
+    /// block, or carrying a non-finite value (which the clamp into
+    /// `[0, 1]` would store as NaN) — the one objective check, run by
+    /// the platform before it logs an import and by
+    /// [`LifeLogPreprocessor::apply`] on every `ObjectiveImported` event
+    /// (replayed and wire-ingested ones never passed through the
+    /// platform's).
+    pub(crate) fn check_objective(values: &[f64]) -> Result<()> {
+        let (got, expected) = (values.len(), AttributeSchema::EMAGISTER_OBJECTIVE_WIDTH);
         if got > expected {
             return Err(spa_types::SpaError::DimensionMismatch { got, expected });
+        }
+        if let Some(i) = values.iter().position(|v| !v.is_finite()) {
+            return Err(spa_types::SpaError::Invalid(format!(
+                "objective value {} at attribute {i} is not finite",
+                values[i]
+            )));
         }
         Ok(())
     }
@@ -363,13 +371,9 @@ impl LifeLogPreprocessor {
                 Ok(())
             }
             EventKind::ObjectiveImported { values } => {
-                Self::check_objective_width(values.len())?;
+                Self::check_objective(values)?;
                 stats.objective_imports += 1;
-                let model = slot.get_or_create();
-                for (i, &v) in values.iter().enumerate() {
-                    model.set_observed(AttributeId::new(i as u32), v)?;
-                }
-                Ok(())
+                slot.get_or_create().import_objective(values)
             }
             EventKind::CampaignIgnored { campaign } => {
                 stats.punishments += 1;

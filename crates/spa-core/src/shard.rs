@@ -84,7 +84,9 @@ pub fn shard_index(user: UserId, shards: usize) -> usize {
     for b in user.raw().to_le_bytes() {
         h = (h ^ b as u32).wrapping_mul(0x0100_0193);
     }
-    h as usize % shards
+    // shard ids are u32, so a 32-bit remainder gives the same answer as
+    // a 64-bit one at a fraction of the divide latency
+    (h % shards as u32) as usize
 }
 
 /// The one fan-out used by every multi-part operation: applies `f` to
@@ -364,8 +366,9 @@ pub struct ShardedSpa {
     io: Arc<dyn StorageIo>,
     /// Routing scratch reused across [`ShardedSpa::ingest_batch`] calls.
     routing: Mutex<RoutingScratch>,
-    /// Per-shard write-pause latches — **writer-only** machinery. Every
-    /// state-mutating entry point takes its shard's latch **shared**;
+    /// Per-shard write-pause latches — **writer-only** machinery. On a
+    /// durable platform every ingest takes its shard's latch **shared**
+    /// (a log-less one cannot checkpoint and skips it);
     /// [`ShardedSpa::checkpoint`] takes it **exclusive** while
     /// serializing that shard, so the recorded log position and the
     /// serialized state agree — and other shards keep ingesting
@@ -922,10 +925,11 @@ impl ShardedSpa {
     /// both under the shard's write-pause latch, so a concurrent
     /// [`ShardedSpa::checkpoint`] never snapshots between the append
     /// and the apply (which would record a position covering an event
-    /// the state does not reflect).
+    /// the state does not reflect). A platform without a log cannot
+    /// checkpoint, so it skips the latch.
     pub fn ingest(&self, event: &LifeLogEvent) -> Result<()> {
         let shard = self.shard_of(event.user);
-        let _pause = self.pauses[shard.index()].read();
+        let _pause = self.log.as_ref().map(|_| self.pauses[shard.index()].read());
         if let Some(log) = &self.log {
             log.append(shard, event)?;
         }
@@ -1002,10 +1006,11 @@ impl ShardedSpa {
             if batch.is_empty() {
                 return Ok(0);
             }
-            // the shard's pause latch (shared) covers log + apply, so a
-            // checkpoint never snapshots between them; only this one
-            // shard pauses, never the platform
-            let _pause = self.pauses[index].read();
+            // on a durable platform the shard's pause latch (shared)
+            // covers log + apply, so a checkpoint never snapshots
+            // between them; only this one shard pauses, never the
+            // platform
+            let _pause = self.log.as_ref().map(|_| self.pauses[index].read());
             if let Some(log) = &self.log {
                 // frames are in arrival order — the byte stream is
                 // pinned; only the in-memory apply below is grouped
@@ -1059,9 +1064,10 @@ impl ShardedSpa {
     /// ingest path: write-ahead logged on durable platforms and
     /// replayed on recovery like any LifeLog event. (It mutates SUM
     /// state; an unlogged import would silently vanish on crash.)
-    /// Over-wide imports are rejected before anything is logged.
+    /// Over-wide imports and non-finite values are rejected before
+    /// anything is logged.
     pub fn import_objective(&self, user: UserId, values: &[f64]) -> Result<()> {
-        LifeLogPreprocessor::check_objective_width(values.len())?;
+        LifeLogPreprocessor::check_objective(values)?;
         self.ingest(&LifeLogEvent::new(
             user,
             Timestamp::from_millis(0),
@@ -1351,6 +1357,17 @@ mod tests {
         // change: shard_index(u0, 16) is pinned forever.
         assert_eq!(shard_index(UserId::new(0), 16), 5);
         assert_eq!(shard_index(UserId::new(1), 16), 4);
+        // the 32-bit remainder keeps every user on the shard a
+        // pointer-width remainder of the same hash picks
+        for raw in (0..u32::MAX).step_by(65_537).chain(0..4096) {
+            let h = raw
+                .to_le_bytes()
+                .iter()
+                .fold(0x811c_9dc5u32, |h, &b| (h ^ b as u32).wrapping_mul(0x0100_0193));
+            for shards in [2usize, 3, 7, 16, 1000] {
+                assert_eq!(shard_index(UserId::new(raw), shards), h as usize % shards);
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!    implement the reward-and-punish mechanism of Fig 4: opening a
 //!    recommendation reinforces the attributes its message appealed to;
 //!    ignoring it weakens them.
+//!
+//! A model holds only the attributes a user has revealed until they
+//! make up half the schema, and one pair per attribute after that (see
+//! [`SmartUserModel`]). That layout is private to this module: every
+//! other reader goes through [`SmartUserModel::value`],
+//! [`SmartUserModel::relevance`], the row builders or
+//! [`SumRegistry::write_state`], none of which depends on it.
 
 use crate::epoch::{AtomicIndex, Published};
 use crate::fastmap::FastIdMap;
@@ -99,45 +106,167 @@ impl Default for SumConfig {
     }
 }
 
+/// Attributes the sparse form's `live` bitmap can address; a wider
+/// schema starts dense.
+const LIVE_BITS: usize = 128;
+
 /// One user's Smart User Model.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Each attribute carries an `[estimate, relevance]` pair: the estimate
+/// in `[0, 1]`, the relevance (confidence × importance) that says how
+/// much of it the platform has seen. An attribute no update rule has
+/// touched is *absent* and reads as `[0, 0]`. Most users reveal a few
+/// attributes out of 75 (§5.2), so the pairs are stored by density:
+///
+/// * **sparse** — a bitmap of the stored attributes (`live`) and their
+///   pairs in ascending attribute order, which is what a user with a
+///   handful of EIT answers holds;
+/// * **dense** — one pair per schema attribute, indexed directly, which
+///   is what a user with an objective import holds (§5.1 fills 40 of
+///   75 attributes at once).
+///
+/// A model switches from sparse to dense, one way, when its stored
+/// count reaches half the schema width; a schema wider than the bitmap
+/// starts dense. The layout changes no value: every update rule does
+/// the same arithmetic on the same pair in either form, and equality
+/// compares content, not layout.
+#[derive(Debug, Clone)]
 pub struct SmartUserModel {
     /// Owner.
     pub user: UserId,
-    /// Per-attribute `[estimate, relevance]` pairs, interleaved:
-    /// `cells[2i]` is attribute `i`'s estimate in `[0, 1]`,
-    /// `cells[2i + 1]` its relevance (confidence × importance). Every
-    /// update rule touches both halves of one pair, so interleaving
-    /// keeps each update on a single cache line — and a model is one
-    /// allocation, which is what makes first-touch ingest cheap at
-    /// population scale. External codecs still speak in separate
-    /// value/relevance streams; only this in-memory layout changed.
-    cells: Vec<f64>,
+    /// Attribute dimensionality of the schema.
+    dim: u32,
     /// Per-emotional-attribute count of EIT answers incorporated.
     eit_answers: [u32; 10],
     /// Total update events applied.
     updates: u64,
+    /// Sparse form: bit `i` set ⇔ attribute `i` has a pair in `cells`.
+    /// Unused (zero) in the dense form.
+    live: [u64; 2],
+    /// `[estimate, relevance]` pairs: one per stored attribute in
+    /// ascending order (sparse), or one per schema attribute (dense —
+    /// exactly when `cells.len() == dim`).
+    cells: Vec<[f64; 2]>,
+}
+
+impl PartialEq for SmartUserModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.user == other.user
+            && self.dim == other.dim
+            && self.eit_answers == other.eit_answers
+            && self.updates == other.updates
+            && (0..self.dim()).all(|i| self.pair(i) == other.pair(i))
+    }
 }
 
 impl SmartUserModel {
     /// Fresh, empty model for a 75-attribute schema (or any `dim`).
     pub fn new(user: UserId, dim: usize) -> Self {
-        Self { user, cells: vec![0.0; 2 * dim], eit_answers: [0; 10], updates: 0 }
+        let cells = if dim > LIVE_BITS { vec![[0.0; 2]; dim] } else { Vec::new() };
+        Self { user, dim: dim as u32, eit_answers: [0; 10], updates: 0, live: [0; 2], cells }
     }
 
     /// Attribute dimensionality.
     pub fn dim(&self) -> usize {
-        self.cells.len() / 2
+        self.dim as usize
     }
 
     /// Current estimate for an attribute.
     pub fn value(&self, attr: AttributeId) -> f64 {
-        self.cells.get(2 * attr.index()).copied().unwrap_or(0.0)
+        self.pair(attr.index())[0]
     }
 
     /// Current relevance weight for an attribute.
     pub fn relevance(&self, attr: AttributeId) -> f64 {
-        self.cells.get(2 * attr.index() + 1).copied().unwrap_or(0.0)
+        self.pair(attr.index())[1]
+    }
+
+    #[inline]
+    fn is_dense(&self) -> bool {
+        self.cells.len() == self.dim()
+    }
+
+    /// Where attribute `index`'s pair sits in `cells`, if stored.
+    #[inline]
+    fn position(&self, index: usize) -> Option<usize> {
+        if self.is_dense() {
+            return (index < self.cells.len()).then_some(index);
+        }
+        let (word, bit) = (index / 64, 1u64 << (index % 64));
+        (word < 2 && self.live[word] & bit != 0).then(|| self.rank(word, bit))
+    }
+
+    /// Sparse form: how many stored attributes precede `bit` of `word`.
+    #[inline]
+    fn rank(&self, word: usize, bit: u64) -> usize {
+        let below = if word == 1 { self.live[0].count_ones() } else { 0 };
+        (below + (self.live[word] & (bit - 1)).count_ones()) as usize
+    }
+
+    /// Attribute `index`'s pair, `[0, 0]` when absent.
+    #[inline]
+    fn pair(&self, index: usize) -> [f64; 2] {
+        self.position(index).map_or([0.0; 2], |at| self.cells[at])
+    }
+
+    /// Attribute `index`'s pair (`index < dim`), stored as `[0, 0]`
+    /// first when absent — switching to the dense form when that
+    /// brings the stored count to half the schema.
+    #[inline]
+    fn pair_mut(&mut self, index: usize) -> &mut [f64; 2] {
+        if self.is_dense() {
+            return &mut self.cells[index];
+        }
+        let (word, bit) = (index / 64, 1u64 << (index % 64));
+        let at = self.rank(word, bit);
+        if self.live[word] & bit == 0 {
+            if 2 * (self.cells.len() + 1) >= self.dim() {
+                self.densify();
+                return &mut self.cells[index];
+            }
+            self.live[word] |= bit;
+            self.cells.insert(at, [0.0; 2]);
+        }
+        &mut self.cells[at]
+    }
+
+    /// Rewrites a sparse model into the dense form.
+    fn densify(&mut self) {
+        let mut dense = vec![[0.0; 2]; self.dim()];
+        for (index, pair) in self.stored() {
+            dense[index] = pair;
+        }
+        self.cells = dense;
+        self.live = [0; 2];
+    }
+
+    /// Makes room for `count` more stored attributes: straight to the
+    /// dense form when they alone reach half the schema, rather than
+    /// growing the sparse form only to copy it out.
+    fn reserve_stored(&mut self, count: usize) {
+        if !self.is_dense() {
+            if 2 * count >= self.dim() {
+                self.densify();
+            } else {
+                self.cells.reserve(count);
+            }
+        }
+    }
+
+    /// Every stored `(attribute, [estimate, relevance])` pair in
+    /// ascending attribute order — all `dim` of them, absent ones
+    /// included, in the dense form.
+    fn stored(&self) -> impl Iterator<Item = (usize, [f64; 2])> + Clone + '_ {
+        let (dense, mut live) = (self.is_dense(), self.live);
+        self.cells.iter().enumerate().map(move |(at, &pair)| {
+            if dense {
+                return (at, pair);
+            }
+            let word = usize::from(live[0] == 0);
+            let index = word * 64 + live[word].trailing_zeros() as usize;
+            live[word] &= live[word] - 1;
+            (index, pair)
+        })
     }
 
     /// Number of updates applied so far.
@@ -164,10 +293,18 @@ impl SmartUserModel {
     /// relevance, exact value.
     pub fn set_observed(&mut self, attr: AttributeId, value: f64) -> Result<()> {
         self.check(attr)?;
-        let i = 2 * attr.index();
-        self.cells[i] = value.clamp(0.0, 1.0);
-        self.cells[i + 1] = 1.0;
+        *self.pair_mut(attr.index()) = [value.clamp(0.0, 1.0), 1.0];
         self.updates += 1;
+        Ok(())
+    }
+
+    /// Imports an objective block: `values[i]` is observed for attribute
+    /// `i` ([`SmartUserModel::set_observed`], in order).
+    pub(crate) fn import_objective(&mut self, values: &[f64]) -> Result<()> {
+        self.reserve_stored(values.len());
+        for (i, &v) in values.iter().enumerate() {
+            self.set_observed(AttributeId::new(i as u32), v)?;
+        }
         Ok(())
     }
 
@@ -180,14 +317,14 @@ impl SmartUserModel {
         config: &SumConfig,
     ) -> Result<()> {
         self.check(attr)?;
-        let i = 2 * attr.index();
         let blend = 0.3;
-        self.cells[i] = if self.cells[i + 1] == 0.0 {
+        let pair = self.pair_mut(attr.index());
+        pair[0] = if pair[1] == 0.0 {
             value.clamp(0.0, 1.0)
         } else {
-            (1.0 - blend) * self.cells[i] + blend * value.clamp(0.0, 1.0)
+            (1.0 - blend) * pair[0] + blend * value.clamp(0.0, 1.0)
         };
-        self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain).min(1.0);
+        pair[1] = (pair[1] + config.relevance_gain).min(1.0);
         self.updates += 1;
         Ok(())
     }
@@ -211,13 +348,14 @@ impl SmartUserModel {
             return Err(SpaError::Invalid(format!("emotional ordinal {emo_ordinal} out of range")));
         }
         let sensed = (answer.value() + 1.0) / 2.0;
-        let i = 2 * attr.index();
-        self.cells[i] = if self.eit_answers[emo_ordinal] == 0 {
+        let first = self.eit_answers[emo_ordinal] == 0;
+        let pair = self.pair_mut(attr.index());
+        pair[0] = if first {
             sensed
         } else {
-            (1.0 - config.eit_blend) * self.cells[i] + config.eit_blend * sensed
+            (1.0 - config.eit_blend) * pair[0] + config.eit_blend * sensed
         };
-        self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain).min(1.0);
+        pair[1] = (pair[1] + config.relevance_gain).min(1.0);
         self.eit_answers[emo_ordinal] += 1;
         self.updates += 1;
         Ok(())
@@ -228,21 +366,24 @@ impl SmartUserModel {
     pub fn reward(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
         for &attr in attrs {
             self.check(attr)?;
-            let i = 2 * attr.index();
-            self.cells[i] += (1.0 - self.cells[i]) * config.reward_rate;
-            self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain / 2.0).min(1.0);
+            let pair = self.pair_mut(attr.index());
+            pair[0] += (1.0 - pair[0]) * config.reward_rate;
+            pair[1] = (pair[1] + config.relevance_gain / 2.0).min(1.0);
         }
         self.updates += 1;
         Ok(())
     }
 
     /// **Update stage, punish** — the user ignored a message appealing
-    /// to `attrs`: weaken those attributes.
+    /// to `attrs`: weaken those attributes. An absent attribute stays
+    /// absent (its estimate is 0, and `0 − 0 · rate` is 0).
     pub fn punish(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
         for &attr in attrs {
             self.check(attr)?;
-            let i = 2 * attr.index();
-            self.cells[i] -= self.cells[i] * config.punish_rate;
+            if let Some(at) = self.position(attr.index()) {
+                let value = &mut self.cells[at][0];
+                *value -= *value * config.punish_rate;
+            }
         }
         self.updates += 1;
         Ok(())
@@ -254,9 +395,7 @@ impl SmartUserModel {
     /// zero still registers as present.
     pub fn feature_row(&self) -> SparseVec {
         let pairs = self
-            .cells
-            .chunks_exact(2)
-            .enumerate()
+            .stored()
             .filter(|&(_, pair)| pair[1] > 0.0)
             .map(|(i, pair)| (i as u32, pair[0].max(1e-9)));
         SparseVec::from_pairs(self.dim(), pairs).expect("indices are in range")
@@ -271,18 +410,16 @@ impl SmartUserModel {
         if schema.len() != self.dim() {
             return Err(SpaError::DimensionMismatch { got: schema.len(), expected: self.dim() });
         }
-        let pairs = self.cells.chunks_exact(2).enumerate().filter(|&(_, pair)| pair[1] > 0.0).map(
-            |(i, pair)| {
-                let (v, r) = (pair[0], pair[1]);
-                let def = schema.get(AttributeId::new(i as u32)).expect("len checked");
-                let factor = if def.kind == AttributeKind::Emotional {
-                    (1.0 + def.valence.value() * r).max(0.0)
-                } else {
-                    1.0
-                };
-                (i as u32, (v * factor).max(1e-9))
-            },
-        );
+        let pairs = self.stored().filter(|&(_, pair)| pair[1] > 0.0).map(|(i, pair)| {
+            let (v, r) = (pair[0], pair[1]);
+            let def = schema.get(AttributeId::new(i as u32)).expect("len checked");
+            let factor = if def.kind == AttributeKind::Emotional {
+                (1.0 + def.valence.value() * r).max(0.0)
+            } else {
+                1.0
+            };
+            (i as u32, (v * factor).max(1e-9))
+        });
         SparseVec::from_pairs(self.dim(), pairs)
     }
 
@@ -307,12 +444,22 @@ impl SmartUserModel {
         assert_eq!(indices.len(), self.dim(), "index buffer has the wrong dimension");
         assert_eq!(values.len(), self.dim(), "value buffer has the wrong dimension");
         let mut n = 0usize;
-        for (i, pair) in self.cells.chunks_exact(2).enumerate() {
-            let (v, r) = (pair[0], pair[1]);
+        let mut emit = |i: usize, [v, r]: [f64; 2]| {
             if r > 0.0 {
                 indices[n] = i as u32;
                 values[n] = (v * factors.factor(i, r)).max(1e-9);
                 n += 1;
+            }
+        };
+        // the dense form scans its pairs by position, without decoding
+        // the bitmap
+        if self.is_dense() {
+            for (i, &pair) in self.cells.iter().enumerate() {
+                emit(i, pair);
+            }
+        } else {
+            for (i, pair) in self.stored() {
+                emit(i, pair);
             }
         }
         n
@@ -340,6 +487,58 @@ impl SmartUserModel {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });
         out
+    }
+
+    /// Appends this model's record of [`SumRegistry::write_state`]:
+    /// every attribute whose estimate or relevance is a non-zero bit
+    /// pattern, ascending — the same bytes from either form.
+    fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.user.raw().to_le_bytes());
+        out.extend_from_slice(&self.updates.to_le_bytes());
+        for c in &self.eit_answers {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        let live =
+            self.stored().filter(|&(_, pair)| pair[0].to_bits() != 0 || pair[1].to_bits() != 0);
+        let nnz = live.clone().count() as u32;
+        out.extend_from_slice(&nnz.to_le_bytes());
+        for (i, pair) in live {
+            out.extend_from_slice(&(i as u32).to_le_bytes());
+            out.extend_from_slice(&pair[0].to_bits().to_le_bytes());
+            out.extend_from_slice(&pair[1].to_bits().to_le_bytes());
+        }
+    }
+
+    /// Decodes one record written by [`SmartUserModel::write_to`] for a
+    /// `dim`-attribute schema, advancing `cursor` past it.
+    fn read_from(cursor: &mut &[u8], dim: usize) -> Result<Self> {
+        use spa_store::snapshot::take;
+        let user = UserId::new(u32::from_le_bytes(take(cursor, 4, "user")?.try_into().expect("4")));
+        let mut model = Self::new(user, dim);
+        model.updates = u64::from_le_bytes(take(cursor, 8, "updates")?.try_into().expect("8"));
+        let eit = take(cursor, 40, "eit counters")?;
+        for (i, slot) in model.eit_answers.iter_mut().enumerate() {
+            *slot = u32::from_le_bytes(eit[i * 4..i * 4 + 4].try_into().expect("4"));
+        }
+        let nnz = u32::from_le_bytes(take(cursor, 4, "nnz")?.try_into().expect("4")) as usize;
+        if nnz > dim {
+            return Err(SpaError::Corrupt(format!("model for {user}: nnz {nnz} > dim {dim}")));
+        }
+        model.reserve_stored(nnz);
+        for _ in 0..nnz {
+            let entry = take(cursor, 20, "model entry")?;
+            let index = u32::from_le_bytes(entry[0..4].try_into().expect("4")) as usize;
+            if index >= dim {
+                return Err(SpaError::Corrupt(format!(
+                    "model for {user}: attribute index {index} out of range"
+                )));
+            }
+            *model.pair_mut(index) = [
+                f64::from_bits(u64::from_le_bytes(entry[4..12].try_into().expect("8"))),
+                f64::from_bits(u64::from_le_bytes(entry[12..20].try_into().expect("8"))),
+            ];
+        }
+        Ok(model)
     }
 }
 
@@ -772,26 +971,7 @@ impl SumRegistry {
         out.extend_from_slice(&(self.dim as u32).to_le_bytes());
         out.extend_from_slice(&(users.len() as u64).to_le_bytes());
         for user in users {
-            self.with_model_read(user, |model| {
-                let model = model.expect("listed user exists");
-                out.extend_from_slice(&user.raw().to_le_bytes());
-                out.extend_from_slice(&model.updates.to_le_bytes());
-                for c in &model.eit_answers {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-                let live = model
-                    .cells
-                    .chunks_exact(2)
-                    .enumerate()
-                    .filter(|&(_, pair)| pair[0].to_bits() != 0 || pair[1].to_bits() != 0);
-                let nnz = live.clone().count() as u32;
-                out.extend_from_slice(&nnz.to_le_bytes());
-                for (i, pair) in live {
-                    out.extend_from_slice(&(i as u32).to_le_bytes());
-                    out.extend_from_slice(&pair[0].to_bits().to_le_bytes());
-                    out.extend_from_slice(&pair[1].to_bits().to_le_bytes());
-                }
-            });
+            self.with_model_read(user, |model| model.expect("listed user exists").write_to(out));
         }
     }
 
@@ -810,36 +990,7 @@ impl SumRegistry {
         }
         let count = u64::from_le_bytes(take(&mut cursor, 8, "model count")?.try_into().expect("8"));
         for _ in 0..count {
-            let user = UserId::new(u32::from_le_bytes(
-                take(&mut cursor, 4, "user")?.try_into().expect("4"),
-            ));
-            let updates =
-                u64::from_le_bytes(take(&mut cursor, 8, "updates")?.try_into().expect("8"));
-            let mut eit_answers = [0u32; 10];
-            let eit = take(&mut cursor, 40, "eit counters")?;
-            for (i, slot) in eit_answers.iter_mut().enumerate() {
-                *slot = u32::from_le_bytes(eit[i * 4..i * 4 + 4].try_into().expect("4"));
-            }
-            let nnz =
-                u32::from_le_bytes(take(&mut cursor, 4, "nnz")?.try_into().expect("4")) as usize;
-            if nnz > dim {
-                return Err(SpaError::Corrupt(format!("model for {user}: nnz {nnz} > dim {dim}")));
-            }
-            let mut cells = vec![0.0; 2 * dim];
-            for _ in 0..nnz {
-                let entry = take(&mut cursor, 20, "model entry")?;
-                let index = u32::from_le_bytes(entry[0..4].try_into().expect("4")) as usize;
-                if index >= dim {
-                    return Err(SpaError::Corrupt(format!(
-                        "model for {user}: attribute index {index} out of range"
-                    )));
-                }
-                cells[2 * index] =
-                    f64::from_bits(u64::from_le_bytes(entry[4..12].try_into().expect("8")));
-                cells[2 * index + 1] =
-                    f64::from_bits(u64::from_le_bytes(entry[12..20].try_into().expect("8")));
-            }
-            self.insert_model(SmartUserModel { user, cells, eit_answers, updates });
+            self.insert_model(SmartUserModel::read_from(&mut cursor, dim)?);
         }
         if !cursor.is_empty() {
             return Err(SpaError::Corrupt(format!(
@@ -1088,7 +1239,7 @@ mod tests {
         // same user, same `updates`, different contents — what a
         // restore into a warm registry hands over
         let mut swapped = original.clone();
-        swapped.cells[0] = 0.9;
+        swapped.pair_mut(0)[0] = 0.9;
         assert_eq!(swapped.updates(), original.updates());
         reg.insert_model(swapped.clone());
         assert_published_row_matches(&reg, swapped.user, &swapped);
@@ -1231,5 +1382,366 @@ mod tests {
         for (ordinal, id) in s.emotional_ids().into_iter().enumerate() {
             assert_eq!(s.get(id).unwrap().name, EMOTIONAL_ATTRIBUTES[ordinal].name());
         }
+    }
+
+    /// The dense master every model was before its layout followed its
+    /// content: one interleaved `[estimate, relevance]` pair per schema
+    /// attribute, under the same update rules. The differential test
+    /// holds [`SmartUserModel`] to it.
+    #[derive(Debug, Clone)]
+    struct DenseOracle {
+        user: UserId,
+        cells: Vec<f64>,
+        eit_answers: [u32; 10],
+        updates: u64,
+    }
+
+    impl DenseOracle {
+        fn new(user: UserId, dim: usize) -> Self {
+            Self { user, cells: vec![0.0; 2 * dim], eit_answers: [0; 10], updates: 0 }
+        }
+
+        fn dim(&self) -> usize {
+            self.cells.len() / 2
+        }
+
+        fn value(&self, attr: AttributeId) -> f64 {
+            self.cells.get(2 * attr.index()).copied().unwrap_or(0.0)
+        }
+
+        fn relevance(&self, attr: AttributeId) -> f64 {
+            self.cells.get(2 * attr.index() + 1).copied().unwrap_or(0.0)
+        }
+
+        fn check(&self, attr: AttributeId) -> Result<()> {
+            if attr.index() >= self.dim() {
+                return Err(SpaError::DimensionMismatch {
+                    got: attr.index() + 1,
+                    expected: self.dim(),
+                });
+            }
+            Ok(())
+        }
+
+        fn set_observed(&mut self, attr: AttributeId, value: f64) -> Result<()> {
+            self.check(attr)?;
+            let i = 2 * attr.index();
+            self.cells[i] = value.clamp(0.0, 1.0);
+            self.cells[i + 1] = 1.0;
+            self.updates += 1;
+            Ok(())
+        }
+
+        fn import_objective(&mut self, values: &[f64]) -> Result<()> {
+            for (i, &v) in values.iter().enumerate() {
+                self.set_observed(AttributeId::new(i as u32), v)?;
+            }
+            Ok(())
+        }
+
+        fn observe_subjective(
+            &mut self,
+            attr: AttributeId,
+            value: f64,
+            config: &SumConfig,
+        ) -> Result<()> {
+            self.check(attr)?;
+            let i = 2 * attr.index();
+            let blend = 0.3;
+            self.cells[i] = if self.cells[i + 1] == 0.0 {
+                value.clamp(0.0, 1.0)
+            } else {
+                (1.0 - blend) * self.cells[i] + blend * value.clamp(0.0, 1.0)
+            };
+            self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain).min(1.0);
+            self.updates += 1;
+            Ok(())
+        }
+
+        fn apply_eit_answer(
+            &mut self,
+            attr: AttributeId,
+            emo_ordinal: usize,
+            answer: Valence,
+            config: &SumConfig,
+        ) -> Result<()> {
+            self.check(attr)?;
+            if emo_ordinal >= 10 {
+                return Err(SpaError::Invalid(format!(
+                    "emotional ordinal {emo_ordinal} out of range"
+                )));
+            }
+            let sensed = (answer.value() + 1.0) / 2.0;
+            let i = 2 * attr.index();
+            self.cells[i] = if self.eit_answers[emo_ordinal] == 0 {
+                sensed
+            } else {
+                (1.0 - config.eit_blend) * self.cells[i] + config.eit_blend * sensed
+            };
+            self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain).min(1.0);
+            self.eit_answers[emo_ordinal] += 1;
+            self.updates += 1;
+            Ok(())
+        }
+
+        fn reward(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
+            for &attr in attrs {
+                self.check(attr)?;
+                let i = 2 * attr.index();
+                self.cells[i] += (1.0 - self.cells[i]) * config.reward_rate;
+                self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain / 2.0).min(1.0);
+            }
+            self.updates += 1;
+            Ok(())
+        }
+
+        fn punish(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
+            for &attr in attrs {
+                self.check(attr)?;
+                let i = 2 * attr.index();
+                self.cells[i] -= self.cells[i] * config.punish_rate;
+            }
+            self.updates += 1;
+            Ok(())
+        }
+
+        fn feature_row(&self) -> SparseVec {
+            let pairs = self
+                .cells
+                .chunks_exact(2)
+                .enumerate()
+                .filter(|&(_, pair)| pair[1] > 0.0)
+                .map(|(i, pair)| (i as u32, pair[0].max(1e-9)));
+            SparseVec::from_pairs(self.dim(), pairs).unwrap()
+        }
+
+        fn advice_row(&self, schema: &AttributeSchema) -> SparseVec {
+            let pairs = self.cells.chunks_exact(2).enumerate().filter(|&(_, p)| p[1] > 0.0).map(
+                |(i, pair)| {
+                    let (v, r) = (pair[0], pair[1]);
+                    let def = schema.get(AttributeId::new(i as u32)).unwrap();
+                    let factor = if def.kind == AttributeKind::Emotional {
+                        (1.0 + def.valence.value() * r).max(0.0)
+                    } else {
+                        1.0
+                    };
+                    (i as u32, (v * factor).max(1e-9))
+                },
+            );
+            SparseVec::from_pairs(self.dim(), pairs).unwrap()
+        }
+
+        fn advice_compact(&self, factors: &AdviceFactors) -> (Vec<u32>, Vec<u64>) {
+            let (mut indices, mut values) = (Vec::new(), Vec::new());
+            for (i, pair) in self.cells.chunks_exact(2).enumerate() {
+                if pair[1] > 0.0 {
+                    indices.push(i as u32);
+                    values.push((pair[0] * factors.factor(i, pair[1])).max(1e-9).to_bits());
+                }
+            }
+            (indices, values)
+        }
+
+        fn write_to(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.user.raw().to_le_bytes());
+            out.extend_from_slice(&self.updates.to_le_bytes());
+            for c in &self.eit_answers {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+            let live = self
+                .cells
+                .chunks_exact(2)
+                .enumerate()
+                .filter(|&(_, pair)| pair[0].to_bits() != 0 || pair[1].to_bits() != 0);
+            out.extend_from_slice(&(live.clone().count() as u32).to_le_bytes());
+            for (i, pair) in live {
+                out.extend_from_slice(&(i as u32).to_le_bytes());
+                out.extend_from_slice(&pair[0].to_bits().to_le_bytes());
+                out.extend_from_slice(&pair[1].to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    /// A `dim`-attribute schema: the emagister one at 75, otherwise
+    /// every third attribute emotional with a valence of alternating
+    /// sign, so advice factors both activate and inhibit.
+    fn schema_of(dim: usize) -> AttributeSchema {
+        if dim == 75 {
+            return schema();
+        }
+        let mut s = AttributeSchema::new();
+        for i in 0..dim {
+            let (kind, valence) = match i % 3 {
+                0 => (AttributeKind::Emotional, Valence::new(if i % 2 == 0 { 0.8 } else { -0.6 })),
+                1 => (AttributeKind::Objective, Valence::NEUTRAL),
+                _ => (AttributeKind::Subjective, Valence::NEUTRAL),
+            };
+            s.push(format!("a{i}"), kind, valence).unwrap();
+        }
+        s
+    }
+
+    fn bits(row: &SparseVec) -> (Vec<u32>, Vec<u64>) {
+        (row.indices().to_vec(), row.values().iter().map(|v| v.to_bits()).collect())
+    }
+
+    fn record(model: &SmartUserModel) -> Vec<u8> {
+        let mut out = Vec::new();
+        model.write_to(&mut out);
+        out
+    }
+
+    /// Every reader of `model` against the oracle, bit for bit, and the
+    /// model's record restored back to a model `==` to it.
+    fn assert_matches_oracle(model: &SmartUserModel, oracle: &DenseOracle, s: &AttributeSchema) {
+        let dim = oracle.dim();
+        assert_eq!(model.dim(), dim);
+        assert_eq!(model.updates(), oracle.updates);
+        assert_eq!(model.eit_answer_counts(), &oracle.eit_answers);
+        for i in 0..dim as u32 + 2 {
+            let attr = AttributeId::new(i);
+            assert_eq!(model.value(attr).to_bits(), oracle.value(attr).to_bits(), "value {i}");
+            assert_eq!(model.relevance(attr).to_bits(), oracle.relevance(attr).to_bits());
+        }
+        assert_eq!(bits(&model.feature_row()), bits(&oracle.feature_row()));
+        assert_eq!(bits(&model.advice_row(s).unwrap()), bits(&oracle.advice_row(s)));
+        let factors = AdviceFactors::new(s);
+        let (mut indices, mut values) = (vec![u32::MAX; dim], vec![f64::NAN; dim]);
+        let n = model.advice_compact_into(&factors, &mut indices, &mut values);
+        let compact = (indices[..n].to_vec(), values[..n].iter().map(|v| v.to_bits()).collect());
+        assert_eq!(compact, oracle.advice_compact(&factors));
+        let bytes = record(model);
+        let mut expected = Vec::new();
+        oracle.write_to(&mut expected);
+        assert_eq!(bytes, expected, "write_state bytes");
+        let mut cursor = &bytes[..];
+        let restored = SmartUserModel::read_from(&mut cursor, dim).unwrap();
+        assert!(cursor.is_empty());
+        assert_eq!(&restored, model, "a restored model equals the live one");
+        assert_eq!(record(&restored), bytes);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary update sequences at dims 10 and 75 — long enough to
+        /// cross the sparse → dense switch at both — leave the model
+        /// bit-identical to the dense oracle after every step, errors
+        /// included.
+        #[test]
+        fn model_matches_the_dense_oracle_across_the_switch(
+            ops in proptest::collection::vec(
+                (0u8..6, 0u32..1_000, -0.5f64..1.5, 0usize..11, 0usize..45),
+                0..160,
+            ),
+            gainless in proptest::bool::ANY,
+        ) {
+            // a zero relevance gain lets an update store an all-zero
+            // pair, which the record must still leave out
+            let config = SumConfig {
+                relevance_gain: if gainless { 0.0 } else { 0.2 },
+                ..SumConfig::default()
+            };
+            for dim in [10usize, 75] {
+                let s = schema_of(dim);
+                let mut model = SmartUserModel::new(UserId::new(9), dim);
+                let mut oracle = DenseOracle::new(UserId::new(9), dim);
+                for &(op, raw, value, ordinal, count) in &ops {
+                    // one attribute in dim + 1 is out of range
+                    let attr = AttributeId::new(raw % (dim as u32 + 1));
+                    let appeal = [attr, AttributeId::new(raw / 7 % dim as u32)];
+                    let objective: Vec<f64> =
+                        (0..count).map(|k| (value + k as f64 * 0.37) % 1.3).collect();
+                    let answer = Valence::new(value.clamp(-1.0, 1.0));
+                    let (got, want) = match op {
+                        0 => (model.set_observed(attr, value), oracle.set_observed(attr, value)),
+                        1 => (
+                            model.observe_subjective(attr, value, &config),
+                            oracle.observe_subjective(attr, value, &config),
+                        ),
+                        2 => (
+                            model.apply_eit_answer(attr, ordinal, answer, &config),
+                            oracle.apply_eit_answer(attr, ordinal, answer, &config),
+                        ),
+                        3 => (model.reward(&appeal, &config), oracle.reward(&appeal, &config)),
+                        4 => (model.punish(&appeal, &config), oracle.punish(&appeal, &config)),
+                        _ => (
+                            model.import_objective(&objective),
+                            oracle.import_objective(&objective),
+                        ),
+                    };
+                    proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    assert_matches_oracle(&model, &oracle, &s);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_switch_to_dense_comes_at_half_the_schema() {
+        for (dim, half) in [(10usize, 5usize), (75, 38)] {
+            let s = schema_of(dim);
+            let mut model = SmartUserModel::new(UserId::new(1), dim);
+            let mut oracle = DenseOracle::new(UserId::new(1), dim);
+            // descending, so every sparse insertion lands in front
+            for i in (dim - half..dim).rev() {
+                assert!(!model.is_dense(), "{} stored of {dim}", model.cells.len());
+                let attr = AttributeId::new(i as u32);
+                model.set_observed(attr, i as f64 / dim as f64).unwrap();
+                oracle.set_observed(attr, i as f64 / dim as f64).unwrap();
+                assert_matches_oracle(&model, &oracle, &s);
+            }
+            assert!(model.is_dense(), "dense once {half} of {dim} are stored");
+            // one way: an update that lowers a value keeps the form
+            model.punish(&[AttributeId::new(dim as u32 - 1)], &SumConfig::default()).unwrap();
+            assert!(model.is_dense());
+        }
+    }
+
+    #[test]
+    fn an_objective_import_of_half_the_schema_goes_dense_at_once() {
+        let mut model = SmartUserModel::new(UserId::new(1), 75);
+        model.import_objective(&[0.5; 38]).unwrap();
+        assert!(model.is_dense());
+        let mut narrow = SmartUserModel::new(UserId::new(1), 75);
+        narrow.import_objective(&[0.5; 37]).unwrap();
+        assert!(!narrow.is_dense(), "37 of 75 stays sparse");
+        assert_eq!(narrow.cells.len(), 37);
+    }
+
+    #[test]
+    fn punish_on_an_absent_attribute_stores_nothing() {
+        let config = SumConfig::default();
+        let mut m = SmartUserModel::new(UserId::new(1), 75);
+        m.set_observed(AttributeId::new(3), 0.5).unwrap();
+        m.punish(&[AttributeId::new(4), AttributeId::new(70)], &config).unwrap();
+        assert_eq!(m.cells.len(), 1, "only the observed attribute is stored");
+        assert_eq!(m.position(4), None);
+        assert_eq!(m.updates(), 2, "the punishment still counts as an update");
+        m.punish(&[AttributeId::new(3)], &config).unwrap();
+        assert_eq!(m.value(AttributeId::new(3)), 0.5 - 0.5 * config.punish_rate);
+    }
+
+    #[test]
+    fn a_schema_wider_than_the_bitmap_starts_dense() {
+        assert!(!SmartUserModel::new(UserId::new(1), LIVE_BITS).is_dense());
+        let mut wide = SmartUserModel::new(UserId::new(1), LIVE_BITS + 1);
+        assert!(wide.is_dense());
+        let attr = AttributeId::new(LIVE_BITS as u32);
+        wide.set_observed(attr, 0.25).unwrap();
+        assert_eq!(wide.value(attr), 0.25);
+        assert_eq!(wide.feature_row().indices(), &[LIVE_BITS as u32]);
+    }
+
+    #[test]
+    fn equality_compares_content_not_layout() {
+        let mut sparse = SmartUserModel::new(UserId::new(1), 75);
+        sparse.set_observed(AttributeId::new(2), 0.5).unwrap();
+        let mut dense = sparse.clone();
+        dense.densify();
+        assert!(dense.is_dense() && !sparse.is_dense());
+        assert_eq!(sparse, dense);
+        dense.pair_mut(2)[0] = 0.25;
+        assert_ne!(sparse, dense);
     }
 }
