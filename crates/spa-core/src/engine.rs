@@ -112,9 +112,9 @@ impl GroupScratch {
 }
 
 /// Batch-ingest scratch capacity kept across batches (events; the
-/// index buckets and frame buffer scale with it). 256k events ≈ 8 MiB
-/// of event copies — comfortably above any steady-state batch, far
-/// below a bulk backfill's peak.
+/// index buckets and frame buffer scale with it). 256k events of 72 B
+/// are ≈ 18 MiB of event copies per engine shard — comfortably above any
+/// steady-state batch, far below a bulk backfill's peak.
 const SCRATCH_RETAIN_EVENTS: usize = 1 << 18;
 
 /// One shard's Smart Prediction Assistant state: every model, schedule

@@ -1,7 +1,7 @@
 //! Cheap hashing for the `u32`-keyed hot maps.
 //!
-//! Per-event ingest cost is dominated by a handful of map probes (SUM
-//! registry shard, campaign-appeal table). The default SipHash spends more time hashing a 4-byte user id than the
+//! Campaign events probe the campaign-appeal table on every ingest. The
+//! default SipHash spends more time hashing a 4-byte id than the
 //! probe itself, so these internal maps use a multiplicative
 //! xor-shift hasher (SplitMix64 finalizer style): two multiplies, well
 //! mixed in both the low bits (hashbrown's bucket index) and the high

@@ -34,6 +34,7 @@
 //!   last segment (the crash-during-append signature).
 
 use crate::engine::{Engine, GroupScratch};
+use crate::epoch::{PublicationStats, Published, Publisher};
 use crate::platform::SpaConfig;
 use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
 use crate::selection::SelectionFunction;
@@ -52,6 +53,7 @@ use spa_types::{
 };
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File at the log root holding the global selection function's trained
@@ -310,51 +312,24 @@ impl RoutingScratch {
     }
 }
 
-/// Writer-master + epoch-published snapshot of the global selection
-/// function. Writers ([`ShardedSpa::observe_outcome`],
-/// [`ShardedSpa::train_selection`], recovery replay) mutate the master
-/// under its mutex — the WAL append shares that hold, so log order is
-/// apply order — and then install a cloned snapshot into the published
-/// cell. Readers (scoring/ranking) pin the cell, clone the `Arc` out,
-/// and unpin: **no lock**, so a scoring fan-out proceeds untouched
-/// while an outcome's WAL append holds the master across disk I/O —
-/// previously the single worst read-path stall in the platform.
-struct SelectionCell {
-    master: parking_lot::Mutex<SelectionFunction>,
-    published: crate::epoch::Published<Arc<SelectionFunction>>,
-}
-
-impl SelectionCell {
-    fn new(selection: SelectionFunction) -> Self {
-        Self {
-            published: crate::epoch::Published::new(Arc::new(selection.clone())),
-            master: parking_lot::Mutex::new(selection),
-        }
-    }
-
-    /// The currently published snapshot — one pin, one `Arc` clone.
-    fn snapshot(&self) -> Arc<SelectionFunction> {
-        self.published.read_with(Arc::clone)
-    }
-
-    /// Re-installs the master as the published snapshot. For owned
-    /// construction-time mutation (recovery); runtime writers publish
-    /// under their own master hold.
-    fn republish(&mut self) {
-        let snapshot = Arc::new(self.master.get_mut().clone());
-        self.published.publish(snapshot);
-    }
-}
-
 /// The assembled Smart Prediction Assistant: N independent [`Engine`]
 /// shards behind one facade, one global selection function, and
 /// optional write-ahead durability through a per-shard
 /// [`ShardedEventLog`].
 pub struct ShardedSpa {
     shards: Vec<Engine>,
-    /// The global selection function: a writer-side master plus the
-    /// epoch-published snapshot scoring reads — see [`SelectionCell`].
-    selection: SelectionCell,
+    /// The global selection function: the master behind the cell's
+    /// publisher lock and an `Arc` snapshot of it published for scoring.
+    /// Writers ([`ShardedSpa::observe_outcome`],
+    /// [`ShardedSpa::train_selection`], recovery replay) mutate the
+    /// master under that lock — the WAL append shares the hold, so log
+    /// order is apply order — then publish a clone. Readers pin the
+    /// cell, clone the `Arc` out, and unpin: **no lock**, so a scoring
+    /// fan-out proceeds untouched while an outcome's WAL append holds
+    /// the master across disk I/O.
+    selection: Published<Arc<SelectionFunction>, SelectionFunction>,
+    /// Selection snapshots published so far.
+    selection_publishes: AtomicU64,
     log: Option<ShardedEventLog>,
     /// Root-level WAL for the global selection function (see
     /// [`SELECTION_WAL_DIR`]). Present exactly when `log` is.
@@ -401,11 +376,11 @@ impl ShardedSpa {
     /// and the manifest parser both reject a zero shard count): an
     /// untrained selection function, no logs attached yet.
     fn assemble(engines: Vec<Engine>, config: &SpaConfig, io: Arc<dyn StorageIo>) -> Self {
+        let selection =
+            SelectionFunction::with_imbalance(engines[0].schema().len(), config.positive_weight);
         Self {
-            selection: SelectionCell::new(SelectionFunction::with_imbalance(
-                engines[0].schema().len(),
-                config.positive_weight,
-            )),
+            selection: Published::new(Arc::new(selection.clone()), selection),
+            selection_publishes: AtomicU64::new(0),
             log: None,
             selection_log: None,
             io,
@@ -673,12 +648,12 @@ impl ShardedSpa {
         // is re-fittable from campaign history.
         let selection_dir = root.join(SELECTION_WAL_DIR);
         let selection_path = root.join(SELECTION_SNAPSHOT);
+        let mut selection = sharded.selection.lock();
         let mut selection_replay_from = None;
         if selection_path.exists() {
             if let Ok(snap) = Snapshot::read_with(&selection_path, io.clone()) {
                 if let Some(bytes) = snap.section(SECTION_SELECTION) {
-                    report.selection_restored =
-                        sharded.selection.master.get_mut().restore_state(bytes).is_ok();
+                    report.selection_restored = selection.restore_state(bytes).is_ok();
                     if report.selection_restored {
                         selection_replay_from = Some(snap.position());
                     }
@@ -702,7 +677,6 @@ impl ShardedSpa {
         }
         if let Some(from) = selection_replay_from {
             if selection_dir.exists() {
-                let selection = sharded.selection.master.get_mut();
                 let mut iter = EventLog::replay_iter_from_with(&selection_dir, from, io.clone())?;
                 for event in iter.by_ref() {
                     let event = event?;
@@ -728,10 +702,10 @@ impl ShardedSpa {
                 }
             }
         }
-        // the master was restored/replayed through `get_mut` (recovery
-        // is single-threaded, no publishes happened) — push the final
-        // state into the published slot before the platform goes live
-        sharded.selection.republish();
+        // the master was restored/replayed with nothing published yet —
+        // publish its final state before the platform goes live
+        sharded.publish_selection(&mut selection);
+        drop(selection);
         sharded.log =
             Some(ShardedEventLog::open_existing_with_io(root, log_config.clone(), io.clone())?);
         sharded.selection_log = Some(EventLog::open_with_io(&selection_dir, log_config, io)?);
@@ -798,7 +772,7 @@ impl ShardedSpa {
         // global selection weights, anchored to the selection-WAL
         // position they reflect; recovery restores the weights and
         // replays only the outcomes logged after this position
-        snapshot_bytes += self.write_selection_snapshot(log, self.selection.master.lock())?;
+        snapshot_bytes += self.write_selection_snapshot(log, self.selection.lock())?;
         // commit: one atomic manifest rewrite registers everything
         let registrations: Vec<Option<LogPosition>> = positions.iter().copied().map(Some).collect();
         ShardedEventLog::register_snapshots(log.root(), &registrations)?;
@@ -902,17 +876,26 @@ impl ShardedSpa {
     /// taking it never blocks, and holding it never blocks a concurrent
     /// [`ShardedSpa::observe_outcome`] or [`ShardedSpa::train_selection`].
     pub fn selection(&self) -> Arc<SelectionFunction> {
-        self.selection.snapshot()
+        self.selection.read_with(Arc::clone)
+    }
+
+    /// Publishes a snapshot of the held selection master, and counts it.
+    fn publish_selection(
+        &self,
+        selection: &mut Publisher<'_, Arc<SelectionFunction>, SelectionFunction>,
+    ) {
+        selection.publish(|master| Arc::new(master.clone()));
+        self.selection_publishes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Epoch-publication counters: how many advice rows the shard
     /// registries have installed (one per touched user per write
     /// section) and how many selection snapshots writers have
     /// published. Monotonic; serves the stats endpoint.
-    pub fn publication_stats(&self) -> crate::epoch::PublicationStats {
-        crate::epoch::PublicationStats {
+    pub fn publication_stats(&self) -> PublicationStats {
+        PublicationStats {
             model_publishes: self.shards.iter().map(|s| s.registry().model_publishes()).sum(),
-            selection_publishes: self.selection.published.publish_count(),
+            selection_publishes: self.selection_publishes.load(Ordering::Relaxed),
         }
     }
 
@@ -1121,11 +1104,11 @@ impl ShardedSpa {
         // maintenance excludes checkpoint/compact — the snapshot write
         // below must not race a concurrent checkpoint's
         let _maintenance = self.maintenance.lock();
-        let mut selection = self.selection.master.lock();
+        let mut selection = self.selection.lock();
         selection.fit(data)?;
         // publish before the snapshot I/O: readers see the fitted
         // weights as soon as the fit lands, not after the disk write
-        self.selection.published.publish(Arc::new(selection.clone()));
+        self.publish_selection(&mut selection);
         if let Some(log) = &self.log {
             self.write_selection_snapshot(log, selection)?;
         }
@@ -1141,7 +1124,7 @@ impl ShardedSpa {
     fn write_selection_snapshot(
         &self,
         log: &ShardedEventLog,
-        selection: parking_lot::MutexGuard<'_, SelectionFunction>,
+        selection: Publisher<'_, Arc<SelectionFunction>, SelectionFunction>,
     ) -> Result<u64> {
         let position =
             self.selection_log.as_ref().map(|l| l.buffered_position()).unwrap_or_default();
@@ -1193,7 +1176,7 @@ impl ShardedSpa {
                 },
             ))
         })?;
-        let mut selection = self.selection.master.lock();
+        let mut selection = self.selection.lock();
         if let Some(selection_log) = &self.selection_log {
             selection_log.append(&event)?;
         }
@@ -1201,7 +1184,7 @@ impl ShardedSpa {
             unreachable!("constructed above");
         };
         selection.partial_fit_view(RowView::new(*dim as usize, indices, values), *responded)?;
-        self.selection.published.publish(Arc::new(selection.clone()));
+        self.publish_selection(&mut selection);
         Ok(())
     }
 
@@ -1224,7 +1207,7 @@ impl ShardedSpa {
         // the same published weights (a concurrent observe_outcome
         // publishes a new snapshot instead of mutating this one, and
         // never waits on the scorers)
-        let selection = self.selection.snapshot();
+        let selection = self.selection();
         let parts = read_parts(users.len());
         let part_len = users.len().div_ceil(parts).max(1);
         let score_part = |part: usize| -> Result<Vec<(UserId, f64)>> {
@@ -1425,11 +1408,16 @@ mod tests {
             Err(SpaError::UnknownUser(user)) if user == unknown
         ));
         assert!(!sharded.selection().is_trained(), "the bad call must not touch the model");
+        assert_eq!(sharded.publication_stats().selection_publishes, 0);
         let known = UserId::new(1);
         let event = eit_event(&sharded, known, 0, 0.9);
         sharded.ingest(&event).unwrap();
         sharded.observe_outcome(known, true).unwrap();
         assert!(sharded.selection().is_trained());
+        assert_eq!(
+            sharded.publication_stats(),
+            PublicationStats { model_publishes: 1, selection_publishes: 1 }
+        );
     }
 
     #[test]
@@ -1553,6 +1541,7 @@ mod tests {
                 data.push(&row, if row.get(65) > 0.5 { 1.0 } else { -1.0 }).unwrap();
             }
             sharded.train_selection(&data).unwrap();
+            assert_eq!(sharded.publication_stats().selection_publishes, 1);
 
             let report = sharded.checkpoint().unwrap();
             assert_eq!(report.positions.len(), 3);
@@ -1582,6 +1571,8 @@ mod tests {
         assert_eq!(report.shards_from_snapshot(), 3, "every shard restores from its snapshot");
         assert_eq!(report.total_events(), 10, "only the 10 tail events replay");
         assert!(report.selection_restored);
+        // recovery publishes the restored selection once
+        assert_eq!(recovered.publication_stats().selection_publishes, 1);
         assert_eq!(recovered.stats(), stats_live);
         // the restored selection function is the live one, bit for bit
         // — no silent retrain

@@ -23,13 +23,18 @@
 //! other reader goes through [`SmartUserModel::value`],
 //! [`SmartUserModel::relevance`], the row builders or
 //! [`SumRegistry::write_state`], none of which depends on it.
+//!
+//! Resident, a user is one allocation: a cell owned by its registry
+//! shard's lock-free index ([`AtomicIndex`]) that holds the published
+//! advice row readers score from and, behind the cell's publisher lock,
+//! the master model writers mutate. A write section takes the registry
+//! shard's mutex first and the cell's publisher lock second (see
+//! [`SumRegistry`]).
 
-use crate::epoch::{AtomicIndex, Published};
-use crate::fastmap::FastIdMap;
+use crate::epoch::{AtomicIndex, Published, Publisher};
 use parking_lot::Mutex;
 use spa_linalg::{RowView, SparseVec};
 use spa_types::{AttributeId, AttributeKind, AttributeSchema, Result, SpaError, UserId, Valence};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Precomputed per-attribute advice coefficients.
@@ -543,63 +548,61 @@ impl SmartUserModel {
 }
 
 /// What a reader sees of one user: the compact advice-stage row, as
-/// [`SmartUserModel::advice_compact_into`] derived it from the master
-/// when `updates` was the master's update counter. Tens of bytes — a
-/// handful of nonzeros out of 75 attributes (§5.2).
+/// [`SmartUserModel::advice_compact_into`] derived it from the master.
+/// Tens of bytes — a handful of nonzeros out of 75 attributes (§5.2).
 #[derive(Default)]
 struct PublishedRow {
-    updates: u64,
     indices: Vec<u32>,
     values: Vec<f64>,
 }
 
-/// The epoch-published cell scoring reads pin.
-type RowCell = Published<PublishedRow>;
-
-/// One user's registry entry: the **master** model — the only resident
-/// copy, which every mutation applies to in place — and the
-/// reader-visible cell its advice row is installed into whenever a
-/// locked section ends with the master changed.
-struct Entry {
-    master: SmartUserModel,
-    /// Already queued in the current section's dirty list.
-    pending: bool,
-    /// The cell readers pin. Boxed so its address survives map growth;
-    /// entries are never removed, which is what lets the lock-free
-    /// index hand out references to it (see [`AtomicIndex`]).
-    cell: Box<RowCell>,
+/// The writer side of a user's cell, behind its publisher lock.
+struct Master {
+    /// The **master** model: the only resident copy, which every
+    /// mutation applies to in place.
+    model: SmartUserModel,
+    /// The master's update counter when its row was last published (0
+    /// for the empty row a new cell starts with). While it differs from
+    /// the model's, the user is in the current section's dirty list.
+    published: u64,
 }
 
-impl Entry {
-    /// A new entry publishing the empty row (what an unknown user
-    /// scores as), entered into the lock-free index immediately.
-    fn new(master: SmartUserModel, index: &AtomicIndex<RowCell>) -> Self {
-        let cell = Box::new(Published::new(PublishedRow::default()));
-        index.insert(master.user.raw(), NonNull::from(&*cell));
-        Self { master, pending: false, cell }
-    }
+/// One user, one allocation, owned by the registry shard's index:
+/// readers pin its published row, writers take its publisher lock to
+/// reach the master, and a locked section that ends with the master
+/// changed installs the master's advice row.
+type UserCell = Published<PublishedRow, Master>;
 
-    /// Derives the master's advice row into the scratch buffers and
-    /// installs it as the published row. The retired slot's buffers are
-    /// refilled in place: no allocation once both slots are warm.
-    fn publish(&self, factors: &AdviceFactors, indices: &mut [u32], values: &mut [f64]) {
-        let len = self.master.advice_compact_into(factors, indices, values);
-        self.cell.publish_with(|slot| {
-            let row = slot.get_or_insert_with(PublishedRow::default);
-            row.updates = self.master.updates;
-            row.indices.clear();
-            row.indices.extend_from_slice(&indices[..len]);
-            row.values.clear();
-            row.values.extend_from_slice(&values[..len]);
-        });
-    }
+/// A cell for `model` publishing the empty row (what an unknown user
+/// scores as) until its first section ends.
+fn user_cell(model: SmartUserModel) -> UserCell {
+    Published::new(PublishedRow::default(), Master { model, published: 0 })
 }
 
-/// Writer-side state of one registry shard, behind the shard's mutex.
+/// Derives the master's advice row into the scratch buffers and
+/// installs it as the published row. The retired slot's buffers are
+/// refilled in place: no allocation once both slots are warm.
+fn publish_row(
+    master: &mut Publisher<'_, PublishedRow, Master>,
+    factors: &AdviceFactors,
+    indices: &mut [u32],
+    values: &mut [f64],
+) {
+    let len = master.model.advice_compact_into(factors, indices, values);
+    master.publish_with(|_, slot| {
+        let row = slot.get_or_insert_with(PublishedRow::default);
+        row.indices.clear();
+        row.indices.extend_from_slice(&indices[..len]);
+        row.values.clear();
+        row.values.extend_from_slice(&values[..len]);
+    });
+    master.published = master.model.updates;
+}
+
+/// Writer-side scratch of one registry shard, behind the shard's mutex.
 /// Scoring never touches this — it goes through the shard's
 /// [`AtomicIndex`] straight to the published cells.
 struct ShardState {
-    entries: FastIdMap<Entry>,
     /// Users touched by the current locked section; drained (and
     /// published) when the section ends. Lives here so per-event ingest
     /// stays allocation-free.
@@ -611,18 +614,16 @@ struct ShardState {
 }
 
 struct RegistryShard {
+    /// Taken by every write section, before any cell's publisher lock.
     state: Mutex<ShardState>,
-    index: AtomicIndex<RowCell>,
+    /// The shard's users: the index owns their cells.
+    index: AtomicIndex<UserCell>,
 }
 
 impl RegistryShard {
     fn new(dim: usize) -> Self {
-        let state = ShardState {
-            entries: FastIdMap::default(),
-            dirty: Vec::new(),
-            row_indices: vec![0; dim],
-            row_values: vec![0.0; dim],
-        };
+        let state =
+            ShardState { dirty: Vec::new(), row_indices: vec![0; dim], row_values: vec![0.0; dim] };
         Self { state: Mutex::new(state), index: AtomicIndex::new() }
     }
 }
@@ -633,9 +634,12 @@ impl RegistryShard {
 /// holding the slot.
 pub struct ModelSlot<'a> {
     state: &'a mut ShardState,
-    index: &'a AtomicIndex<RowCell>,
+    index: &'a AtomicIndex<UserCell>,
     user: UserId,
     dim: usize,
+    /// The user's publisher lock, held from the first
+    /// [`ModelSlot::get_or_create`] until the slot drops.
+    master: Option<Publisher<'a, PublishedRow, Master>>,
 }
 
 impl ModelSlot<'_> {
@@ -650,16 +654,23 @@ impl ModelSlot<'_> {
     /// section ends and publishes.
     #[inline]
     pub fn get_or_create(&mut self) -> &mut SmartUserModel {
-        let ShardState { entries, dirty, .. } = &mut *self.state;
-        let (user, dim, index) = (self.user, self.dim, self.index);
-        let entry = entries
-            .entry(user.raw())
-            .or_insert_with(|| Entry::new(SmartUserModel::new(user, dim), index));
-        if !entry.pending {
-            entry.pending = true;
-            dirty.push(user.raw());
-        }
-        &mut entry.master
+        let Self { state, index, user, dim, master } = self;
+        let index = *index;
+        let master = master.get_or_insert_with(|| {
+            let cell = match index.get(user.raw()) {
+                Some(cell) => cell,
+                None => index.insert(user.raw(), user_cell(SmartUserModel::new(*user, *dim))),
+            };
+            let master = cell.lock();
+            // nothing unpublished: not yet dirty in this section (a
+            // touch that changed nothing may queue the user twice,
+            // which the flush skips)
+            if master.published == master.model.updates {
+                state.dirty.push(user.raw());
+            }
+            master
+        });
+        &mut master.model
     }
 }
 
@@ -667,7 +678,7 @@ impl ModelSlot<'_> {
 /// [`SumRegistry::with_shard_models`]).
 pub(crate) struct ShardModels<'a> {
     state: &'a mut ShardState,
-    index: &'a AtomicIndex<RowCell>,
+    index: &'a AtomicIndex<UserCell>,
     dim: usize,
     shard_index: usize,
 }
@@ -677,7 +688,7 @@ impl ShardModels<'_> {
     #[inline]
     pub(crate) fn slot(&mut self, user: UserId) -> ModelSlot<'_> {
         debug_assert_eq!(SumRegistry::shard_index_of(user), self.shard_index);
-        ModelSlot { state: self.state, index: self.index, user, dim: self.dim }
+        ModelSlot { state: self.state, index: self.index, user, dim: self.dim, master: None }
     }
 }
 
@@ -701,11 +712,13 @@ pub struct CacheStats {
 /// ([`SumRegistry::write_state`] / [`SumRegistry::restore_state`]).
 ///
 /// **One resident copy, one read mechanism.** Each of the 32 shards
-/// keeps its users' master models in a map behind a mutex *and* a
-/// reader-side [`AtomicIndex`] of [`Published`] advice rows. Writers
-/// mutate masters in place under the shard mutex and, when their locked
-/// section ends, derive each touched user's compact advice row once and
-/// install it into that user's cell. What is lock-free and what is not:
+/// owns an [`AtomicIndex`] of user cells — one allocation per user: the
+/// [`Published`] advice row and, behind the cell's publisher lock, the
+/// master model — and a mutex every write section takes first. Writers
+/// mutate masters in place under the shard mutex and then the cell's
+/// lock and, when their locked section ends, derive each touched user's
+/// compact advice row once and install it into that user's cell. What
+/// is lock-free and what is not:
 ///
 /// * [`SumRegistry::with_advice_row`] — everything scoring, ranking and
 ///   outcome capture read — resolves the user through the index and
@@ -717,7 +730,8 @@ pub struct CacheStats {
 /// * [`SumRegistry::with_model_read`] / [`SumRegistry::get`] — the rare
 ///   whole-model reads (feature rows, EIT scheduling, dominant
 ///   sensibilities, checkpoint serialisation) — borrow the master under
-///   the shard mutex and wait for a writer holding it.
+///   the shard mutex and the cell's lock, and wait for a writer holding
+///   them.
 pub struct SumRegistry {
     dim: usize,
     config: SumConfig,
@@ -762,14 +776,13 @@ impl SumRegistry {
     /// mutated. Runs with the shard mutex still held, so a
     /// single-threaded caller observes its own writes immediately and
     /// publications are section-atomic per user.
-    fn flush_dirty(&self, state: &mut ShardState) {
-        let ShardState { entries, dirty, row_indices, row_values } = state;
+    fn flush_dirty(&self, shard: &RegistryShard, state: &mut ShardState) {
+        let ShardState { dirty, row_indices, row_values } = state;
         let mut published = 0u64;
         for key in dirty.drain(..) {
-            let entry = entries.get_mut(&key).expect("dirty user exists");
-            entry.pending = false;
-            if entry.cell.pin().updates != entry.master.updates {
-                entry.publish(&self.factors, row_indices, row_values);
+            let mut master = shard.index.get(key).expect("dirty user exists").lock();
+            if master.published != master.model.updates {
+                publish_row(&mut master, &self.factors, row_indices, row_values);
                 published += 1;
             }
         }
@@ -802,7 +815,7 @@ impl SumRegistry {
 
     /// Number of models stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.state.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.index.keys().count()).sum()
     }
 
     /// True when no models are stored.
@@ -810,8 +823,8 @@ impl SumRegistry {
         self.len() == 0
     }
 
-    /// Clones the model for `user`, if present (takes the shard mutex,
-    /// see [`SumRegistry::with_model_read`]).
+    /// Clones the model for `user`, if present (takes the shard mutex
+    /// and the cell's lock, see [`SumRegistry::with_model_read`]).
     pub fn get(&self, user: UserId) -> Option<SmartUserModel> {
         self.with_model_read(user, |model| model.cloned())
     }
@@ -841,11 +854,16 @@ impl SumRegistry {
         let shard = self.shard(user);
         let mut state = shard.state.lock();
         let result = {
-            let mut slot =
-                ModelSlot { state: &mut state, index: &shard.index, user, dim: self.dim };
+            let mut slot = ModelSlot {
+                state: &mut state,
+                index: &shard.index,
+                user,
+                dim: self.dim,
+                master: None,
+            };
             f(&mut slot, &self.config)
         };
-        self.flush_dirty(&mut state);
+        self.flush_dirty(shard, &mut state);
         result
     }
 
@@ -880,7 +898,7 @@ impl SumRegistry {
                 ShardModels { state: &mut state, index: &shard.index, dim: self.dim, shard_index };
             f(&mut models, &self.config)
         };
-        self.flush_dirty(&mut state);
+        self.flush_dirty(shard, &mut state);
         result
     }
 
@@ -905,9 +923,9 @@ impl SumRegistry {
 
     /// Applies `f` to a *borrowed* master model — the clone-free
     /// counterpart of [`SumRegistry::get`] (`None` when the user has no
-    /// model). Holds the user's shard mutex for the duration of `f`, so
-    /// it waits for a write section on that shard to end, and — the
-    /// mutex is not re-entrant — must not be called from inside
+    /// model). Holds the user's shard mutex and cell lock for the
+    /// duration of `f`, so it waits for a write section on that shard to
+    /// end, and — neither lock is re-entrant — must not be called from inside
     /// [`SumRegistry::with_model`] / [`SumRegistry::with_model_slot`]
     /// or another `with_model_read`.
     pub fn with_model_read<T>(
@@ -915,8 +933,10 @@ impl SumRegistry {
         user: UserId,
         f: impl FnOnce(Option<&SmartUserModel>) -> T,
     ) -> T {
-        let state = self.shard(user).state.lock();
-        f(state.entries.get(&user.raw()).map(|entry| &entry.master))
+        let shard = self.shard(user);
+        let _section = shard.state.lock();
+        let master = shard.index.get(user.raw()).map(Published::lock);
+        f(master.as_ref().map(|master| &master.model))
     }
 
     /// Inserts (or replaces) a fully materialized model — the snapshot
@@ -928,28 +948,25 @@ impl SumRegistry {
         debug_assert_eq!(model.dim(), self.dim, "model dimension must match the registry");
         let shard = self.shard(model.user);
         let mut state = shard.state.lock();
-        let ShardState { entries, row_indices, row_values, .. } = &mut *state;
+        let ShardState { row_indices, row_values, .. } = &mut *state;
         let key = model.user.raw();
-        match entries.get_mut(&key) {
-            Some(entry) => entry.master = model,
-            None => {
-                entries.insert(key, Entry::new(model, &shard.index));
+        let mut master = match shard.index.get(key) {
+            Some(cell) => {
+                let mut master = cell.lock();
+                master.model = model;
+                master
             }
-        }
-        entries[&key].publish(&self.factors, row_indices, row_values);
+            None => shard.index.insert(key, user_cell(model)).lock(),
+        };
+        publish_row(&mut master, &self.factors, row_indices, row_values);
         self.publishes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sorted user ids present in the registry. Collected with one
-    /// reservation + extend per shard lock — no intermediate per-shard
-    /// `Vec`s.
+    /// Sorted user ids present in the registry, read from the shards'
+    /// indexes without a lock.
     pub fn user_ids(&self) -> Vec<UserId> {
-        let mut ids: Vec<UserId> = Vec::new();
-        for shard in &self.shards {
-            let guard = shard.state.lock();
-            ids.reserve(guard.entries.len());
-            ids.extend(guard.entries.keys().map(|&k| UserId::new(k)));
-        }
+        let mut ids: Vec<UserId> =
+            self.shards.iter().flat_map(|shard| shard.index.keys()).map(UserId::new).collect();
         ids.sort_unstable();
         ids
     }

@@ -127,18 +127,6 @@ impl CsrMatrix {
     pub fn iter_rows(&self) -> impl Iterator<Item = (usize, RowView<'_>)> {
         (0..self.rows()).map(move |r| (r, self.row(r)))
     }
-
-    /// Column L2 norms.
-    pub fn col_norms(&self) -> Vec<f64> {
-        let mut acc = vec![0.0; self.cols];
-        for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
-            acc[i as usize] += v * v;
-        }
-        for a in acc.iter_mut() {
-            *a = a.sqrt();
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -196,13 +184,6 @@ mod tests {
         let m = sample();
         assert!((m.sparsity() - (1.0 - 3.0 / 12.0)).abs() < 1e-12);
         assert_eq!(CsrMatrix::new(5).sparsity(), 1.0);
-    }
-
-    #[test]
-    fn csr_col_norms() {
-        let m = sample();
-        let n = m.col_norms();
-        assert_eq!(n, vec![1.0, 1.0, 2.0, 0.0]);
     }
 
     #[test]
