@@ -8,6 +8,11 @@
 //! [`crate::shard::ShardedSpa`], which routes every operation to the
 //! engine that owns the user. A platform of one shard is one engine
 //! behind that routing.
+//!
+//! A batch reaches an engine as the caller's own events plus a
+//! `GroupScratch` of their positions, bucketed by registry shard: the
+//! engine copies no event, and between batches each engine shard keeps
+//! at most `SCRATCH_RETAIN_BYTES` (≈ 152 KiB) of buckets and WAL frames.
 
 use crate::attributes::AttributesManager;
 use crate::eit::{EitEngine, EitQuestion};
@@ -26,32 +31,36 @@ use spa_types::{
     UserId,
 };
 
-/// Reusable batch-ingest buffers: events in arrival order (the order a
-/// write-ahead log must frame them in) plus per-registry-shard index
-/// buckets, so the apply phase takes each registry shard's write lock
-/// **once per bucket** instead of once per event — the lock-light half
-/// of the batched write path. Bucketing is a modulo, not a hash, and
-/// per-user event order is preserved inside each bucket (users live in
-/// exactly one bucket). Cross-user apply order differs from arrival
-/// order, which is bit-identically irrelevant: every per-event
-/// mutation touches only that event's user, and the only cross-user
-/// state is commutative counters (the invariant
-/// `tests/shard_equivalence.rs` pins, re-pinned for this path by
-/// `tests/ingest_fastpath.rs`).
+/// One engine shard's reusable batch-ingest buffers: the positions of
+/// its events in the batch, bucketed per registry shard, so the apply
+/// phase takes each registry shard's write lock **once per bucket**
+/// instead of once per event — the lock-light half of the batched
+/// write path — and, on a durable platform, their WAL frames in arrival
+/// order. The events stay the caller's: a position indexes the
+/// per-call chunk of event references
+/// [`crate::shard::ShardedSpa::ingest_batch`] routes, so no event is
+/// copied and nothing of one outlives its batch.
 ///
-/// All buffers retain capacity across batches — steady-state batch
-/// ingest allocates nothing for routing or grouping — but an outsized
-/// batch (a bulk backfill) does not pin its peak footprint forever:
-/// [`GroupScratch::recycle`] drops the buffers once they exceed
-/// [`SCRATCH_RETAIN_EVENTS`].
+/// Bucketing is a modulo, not a hash, and per-user event order is
+/// preserved inside each bucket (users live in exactly one bucket).
+/// Cross-user apply order differs from arrival order, which is
+/// bit-identically irrelevant: every per-event mutation touches only
+/// that event's user, and the only cross-user state is commutative
+/// counters (the invariant `tests/shard_equivalence.rs` pins, re-pinned
+/// for this path by `tests/ingest_fastpath.rs`).
+///
+/// The buffers keep their capacity across batches — steady-state batch
+/// ingest allocates nothing for grouping or framing — up to
+/// [`SCRATCH_RETAIN_BYTES`]: a bulk batch allocates what it needs and
+/// [`GroupScratch::recycle`] frees it when the batch ends.
 #[derive(Default)]
 pub(crate) struct GroupScratch {
-    /// Events in arrival order (owned copies — a reusable buffer
-    /// cannot hold caller-lifetime borrows).
-    events: Vec<LifeLogEvent>,
-    /// Event indices per registry shard, in arrival order.
+    /// Events routed here since the last clear.
+    len: usize,
+    /// Batch positions of this shard's events per registry shard, in
+    /// arrival order.
     buckets: Vec<Vec<u32>>,
-    /// WAL frames for the buffered events, in arrival order — encoded
+    /// WAL frames for the routed events, in arrival order — encoded
     /// during routing ([`GroupScratch::push_framed`]) while each event
     /// is still hot in cache, and handed to the log as one pre-encoded
     /// run ([`spa_store::EventLog::append_encoded`]): the log phase
@@ -61,7 +70,7 @@ pub(crate) struct GroupScratch {
 
 impl GroupScratch {
     pub(crate) fn clear(&mut self) {
-        self.events.clear();
+        self.len = 0;
         for bucket in &mut self.buckets {
             bucket.clear();
         }
@@ -69,25 +78,24 @@ impl GroupScratch {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
-    /// Buffers one event into its registry-shard bucket.
+    /// Buckets the event at batch position `index`.
     #[inline]
-    pub(crate) fn push(&mut self, event: &LifeLogEvent) {
+    pub(crate) fn push(&mut self, index: u32, event: &LifeLogEvent) {
         if self.buckets.is_empty() {
             self.buckets.resize_with(SumRegistry::shard_count_static(), Vec::new);
         }
-        let index = self.events.len() as u32;
         self.buckets[SumRegistry::shard_index_of(event.user)].push(index);
-        self.events.push(event.clone());
+        self.len += 1;
     }
 
     /// [`GroupScratch::push`] plus WAL framing into the scratch's
     /// frame buffer — the durable-ingest routing pass.
     #[inline]
-    pub(crate) fn push_framed(&mut self, event: &LifeLogEvent) {
-        self.push(event);
+    pub(crate) fn push_framed(&mut self, index: u32, event: &LifeLogEvent) {
+        self.push(index, event);
         spa_store::codec::encode_frame(event, &mut self.frames);
     }
 
@@ -97,25 +105,44 @@ impl GroupScratch {
         &self.frames
     }
 
-    /// Empties the scratch for storage between batches: contents are
-    /// dropped (no stale event copies linger), and capacity is kept
-    /// only while it stays under [`SCRATCH_RETAIN_EVENTS`] — one
-    /// outsized backfill batch must not pin its peak footprint for the
-    /// platform's lifetime.
+    /// Heap bytes the buffers hold, used or not.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        let positions: usize = self.buckets.iter().map(Vec::capacity).sum();
+        self.buckets.capacity() * std::mem::size_of::<Vec<u32>>()
+            + positions * std::mem::size_of::<u32>()
+            + self.frames.capacity()
+    }
+
+    /// Empties the scratch for the next batch, keeping its buffers only
+    /// while they hold at most [`SCRATCH_RETAIN_BYTES`]: one bulk
+    /// backfill must not pin its peak footprint for the platform's
+    /// lifetime.
     pub(crate) fn recycle(&mut self) {
-        if self.events.capacity() > SCRATCH_RETAIN_EVENTS {
+        if self.retained_bytes() > SCRATCH_RETAIN_BYTES {
             *self = GroupScratch::default();
         } else {
             self.clear();
         }
     }
+
+    /// Every buffer's capacity, to check reuse across batches.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> Vec<usize> {
+        let mut capacities: Vec<usize> = self.buckets.iter().map(Vec::capacity).collect();
+        capacities.push(self.frames.capacity());
+        capacities
+    }
 }
 
-/// Batch-ingest scratch capacity kept across batches (events; the
-/// index buckets and frame buffer scale with it). 256k events of 72 B
-/// are ≈ 18 MiB of event copies per engine shard — comfortably above any
-/// steady-state batch, far below a bulk backfill's peak.
-const SCRATCH_RETAIN_EVENTS: usize = 1 << 18;
+/// Batch-ingest scratch bytes an engine shard keeps between batches:
+/// what [`spa_ml::PARALLEL_BATCH_THRESHOLD`] events — as many as a
+/// batch routes to one engine shard at a time, on average — need at
+/// one bucketed position and one frame no longer than the event itself
+/// each (≈ 152 KiB). Every fixed-width frame fits; objective imports and
+/// outcome records, up to ≈ 540 B and ≈ 3 KiB a frame, are bulk
+/// traffic.
+pub(crate) const SCRATCH_RETAIN_BYTES: usize = spa_ml::PARALLEL_BATCH_THRESHOLD
+    * (std::mem::size_of::<u32>() + std::mem::size_of::<LifeLogEvent>());
 
 /// One shard's Smart Prediction Assistant state: every model, schedule
 /// and counter of the users that hash to it.
@@ -175,13 +202,13 @@ impl Engine {
         self.preprocessor.ingest(&self.registry, &self.eit, event)
     }
 
-    /// Applies a buffered batch registry-bucket by registry-bucket,
-    /// returning how many events were applied (rejected events are
-    /// skipped and uncounted — the skip-and-count semantics live
-    /// ingest, batch ingest and WAL replay share). The platform's
-    /// per-shard pipeline calls this after write-ahead logging the same
-    /// buffer in arrival order.
-    pub(crate) fn apply_grouped(&self, scratch: &GroupScratch) -> usize {
+    /// Applies the events of `batch` that `scratch` routed here,
+    /// registry-bucket by registry-bucket, returning how many were
+    /// applied (rejected events are skipped and uncounted — the
+    /// skip-and-count semantics live ingest, batch ingest and WAL
+    /// replay share). The platform's per-shard pipeline calls this
+    /// after write-ahead logging the same events in arrival order.
+    pub(crate) fn apply_grouped(&self, batch: &[&LifeLogEvent], scratch: &GroupScratch) -> usize {
         let mut applied = 0usize;
         // counters accumulate locally and fold in once per batch — six
         // atomic adds per batch, zero per event
@@ -195,7 +222,7 @@ impl Engine {
             }
             self.registry.with_shard_models(shard, |models, config| {
                 for &index in bucket {
-                    let event = &scratch.events[index as usize];
+                    let event = batch[index as usize];
                     let mut slot = models.slot(event.user);
                     let outcome = self
                         .preprocessor

@@ -289,13 +289,14 @@ pub struct CompactionReport {
 }
 
 /// Reusable routing buffers for [`ShardedSpa::ingest_batch`]: one
-/// owned per-shard event buffer (with its registry-bucket grouping
-/// built during routing — [`GroupScratch`]), swapped out of
-/// the platform for the duration of a batch and swapped back (capacity
-/// intact) when it completes. Steady-state batch ingest therefore
-/// routes and groups with **zero allocations** — a concurrent second
-/// batch simply starts from an empty scratch and allocates its own
-/// buffers once.
+/// [`GroupScratch`] per engine shard (registry-bucket positions and WAL
+/// frames of the events routed there), swapped out of the platform for
+/// the duration of a batch and swapped back when it completes, each
+/// keeping its capacity while that stays within what a steady batch
+/// needs. Steady-state batch ingest therefore groups and frames with no
+/// allocation but the batch's one `Vec` of event references — a
+/// concurrent second batch simply starts from an empty scratch and
+/// allocates its own buffers once.
 #[derive(Default)]
 struct RoutingScratch {
     by_shard: Vec<GroupScratch>,
@@ -309,6 +310,12 @@ impl RoutingScratch {
         for batch in &mut self.by_shard {
             batch.clear();
         }
+    }
+
+    /// Heap bytes the per-shard buffers hold between batches.
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.by_shard.iter().map(GroupScratch::retained_bytes).sum()
     }
 }
 
@@ -935,10 +942,16 @@ impl ShardedSpa {
     /// within a shard, the sub-batch is durably buffered before any of
     /// it mutates state, under that shard's write-pause latch so a
     /// concurrent [`ShardedSpa::checkpoint`] never lands between the
-    /// two. Routing buffers are reused across calls
-    /// ([`RoutingScratch`]) — steady-state batch ingest allocates
-    /// nothing on the routing path. Returns how many events were
-    /// applied.
+    /// two. Returns how many events were applied.
+    ///
+    /// The events stay the caller's, borrowed for the call. A bulk batch
+    /// — more than `PARALLEL_BATCH_THRESHOLD` events per engine shard —
+    /// runs as consecutive batches of that size, in arrival order, so
+    /// its routing buffers ([`RoutingScratch`], reused across calls)
+    /// stay the size a steady batch needs, and so do the write sections
+    /// it opens. Chunking changes no byte of any shard's WAL and no
+    /// applied state. Steady-state batch ingest allocates one `Vec` of
+    /// event references on the routing path and nothing else.
     ///
     /// Each event is applied independently: one the platform rejects
     /// (e.g. an `EitAnswer` naming a question outside the bank) is
@@ -954,14 +967,15 @@ impl ShardedSpa {
     /// single failure passes through unchanged, several are joined into
     /// one message preserving each shard's error text (no failure is
     /// swallowed). Because shards pipeline independently, other shards
-    /// may already have logged **and applied** their sub-batches, and
-    /// each failing shard's own log is poisoned with a possibly-torn
-    /// tail. Treat the error as fatal, exactly as the per-event
-    /// contract on [`ShardedSpa::ingest`] already demands: rebuild
-    /// through [`ShardedSpa::recover`] (which replays the durably
-    /// logged prefix and truncates the tear) rather than retrying the
-    /// batch — a retry would log the surviving shards' events twice and
-    /// every future replay would double-count them.
+    /// may already have logged **and applied** their sub-batches (and
+    /// every shard the chunks before the failing one), and each failing
+    /// shard's own log is poisoned with a possibly-torn tail. Treat the
+    /// error as fatal, exactly as the per-event contract on
+    /// [`ShardedSpa::ingest`] already demands: rebuild through
+    /// [`ShardedSpa::recover`] (which replays the durably logged prefix
+    /// and truncates the tear) rather than retrying the batch — a retry
+    /// would log the surviving shards' events twice and every future
+    /// replay would double-count them.
     pub fn ingest_batch<'a>(
         &self,
         events: impl IntoIterator<Item = &'a LifeLogEvent>,
@@ -969,24 +983,52 @@ impl ShardedSpa {
         // swap the routing scratch out of the platform (a concurrent
         // batch finds an empty default and builds its own buffers)
         let mut scratch = std::mem::take(&mut *self.routing.lock());
-        scratch.reset(self.shards.len());
-        // durable platforms frame each event during routing, while it
-        // is hot in cache — the log phase writes the pre-encoded run
-        // without ever walking the events again
+        let mut events = events.into_iter();
         let durable = self.log.is_some();
-        let mut routed = 0usize;
-        for event in events {
-            let batch = &mut scratch.by_shard[shard_index(event.user, self.shards.len())];
-            if durable {
-                batch.push_framed(event);
-            } else {
-                batch.push(event);
+        let chunk_len = spa_ml::PARALLEL_BATCH_THRESHOLD * self.shards.len();
+        // the chunk's events: the scratch holds positions into this,
+        // never an event
+        let mut chunk: Vec<&LifeLogEvent> = Vec::with_capacity(events.size_hint().0.min(chunk_len));
+        let mut applied = 0usize;
+        let outcome = loop {
+            scratch.reset(self.shards.len());
+            chunk.clear();
+            // durable platforms frame each event during routing, while
+            // it is hot in cache — the log phase writes the pre-encoded
+            // run without ever walking the events again
+            for event in events.by_ref().take(chunk_len) {
+                let routed = &mut scratch.by_shard[shard_index(event.user, self.shards.len())];
+                if durable {
+                    routed.push_framed(chunk.len() as u32, event);
+                } else {
+                    routed.push(chunk.len() as u32, event);
+                }
+                chunk.push(event);
             }
-            routed += 1;
+            if chunk.is_empty() {
+                break Ok(applied);
+            }
+            match self.run_routed(&scratch, &chunk) {
+                Ok(count) => applied += count,
+                Err(e) => break Err(e),
+            }
+        };
+        // hand the buffers back for the next batch to reuse (freeing
+        // them instead when a bulk batch inflated them)
+        for routed in &mut scratch.by_shard {
+            routed.recycle();
         }
+        *self.routing.lock() = scratch;
+        outcome
+    }
+
+    /// Runs every shard's *log → apply* pipeline over the events of
+    /// `chunk` that `scratch` routed to it (see
+    /// [`ShardedSpa::ingest_batch`]), returning how many were applied.
+    fn run_routed(&self, scratch: &RoutingScratch, chunk: &[&LifeLogEvent]) -> Result<usize> {
         let run_shard = |index: usize| -> Result<usize> {
-            let batch = &scratch.by_shard[index];
-            if batch.is_empty() {
+            let routed = &scratch.by_shard[index];
+            if routed.is_empty() {
                 return Ok(0);
             }
             // on a durable platform the shard's pause latch (shared)
@@ -997,18 +1039,11 @@ impl ShardedSpa {
             if let Some(log) = &self.log {
                 // frames are in arrival order — the byte stream is
                 // pinned; only the in-memory apply below is grouped
-                log.append_encoded(ShardId::new(index as u32), batch.frames())?;
+                log.append_encoded(ShardId::new(index as u32), routed.frames())?;
             }
-            Ok(self.shards[index].apply_grouped(batch))
+            Ok(self.shards[index].apply_grouped(chunk, routed))
         };
-        let applied = all_shards(fan_out(self.shards.len(), routed, run_shard));
-        // hand the buffers back for the next batch to reuse (dropping
-        // them instead when an outsized batch inflated them)
-        for batch in &mut scratch.by_shard {
-            batch.recycle();
-        }
-        *self.routing.lock() = scratch;
-        Ok(applied?.into_iter().sum())
+        Ok(all_shards(fan_out(self.shards.len(), chunk.len(), run_shard))?.into_iter().sum())
     }
 
     /// Flushes every shard's log — and the selection WAL — to the OS
@@ -1821,6 +1856,100 @@ mod tests {
         let row_after = recovered.feature_row(user);
         assert_eq!(row_after.indices(), row_before.indices());
         assert_eq!(row_after.values(), row_before.values());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A 3-shard platform logging under a fresh `spa-shard-<tag>` root.
+    fn durable_platform(tag: &str) -> (ShardedSpa, std::path::PathBuf) {
+        let root = std::env::temp_dir().join(format!("spa-shard-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let spa =
+            ShardedSpa::with_log(&courses(), SpaConfig::default(), 3, &root, LogConfig::default())
+                .unwrap();
+        (spa, root)
+    }
+
+    /// The largest scratch a 3-shard platform may keep between batches.
+    const RETAIN_3_SHARDS: usize = 3 * crate::engine::SCRATCH_RETAIN_BYTES;
+
+    #[test]
+    fn a_bulk_objective_import_leaves_the_scratch_within_its_byte_bound() {
+        // 3,000 full 40-value imports frame ≈ 330 B each: ≈ 330 KiB of
+        // frames per engine shard, from only 1,000 events each
+        let (spa, root) = durable_platform("bulk-import");
+        let imports: Vec<LifeLogEvent> = (0..3_000u32)
+            .map(|raw| {
+                let values = (0..40).map(|i| f64::from((raw + i) % 10) / 10.0).collect();
+                LifeLogEvent::new(
+                    UserId::new(raw),
+                    Timestamp::from_millis(0),
+                    EventKind::ObjectiveImported { values },
+                )
+            })
+            .collect();
+        assert_eq!(spa.ingest_batch(&imports).unwrap(), 3_000);
+        let retained = spa.routing.lock().retained_bytes();
+        assert!(retained <= RETAIN_3_SHARDS, "{retained} B of scratch kept after a bulk import");
+        // the next, small batch routes into fresh buffers
+        let small = [eit_event(&spa, UserId::new(1), 1, 0.5)];
+        assert_eq!(spa.ingest_batch(&small).unwrap(), 1);
+        drop(spa);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `len` events from position `start` of a fixed stream of EIT
+    /// answers, deliveries and opens over 5,000 users.
+    fn tick(spa: &ShardedSpa, start: u32, len: u32) -> Vec<LifeLogEvent> {
+        let campaign = CampaignId::new(1);
+        (start..start + len)
+            .map(|i| {
+                let user = UserId::new(i.wrapping_mul(2_654_435_761) % 5_000);
+                let kind = match i % 3 {
+                    0 => return eit_event(spa, user, u64::from(i), 0.3),
+                    1 => EventKind::MessageDelivered { campaign },
+                    _ => EventKind::MessageOpened { campaign },
+                };
+                LifeLogEvent::new(user, Timestamp::from_millis(u64::from(i)), kind)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_100k_event_batch_leaves_at_most_the_retained_bound() {
+        let (spa, root) = durable_platform("bulk-100k");
+        let batch = tick(&spa, 0, 100_000);
+        assert_eq!(spa.ingest_batch(&batch).unwrap(), 100_000);
+        let retained = spa.routing.lock().retained_bytes();
+        assert!(retained <= RETAIN_3_SHARDS, "{retained} B of scratch kept after 100 k events");
+        drop(spa);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn steady_ticks_reuse_their_buffers() {
+        let (spa, root) = durable_platform("steady");
+        let ticks: Vec<Vec<LifeLogEvent>> = (0..6u32)
+            .map(|t| tick(&spa, t * 4_096, 4_096))
+            .chain((0..6u32).map(|t| tick(&spa, 30_000 + t * 256, 256)))
+            .collect();
+        let capacities = |spa: &ShardedSpa| -> Vec<Vec<usize>> {
+            spa.routing.lock().by_shard.iter().map(GroupScratch::capacities).collect()
+        };
+        // warm-up: every tick once, so each buffer has grown to the
+        // largest of them
+        for events in &ticks {
+            spa.ingest_batch(events).unwrap();
+        }
+        let warm = capacities(&spa);
+        let retained = spa.routing.lock().retained_bytes();
+        assert!(retained > 0 && retained <= RETAIN_3_SHARDS, "{retained} B kept");
+        for round in 0..3 {
+            for events in ticks.iter().rev() {
+                spa.ingest_batch(events).unwrap();
+                assert_eq!(capacities(&spa), warm, "round {round}: a buffer was reallocated");
+            }
+        }
+        drop(spa);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

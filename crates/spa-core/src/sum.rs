@@ -24,12 +24,16 @@
 //! [`SmartUserModel::relevance`], the row builders or
 //! [`SumRegistry::write_state`], none of which depends on it.
 //!
-//! Resident, a user is one allocation: a cell owned by its registry
-//! shard's lock-free index ([`AtomicIndex`]) that holds the published
+//! Resident, a user is one cell owned by its registry shard's
+//! lock-free index ([`AtomicIndex`]) that holds the published
 //! advice row readers score from and, behind the cell's publisher lock,
-//! the master model writers mutate. A write section takes the registry
-//! shard's mutex first and the cell's publisher lock second (see
-//! [`SumRegistry`]).
+//! the master model writers mutate. A row of up to three entries sits
+//! inline in the cell, so scoring such a user follows no pointer past
+//! it; a longer row spills to one pair of heap buffers (see
+//! [`PublishedRow`]). With a sparse master that is two allocations per
+//! user: the cell (232 B) and the master's pairs. A write section takes
+//! the registry shard's mutex first and the cell's publisher lock
+//! second (see [`SumRegistry`]).
 
 use crate::epoch::{AtomicIndex, Published, Publisher};
 use parking_lot::Mutex;
@@ -547,13 +551,70 @@ impl SmartUserModel {
     }
 }
 
+/// Entries a published row holds inside the user's cell before it
+/// spills to the heap: every row of the benchmark platform's prefilled
+/// users (three EIT answers) fits, and the slot stays the 48 B of the
+/// two `Vec` headers it replaced.
+const INLINE_ENTRIES: usize = 3;
+
 /// What a reader sees of one user: the compact advice-stage row, as
-/// [`SmartUserModel::advice_compact_into`] derived it from the master.
-/// Tens of bytes — a handful of nonzeros out of 75 attributes (§5.2).
-#[derive(Default)]
-struct PublishedRow {
-    indices: Vec<u32>,
-    values: Vec<f64>,
+/// [`SmartUserModel::advice_compact_into`] derived it from the master —
+/// a handful of nonzeros out of 75 attributes (§5.2).
+///
+/// Up to [`INLINE_ENTRIES`] entries sit inline, so scoring such a user
+/// reads its cell and nothing else. A longer row spills to one pair of
+/// heap buffers, and a slot that has spilled stays spilled: the next
+/// publication into it refills those buffers in place, whatever its
+/// length, so a dense Fig 6 row whose length changes on most
+/// publications allocates nothing once both slots are warm. The
+/// spilled form's capacity niche carries the variant, so either form
+/// is 48 B.
+enum PublishedRow {
+    Inline { len: u32, indices: [u32; INLINE_ENTRIES], values: [f64; INLINE_ENTRIES] },
+    Spilled { indices: Vec<u32>, values: Vec<f64> },
+}
+
+impl Default for PublishedRow {
+    /// The empty row: what a new cell publishes.
+    fn default() -> Self {
+        Self::Inline { len: 0, indices: [0; INLINE_ENTRIES], values: [0.0; INLINE_ENTRIES] }
+    }
+}
+
+impl PublishedRow {
+    /// Replaces the row's entries with `indices`/`values` (equal
+    /// lengths, ascending indices).
+    fn fill(&mut self, indices: &[u32], values: &[f64]) {
+        let n = indices.len();
+        match self {
+            Self::Spilled { indices: spilled, values: spilled_values } => {
+                spilled.clear();
+                spilled.extend_from_slice(indices);
+                spilled_values.clear();
+                spilled_values.extend_from_slice(values);
+            }
+            Self::Inline { len, indices: inline, values: inline_values } if n <= INLINE_ENTRIES => {
+                inline[..n].copy_from_slice(indices);
+                inline_values[..n].copy_from_slice(values);
+                *len = n as u32;
+            }
+            Self::Inline { .. } => {
+                *self = Self::Spilled { indices: indices.to_vec(), values: values.to_vec() };
+            }
+        }
+    }
+
+    /// The row's indices and values, in the order they were filled.
+    #[inline]
+    fn entries(&self) -> (&[u32], &[f64]) {
+        match self {
+            Self::Inline { len, indices, values } => {
+                let n = *len as usize;
+                (&indices[..n], &values[..n])
+            }
+            Self::Spilled { indices, values } => (indices, values),
+        }
+    }
 }
 
 /// The writer side of a user's cell, behind its publisher lock.
@@ -580,8 +641,9 @@ fn user_cell(model: SmartUserModel) -> UserCell {
 }
 
 /// Derives the master's advice row into the scratch buffers and
-/// installs it as the published row. The retired slot's buffers are
-/// refilled in place: no allocation once both slots are warm.
+/// installs it as the published row. The retired slot is refilled in
+/// place ([`PublishedRow::fill`]): no allocation once both slots are
+/// warm.
 fn publish_row(
     master: &mut Publisher<'_, PublishedRow, Master>,
     factors: &AdviceFactors,
@@ -590,11 +652,7 @@ fn publish_row(
 ) {
     let len = master.model.advice_compact_into(factors, indices, values);
     master.publish_with(|_, slot| {
-        let row = slot.get_or_insert_with(PublishedRow::default);
-        row.indices.clear();
-        row.indices.extend_from_slice(&indices[..len]);
-        row.values.clear();
-        row.values.extend_from_slice(&values[..len]);
+        slot.get_or_insert_with(PublishedRow::default).fill(&indices[..len], &values[..len]);
     });
     master.published = master.model.updates;
 }
@@ -915,7 +973,8 @@ impl SumRegistry {
         match self.shard(user).index.get(user.raw()) {
             Some(cell) => {
                 let row = cell.pin();
-                f(Some(RowView::new(self.dim, &row.indices, &row.values)))
+                let (indices, values) = row.entries();
+                f(Some(RowView::new(self.dim, indices, values)))
             }
             None => f(None),
         }
@@ -1205,6 +1264,55 @@ mod tests {
         reg.with_model(UserId::new(3), |m, _| m.set_observed(AttributeId::new(2), 0.8).unwrap());
         let value = reg.with_model_read(UserId::new(3), |m| m.unwrap().value(AttributeId::new(2)));
         assert_eq!(value, 0.8);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_user_cell_keeps_its_size_with_rows_inline() {
+        use std::mem::size_of;
+        // the spilled form's capacity niche carries both the variant
+        // and the slot's `None`
+        assert_eq!(size_of::<PublishedRow>(), 48);
+        assert_eq!(size_of::<Option<PublishedRow>>(), 48);
+        // two slots of 56 B, the slot index, the publisher lock and the
+        // master: a 240 B malloc chunk
+        assert_eq!(size_of::<UserCell>(), 232);
+    }
+
+    /// Whether `user`'s current published row has spilled to the heap.
+    fn spilled(reg: &SumRegistry, user: UserId) -> bool {
+        let cell = reg.shard(user).index.get(user.raw()).expect("user has a cell");
+        let row = cell.pin();
+        matches!(*row, PublishedRow::Spilled { .. })
+    }
+
+    #[test]
+    fn rows_cross_the_inline_width_both_ways_and_a_spilled_slot_stays_spilled() {
+        let s = schema();
+        let reg = SumRegistry::new(&s, SumConfig::default());
+        let user = UserId::new(11);
+        let model_of = |stored: usize| {
+            let mut m = SmartUserModel::new(user, 75);
+            for i in 0..stored {
+                let attr = AttributeId::new((7 * i % 75) as u32);
+                m.set_observed(attr, 0.1 + i as f64 / 100.0).unwrap();
+            }
+            m
+        };
+        // widths on both sides of the inline limit, each published
+        // twice so both slots hold it
+        let widths = [0, 3, 4, 2, 40, 1, 3, 0, 75, 5];
+        for (step, &width) in widths.iter().enumerate() {
+            for _ in 0..2 {
+                let model = model_of(width);
+                reg.insert_model(model.clone());
+                assert_published_row_matches(&reg, user, &model);
+            }
+            // a slot spills at its first row past the limit and stays
+            // spilled: only the first widths can still be inline
+            let ever_spilled = widths[..=step].iter().any(|&w| w > INLINE_ENTRIES);
+            assert_eq!(spilled(&reg, user), ever_spilled, "after width {width}");
+        }
     }
 
     /// The registry's published row against the allocating reference.

@@ -3,10 +3,14 @@
 //! `ShardedSpa::score_users` serves campaign sweeps from the compact
 //! advice rows the registry publishes at the end of every write section.
 //! These proptests interleave arbitrary ingest (republication), batch
-//! scoring, top-k ranking and incremental selection updates, asserting
-//! after every step that the published-row engine is **bit-identical**
-//! to a reference recomputed from first principles: the master model's
-//! allocating `advice_row(schema)` through `selection().score`.
+//! scoring, top-k ranking, incremental selection updates, objective
+//! imports and registry restores, asserting after every step that the
+//! published-row engine is **bit-identical** to a reference recomputed
+//! from first principles: the master model's allocating
+//! `advice_row(schema)` through `selection().score`. Imports widen rows
+//! past the entries a cell holds inline and restores of earlier state
+//! narrow them again, each republishing into the cell's two slots in
+//! turn.
 
 use proptest::prelude::*;
 use spa::prelude::*;
@@ -54,6 +58,26 @@ fn reference_scores(spa: &ShardedSpa, users: &[UserId]) -> Vec<(UserId, f64)> {
         .collect()
 }
 
+/// Every user's published row (the lock-free copy scoring reads)
+/// against the master's allocating `advice_row(schema)`: the same
+/// indices, the same value bits.
+fn assert_published_rows_equal_reference(spa: &ShardedSpa, users: &[UserId], what: &str) {
+    let bits = |row: &SparseVec| row.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for &user in users {
+        let published = spa.advice_row(user).unwrap();
+        let reference = spa.model(user).expect("seeded user").advice_row(spa.schema()).unwrap();
+        assert_eq!(published.indices(), reference.indices(), "{what}: {user} row indices");
+        assert_eq!(bits(&published), bits(&reference), "{what}: {user} row value bits");
+    }
+}
+
+/// The single shard's SUM registry state (what a checkpoint stores).
+fn registry_state(spa: &ShardedSpa) -> Vec<u8> {
+    let mut state = Vec::new();
+    spa.shard(ShardId::new(0)).registry().write_state(&mut state);
+    state
+}
+
 fn assert_scored_bits_equal(a: &[(UserId, f64)], b: &[(UserId, f64)], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length diverges");
     for ((ua, sa), (ub, sb)) in a.iter().zip(b.iter()) {
@@ -66,22 +90,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary interleavings of ingest (which must republish the
-    /// touched rows), batch scoring, `rank_top_k` and incremental
-    /// selection updates: the published-row engine equals the reference
-    /// at every step, and `rank_top_k(k)` equals the sorted reference
-    /// truncated to `k`, for arbitrary `k`. Each op is a raw
+    /// touched rows), batch scoring, `rank_top_k`, incremental
+    /// selection updates, objective imports and restores of saved
+    /// registry state: the published rows and the scores equal the
+    /// reference at every step, and `rank_top_k(k)` equals the sorted
+    /// reference truncated to `k`, for arbitrary `k`. Each op is a raw
     /// `(selector, user, valence, k)` tuple: selector 0-2 ingests (the
     /// common case), 3-4 scores the audience, 5-6 takes a top-k, 7
-    /// folds an outcome into the selection function.
+    /// folds an outcome into the selection function, 8 imports a
+    /// `k % 41`-value objective block for every fourth user (rows grow
+    /// past the inline entries, to dense at 38), 9 saves the registry's
+    /// state and 10 restores the last save into the live registry
+    /// (every row republished, imported ones narrowed back).
     #[test]
     fn cached_scoring_equals_cache_free_reference_under_interleaving(
         ops in proptest::collection::vec(
-            (0u8..8, 0u32..N_USERS, -1.0f64..1.0, 0usize..(N_USERS as usize + 15)),
-            20..45,
+            (0u8..11, 0u32..N_USERS, -1.0f64..1.0, 0usize..(N_USERS as usize + 15)),
+            20..60,
         ),
     ) {
         let (spa, users) = platform();
         let mut at = 10_000u64;
+        let mut saved = registry_state(&spa);
         for (step, (selector, user_seed, valence, k)) in ops.into_iter().enumerate() {
             match selector {
                 0..=2 => {
@@ -100,12 +130,33 @@ proptest! {
                     reference.truncate(k);
                     assert_scored_bits_equal(&top, &reference, &format!("step {step} top-{k}"));
                 }
-                _ => {
+                7 => {
                     // mutates the selection function: every published
                     // row stays valid but all scores change
                     spa.observe_outcome(users[user_seed as usize], valence > 0.0).unwrap();
                 }
+                8 => {
+                    at += 1;
+                    let values: Vec<f64> =
+                        (0..k % 41).map(|i| (valence.abs() + i as f64 * 0.37) % 1.0).collect();
+                    let imports: Vec<LifeLogEvent> = users
+                        .iter()
+                        .skip(user_seed as usize % 4)
+                        .step_by(4)
+                        .map(|&user| {
+                            let kind = EventKind::ObjectiveImported { values: values.clone() };
+                            LifeLogEvent::new(user, Timestamp::from_millis(at), kind)
+                        })
+                        .collect();
+                    spa.ingest_batch(&imports).unwrap();
+                }
+                9 => saved = registry_state(&spa),
+                _ => {
+                    let registry = spa.shard(ShardId::new(0)).registry();
+                    assert_eq!(registry.restore_state(&saved).unwrap(), u64::from(N_USERS));
+                }
             }
+            assert_published_rows_equal_reference(&spa, &users, &format!("step {step} rows"));
         }
         // closing sweep: a final full comparison after the whole history
         let scored = spa.score_users(&users).unwrap();
