@@ -195,7 +195,9 @@ struct Shared {
     stats: Arc<ServerStats>,
     options: ServeOptions,
     in_flight: AtomicUsize,
-    live_connections: AtomicUsize,
+    /// Counted apart from `Shared`, so a connection thread can drop its
+    /// `Shared` (and with it the facade) first and leave the count last.
+    live_connections: Arc<AtomicUsize>,
     draining: AtomicBool,
     shutdown: AtomicBool,
     /// `try_clone`d handles of every live connection, so drain can
@@ -339,7 +341,7 @@ pub fn serve_with<A: ToSocketAddrs>(
         stats: Arc::new(ServerStats::default()),
         options,
         in_flight: AtomicUsize::new(0),
-        live_connections: AtomicUsize::new(0),
+        live_connections: Arc::new(AtomicUsize::new(0)),
         draining: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
         registry: Mutex::new(HashMap::new()),
@@ -380,7 +382,7 @@ pub fn serve_with<A: ToSocketAddrs>(
                 let conn_shared = shared.clone();
                 let spawned = std::thread::Builder::new()
                     .name("spa-conn".into())
-                    .spawn(move || handle_connection(&conn_shared, stream, conn_id));
+                    .spawn(move || handle_connection(conn_shared, stream, conn_id));
                 if spawned.is_err() {
                     shared.registry.lock().expect("registry lock").remove(&conn_id);
                     shared.live_connections.fetch_sub(1, Ordering::SeqCst);
@@ -392,7 +394,7 @@ pub fn serve_with<A: ToSocketAddrs>(
 }
 
 /// One connection's request/response loop.
-fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
+fn handle_connection(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
     // request/response turnaround must not sit in Nagle's buffer
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(shared.options.read_timeout);
@@ -403,7 +405,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
         match wire::recv_frame_event(&mut stream) {
             Ok(FrameEvent::Frame(payload)) => {
                 last_frame = Instant::now();
-                if !serve_frame(shared, &mut stream, &mut scratch, &payload) {
+                if !serve_frame(&shared, &mut stream, &mut scratch, &payload) {
                     break;
                 }
             }
@@ -433,7 +435,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
                 // abandoned — its framing can no longer be trusted
                 shared.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                 let reply = ApiResponse::Error { message: format!("rejected frame: {error}") };
-                let _ = send_reply(shared, &mut stream, &mut scratch, 0, false, &reply);
+                let _ = send_reply(&shared, &mut stream, &mut scratch, 0, false, &reply);
                 break;
             }
             Err(_) => {
@@ -445,7 +447,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
         }
     }
     shared.registry.lock().expect("registry lock").remove(&conn_id);
-    shared.live_connections.fetch_sub(1, Ordering::SeqCst);
+    // quiescence waits on this count: leave it only once this thread no
+    // longer holds the facade, so a caller that reads zero holds the
+    // platform alone, and dropping it flushes the log before a recovery
+    let live_connections = Arc::clone(&shared.live_connections);
+    drop(shared);
+    live_connections.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Admits, dispatches and answers one well-framed request. Returns

@@ -114,6 +114,32 @@ fn a_hard_killed_server_cannot_hang_the_client() {
     assert!(error.is_retryable(), "a killed server is weather, not a bug: {error}");
 }
 
+/// `hard_kill` returns only once no connection thread holds the facade,
+/// so the caller's handle is the last one: dropping it drops the
+/// platform, flushing its log, before a recovery reads that log. A
+/// thread that still held it would flush acknowledged writes behind the
+/// recovery's back, and the recovered platform would miss them. A
+/// thread that left the connection count before letting go of the
+/// facade held it for microseconds, so the kill is repeated.
+#[test]
+fn a_hard_kill_leaves_the_caller_the_only_holder_of_the_facade() {
+    let api = Arc::new(platform());
+    for round in 0..500 {
+        let handle = serve_with(api.clone(), "127.0.0.1:0", ServeOptions::default()).unwrap();
+        let mut clients: Vec<_> =
+            (0..4).map(|_| SpaClient::connect(handle.addr()).unwrap()).collect();
+        for client in &mut clients {
+            assert!(client.call(&ApiRequest::Stats).is_ok());
+        }
+        handle.hard_kill();
+        assert_eq!(
+            Arc::strong_count(&api),
+            1,
+            "round {round}: a connection still holds the facade"
+        );
+    }
+}
+
 /// The satellite bugfix for thread leaks: a connection that never
 /// sends a byte is reaped at the idle timeout and counted.
 #[test]

@@ -205,11 +205,21 @@ fn durable_sharded(root: &Path, shards: usize, io: Arc<dyn StorageIo>) -> Sharde
 }
 
 /// Whether the platform under test was built with the `parallel`
-/// feature. Asked of the product, not of this crate's own feature:
-/// Cargo unifies features across the workspace, so `spa-core` can be
-/// parallel under `--no-default-features` here.
+/// feature, asked of the product: a batch of any size is worth a
+/// hand-off under a 2-thread pool only when the engines can fan out.
+/// [`the_facade_and_the_engines_share_one_parallel_feature`] pins it to
+/// this crate's own feature.
 fn built_parallel() -> bool {
     with_threads(2, || spa::ml::parallel_worthy(usize::MAX))
+}
+
+/// The facade's `parallel` feature is the engines': a build with it off
+/// (`--no-default-features`, also with `--workspace`) runs serial
+/// engines, and one with it on runs parallel ones. No workspace member
+/// may request the engines' feature behind the facade's back.
+#[test]
+fn the_facade_and_the_engines_share_one_parallel_feature() {
+    assert_eq!(cfg!(feature = "parallel"), built_parallel());
 }
 
 /// A fault-free [`StorageIo`] that records which threads wrote: the
