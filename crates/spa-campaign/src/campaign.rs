@@ -172,9 +172,9 @@ impl<'a> CampaignRunner<'a> {
         Ok(CampaignOutcome { id: spec.id, channel: spec.channel, contacts, responses })
     }
 
-    /// Runs one campaign with contacts fanned out across threads
-    /// (`parallel` feature; falls back to a serial loop without it),
-    /// collecting an extra per-contact payload from the hook.
+    /// Runs one campaign with contacts fanned out across the pool's
+    /// threads (inline on the caller at one thread), collecting an
+    /// extra per-contact payload from the hook.
     ///
     /// Contacts of one campaign touch *distinct* users (the audience is
     /// sampled without replacement), every SUM mutation is per-user
@@ -194,21 +194,11 @@ impl<'a> CampaignRunner<'a> {
         }
         spa.register_campaign(spec.id, &spec.course.appeal);
         let audience = self.draw_audience(spec);
-        let results: Vec<Result<(ContactRecord, T)>>;
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            results = (0..audience.len())
-                .into_par_iter()
-                .map(|k| self.contact(spa, spec, k, audience[k], &contact_hook))
-                .collect();
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            results = (0..audience.len())
-                .map(|k| self.contact(spa, spec, k, audience[k], &contact_hook))
-                .collect();
-        }
+        use rayon::prelude::*;
+        let results: Vec<Result<(ContactRecord, T)>> = (0..audience.len())
+            .into_par_iter()
+            .map(|k| self.contact(spa, spec, k, audience[k], &contact_hook))
+            .collect();
         let mut contacts = Vec::with_capacity(results.len());
         let mut payloads = Vec::with_capacity(results.len());
         let mut responses = 0usize;

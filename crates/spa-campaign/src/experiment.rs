@@ -337,7 +337,7 @@ impl Experiment {
         // *before* the response is drawn and fed back — capturing them
         // afterwards would leak the label through the reward/punish
         // update of the very outcome being predicted. Contacts fan out
-        // across threads (`parallel` feature); rows come back in
+        // across the pool's threads; rows come back in
         // contact order, so the training set is thread-count-invariant.
         let feature_dim = spa.schema().len() + 4;
         let mut training = Dataset::new(feature_dim);

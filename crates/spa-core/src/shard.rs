@@ -101,11 +101,8 @@ pub fn shard_index(user: UserId, shards: usize) -> usize {
 /// bit-identity-across-thread-counts guarantee every caller relies on.
 fn fan_out<T: Send>(n: usize, work: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     if n > 1 && spa_ml::parallel_worthy(work) {
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            return (0..n).into_par_iter().map(f).collect();
-        }
+        use rayon::prelude::*;
+        return (0..n).into_par_iter().map(f).collect();
     }
     (0..n).map(f).collect()
 }
@@ -114,7 +111,6 @@ fn fan_out<T: Send>(n: usize, work: usize, f: impl Fn(usize) -> T + Sync) -> Vec
 /// per pool thread when the hand-off pays, one (the caller) otherwise.
 fn read_parts(users: usize) -> usize {
     if spa_ml::parallel_worthy(users) {
-        #[cfg(feature = "parallel")]
         return rayon::current_num_threads();
     }
     1
@@ -163,7 +159,8 @@ pub struct RecoveryReport {
     /// (it rejected them identically at live ingest time, so they never
     /// contributed state; see [`ShardedSpa::recover`]).
     pub events_skipped: Vec<u64>,
-    /// Torn tail found (and truncated) per shard, if any.
+    /// Torn tail found per shard, if any (cut when recovery reopens the
+    /// shard's log).
     pub torn_tails: Vec<Option<TornTail>>,
     /// The snapshot position each shard was restored from (`None` =
     /// that shard replayed its full history).
@@ -180,7 +177,8 @@ pub struct RecoveryReport {
     /// snapshot already covered the whole log, or when no outcomes were
     /// ever observed).
     pub selection_events_replayed: u64,
-    /// Torn tail found (and truncated) in the selection WAL, if any.
+    /// Torn tail found in the selection WAL, if any (cut when recovery
+    /// reopens it).
     pub selection_torn_tail: Option<TornTail>,
     /// Shards whose registered snapshot failed to load, forcing the
     /// fallback ladder (an older snapshot or a full replay). Zero on a
@@ -440,9 +438,11 @@ impl ShardedSpa {
     /// crash: reads the shard count and registered checkpoints from the
     /// root manifest, restores each shard from its newest valid
     /// snapshot ([`ShardedSpa::checkpoint`]) and replays only the
-    /// segment **tail** behind it (truncating torn tail writes so
-    /// appends resume on a clean frame boundary), then reattaches the
-    /// logs for continued ingest. Recovery cost is proportional to the
+    /// segment **tail** behind it, then reattaches the logs for continued
+    /// ingest. A torn tail write is reported in [`RecoveryReport`], and
+    /// reattaching cuts it: opening a log ([`EventLog::open`]) is where
+    /// a torn tail is cut, so appends resume on a clean frame boundary.
+    /// Recovery cost is proportional to the
     /// tail since the last checkpoint, not the event history. The
     /// global [`SelectionFunction`] is restored from the checkpointed
     /// weights — it scores bit-identically to the live function, no
@@ -525,9 +525,9 @@ impl ShardedSpa {
         // each shard recovers independently (its own snapshot, its own
         // segments, its own engine): build the engine, load the
         // registered snapshot, then stream-replay the tail behind it one
-        // segment at a time — fanned out across threads under the
-        // `parallel` feature, like every multi-shard path
-        let recover_shard = |index: usize| -> Result<(Engine, ShardOutcome)> {
+        // segment at a time — fanned out across threads like every
+        // multi-shard path
+        let recover_one = |index: usize| -> Result<(Engine, ShardOutcome)> {
             let mut engine = fresh_engine();
             let dir = ShardedEventLog::shard_path(root, ShardId::new(index as u32));
             // a crash mid-checkpoint leaves `*.snap-tmp` partials in the
@@ -612,13 +612,16 @@ impl ShardedSpa {
                     skipped += 1;
                 }
             }
-            let torn = iter.torn_tail();
-            if let Some(torn) = &torn {
-                spa_store::EventLog::truncate_torn_tail(&dir, torn)?;
-            }
             Ok((
                 engine,
-                ShardOutcome { applied, skipped, torn, snapshot: loaded, fallback, stale_temps },
+                ShardOutcome {
+                    applied,
+                    skipped,
+                    torn: iter.torn_tail(),
+                    snapshot: loaded,
+                    fallback,
+                    stale_temps,
+                },
             ))
         };
         let mut engines = Vec::with_capacity(shards);
@@ -628,7 +631,7 @@ impl ShardedSpa {
             stale_temps_removed: snapshot::remove_stale_temps(root)?.len() as u64,
             ..RecoveryReport::default()
         };
-        for outcome in fan_out(shards, usize::MAX, recover_shard) {
+        for outcome in fan_out(shards, usize::MAX, recover_one) {
             let (engine, ShardOutcome { applied, skipped, torn, snapshot, fallback, stale_temps }) =
                 outcome?;
             engines.push(engine);
@@ -704,15 +707,13 @@ impl ShardedSpa {
                     report.selection_events_replayed += 1;
                 }
                 report.selection_torn_tail = iter.torn_tail();
-                if let Some(torn) = &report.selection_torn_tail {
-                    EventLog::truncate_torn_tail(&selection_dir, torn)?;
-                }
             }
         }
         // the master was restored/replayed with nothing published yet —
         // publish its final state before the platform goes live
         sharded.publish_selection(&mut selection);
         drop(selection);
+        // reopening the logs cuts the torn tails reported above
         sharded.log =
             Some(ShardedEventLog::open_existing_with_io(root, log_config.clone(), io.clone())?);
         sharded.selection_log = Some(EventLog::open_with_io(&selection_dir, log_config, io)?);
@@ -722,8 +723,8 @@ impl ShardedSpa {
     /// Checkpoints every shard: under that shard's write-pause latch,
     /// flushes its WAL, records the flushed position and atomically
     /// writes a snapshot of the shard's in-memory state covering
-    /// exactly that position (fanned out across threads under the
-    /// `parallel` feature — shards pause one at a time, not the whole
+    /// exactly that position (fanned out across threads when the pool
+    /// has more than one — shards pause one at a time, not the whole
     /// platform). The global selection weights are written to a
     /// root-level snapshot, and finally all positions are registered in
     /// the shard manifest in one atomic rewrite — the commit point:
@@ -930,9 +931,9 @@ impl ShardedSpa {
     /// per-shard arrival order), then each involved shard runs its
     /// whole *log sub-batch → apply sub-batch* pipeline as one unit. A
     /// batch of [`spa_ml::PARALLEL_BATCH_THRESHOLD`] events or more
-    /// fans the shards out across threads (`parallel` feature, more
-    /// than one thread) — no global barrier between the log phase and
-    /// the apply phase, so one slow shard's disk write never stalls
+    /// fans the shards out across threads (when the pool has more than
+    /// one) — no global barrier between the log phase and the apply
+    /// phase, so one slow shard's disk write never stalls
     /// another shard's in-memory apply. A smaller batch runs the same
     /// pipelines inline on the caller, in shard order: the hand-off
     /// would cost more than the apply, and the rows it publishes stay
@@ -973,7 +974,7 @@ impl ShardedSpa {
     /// error as fatal, exactly as the per-event contract on
     /// [`ShardedSpa::ingest`] already demands: rebuild through
     /// [`ShardedSpa::recover`] (which replays the durably logged prefix
-    /// and truncates the tear) rather than retrying the batch — a retry
+    /// and cuts the tear when it reopens the logs) rather than retrying the batch — a retry
     /// would log the surviving shards' events twice and every future
     /// replay would double-count them.
     pub fn ingest_batch<'a>(

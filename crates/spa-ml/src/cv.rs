@@ -38,7 +38,7 @@ pub struct FoldScore {
 /// held-out ROC-AUC of each fold.
 ///
 /// `make` builds a fresh untrained model per fold (so no state leaks
-/// across folds). With the `parallel` feature (default) the folds run
+/// across folds). With more than one pool thread the folds run
 /// concurrently; each fold is self-contained and deterministic, so the
 /// scores are identical to [`cross_validate_serial`] at any thread
 /// count.
@@ -48,16 +48,13 @@ where
     F: Fn() -> C + Sync,
 {
     let folds = kfold_indices(data.len(), k, seed)?;
-    #[cfg(feature = "parallel")]
-    {
-        if rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            let scores: Vec<Result<FoldScore>> = (0..folds.len())
-                .into_par_iter()
-                .map(|fold| run_fold(data, &folds, fold, &make))
-                .collect();
-            return scores.into_iter().collect();
-        }
+    if rayon::current_num_threads() > 1 {
+        use rayon::prelude::*;
+        let scores: Vec<Result<FoldScore>> = (0..folds.len())
+            .into_par_iter()
+            .map(|fold| run_fold(data, &folds, fold, &make))
+            .collect();
+        return scores.into_iter().collect();
     }
     (0..folds.len()).map(|fold| run_fold(data, &folds, fold, &make)).collect()
 }

@@ -41,32 +41,24 @@ use spa_linalg::{RowView, SparseVec};
 use spa_types::Result;
 
 /// Work-item count (rows, users, events) below which a batch stays on
-/// the calling thread even with the `parallel` feature on: a thread
-/// hand-off costs more than it saves. Compared in exactly one place,
+/// the calling thread whatever the pool size: a thread hand-off costs
+/// more than it saves. Compared in exactly one place,
 /// [`parallel_worthy`].
 pub const PARALLEL_BATCH_THRESHOLD: usize = 2048;
 
 /// The workspace's one "is this worth a thread hand-off" decision,
-/// taken from the amount of work. Always `false` without the `parallel`
-/// feature. With it, the size test runs **first** and the thread count
-/// is resolved only for batches that pass it, so a small call never
-/// pays `rayon::current_num_threads()` (≈ 9 µs outside a pool).
+/// taken from the amount of work. Always `false` at one thread
+/// (`RAYON_NUM_THREADS=1`, the serial build). The size test runs
+/// **first** and the thread count is resolved only for batches that pass
+/// it, so a small call never pays `rayon::current_num_threads()` (≈ 9 µs
+/// outside a pool).
 pub fn parallel_worthy(items: usize) -> bool {
-    #[cfg(feature = "parallel")]
-    {
-        items >= PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = items;
-        false
-    }
+    items >= PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1
 }
 
 /// Minimum rows per worker chunk for cheap per-row kernels: the
 /// vendored rayon spawns threads per call, so each worker must
 /// amortize its spawn over enough rows.
-#[cfg(feature = "parallel")]
 const PARALLEL_MIN_CHUNK: usize = 1024;
 
 /// A binary classifier with a real-valued decision function.
@@ -100,22 +92,19 @@ pub trait Classifier: Send + Sync {
 
     /// Decision scores for every row of a dataset, in row order.
     ///
-    /// Zero-copy per row, and — with the `parallel` feature (default) —
+    /// Zero-copy per row, and — for a batch [`parallel_worthy`] —
     /// fanned out over threads in order-preserving chunks, so the
     /// output is bit-identical to [`Classifier::decision_batch_serial`]
     /// at every thread count.
     fn decision_batch(&self, data: &Dataset) -> Result<Vec<f64>> {
-        #[cfg(feature = "parallel")]
-        {
-            if parallel_worthy(data.len()) {
-                use rayon::prelude::*;
-                let scores: Vec<Result<f64>> = (0..data.len())
-                    .into_par_iter()
-                    .map(|r| self.decision_view(data.x.row(r)))
-                    .with_min_len(PARALLEL_MIN_CHUNK)
-                    .collect();
-                return scores.into_iter().collect();
-            }
+        if parallel_worthy(data.len()) {
+            use rayon::prelude::*;
+            let scores: Vec<Result<f64>> = (0..data.len())
+                .into_par_iter()
+                .map(|r| self.decision_view(data.x.row(r)))
+                .with_min_len(PARALLEL_MIN_CHUNK)
+                .collect();
+            return scores.into_iter().collect();
         }
         self.decision_batch_serial(data)
     }
@@ -139,26 +128,21 @@ mod tests {
     use super::*;
 
     /// The hand-off gate: work size first, thread count second, and
-    /// never in a serial build.
+    /// never at one thread.
     #[test]
     fn parallel_gate_is_sized_by_work_and_threads() {
-        #[cfg(feature = "parallel")]
-        {
-            let with_threads = |n: usize, f: fn()| {
-                rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
-            };
-            with_threads(5, || {
-                assert!(!parallel_worthy(0));
-                assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD - 1));
-                assert!(parallel_worthy(PARALLEL_BATCH_THRESHOLD));
-                assert!(parallel_worthy(usize::MAX));
-            });
-            with_threads(1, || {
-                assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD));
-                assert!(!parallel_worthy(usize::MAX));
-            });
-        }
-        #[cfg(not(feature = "parallel"))]
-        assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD) && !parallel_worthy(usize::MAX));
+        let with_threads = |n: usize, f: fn()| {
+            rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
+        };
+        with_threads(5, || {
+            assert!(!parallel_worthy(0));
+            assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD - 1));
+            assert!(parallel_worthy(PARALLEL_BATCH_THRESHOLD));
+            assert!(parallel_worthy(usize::MAX));
+        });
+        with_threads(1, || {
+            assert!(!parallel_worthy(PARALLEL_BATCH_THRESHOLD));
+            assert!(!parallel_worthy(usize::MAX));
+        });
     }
 }

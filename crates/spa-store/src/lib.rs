@@ -8,8 +8,10 @@
 //!
 //! * [`log`] — a durable, append-only, segmented **event log** holding
 //!   raw [`spa_types::LifeLogEvent`] records behind a CRC-checked binary
-//!   framing ([`codec`]); replayable from the start, tolerant of a
-//!   truncated tail (crash during append);
+//!   framing ([`codec`]), with one write core behind its two appends and
+//!   one frame walk ([`ReplayIter`]) for both replay and open; a
+//!   truncated tail (crash during append) is reported by replay and cut
+//!   off when the log is next opened;
 //! * [`shard_log`] — **per-shard** event-log handles under one root
 //!   directory with a manifest, backing the sharded serving platform;
 //! * [`snapshot`] — versioned, checksummed, atomically written
@@ -34,8 +36,7 @@ pub mod snapshot;
 
 pub use fault::{FaultCounts, FaultLedger, FaultPlan, FaultPlanConfig, RealIo, StorageIo};
 pub use log::{
-    CompactionStats, EventLog, LogPosition, LogStats, ReplayIter, ReplayOutcome, TornTail,
-    WriteFaultCounters,
+    CompactionStats, EventLog, LogPosition, LogStats, ReplayIter, TornTail, WriteFaultCounters,
 };
 pub use shard_log::ShardedEventLog;
 pub use snapshot::{Snapshot, SnapshotBuilder};

@@ -5,8 +5,13 @@
 //! segment files (`segment-0000000000.log`, …), rolling to a new segment
 //! once the active one exceeds a size threshold. Each record is framed
 //! with a length and CRC ([`crate::codec`]), so replay detects both bit
-//! rot (error) and a torn tail write (silently truncated, like a WAL
-//! recovery).
+//! rot (error) and a torn tail write (reported, then cut off when the
+//! log is next opened, like a WAL recovery).
+//!
+//! One way in, one way out: [`EventLog::append`] and
+//! [`EventLog::append_encoded`] share one locked write core, and
+//! [`ReplayIter`] is the only frame walk — opening a log replays its
+//! active segment with it to find the torn tail it cuts.
 
 use crate::codec::{decode_frame, encode_frame, FrameRead};
 use crate::fault::{
@@ -127,73 +132,30 @@ pub struct TornTail {
     pub bytes_dropped: u64,
 }
 
-/// Result of a replay: the intact events plus whether (and where) the
-/// tail was torn. [`EventLog::replay`] discards this detail; recovery
-/// paths ([`EventLog::open_recover`]) act on it.
-#[derive(Debug)]
-pub struct ReplayOutcome {
-    /// Every fully framed, checksum-valid event, in append order.
-    pub events: Vec<LifeLogEvent>,
-    /// `Some` when the final segment ended mid-frame.
-    pub torn_tail: Option<TornTail>,
-}
-
 struct Writer {
     file: BufWriter<File>,
     segment_index: u64,
     segment_bytes: u64,
     events_appended: u64,
     io_counters: WriteFaultCounters,
+    /// The frame [`EventLog::append`] encodes into, reused across calls.
     scratch: BytesMut,
-    /// Frame accumulator for batch appends: frames are encoded
-    /// **directly into this buffer** (no per-event scratch round-trip)
-    /// and whole batches — up to a segment roll — land in one
-    /// `write_all` instead of one per event.
-    batch: BytesMut,
-    /// Set after a failed frame write. The active segment may end in a
-    /// torn frame, so accepting further appends would bury acknowledged
-    /// events *behind* the tear — recovery truncates at the first torn
-    /// frame and would silently discard them. Poisoned logs refuse all
-    /// appends; reopen through recovery.
+    /// Set after a failed write. The active segment may end in a torn
+    /// frame, so accepting further appends would bury acknowledged
+    /// events *behind* the tear — the next open cuts the log at the
+    /// first torn frame and would silently discard them. Poisoned logs
+    /// refuse all appends until reopened.
     poisoned: bool,
 }
 
 impl Writer {
-    fn check_poisoned(&self) -> Result<()> {
-        if self.poisoned {
-            return Err(SpaError::Corrupt(
-                "event log poisoned by an earlier write failure; reopen via recovery".into(),
-            ));
-        }
+    /// Writes one run of whole frames into the active segment. The
+    /// segment size and the appended count move only once it lands.
+    fn land(&mut self, io: &dyn StorageIo, run: &[u8], frames: usize) -> Result<()> {
+        write_guarded(&mut self.file, &mut self.io_counters, io, run)?;
+        self.segment_bytes += run.len() as u64;
+        self.events_appended += frames as u64;
         Ok(())
-    }
-
-    /// Writes the first `upto` bytes of the accumulated batch in one
-    /// call and retains the rest (a frame encoded past a segment
-    /// boundary stays buffered for the next segment). A failure clears
-    /// the buffer and poisons the writer (the segment may hold a torn
-    /// frame) — rebuild via recovery, never retry frames.
-    fn flush_batch_prefix(&mut self, io: &dyn StorageIo, upto: usize) -> Result<()> {
-        if upto == 0 {
-            return Ok(());
-        }
-        let result = write_guarded(&mut self.file, &mut self.io_counters, io, &self.batch[..upto]);
-        if result.is_err() {
-            self.batch.clear();
-            self.poisoned = true;
-        } else {
-            let len = self.batch.len();
-            if upto < len {
-                self.batch.copy_within(upto.., 0);
-            }
-            self.batch.truncate(len - upto);
-        }
-        result.map_err(Into::into)
-    }
-
-    /// Writes the whole accumulated batch.
-    fn flush_batch(&mut self, io: &dyn StorageIo) -> Result<()> {
-        self.flush_batch_prefix(io, self.batch.len())
     }
 }
 
@@ -209,7 +171,7 @@ impl Writer {
 ///   *before* the tear), then the fault's prefix of `bytes` is written
 ///   straight to the file, and an error is returned — the segment now
 ///   ends mid-frame exactly as a crash during `write(2)` would leave
-///   it, and only recovery's torn-tail healing may touch it again.
+///   it, and only the torn-tail cut of the next open may touch it again.
 fn write_guarded(
     file: &mut BufWriter<File>,
     counters: &mut WriteFaultCounters,
@@ -289,31 +251,6 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("segment-{index:010}.log"))
 }
 
-/// Frame-walks one segment file and returns its clean length. A
-/// partial frame at the tail is truncated off (the crash-during-append
-/// signature); an invalid frame anywhere earlier is loud corruption.
-fn heal_segment_tail(path: &Path) -> Result<u64> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let mut offset = 0usize;
-    while offset < buf.len() {
-        match decode_frame(&buf[offset..]) {
-            Ok(FrameRead::Event(_, consumed)) => offset += consumed,
-            Ok(FrameRead::Incomplete) => {
-                OpenOptions::new().write(true).open(path)?.set_len(offset as u64)?;
-                return Ok(offset as u64);
-            }
-            Err(e) => {
-                return Err(SpaError::Corrupt(format!(
-                    "segment {} offset {offset}: {e}",
-                    path.display()
-                )))
-            }
-        }
-    }
-    Ok(buf.len() as u64)
-}
-
 fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     let mut segments = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -336,11 +273,12 @@ impl EventLog {
     /// Opens (creating if needed) a log in `dir`. Appends continue into
     /// the highest existing segment.
     ///
-    /// The active segment is frame-walked first: a torn partial frame
-    /// at its tail (crash during an append) is truncated away, so new
-    /// appends never bury garbage mid-segment where replay would
-    /// mistake it for corruption. A checksum-invalid frame earlier in
-    /// the segment is a loud [`SpaError::Corrupt`] instead.
+    /// Opening a log is where a torn tail is cut: the active segment is
+    /// replayed first, and a partial frame at its tail (a crash during
+    /// an append) is truncated away, so new appends never bury garbage
+    /// mid-segment where replay would mistake it for corruption. A
+    /// checksum-invalid frame earlier in the segment is a loud
+    /// [`SpaError::Corrupt`] instead.
     pub fn open(dir: impl Into<PathBuf>, config: LogConfig) -> Result<Self> {
         Self::open_with_io(dir, config, real_io())
     }
@@ -349,8 +287,8 @@ impl EventLog {
     /// physical write and fsync this log performs consults `io` first.
     /// Production callers use [`EventLog::open`] (a no-op seam); chaos
     /// harnesses pass a [`crate::fault::FaultPlan`]. The open itself
-    /// (tail healing) always uses real I/O — injection starts with the
-    /// first append.
+    /// (the torn-tail cut) always uses real I/O — injection starts with
+    /// the first append.
     pub fn open_with_io(
         dir: impl Into<PathBuf>,
         config: LogConfig,
@@ -358,13 +296,21 @@ impl EventLog {
     ) -> Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let segments = list_segments(&dir)?;
-        let (segment_index, existing_bytes) = match segments.last() {
-            Some((idx, path)) => (*idx, heal_segment_tail(path)?),
-            None => (0, 0),
-        };
+        let segment_index = list_segments(&dir)?.last().map_or(0, |&(i, _)| i);
+        let mut active =
+            Self::replay_iter_from(&dir, LogPosition { segment: segment_index, offset: 0 })?;
+        for event in active.by_ref() {
+            event?;
+        }
+        if let Some(torn) = active.torn_tail() {
+            OpenOptions::new()
+                .write(true)
+                .open(segment_path(&dir, torn.segment))?
+                .set_len(torn.offset)?;
+        }
         let file =
             OpenOptions::new().create(true).append(true).open(segment_path(&dir, segment_index))?;
+        let segment_bytes = file.metadata()?.len();
         Ok(Self {
             dir,
             config,
@@ -372,115 +318,51 @@ impl EventLog {
             writer: Mutex::new(Writer {
                 file: BufWriter::new(file),
                 segment_index,
-                segment_bytes: existing_bytes,
+                segment_bytes,
                 events_appended: 0,
                 io_counters: WriteFaultCounters::default(),
                 scratch: BytesMut::with_capacity(64),
-                batch: BytesMut::new(),
                 poisoned: false,
             }),
         })
     }
 
-    /// Opens with default configuration.
-    pub fn open_default(dir: impl Into<PathBuf>) -> Result<Self> {
-        Self::open(dir, LogConfig::default())
-    }
-
     /// Appends one event, rolling the segment when full. The frame is
-    /// encoded into the writer's scratch buffer and written from it
-    /// directly — no per-append allocation.
+    /// encoded into the writer's scratch buffer and written from it —
+    /// no per-append allocation.
     ///
     /// A failed write poisons the log (the active segment may end in a
     /// torn frame); every later append fails fast instead of burying
-    /// acknowledged events behind the tear, where recovery's
-    /// torn-tail truncation would silently discard them. Reopen
-    /// through [`EventLog::open_recover`] / [`EventLog::open`].
+    /// acknowledged events behind the tear, where the torn-tail cut of
+    /// the next [`EventLog::open`] would silently discard them.
     pub fn append(&self, event: &LifeLogEvent) -> Result<()> {
         let mut guard = self.writer.lock();
         let w = &mut *guard;
-        w.check_poisoned()?;
-        w.scratch.clear();
-        encode_frame(event, &mut w.scratch);
-        let frame_len = w.scratch.len() as u64;
-        if w.segment_bytes > 0 && w.segment_bytes + frame_len > self.config.segment_bytes {
-            if let Err(e) = self.roll_locked(w) {
-                w.poisoned = true;
-                return Err(e);
-            }
-        }
-        if let Err(e) = write_guarded(&mut w.file, &mut w.io_counters, self.io.as_ref(), &w.scratch)
-        {
-            w.poisoned = true;
-            return Err(e.into());
-        }
-        w.segment_bytes += frame_len;
-        w.events_appended += 1;
-        Ok(())
+        let mut frame = std::mem::take(&mut w.scratch);
+        frame.clear();
+        encode_frame(event, &mut frame);
+        let result = self.append_locked(w, &frame);
+        w.scratch = frame;
+        result.map(drop)
     }
 
-    /// Appends a batch of events: one lock acquisition, and frames are
-    /// accumulated and written **once per segment** rather than once
-    /// per event (the grouped write is what keeps write-ahead
-    /// durability cheap for the sharded platform's per-shard
-    /// sub-batches). The byte stream produced is identical to
-    /// appending each event individually.
-    ///
-    /// Like [`EventLog::append`], a write failure poisons the log —
-    /// the returned count only reflects durably buffered frames up to
-    /// the failure, and all later appends fail fast until the log is
-    /// reopened through recovery.
-    pub fn append_batch<'a>(
-        &self,
-        events: impl IntoIterator<Item = &'a LifeLogEvent>,
-    ) -> Result<usize> {
-        let mut guard = self.writer.lock();
-        let w = &mut *guard;
-        w.check_poisoned()?;
-        let mut appended = 0usize;
-        debug_assert!(w.batch.is_empty());
-        for event in events {
-            // frame straight into the accumulator; when the frame would
-            // cross the segment boundary, flush everything before it,
-            // roll, and let the frame open the new segment
-            let start = w.batch.len();
-            encode_frame(event, &mut w.batch);
-            let frame_len = (w.batch.len() - start) as u64;
-            if w.segment_bytes > 0 && w.segment_bytes + frame_len > self.config.segment_bytes {
-                w.flush_batch_prefix(self.io.as_ref(), start)?;
-                if let Err(e) = self.roll_locked(w) {
-                    w.batch.clear();
-                    w.poisoned = true;
-                    return Err(e);
-                }
-            }
-            w.segment_bytes += frame_len;
-            w.events_appended += 1;
-            appended += 1;
-        }
-        w.flush_batch(self.io.as_ref())?;
-        Ok(appended)
-    }
-
-    /// Appends a batch of **pre-encoded frames** — the byte run a
-    /// routing pass produced with [`crate::codec::encode_frame`] while
-    /// each event was still hot in cache. Frames are written straight
-    /// from `frames` (no copy into the writer's accumulator), split at
-    /// segment-roll boundaries by walking the length headers. The byte
-    /// stream and roll layout are identical to appending the same
-    /// events through [`EventLog::append_batch`]. Returns the frame
-    /// count.
+    /// Appends a run of **pre-encoded frames** — the bytes a routing
+    /// pass produced with [`crate::codec::encode_frame`] while each
+    /// event was still hot in cache — in one write per segment, and
+    /// returns the frame count. The segment files come out byte for
+    /// byte as [`EventLog::append`] of each event would leave them,
+    /// rolls included.
     ///
     /// `frames` must be a well-formed concatenation of frames; a
     /// length header exceeding [`crate::codec::MAX_PAYLOAD`] or a
     /// truncated tail is a loud [`SpaError::Corrupt`] before anything
-    /// is written. Write-failure poisoning matches
-    /// [`EventLog::append_batch`].
+    /// is written. A failed write poisons the log as in
+    /// [`EventLog::append`]; only frames that landed before it count
+    /// as appended.
     pub fn append_encoded(&self, frames: &[u8]) -> Result<usize> {
-        // validation walk first (no allocation, headers stay cached),
+        // validation walk first (the bytes come from outside the log),
         // so a malformed buffer is rejected before any byte lands
         let mut offset = 0usize;
-        let mut frames_total = 0usize;
         while offset < frames.len() {
             if frames.len() - offset < 8 {
                 return Err(SpaError::Corrupt(format!(
@@ -500,43 +382,47 @@ impl EventLog {
                 )));
             }
             offset += total;
-            frames_total += 1;
         }
-        let mut guard = self.writer.lock();
-        let w = &mut *guard;
-        w.check_poisoned()?;
-        let mut written = 0usize; // bytes of `frames` already on disk
-        let mut cursor = 0usize; // start of the frame under consideration
+        self.append_locked(&mut self.writer.lock(), frames)
+    }
+
+    /// The one write core behind both appends. Any failure poisons the
+    /// log.
+    fn append_locked(&self, w: &mut Writer, frames: &[u8]) -> Result<usize> {
+        if w.poisoned {
+            return Err(SpaError::Corrupt(
+                "event log poisoned by an earlier write failure; reopen via recovery".into(),
+            ));
+        }
+        let result = self.write_frames(w, frames);
+        w.poisoned = result.is_err();
+        result
+    }
+
+    /// Walks the length headers of `frames` (whole, valid frames), rolls
+    /// the segment before any frame that would overflow it, and lands
+    /// each segment's run in one guarded write. Returns the frame count.
+    fn write_frames(&self, w: &mut Writer, frames: &[u8]) -> Result<usize> {
+        let io = self.io.as_ref();
+        let mut cursor = 0usize; // start of the next frame
+        let mut run = 0usize; // start of the bytes not yet written
+        let mut walked = 0usize;
+        let mut landed = 0usize;
         while cursor < frames.len() {
             let len = u32::from_le_bytes(frames[cursor..cursor + 4].try_into().expect("4 bytes"));
-            let frame_len = 8 + len as u64;
-            if w.segment_bytes > 0 && w.segment_bytes + frame_len > self.config.segment_bytes {
-                if let Err(e) = write_guarded(
-                    &mut w.file,
-                    &mut w.io_counters,
-                    self.io.as_ref(),
-                    &frames[written..cursor],
-                ) {
-                    w.poisoned = true;
-                    return Err(e.into());
-                }
-                written = cursor;
-                if let Err(e) = self.roll_locked(w) {
-                    w.poisoned = true;
-                    return Err(e);
-                }
+            let frame_len = 8 + len as usize;
+            let filled = w.segment_bytes + (cursor - run) as u64;
+            if filled > 0 && filled + frame_len as u64 > self.config.segment_bytes {
+                w.land(io, &frames[run..cursor], walked - landed)?;
+                self.roll_locked(w)?;
+                run = cursor;
+                landed = walked;
             }
-            w.segment_bytes += frame_len;
-            w.events_appended += 1;
-            cursor += frame_len as usize;
+            cursor += frame_len;
+            walked += 1;
         }
-        if let Err(e) =
-            write_guarded(&mut w.file, &mut w.io_counters, self.io.as_ref(), &frames[written..])
-        {
-            w.poisoned = true;
-            return Err(e.into());
-        }
-        Ok(frames_total)
+        w.land(io, &frames[run..], walked - landed)?;
+        Ok(walked)
     }
 
     fn roll_locked(&self, w: &mut Writer) -> Result<()> {
@@ -668,42 +554,6 @@ impl EventLog {
         Ok(LogStats { segments: segments.len(), bytes, events_appended })
     }
 
-    /// Replays every intact event in segment order, stopping silently at
-    /// a torn tail in the *last* segment (crash recovery semantics) but
-    /// failing loudly on mid-log corruption.
-    pub fn replay(&self) -> Result<Vec<LifeLogEvent>> {
-        Ok(self.replay_report()?.events)
-    }
-
-    /// Like [`EventLog::replay`], but also reports whether the tail was
-    /// torn (and where), instead of discarding that information.
-    pub fn replay_report(&self) -> Result<ReplayOutcome> {
-        self.flush()?;
-        let mut iter =
-            Self::replay_iter_from_with(&self.dir, LogPosition::default(), self.io.clone())?;
-        let mut events = Vec::new();
-        for event in iter.by_ref() {
-            events.push(event?);
-        }
-        Ok(ReplayOutcome { events, torn_tail: iter.torn_tail() })
-    }
-
-    /// Replays a log directory without an open writer.
-    pub fn replay_dir(dir: impl AsRef<Path>) -> Result<Vec<LifeLogEvent>> {
-        Ok(Self::replay_dir_report(dir)?.events)
-    }
-
-    /// Replays a log directory without an open writer, surfacing the
-    /// torn-tail detail.
-    pub fn replay_dir_report(dir: impl AsRef<Path>) -> Result<ReplayOutcome> {
-        let mut iter = Self::replay_iter(dir)?;
-        let mut events = Vec::new();
-        for event in iter.by_ref() {
-            events.push(event?);
-        }
-        Ok(ReplayOutcome { events, torn_tail: iter.torn_tail() })
-    }
-
     /// Streaming replay over a log directory: yields one intact event at
     /// a time (one segment buffered at a time, not the whole log). After
     /// exhaustion, [`ReplayIter::torn_tail`] reports a partial final
@@ -767,35 +617,6 @@ impl EventLog {
             io,
         })
     }
-
-    /// Opens a log for appending *after a crash*: replays what survives,
-    /// truncates a torn final frame (so subsequent appends start on a
-    /// clean frame boundary instead of burying garbage mid-segment), and
-    /// returns the writable log together with the replay outcome.
-    /// Mid-log corruption is still a loud error.
-    pub fn open_recover(
-        dir: impl Into<PathBuf>,
-        config: LogConfig,
-    ) -> Result<(Self, ReplayOutcome)> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        let outcome = Self::replay_dir_report(&dir)?;
-        if let Some(torn) = outcome.torn_tail {
-            Self::truncate_torn_tail(&dir, &torn)?;
-        }
-        let log = Self::open(dir, config)?;
-        Ok((log, outcome))
-    }
-
-    /// Truncates the partial final frame a replay reported
-    /// ([`ReplayIter::torn_tail`] / [`ReplayOutcome::torn_tail`]) off
-    /// its segment file, so subsequent appends resume on a clean frame
-    /// boundary. Streaming counterpart of [`EventLog::open_recover`].
-    pub fn truncate_torn_tail(dir: impl AsRef<Path>, torn: &TornTail) -> Result<()> {
-        let path = segment_path(dir.as_ref(), torn.segment);
-        OpenOptions::new().write(true).open(&path)?.set_len(torn.offset)?;
-        Ok(())
-    }
 }
 
 /// Streaming iterator over the intact events of a log directory (see
@@ -837,6 +658,9 @@ impl ReplayIter {
 impl Iterator for ReplayIter {
     type Item = Result<LifeLogEvent>;
 
+    // inlined into the caller's loop (recovery in spa-core, the torn-tail
+    // walk of `open`): a call per frame made a segment walk 10–30 % slower
+    #[inline]
     fn next(&mut self) -> Option<Result<LifeLogEvent>> {
         if self.failed {
             return None;
@@ -943,29 +767,49 @@ mod tests {
         )
     }
 
+    fn replayed(dir: &Path) -> Result<Vec<LifeLogEvent>> {
+        EventLog::replay_iter(dir)?.collect()
+    }
+
+    fn tear_last_segment(dir: &Path, bytes: u64) -> (PathBuf, u64) {
+        let seg = list_segments(dir).unwrap().pop().unwrap().1;
+        let len = fs::metadata(&seg).unwrap().len() - bytes;
+        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len).unwrap();
+        (seg, len)
+    }
+
     #[test]
     fn append_then_replay_round_trips() {
         let dir = tmp_dir("roundtrip");
-        let log = EventLog::open_default(&dir).unwrap();
+        let log = EventLog::open(&dir, LogConfig::default()).unwrap();
         let events: Vec<_> = (0..100).map(event).collect();
         for e in &events {
             log.append(e).unwrap();
         }
-        assert_eq!(log.replay().unwrap(), events);
+        log.flush().unwrap();
+        assert_eq!(replayed(&dir).unwrap(), events);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn batch_append_counts() {
         let dir = tmp_dir("batch");
-        let log = EventLog::open_default(&dir).unwrap();
-        let events: Vec<_> = (0..50).map(event).collect();
-        assert_eq!(log.append_batch(events.iter()).unwrap(), 50);
-        assert_eq!(log.replay().unwrap().len(), 50);
+        let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+        let mut frames = BytesMut::new();
+        for e in (0..50).map(event) {
+            encode_frame(&e, &mut frames);
+        }
+        assert_eq!(log.append_encoded(&frames).unwrap(), 50);
+        log.flush().unwrap();
+        assert_eq!(replayed(&dir).unwrap().len(), 50);
         assert_eq!(log.stats().unwrap().events_appended, 50);
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The two appends share one write core: `append` calls interleaved
+    /// with `append_encoded` runs of every length (empty, one frame,
+    /// longer than a segment) lay down the same segment files, byte for
+    /// byte, as one `append` per event, and count the same.
     #[test]
     fn batch_append_bytes_match_single_appends_across_rolls() {
         let config = LogConfig { segment_bytes: 256, fsync: false };
@@ -978,28 +822,43 @@ mod tests {
             }
             log.flush().unwrap();
         }
-        let dir_batch = tmp_dir("bytes-batch");
+        let dir_mixed = tmp_dir("bytes-mixed");
         {
-            let log = EventLog::open(&dir_batch, config).unwrap();
-            // split into uneven sub-batches to cross roll boundaries
-            // mid-batch and at batch edges
-            assert_eq!(log.append_batch(events[..7].iter()).unwrap(), 7);
-            assert_eq!(log.append_batch(events[7..90].iter()).unwrap(), 83);
-            assert_eq!(log.append_batch(events[90..].iter()).unwrap(), 30);
+            let log = EventLog::open(&dir_mixed, config).unwrap();
+            let mut rest = &events[..];
+            for run in [0, 3, 1, 0, 37, 2, 11, 1, 25, 5].iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                // one single append, then a pre-encoded run of `run` frames
+                log.append(&rest[0]).unwrap();
+                rest = &rest[1..];
+                let (chunk, tail) = rest.split_at((*run).min(rest.len()));
+                let mut frames = BytesMut::new();
+                for e in chunk {
+                    encode_frame(e, &mut frames);
+                }
+                assert_eq!(log.append_encoded(&frames).unwrap(), chunk.len());
+                rest = tail;
+            }
             log.flush().unwrap();
+            assert_eq!(log.stats().unwrap().events_appended, 120);
         }
         let single = list_segments(&dir_single).unwrap();
-        let batch = list_segments(&dir_batch).unwrap();
-        assert_eq!(single.len(), batch.len(), "segment layout diverges");
-        for ((i_s, p_s), (i_b, p_b)) in single.iter().zip(batch.iter()) {
-            assert_eq!(i_s, i_b);
-            assert_eq!(fs::read(p_s).unwrap(), fs::read(p_b).unwrap(), "segment {i_s} diverges");
+        let mixed = list_segments(&dir_mixed).unwrap();
+        assert!(single.len() > 5, "the run must cross several rolls");
+        assert_eq!(single.len(), mixed.len(), "segment layout diverges");
+        for ((i_s, p_s), (i_m, p_m)) in single.iter().zip(mixed.iter()) {
+            assert_eq!(i_s, i_m);
+            assert_eq!(fs::read(p_s).unwrap(), fs::read(p_m).unwrap(), "segment {i_s} diverges");
         }
-        assert_eq!(EventLog::replay_dir(&dir_batch).unwrap(), events);
+        assert_eq!(replayed(&dir_mixed).unwrap(), events);
         let _ = fs::remove_dir_all(&dir_single);
-        let _ = fs::remove_dir_all(&dir_batch);
+        let _ = fs::remove_dir_all(&dir_mixed);
     }
 
+    /// One pre-encoded buffer holding the whole batch and the same batch
+    /// split into uneven runs lay down identical segment files.
     #[test]
     fn append_encoded_matches_append_batch_bytes_across_rolls() {
         let config = LogConfig { segment_bytes: 256, fsync: false };
@@ -1007,7 +866,11 @@ mod tests {
         let dir_batch = tmp_dir("encoded-batch");
         {
             let log = EventLog::open(&dir_batch, config.clone()).unwrap();
-            assert_eq!(log.append_batch(events.iter()).unwrap(), 120);
+            let mut frames = BytesMut::new();
+            for e in &events {
+                encode_frame(e, &mut frames);
+            }
+            assert_eq!(log.append_encoded(&frames).unwrap(), 120);
             log.flush().unwrap();
         }
         let dir_encoded = tmp_dir("encoded-pre");
@@ -1025,12 +888,13 @@ mod tests {
         }
         let batch = list_segments(&dir_batch).unwrap();
         let encoded = list_segments(&dir_encoded).unwrap();
+        assert!(batch.len() > 5, "the batch must cross several rolls");
         assert_eq!(batch.len(), encoded.len(), "segment layout diverges");
         for ((i_b, p_b), (i_e, p_e)) in batch.iter().zip(encoded.iter()) {
             assert_eq!(i_b, i_e);
             assert_eq!(fs::read(p_b).unwrap(), fs::read(p_e).unwrap(), "segment {i_b} diverges");
         }
-        assert_eq!(EventLog::replay_dir(&dir_encoded).unwrap(), events);
+        assert_eq!(replayed(&dir_encoded).unwrap(), events);
         let _ = fs::remove_dir_all(&dir_batch);
         let _ = fs::remove_dir_all(&dir_encoded);
     }
@@ -1038,7 +902,7 @@ mod tests {
     #[test]
     fn append_encoded_rejects_malformed_buffers() {
         let dir = tmp_dir("encoded-bad");
-        let log = EventLog::open_default(&dir).unwrap();
+        let log = EventLog::open(&dir, LogConfig::default()).unwrap();
         let mut frames = BytesMut::new();
         encode_frame(&event(1), &mut frames);
         // truncated tail
@@ -1052,7 +916,8 @@ mod tests {
         assert!(matches!(log.append_encoded(&bad), Err(SpaError::Corrupt(_))));
         // nothing was written, and the log is not poisoned
         assert_eq!(log.append_encoded(&frames).unwrap(), 1);
-        assert_eq!(log.replay().unwrap(), vec![event(1)]);
+        log.flush().unwrap();
+        assert_eq!(replayed(&dir).unwrap(), vec![event(1)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1067,7 +932,7 @@ mod tests {
         log.flush().unwrap();
         let stats = log.stats().unwrap();
         assert!(stats.segments > 1, "expected multiple segments, got {}", stats.segments);
-        assert_eq!(log.replay().unwrap().len(), 100, "roll must not lose events");
+        assert_eq!(replayed(&dir).unwrap().len(), 100, "roll must not lose events");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1075,19 +940,19 @@ mod tests {
     fn reopen_continues_appending() {
         let dir = tmp_dir("reopen");
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
             for i in 0..10 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
         }
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
             for i in 10..20 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
-            let replayed = log.replay().unwrap();
+            let replayed = replayed(&dir).unwrap();
             assert_eq!(replayed.len(), 20);
             assert_eq!(replayed[19], event(19));
         }
@@ -1098,18 +963,15 @@ mod tests {
     fn torn_tail_is_recovered_silently() {
         let dir = tmp_dir("torn");
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
             for i in 0..10 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
         }
         // truncate the (single) segment mid-frame
-        let seg = list_segments(&dir).unwrap().pop().unwrap().1;
-        let len = fs::metadata(&seg).unwrap().len();
-        let file = OpenOptions::new().write(true).open(&seg).unwrap();
-        file.set_len(len - 3).unwrap();
-        let events = EventLog::replay_dir(&dir).unwrap();
+        tear_last_segment(&dir, 3);
+        let events = replayed(&dir).unwrap();
         assert_eq!(events.len(), 9, "the torn final event is dropped");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1129,7 +991,7 @@ mod tests {
         let first = list_segments(&dir).unwrap()[0].1.clone();
         let len = fs::metadata(&first).unwrap().len();
         OpenOptions::new().write(true).open(&first).unwrap().set_len(len - 2).unwrap();
-        assert!(matches!(EventLog::replay_dir(&dir), Err(SpaError::Corrupt(_))));
+        assert!(matches!(replayed(&dir), Err(SpaError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1137,7 +999,7 @@ mod tests {
     fn bit_flip_is_detected_on_replay() {
         let dir = tmp_dir("bitflip");
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
             for i in 0..5 {
                 log.append(&event(i)).unwrap();
             }
@@ -1147,62 +1009,58 @@ mod tests {
         let mut bytes = fs::read(&seg).unwrap();
         bytes[12] ^= 0xFF; // somewhere inside the first payload
         fs::write(&seg, &bytes).unwrap();
-        assert!(matches!(EventLog::replay_dir(&dir), Err(SpaError::Corrupt(_))));
+        assert!(matches!(replayed(&dir), Err(SpaError::Corrupt(_))));
+        // opening is a frame walk too: the same rot is loud there
+        assert!(matches!(EventLog::open(&dir, LogConfig::default()), Err(SpaError::Corrupt(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_log_replays_empty() {
         let dir = tmp_dir("empty");
-        let log = EventLog::open_default(&dir).unwrap();
-        assert!(log.replay().unwrap().is_empty());
+        let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+        assert!(replayed(&dir).unwrap().is_empty());
         let stats = log.stats().unwrap();
         assert_eq!(stats.events_appended, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn replay_report_surfaces_the_torn_tail() {
+    fn replay_iter_surfaces_the_torn_tail() {
         let dir = tmp_dir("torn-report");
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
             for i in 0..10 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
         }
-        let intact = EventLog::replay_dir_report(&dir).unwrap();
-        assert!(intact.torn_tail.is_none());
-        let seg = list_segments(&dir).unwrap().pop().unwrap().1;
-        let len = fs::metadata(&seg).unwrap().len();
-        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
-        let torn = EventLog::replay_dir_report(&dir).unwrap();
-        assert_eq!(torn.events.len(), 9);
-        let tail = torn.torn_tail.expect("tail must be reported torn");
-        assert_eq!(tail.segment, 0);
-        assert_eq!(tail.offset + tail.bytes_dropped, len - 3);
-        // the streaming iterator stays at None after the torn tail
-        // ends it (Iterator contract: no panic on a post-exhaustion poll)
+        let mut intact = EventLog::replay_iter(&dir).unwrap();
+        assert_eq!(intact.by_ref().count(), 10);
+        assert!(intact.torn_tail().is_none());
+        let (_, torn_len) = tear_last_segment(&dir, 3);
+        // the iterator stays at None after the torn tail ends it
+        // (Iterator contract: no panic on a post-exhaustion poll)
         let mut iter = EventLog::replay_iter(&dir).unwrap();
         assert_eq!(iter.by_ref().filter(|e| e.is_ok()).count(), 9);
         assert!(iter.next().is_none());
         assert!(iter.next().is_none());
-        assert_eq!(iter.torn_tail().unwrap(), tail);
+        let tail = iter.torn_tail().expect("tail must be reported torn");
+        assert_eq!(tail.segment, 0);
+        assert_eq!(tail.offset + tail.bytes_dropped, torn_len);
     }
 
     #[test]
     fn replay_iter_streams_and_stops_at_corruption() {
         let dir = tmp_dir("iter");
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
             for i in 0..20 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
         }
-        let collected: Vec<_> =
-            EventLog::replay_iter(&dir).unwrap().collect::<Result<Vec<_>>>().unwrap();
-        assert_eq!(collected.len(), 20);
+        assert_eq!(replayed(&dir).unwrap().len(), 20);
         // flip a payload byte of frame 10: the iterator yields the clean
         // prefix, then exactly one error, then terminates
         let mut scratch = BytesMut::new();
@@ -1228,77 +1086,69 @@ mod tests {
     }
 
     #[test]
-    fn open_recover_truncates_the_torn_tail_and_appends_cleanly() {
-        let dir = tmp_dir("recover");
-        {
-            let log = EventLog::open_default(&dir).unwrap();
-            for i in 0..10 {
-                log.append(&event(i)).unwrap();
-            }
-            log.flush().unwrap();
-        }
-        let seg = list_segments(&dir).unwrap().pop().unwrap().1;
-        let len = fs::metadata(&seg).unwrap().len();
-        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
-        {
-            let (log, outcome) = EventLog::open_recover(&dir, LogConfig::default()).unwrap();
-            assert_eq!(outcome.events.len(), 9);
-            let torn = outcome.torn_tail.expect("tail was torn");
-            assert_eq!(fs::metadata(&seg).unwrap().len(), torn.offset, "partial frame removed");
-            // appends after recovery land on a clean frame boundary
-            for i in 100..105 {
-                log.append(&event(i)).unwrap();
-            }
-            log.flush().unwrap();
-        }
-        let replayed = EventLog::replay_dir(&dir).unwrap();
-        assert_eq!(replayed.len(), 14);
-        assert_eq!(replayed[9], event(100), "post-recovery events follow the surviving prefix");
-    }
-
-    #[test]
     fn plain_open_heals_a_torn_active_segment() {
         let dir = tmp_dir("open-heal");
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
             for i in 0..10 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
         }
-        let seg = list_segments(&dir).unwrap().pop().unwrap().1;
-        let len = fs::metadata(&seg).unwrap().len();
-        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
-        // the normal bring-up path (NOT open_recover): the torn frame
-        // must be truncated before appends, never buried mid-segment
+        let (seg, _) = tear_last_segment(&dir, 3);
+        let mut iter = EventLog::replay_iter(&dir).unwrap();
+        assert_eq!(iter.by_ref().count(), 9);
+        let torn = iter.torn_tail().expect("tail was torn");
+        // opening cuts the partial frame off at the reported offset, so
+        // new appends land on a clean frame boundary instead of being
+        // buried behind garbage mid-segment
         {
-            let log = EventLog::open_default(&dir).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+            assert_eq!(fs::metadata(&seg).unwrap().len(), torn.offset, "partial frame removed");
             for i in 50..53 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
         }
-        let replayed = EventLog::replay_dir(&dir).unwrap();
+        let replayed = replayed(&dir).unwrap();
         assert_eq!(replayed.len(), 12, "9 surviving + 3 post-reopen events");
         assert_eq!(replayed[8], event(8));
         assert_eq!(replayed[9], event(50), "new events follow the healed tail");
     }
 
+    /// Recovery by reopening: a crash that left half a frame's bytes
+    /// after the last whole frame is cut back to that frame, and appends
+    /// after the reopen follow the surviving prefix.
     #[test]
-    fn open_recover_on_a_clean_log_is_a_plain_open() {
-        let dir = tmp_dir("recover-clean");
+    fn open_recover_truncates_the_torn_tail_and_appends_cleanly() {
+        let dir = tmp_dir("recover");
         {
-            let log = EventLog::open_default(&dir).unwrap();
-            for i in 0..5 {
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+            for i in 0..10 {
                 log.append(&event(i)).unwrap();
             }
             log.flush().unwrap();
         }
-        let (log, outcome) = EventLog::open_recover(&dir, LogConfig::default()).unwrap();
-        assert_eq!(outcome.events.len(), 5);
-        assert!(outcome.torn_tail.is_none());
-        log.append(&event(5)).unwrap();
-        assert_eq!(log.replay().unwrap().len(), 6);
+        let seg = list_segments(&dir).unwrap().pop().unwrap().1;
+        let whole = fs::metadata(&seg).unwrap().len();
+        let mut partial = BytesMut::new();
+        encode_frame(&event(10), &mut partial);
+        OpenOptions::new().append(true).open(&seg).unwrap().write_all(&partial[..5]).unwrap();
+        {
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+            assert_eq!(fs::metadata(&seg).unwrap().len(), whole, "partial frame removed");
+            for i in 100..105 {
+                log.append(&event(i)).unwrap();
+            }
+            log.flush().unwrap();
+        }
+        let mut iter = EventLog::replay_iter(&dir).unwrap();
+        let replayed: Vec<_> = iter.by_ref().collect::<Result<_>>().unwrap();
+        assert!(iter.torn_tail().is_none(), "the reopened log has no torn tail");
+        assert_eq!(replayed.len(), 15);
+        assert_eq!(replayed[9], event(9));
+        assert_eq!(replayed[10], event(100), "post-recovery events follow the surviving prefix");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1343,26 +1193,30 @@ mod tests {
     #[test]
     fn replay_from_position_reports_torn_tail_with_absolute_offset() {
         let dir = tmp_dir("replay-from-torn");
-        let log = EventLog::open_default(&dir).unwrap();
-        for i in 0..10 {
-            log.append(&event(i)).unwrap();
-        }
-        let mark = log.flushed_position().unwrap();
-        for i in 10..20 {
-            log.append(&event(i)).unwrap();
-        }
-        log.flush().unwrap();
-        let seg = list_segments(&dir).unwrap().pop().unwrap().1;
-        let len = fs::metadata(&seg).unwrap().len();
-        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 3).unwrap();
-        let mut iter = EventLog::replay_iter_from(&dir, mark).unwrap();
-        let tail: Vec<_> = iter.by_ref().collect::<Result<Vec<_>>>().unwrap();
-        assert_eq!(tail.len(), 9, "9 intact tail events, the 10th is torn");
-        let torn = iter.torn_tail().expect("tail is torn");
-        assert_eq!(torn.offset + torn.bytes_dropped, len - 3, "offset must be segment-absolute");
-        // the absolute offset works with truncate_torn_tail
-        EventLog::truncate_torn_tail(&dir, &torn).unwrap();
-        assert_eq!(fs::metadata(&seg).unwrap().len(), torn.offset);
+        let last_frame = {
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+            for i in 0..10 {
+                log.append(&event(i)).unwrap();
+            }
+            let mark = log.flushed_position().unwrap();
+            for i in 10..19 {
+                log.append(&event(i)).unwrap();
+            }
+            let last_frame = log.flushed_position().unwrap();
+            log.append(&event(19)).unwrap();
+            log.flush().unwrap();
+            let (_, torn_len) = tear_last_segment(&dir, 3);
+            let mut iter = EventLog::replay_iter_from(&dir, mark).unwrap();
+            let tail: Vec<_> = iter.by_ref().collect::<Result<Vec<_>>>().unwrap();
+            assert_eq!(tail.len(), 9, "9 intact tail events, the 10th is torn");
+            let torn = iter.torn_tail().expect("tail is torn");
+            assert_eq!(torn.offset, last_frame.offset, "offset must be segment-absolute");
+            assert_eq!(torn.offset + torn.bytes_dropped, torn_len);
+            last_frame
+        };
+        // the next open cuts the segment exactly there
+        let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+        assert_eq!(log.buffered_position(), last_frame);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1422,7 +1276,7 @@ mod tests {
     #[test]
     fn concurrent_appends_are_all_stored() {
         let dir = tmp_dir("concurrent");
-        let log = std::sync::Arc::new(EventLog::open_default(&dir).unwrap());
+        let log = std::sync::Arc::new(EventLog::open(&dir, LogConfig::default()).unwrap());
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let log = log.clone();
@@ -1435,7 +1289,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(log.replay().unwrap().len(), 1000);
+        log.flush().unwrap();
+        assert_eq!(replayed(&dir).unwrap().len(), 1000);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -24,9 +24,7 @@
 //! ```
 
 use crate::fault::{real_io, StorageIo};
-use crate::log::{
-    CompactionStats, EventLog, LogConfig, LogPosition, LogStats, ReplayOutcome, WriteFaultCounters,
-};
+use crate::log::{CompactionStats, EventLog, LogConfig, LogPosition, LogStats, WriteFaultCounters};
 use spa_types::{LifeLogEvent, Result, ShardId, SpaError};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -197,15 +195,6 @@ impl ShardedEventLog {
         self.logs[shard.index()].append(event)
     }
 
-    /// Appends a batch to one shard's log (single lock acquisition).
-    pub fn append_batch<'a>(
-        &self,
-        shard: ShardId,
-        events: impl IntoIterator<Item = &'a LifeLogEvent>,
-    ) -> Result<usize> {
-        self.logs[shard.index()].append_batch(events)
-    }
-
     /// Appends pre-encoded frames to one shard's log (see
     /// [`EventLog::append_encoded`]).
     pub fn append_encoded(&self, shard: ShardId, frames: &[u8]) -> Result<usize> {
@@ -241,29 +230,6 @@ impl ShardedEventLog {
             total.events_appended += s.events_appended;
         }
         Ok(total)
-    }
-
-    /// One-shot replay of one shard directory: materializes that
-    /// shard's events and truncates a torn tail so reopened logs append
-    /// cleanly (see [`EventLog::open_recover`]). Platform recovery
-    /// streams via [`EventLog::replay_iter`] over
-    /// [`ShardedEventLog::shard_path`] instead, to avoid buffering a
-    /// shard's whole history; this is the convenience form for tools
-    /// and tests.
-    pub fn recover_shard(root: &Path, shard: ShardId, config: LogConfig) -> Result<ReplayOutcome> {
-        let (_, outcome) = EventLog::open_recover(shard_dir(root, shard.index()), config)?;
-        Ok(outcome)
-    }
-
-    /// Shard count recorded in a root directory's manifest.
-    pub fn manifest_shards(root: &Path) -> Result<usize> {
-        read_manifest(root)
-    }
-
-    /// Flushes one shard's log and returns its current frame-boundary
-    /// position (see [`EventLog::flushed_position`]).
-    pub fn position(&self, shard: ShardId) -> Result<LogPosition> {
-        self.logs[shard.index()].flushed_position()
     }
 
     /// One shard's current frame-boundary position without I/O (see
@@ -347,7 +313,11 @@ mod tests {
         }
         set.flush().unwrap();
         for s in 0..3u32 {
-            let events = set.log(ShardId::new(s)).replay().unwrap();
+            let events: Vec<_> =
+                EventLog::replay_iter(ShardedEventLog::shard_path(&root, ShardId::new(s)))
+                    .unwrap()
+                    .collect::<Result<_>>()
+                    .unwrap();
             assert_eq!(events.len(), 10);
             assert!(events.iter().all(|e| e.user.raw() % 3 == s));
         }
@@ -361,7 +331,6 @@ mod tests {
         {
             let _ = ShardedEventLog::open(&root, 4, LogConfig::default()).unwrap();
         }
-        assert_eq!(ShardedEventLog::manifest_shards(&root).unwrap(), 4);
         // reopening with the same count is fine, a different count is loud
         assert!(ShardedEventLog::open(&root, 4, LogConfig::default()).is_ok());
         assert!(matches!(
@@ -425,8 +394,8 @@ mod tests {
             vec![Some(first), Some(second), None]
         );
         // the count line still reads back, and reopening still works
-        assert_eq!(ShardedEventLog::manifest_shards(&root).unwrap(), 3);
-        assert!(ShardedEventLog::open_existing(&root, LogConfig::default()).is_ok());
+        let reopened = ShardedEventLog::open_existing(&root, LogConfig::default()).unwrap();
+        assert_eq!(reopened.shards(), 3);
         // wrong-arity registration is rejected
         assert!(ShardedEventLog::register_snapshots(&root, &[None]).is_err());
         let _ = fs::remove_dir_all(&root);
@@ -443,23 +412,6 @@ mod tests {
             ShardedEventLog::open_existing(&root, LogConfig::default()),
             Err(SpaError::Corrupt(_))
         ));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn recover_shard_reads_back_that_shards_events() {
-        let root = tmp_root("recover");
-        {
-            let set = ShardedEventLog::open(&root, 2, LogConfig::default()).unwrap();
-            for i in 0..20 {
-                set.append(ShardId::new(i % 2), &event(i)).unwrap();
-            }
-            set.flush().unwrap();
-        }
-        let outcome =
-            ShardedEventLog::recover_shard(&root, ShardId::new(1), LogConfig::default()).unwrap();
-        assert_eq!(outcome.events.len(), 10);
-        assert!(outcome.torn_tail.is_none());
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use spa_store::codec::encode_frame;
-use spa_store::log::{EventLog, LogConfig};
+use spa_store::log::{EventLog, LogConfig, TornTail};
 use spa_types::{
     ActionId, CampaignId, CourseId, EventKind, LifeLogEvent, QuestionId, Timestamp, UserId, Valence,
 };
@@ -64,6 +64,23 @@ fn frame_ends(events: &[LifeLogEvent]) -> Vec<usize> {
     ends
 }
 
+/// Every event framed into one buffer, the form the platform's batch
+/// path hands to [`EventLog::append_encoded`].
+fn encoded(events: &[LifeLogEvent]) -> bytes::BytesMut {
+    let mut frames = bytes::BytesMut::new();
+    for event in events {
+        encode_frame(event, &mut frames);
+    }
+    frames
+}
+
+/// Every intact event of a log directory, plus its torn tail if any.
+fn replay(dir: &std::path::Path) -> (Vec<LifeLogEvent>, Option<TornTail>) {
+    let mut iter = EventLog::replay_iter(dir).unwrap();
+    let events = iter.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
+    (events, iter.torn_tail())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -83,8 +100,8 @@ proptest! {
             raw.iter().map(|&(k, u, at, id, v)| make_event(k, u, at, id, v)).collect();
         let dir = tmp_dir("prefix");
         {
-            let log = EventLog::open_default(&dir).unwrap();
-            log.append_batch(events.iter()).unwrap();
+            let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+            prop_assert_eq!(log.append_encoded(&encoded(&events)).unwrap(), events.len());
             log.flush().unwrap();
         }
         let ends = frame_ends(&events);
@@ -100,25 +117,28 @@ proptest! {
             .unwrap();
 
         let expected = ends.iter().take_while(|&&end| end <= cut).count();
-        let outcome = EventLog::replay_dir_report(&dir).unwrap();
-        prop_assert_eq!(outcome.events.len(), expected, "cut at {} of {}", cut, total);
-        prop_assert_eq!(&outcome.events[..], &events[..expected]);
+        let (replayed, torn_tail) = replay(&dir);
+        prop_assert_eq!(replayed.len(), expected, "cut at {} of {}", cut, total);
+        prop_assert_eq!(&replayed[..], &events[..expected]);
         let cut_is_on_boundary = cut == 0 || ends.contains(&cut);
         prop_assert_eq!(
-            outcome.torn_tail.is_some(),
+            torn_tail.is_some(),
             !cut_is_on_boundary,
             "torn tail must be reported iff the cut is mid-frame (cut {})", cut
         );
-        if let Some(torn) = outcome.torn_tail {
+        if let Some(torn) = torn_tail {
             prop_assert_eq!(torn.offset as usize + torn.bytes_dropped as usize, cut);
         }
 
-        // recovery truncates the torn frame and appends continue cleanly
-        let (log, recovered) = EventLog::open_recover(&dir, LogConfig::default()).unwrap();
-        prop_assert_eq!(recovered.events.len(), expected);
+        // reopening cuts the torn frame and appends continue cleanly
+        let log = EventLog::open(&dir, LogConfig::default()).unwrap();
+        let clean = if expected == 0 { 0 } else { ends[expected - 1] };
+        prop_assert_eq!(std::fs::metadata(&seg).unwrap().len(), clean as u64);
         let extra = make_event(0, 42, 7, 7, 0.0);
         log.append(&extra).unwrap();
-        let replayed = log.replay().unwrap();
+        log.flush().unwrap();
+        let (replayed, torn_tail) = replay(&dir);
+        prop_assert!(torn_tail.is_none());
         prop_assert_eq!(replayed.len(), expected + 1);
         prop_assert_eq!(replayed.last().unwrap(), &extra);
         let _ = std::fs::remove_dir_all(&dir);
@@ -138,8 +158,9 @@ proptest! {
             raw.iter().map(|&(k, u, at, id, v)| make_event(k, u, at, id, v)).collect();
         let dir = tmp_dir("multiseg");
         {
+            // one pre-encoded run, split across many rolls by the writer
             let log = EventLog::open(&dir, LogConfig { segment_bytes: 160, fsync: false }).unwrap();
-            log.append_batch(events.iter()).unwrap();
+            prop_assert_eq!(log.append_encoded(&encoded(&events)).unwrap(), events.len());
             log.flush().unwrap();
         }
         // find the last segment and cut it short (never below zero)
@@ -154,17 +175,17 @@ proptest! {
         let cut = len.saturating_sub(drop_bytes);
         std::fs::OpenOptions::new().write(true).open(last).unwrap().set_len(cut).unwrap();
 
-        let outcome = EventLog::replay_dir_report(&dir).unwrap();
+        let (replayed, _) = replay(&dir);
         // every surviving event is a prefix of the original stream
-        prop_assert!(outcome.events.len() <= events.len());
-        prop_assert_eq!(&outcome.events[..], &events[..outcome.events.len()]);
+        prop_assert!(replayed.len() <= events.len());
+        prop_assert_eq!(&replayed[..], &events[..replayed.len()]);
         // and nothing from segments before the tail was lost: the byte
         // span of earlier segments only holds whole frames
         let earlier_bytes: u64 =
             segments[..segments.len() - 1].iter().map(|p| std::fs::metadata(p).unwrap().len()).sum();
         let ends = frame_ends(&events);
         let in_earlier = ends.iter().take_while(|&&end| end as u64 <= earlier_bytes).count();
-        prop_assert!(outcome.events.len() >= in_earlier);
+        prop_assert!(replayed.len() >= in_earlier);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,6 +8,7 @@
 //! the torn tail, and ingest continues — with the final replay
 //! bit-identical to a fault-free log fed the surviving sequence.
 
+use spa_store::codec::encode_frame;
 use spa_store::fault::{FaultPlan, FaultPlanConfig};
 use spa_store::log::{EventLog, LogConfig, LogPosition, WRITE_RETRY_LIMIT};
 use spa_store::snapshot::{self, Snapshot, SnapshotBuilder};
@@ -46,8 +47,22 @@ fn plan(config: FaultPlanConfig) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::seeded(config))
 }
 
-/// Satellite contract test: failed write → poisoned log → appends
-/// refused → recovery heals the torn tail → ingest continues, and the
+fn replayed(dir: &std::path::Path) -> Result<Vec<LifeLogEvent>, SpaError> {
+    EventLog::replay_iter(dir)?.collect()
+}
+
+/// `events` framed into one buffer, as the platform's batch path hands
+/// them to [`EventLog::append_encoded`].
+fn encoded(events: impl IntoIterator<Item = LifeLogEvent>) -> bytes::BytesMut {
+    let mut frames = bytes::BytesMut::new();
+    for event in events {
+        encode_frame(&event, &mut frames);
+    }
+    frames
+}
+
+/// The poisoned-log contract: failed write → poisoned log → appends
+/// refused → reopening cuts the torn tail → ingest continues, and the
 /// surviving stream replays bit-identically to a fault-free log.
 #[test]
 fn poisoned_log_contract_end_to_end() {
@@ -83,19 +98,21 @@ fn poisoned_log_contract_end_to_end() {
             refused.to_string().contains("poisoned"),
             "appends after a failed write are refused: {refused}"
         );
-        let refused_batch = log.append_batch([&event(11)]).unwrap_err();
+        let refused_batch = log.append_encoded(&encoded([event(11)])).unwrap_err();
         assert!(refused_batch.to_string().contains("poisoned"));
     } // crash (drop the poisoned writer)
 
-    // recovery heals the torn tail and reopens for appending
-    let (log, outcome) = EventLog::open_recover(&dir, config.clone()).unwrap();
-    assert_eq!(outcome.events.len(), 10, "all acknowledged events survive");
+    // replay stops at the torn tail; reopening cuts it for appending
+    let mut iter = EventLog::replay_iter(&dir).unwrap();
+    assert_eq!(iter.by_ref().count(), 10, "all acknowledged events survive");
+    assert!(iter.torn_tail().is_some(), "the torn write left a partial frame");
+    let log = EventLog::open(&dir, config.clone()).unwrap();
     for i in 12..20u32 {
         log.append(&event(i)).unwrap();
         survivors.push(event(i));
     }
     log.flush().unwrap();
-    let replayed = log.replay().unwrap();
+    let recovered = replayed(&dir).unwrap();
     drop(log);
 
     // fault-free reference fed the surviving sequence
@@ -105,7 +122,7 @@ fn poisoned_log_contract_end_to_end() {
         reference.append(e).unwrap();
     }
     reference.flush().unwrap();
-    assert_eq!(replayed, reference.replay().unwrap(), "recovered log replays bit-identically");
+    assert_eq!(recovered, replayed(&ref_dir).unwrap(), "recovered log replays bit-identically");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
@@ -136,7 +153,7 @@ fn transient_eios_are_absorbed_by_bounded_retry() {
     );
     assert_eq!(counters.transients_fatal, 0);
     assert!(counters.writes_recovered > 0);
-    assert_eq!(log.replay().unwrap(), events, "retried writes landed every event exactly once");
+    assert_eq!(replayed(&dir).unwrap(), events, "retried writes landed every event exactly once");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -160,12 +177,34 @@ fn transient_exhaustion_poisons_the_log() {
         "the initial attempt plus every retry is counted"
     );
     assert!(log.append(&event(2)).unwrap_err().to_string().contains("poisoned"));
-    // nothing of the failed frame reached the file: recovery sees
+    // nothing of the failed frame reached the file: replay sees
     // exactly the acknowledged prefix
     drop(log);
-    let (_log, outcome) = EventLog::open_recover(&dir, LogConfig::default()).unwrap();
-    assert_eq!(outcome.events, vec![event(0)]);
-    assert!(outcome.torn_tail.is_none(), "transients never tear the file");
+    let mut iter = EventLog::replay_iter(&dir).unwrap();
+    assert_eq!(iter.by_ref().collect::<Result<Vec<_>, _>>().unwrap(), vec![event(0)]);
+    assert!(iter.torn_tail().is_none(), "transients never tear the file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch write that fails is not counted: `events_appended` moves
+/// only once a run's bytes land, so 10 acknowledged appends and one
+/// torn 10-frame `append_encoded` leave it at 10.
+#[test]
+fn a_failed_batch_write_is_not_counted_as_appended() {
+    let dir = tmp_dir("batch-count");
+    let faults = plan(FaultPlanConfig {
+        seed: 13,
+        torn_write_per_10k: 10_000, // every consulted write tears
+        ..FaultPlanConfig::default()
+    });
+    let log = EventLog::open_with_io(&dir, LogConfig::default(), faults.clone()).unwrap();
+    for i in 0..10u32 {
+        log.append(&event(i)).unwrap();
+    }
+    faults.set_armed(true);
+    let err = log.append_encoded(&encoded((10..20).map(event))).unwrap_err();
+    assert!(err.to_string().contains(spa_store::fault::INJECTED_TORN_WRITE), "{err}");
+    assert_eq!(log.stats().unwrap().events_appended, 10, "the torn batch counts nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -192,7 +231,7 @@ fn fsync_failures_are_loud_but_do_not_poison() {
     faults.set_armed(false);
     log.append(&event(1)).unwrap();
     log.flush().unwrap();
-    assert_eq!(log.replay().unwrap(), vec![event(0), event(1)]);
+    assert_eq!(replayed(&dir).unwrap(), vec![event(0), event(1)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -220,7 +259,7 @@ fn read_rot_in_closed_segments_is_loud_never_silent() {
     assert!(matches!(outcome, Err(SpaError::Corrupt(_))), "rot must surface: {outcome:?}");
     assert_eq!(faults.ledger().counts().read_corruptions, 1, "allowance bounds injections to 1");
     // the file itself was never modified — a clean replay still works
-    assert_eq!(EventLog::replay_dir(&dir).unwrap(), events);
+    assert_eq!(replayed(&dir).unwrap(), events);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

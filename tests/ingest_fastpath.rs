@@ -204,24 +204,6 @@ fn durable_sharded(root: &Path, shards: usize, io: Arc<dyn StorageIo>) -> Sharde
     sharded
 }
 
-/// Whether the platform under test was built with the `parallel`
-/// feature, asked of the product: a batch of any size is worth a
-/// hand-off under a 2-thread pool only when the engines can fan out.
-/// [`the_facade_and_the_engines_share_one_parallel_feature`] pins it to
-/// this crate's own feature.
-fn built_parallel() -> bool {
-    with_threads(2, || spa::ml::parallel_worthy(usize::MAX))
-}
-
-/// The facade's `parallel` feature is the engines': a build with it off
-/// (`--no-default-features`, also with `--workspace`) runs serial
-/// engines, and one with it on runs parallel ones. No workspace member
-/// may request the engines' feature behind the facade's back.
-#[test]
-fn the_facade_and_the_engines_share_one_parallel_feature() {
-    assert_eq!(cfg!(feature = "parallel"), built_parallel());
-}
-
 /// A fault-free [`StorageIo`] that records which threads wrote: the
 /// seam is consulted on the writing thread before every physical write,
 /// so it sees where a batch's log phase ran without a hook in product
@@ -440,7 +422,7 @@ fn over_threshold_durable_batches_equal_the_per_event_reference() {
             let off_caller = writers.take().iter().any(|&id| id != std::thread::current().id());
             assert_eq!(
                 off_caller,
-                built_parallel() && threads > 1 && shards > 1,
+                threads > 1 && shards > 1,
                 "{what}: log phase ran on the wrong side of the gate"
             );
             assert_wal_bytes_equal(&root_event, &root_batch, shards);
@@ -490,11 +472,7 @@ fn small_batches_stay_on_the_caller_and_large_ones_hand_off() {
         sharded.ingest_batch(&stream).unwrap();
         sharded.flush().unwrap();
         let threads = writers.take();
-        if built_parallel() {
-            assert!(threads.iter().any(|id| !caller.contains(id)), "no hand-off at the threshold");
-        } else {
-            assert_eq!(threads, caller, "a serial build never hands off");
-        }
+        assert!(threads.iter().any(|id| !caller.contains(id)), "no hand-off at the threshold");
     });
     drop(sharded);
     let _ = std::fs::remove_dir_all(&root);

@@ -37,7 +37,8 @@ fn weblogs_flow_through_event_log_into_the_platform() {
         |event| log.append(event).unwrap(),
     )
     .unwrap();
-    let replayed = log.replay().unwrap();
+    log.flush().unwrap();
+    let replayed: Vec<_> = EventLog::replay_iter(&dir).unwrap().collect::<Result<_, _>>().unwrap();
     assert_eq!(replayed.len() as u64, stats.events);
     spa.ingest_batch(replayed.iter()).unwrap();
     let processed = spa.stats();

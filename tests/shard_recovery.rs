@@ -112,7 +112,8 @@ proptest! {
         // the surviving prefix, shard by shard (replay is tail-tolerant)
         let mut survivors: Vec<Vec<LifeLogEvent>> = Vec::with_capacity(shards);
         for s in 0..shards {
-            survivors.push(EventLog::replay_dir(root.join(format!("shard-{s:04}"))).unwrap());
+            let shard = EventLog::replay_iter(root.join(format!("shard-{s:04}"))).unwrap();
+            survivors.push(shard.collect::<Result<_, _>>().unwrap());
         }
         let survivor_total: usize = survivors.iter().map(|v| v.len()).sum();
         prop_assert!(survivor_total <= events.len());
