@@ -281,7 +281,7 @@ mod tests {
             .calibrate_mixed(&population, 0.21, 0.2)
             .unwrap();
         let courses = CourseCatalog::generate(20, 5, 4).unwrap();
-        let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+        let spa = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
         (population, response, courses, spa)
     }
 
@@ -368,8 +368,8 @@ mod tests {
         let (population, response, courses, _) = setup();
         let runner = CampaignRunner::new(&population, &response);
         let s = spec(&courses, 5, 200);
-        let spa_a = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
-        let spa_b = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+        let spa_a = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
+        let spa_b = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
         let a = runner.run(&spa_a, &s, |_, _, _| 0.0).unwrap();
         let b = runner.run(&spa_b, &s, |_, _, _| 0.0).unwrap();
         assert_eq!(a.contacts, b.contacts);

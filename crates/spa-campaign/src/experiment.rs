@@ -280,7 +280,7 @@ impl Experiment {
 
     /// Runs the full experiment.
     pub fn run(&self) -> Result<ExperimentResult> {
-        let spa = ShardedSpa::new(&self.courses, SpaConfig::default(), 1)?;
+        let spa = ShardedSpa::new(&self.courses, SpaConfig, 1)?;
 
         // --- 1. history build-up -----------------------------------------
         // objective attributes from the socio-demographic database

@@ -115,8 +115,7 @@ impl Agent<SpaMessage> for AttributesManagerAgent {
     fn handle(&mut self, msg: SpaMessage, _ctx: &mut Context<SpaMessage>) {
         if let SpaMessage::ModelTouched(user) = msg {
             // recompute (and thereby validate) the dominant set
-            let _ =
-                self.manager.dominant_sensibilities(&self.registry, user, self.registry.config());
+            let _ = self.manager.dominant_sensibilities(&self.registry, user);
             self.touched.push(user);
         }
     }
@@ -143,8 +142,7 @@ impl MessagingActor {
 impl Agent<SpaMessage> for MessagingActor {
     fn handle(&mut self, msg: SpaMessage, ctx: &mut Context<SpaMessage>) {
         if let SpaMessage::Compose { user, course, appeal } = msg {
-            let sensibilities =
-                self.manager.dominant_sensibilities(&self.registry, user, self.registry.config());
+            let sensibilities = self.manager.dominant_sensibilities(&self.registry, user);
             if let Ok(message) = self.messaging.assign(&appeal, &sensibilities) {
                 ctx.send(names::SMART_COMPONENT, SpaMessage::Composed { user, course, message });
             }
@@ -171,7 +169,6 @@ impl Agent<SpaMessage> for SmartComponentAgent {
 mod tests {
     use super::*;
     use crate::messaging::{AssignmentCase, MessageCatalog, MessagePolicy};
-    use crate::sum::SumConfig;
     use spa_agents::StepRuntime;
     use spa_synth::catalog::CourseCatalog;
     use spa_types::{AttributeSchema, EventKind, Timestamp, Valence};
@@ -180,7 +177,7 @@ mod tests {
 
     fn wired() -> (StepRuntime<SpaMessage>, Arc<SumRegistry>, Composed, Arc<EitEngine>) {
         let schema = AttributeSchema::emagister();
-        let registry = Arc::new(SumRegistry::new(&schema, SumConfig::default()));
+        let registry = Arc::new(SumRegistry::new(&schema));
         let courses = CourseCatalog::generate(20, 4, 2).unwrap();
         let preprocessor = Arc::new(LifeLogPreprocessor::new(schema.clone(), &courses));
         let eit = Arc::new(EitEngine::standard());

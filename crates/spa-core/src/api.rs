@@ -522,7 +522,7 @@ mod tests {
 
     fn api() -> SpaApi {
         let courses = CourseCatalog::generate(10, 4, 3).unwrap();
-        let platform = ShardedSpa::new(&courses, SpaConfig::default(), 2).unwrap();
+        let platform = ShardedSpa::new(&courses, SpaConfig, 2).unwrap();
         SpaApi::new(Arc::new(platform))
     }
 

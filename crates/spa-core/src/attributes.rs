@@ -13,7 +13,7 @@
 //!   SVM-based dimensionality reduction (§5.2) by delegating to
 //!   [`spa_ml::feature_selection`].
 
-use crate::sum::{SumConfig, SumRegistry};
+use crate::sum::SumRegistry;
 use spa_ml::feature_selection::FeatureMask;
 use spa_ml::svm::LinearSvm;
 use spa_types::{AttributeSchema, EmotionalAttribute, Result, UserId, EMOTIONAL_ATTRIBUTES};
@@ -46,12 +46,11 @@ impl AttributesManager {
         &self,
         registry: &SumRegistry,
         user: UserId,
-        config: &SumConfig,
     ) -> Vec<(EmotionalAttribute, f64)> {
         let emotional_ids = self.schema.emotional_ids();
         registry
             .with_model_read(user, |model| match model {
-                Some(model) => model.dominant_sensibilities(&emotional_ids, config),
+                Some(model) => model.dominant_sensibilities(&emotional_ids),
                 None => Vec::new(),
             })
             .into_iter()
@@ -80,25 +79,23 @@ mod tests {
     #[test]
     fn dominant_sensibilities_for_unknown_user_is_empty() {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let registry = SumRegistry::new(&schema);
         let manager = AttributesManager::new(schema);
-        assert!(manager
-            .dominant_sensibilities(&registry, UserId::new(1), &SumConfig::default())
-            .is_empty());
+        assert!(manager.dominant_sensibilities(&registry, UserId::new(1)).is_empty());
     }
 
     #[test]
     fn dominant_sensibilities_map_to_emotional_attributes() {
         let schema = AttributeSchema::emagister();
         let manager = AttributesManager::new(schema.clone());
-        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let registry = SumRegistry::new(&schema);
         let user = UserId::new(3);
-        registry.with_model(user, |m, config| {
+        registry.with_model(user, |m| {
             // hopeful (ordinal 3) strongly, shy (ordinal 8) weakly
-            m.apply_eit_answer(schema.emotional_ids()[3], 3, Valence::new(0.9), config).unwrap();
-            m.apply_eit_answer(schema.emotional_ids()[8], 8, Valence::new(-0.9), config).unwrap();
+            m.apply_eit_answer(schema.emotional_ids()[3], 3, Valence::new(0.9)).unwrap();
+            m.apply_eit_answer(schema.emotional_ids()[8], 8, Valence::new(-0.9)).unwrap();
         });
-        let sens = manager.dominant_sensibilities(&registry, user, &SumConfig::default());
+        let sens = manager.dominant_sensibilities(&registry, user);
         assert_eq!(sens.len(), 1);
         assert_eq!(sens[0].0, EmotionalAttribute::Hopeful);
         assert!(sens[0].1 > 0.9);

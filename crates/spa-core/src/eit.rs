@@ -124,11 +124,6 @@ impl EitEngine {
         Self::new(QuestionBank::standard()).expect("standard bank is non-empty")
     }
 
-    /// The bank.
-    pub fn bank(&self) -> &QuestionBank {
-        &self.bank
-    }
-
     /// Chooses the next question for a user: the attribute with the
     /// fewest incorporated answers (ties break in paper order), cycling
     /// through branches as evidence accumulates. One call = one contact
@@ -152,28 +147,17 @@ impl EitEngine {
             .expect("standard bank covers every (branch, target) pair")
     }
 
-    /// Folds an EIT-related LifeLog event into the SUM registry
-    /// (initialization stage). Skipped questions leave the model
-    /// untouched. Returns `true` when an answer was incorporated.
-    pub fn ingest(
-        &self,
-        registry: &SumRegistry,
-        schema: &spa_types::AttributeSchema,
-        event: &LifeLogEvent,
-    ) -> Result<bool> {
-        registry.with_model_slot(event.user, |slot, config| self.apply(slot, schema, config, event))
-    }
-
-    /// [`EitEngine::ingest`] against an already-locked model slot — the
-    /// pre-processor's batched apply path routes EIT events here so one
-    /// user's events share a single lock acquisition. An answer naming
-    /// a question outside the bank errors **before** touching the slot,
-    /// so a rejected answer never materializes an empty model.
+    /// Folds an EIT-related LifeLog event into a locked model slot
+    /// (initialization stage) — the pre-processor routes EIT events
+    /// here, so one user's events share a single lock acquisition.
+    /// Skipped questions leave the model untouched. Returns `true` when
+    /// an answer was incorporated. An answer naming a question outside
+    /// the bank errors **before** touching the slot, so a rejected
+    /// answer never materializes an empty model.
     pub(crate) fn apply(
         &self,
         slot: &mut crate::sum::ModelSlot,
         schema: &spa_types::AttributeSchema,
-        config: &crate::sum::SumConfig,
         event: &LifeLogEvent,
     ) -> Result<bool> {
         match &event.kind {
@@ -184,12 +168,12 @@ impl EitEngine {
                     .ok_or_else(|| SpaError::NotFound(format!("question {question}")))?;
                 let ordinal = q.target.ordinal();
                 let attr = schema.emotional_ids()[ordinal];
-                slot.get_or_create().apply_eit_answer(attr, ordinal, *answer, config)?;
+                slot.get_or_create().apply_eit_answer(attr, ordinal, *answer)?;
                 Ok(true)
             }
             EventKind::EitSkipped { .. } => Ok(false),
             _ => Err(SpaError::Invalid(format!(
-                "EitEngine::ingest received a non-EIT event ({})",
+                "EitEngine::apply received a non-EIT event ({})",
                 event.kind.tag()
             ))),
         }
@@ -234,15 +218,21 @@ impl EitEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sum::SumConfig;
+    use crate::preprocessor::LifeLogPreprocessor;
     use spa_types::{AttributeSchema, Timestamp, Valence};
 
     fn setup() -> (EitEngine, SumRegistry, AttributeSchema) {
         (
             EitEngine::standard(),
-            SumRegistry::new(&AttributeSchema::emagister(), SumConfig::default()),
+            SumRegistry::new(&AttributeSchema::emagister()),
             AttributeSchema::emagister(),
         )
+    }
+
+    /// The pre-processor that routes EIT events to the engine.
+    fn preprocessor(schema: &AttributeSchema) -> LifeLogPreprocessor {
+        let courses = spa_synth::catalog::CourseCatalog::generate(10, 2, 1).unwrap();
+        LifeLogPreprocessor::new(schema.clone(), &courses)
     }
 
     #[test]
@@ -279,6 +269,7 @@ mod tests {
     #[test]
     fn scheduler_spreads_coverage_evenly() {
         let (engine, registry, schema) = setup();
+        let pre = preprocessor(&schema);
         let user = UserId::new(2);
         // simulate 20 contacts, always answering
         for round in 0..20 {
@@ -288,7 +279,7 @@ mod tests {
                 Timestamp::from_millis(round),
                 EventKind::EitAnswer { question: q.id, answer: Valence::new(0.5) },
             );
-            engine.ingest(&registry, &schema, &event).unwrap();
+            pre.ingest(&registry, &engine, &event).unwrap();
         }
         let counts = *registry.get(user).unwrap().eit_answer_counts();
         assert_eq!(counts, [2u32; 10], "20 answers spread 2 per attribute");
@@ -297,6 +288,7 @@ mod tests {
     #[test]
     fn scheduler_rotates_branches_per_attribute() {
         let (engine, registry, schema) = setup();
+        let pre = preprocessor(&schema);
         let user = UserId::new(3);
         let mut branches_seen = Vec::new();
         for round in 0..40 {
@@ -309,7 +301,7 @@ mod tests {
                 Timestamp::from_millis(round),
                 EventKind::EitAnswer { question: q.id, answer: Valence::NEUTRAL },
             );
-            engine.ingest(&registry, &schema, &event).unwrap();
+            pre.ingest(&registry, &engine, &event).unwrap();
         }
         assert_eq!(branches_seen, BRANCHES.to_vec(), "four probes, four branches");
     }
@@ -317,13 +309,15 @@ mod tests {
     #[test]
     fn skipped_questions_change_nothing() {
         let (engine, registry, schema) = setup();
+        let pre = preprocessor(&schema);
         let user = UserId::new(4);
         let event = LifeLogEvent::new(
             user,
             Timestamp::from_millis(0),
             EventKind::EitSkipped { question: QuestionId::new(0) },
         );
-        assert!(!engine.ingest(&registry, &schema, &event).unwrap());
+        pre.ingest(&registry, &engine, &event).unwrap();
+        assert_eq!((pre.stats().eit_skips, pre.stats().eit_answers), (1, 0));
         assert!(registry.get(user).is_none(), "no model materialized for a skip");
     }
 
@@ -335,23 +329,28 @@ mod tests {
             Timestamp::from_millis(0),
             EventKind::MessageOpened { campaign: spa_types::CampaignId::new(1) },
         );
-        assert!(engine.ingest(&registry, &schema, &event).is_err());
+        let applied =
+            registry.with_model_slot(event.user, |slot| engine.apply(slot, &schema, &event));
+        assert!(applied.is_err());
     }
 
     #[test]
     fn ingest_rejects_unknown_questions() {
         let (engine, registry, schema) = setup();
+        let pre = preprocessor(&schema);
         let event = LifeLogEvent::new(
             UserId::new(1),
             Timestamp::from_millis(0),
             EventKind::EitAnswer { question: QuestionId::new(999), answer: Valence::NEUTRAL },
         );
-        assert!(engine.ingest(&registry, &schema, &event).is_err());
+        assert!(pre.ingest(&registry, &engine, &event).is_err());
+        assert!(registry.get(UserId::new(1)).is_none(), "a rejected answer builds no model");
     }
 
     #[test]
     fn answers_update_the_probed_attribute() {
         let (engine, registry, schema) = setup();
+        let pre = preprocessor(&schema);
         let user = UserId::new(5);
         let q = engine.next_question(&registry, user).clone();
         let event = LifeLogEvent::new(
@@ -359,7 +358,7 @@ mod tests {
             Timestamp::from_millis(0),
             EventKind::EitAnswer { question: q.id, answer: Valence::new(0.9) },
         );
-        engine.ingest(&registry, &schema, &event).unwrap();
+        pre.ingest(&registry, &engine, &event).unwrap();
         let model = registry.get(user).unwrap();
         let attr = schema.emotional_ids()[q.target.ordinal()];
         assert!((model.value(attr) - 0.95).abs() < 1e-9);
@@ -368,6 +367,7 @@ mod tests {
     #[test]
     fn branch_scores_appear_with_coverage() {
         let (engine, registry, schema) = setup();
+        let pre = preprocessor(&schema);
         let user = UserId::new(6);
         assert_eq!(engine.branch_scores(&registry, &schema, user).overall(), None);
         // ten answers → every attribute probed once → branch 1 covered
@@ -378,7 +378,7 @@ mod tests {
                 Timestamp::from_millis(round),
                 EventKind::EitAnswer { question: q.id, answer: Valence::new(0.5) },
             );
-            engine.ingest(&registry, &schema, &event).unwrap();
+            pre.ingest(&registry, &engine, &event).unwrap();
         }
         let scores = engine.branch_scores(&registry, &schema, user);
         assert!(scores.scores[0].is_some());

@@ -16,8 +16,7 @@
 
 use crate::attributes::AttributesManager;
 use crate::eit::{EitEngine, EitQuestion};
-use crate::messaging::{AssignedMessage, MessageCatalog, MessagingAgent};
-use crate::platform::SpaConfig;
+use crate::messaging::{AssignedMessage, MessageCatalog, MessagePolicy, MessagingAgent};
 use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
 use crate::selection::SelectionFunction;
 use crate::snapshot::{SECTION_MODELS, SECTION_STATS};
@@ -27,8 +26,7 @@ use spa_store::snapshot::{Snapshot, SnapshotBuilder};
 use spa_store::LogPosition;
 use spa_synth::catalog::CourseCatalog;
 use spa_types::{
-    AttributeId, AttributeSchema, CampaignId, EmotionalAttribute, LifeLogEvent, Result, SpaError,
-    UserId,
+    AttributeSchema, CampaignId, EmotionalAttribute, LifeLogEvent, Result, SpaError, UserId,
 };
 
 /// One engine shard's reusable batch-ingest buffers: the positions of
@@ -158,16 +156,16 @@ pub struct Engine {
 impl Engine {
     /// Builds an empty engine over the emagister schema and a course
     /// catalog.
-    pub(crate) fn new(courses: &CourseCatalog, config: &SpaConfig) -> Self {
+    pub(crate) fn new(courses: &CourseCatalog) -> Self {
         let schema = AttributeSchema::emagister();
         Self {
-            registry: SumRegistry::new(&schema, config.sum.clone()),
+            registry: SumRegistry::new(&schema),
             eit: EitEngine::standard(),
             preprocessor: LifeLogPreprocessor::new(schema.clone(), courses),
             manager: AttributesManager::new(schema.clone()),
             messaging: MessagingAgent::new(
                 MessageCatalog::standard_catalog("this course"),
-                config.policy,
+                MessagePolicy::MaxSensibility,
             ),
             schema,
         }
@@ -220,13 +218,12 @@ impl Engine {
             if bucket.is_empty() {
                 continue;
             }
-            self.registry.with_shard_models(shard, |models, config| {
+            self.registry.with_shard_models(shard, |models| {
                 for &index in bucket {
                     let event = batch[index as usize];
                     let mut slot = models.slot(event.user);
-                    let outcome = self
-                        .preprocessor
-                        .apply(&mut slot, config, &self.eit, &appeal, event, &mut stats);
+                    let outcome =
+                        self.preprocessor.apply(&mut slot, &self.eit, &appeal, event, &mut stats);
                     if outcome.is_ok() {
                         applied += 1;
                     }
@@ -324,9 +321,7 @@ impl Engine {
     /// Registers a campaign's appeal attributes so opens/transactions
     /// reward them (update stage).
     pub(crate) fn register_campaign(&self, campaign: CampaignId, appeal: &[EmotionalAttribute]) {
-        let ids = self.schema.emotional_ids();
-        let attrs: Vec<AttributeId> = appeal.iter().map(|e| ids[e.ordinal()]).collect();
-        self.preprocessor.register_campaign(campaign, attrs);
+        self.preprocessor.register_campaign(campaign, appeal);
     }
 
     /// Assigns the individualized message for (user, course-appeal):
@@ -336,8 +331,7 @@ impl Engine {
         user: UserId,
         appeal: &[EmotionalAttribute],
     ) -> Result<AssignedMessage> {
-        let sensibilities =
-            self.manager.dominant_sensibilities(&self.registry, user, self.registry.config());
+        let sensibilities = self.manager.dominant_sensibilities(&self.registry, user);
         self.messaging.assign(appeal, &sensibilities)
     }
 }

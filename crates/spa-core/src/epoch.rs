@@ -25,7 +25,7 @@
 //!   publication is in flight and lock-free always (the pin loop
 //!   retries at most once per concurrent publication).
 //!
-//! * [`AtomicIndex`] — a grow-only open-addressing hash index from
+//! * `AtomicIndex` — a grow-only open-addressing hash index from
 //!   `u32` ids to values it owns, probed by readers with plain atomic
 //!   loads (no read-modify-write at all on the lookup path). Each value
 //!   is boxed once at insert, never moves and is freed when the index

@@ -41,8 +41,10 @@
 //!   the global selection function, the write-ahead logs and the
 //!   fan-out, with crash-recovery replay. `shards = 1` and no log is
 //!   the in-memory single-node case;
-//! * [`platform`] — what the platform is configured with
-//!   ([`platform::SpaConfig`]);
+//! * [`platform`] — the constructors' empty `SpaConfig` argument,
+//!   kept for the frozen benchmark: the platform has nothing to
+//!   configure (the SUM rates, the selection class weight and the
+//!   message policy are constants);
 //! * [`snapshot`] — the contents of a platform checkpoint (section
 //!   tags + codecs), so recovery loads a snapshot and replays only the
 //!   WAL tail behind it instead of the whole history.
@@ -85,4 +87,4 @@ pub use messaging::{AssignedMessage, AssignmentCase, MessageCatalog, MessagePoli
 pub use platform::Spa;
 pub use selection::SelectionFunction;
 pub use shard::{CheckpointReport, CompactionReport, RecoveryReport, ShardedSpa};
-pub use sum::{AdviceFactors, CacheStats, SmartUserModel, SumConfig, SumRegistry};
+pub use sum::{AdviceFactors, CacheStats, SmartUserModel, SumRegistry};

@@ -1,35 +1,21 @@
-//! Platform configuration.
+//! The platform's construction shells.
 //!
 //! The platform itself is [`crate::shard::ShardedSpa`] (one engine per
-//! shard, see [`crate::engine`]); this module holds what it is
-//! configured with. The unit tests below drive the in-memory
-//! single-node case, `ShardedSpa::new(.., 1)`.
+//! shard, see [`crate::engine`]). It has nothing to configure: the SUM
+//! rates are constants in [`crate::sum`], the selection class weight
+//! is [`crate::selection::POSITIVE_WEIGHT`] and the message policy is
+//! [`crate::messaging::MessagePolicy::MaxSensibility`]. The unit tests
+//! below drive the in-memory single-node case, `ShardedSpa::new(.., 1)`.
 
-use crate::messaging::MessagePolicy;
 use crate::shard::ShardedSpa;
-use crate::sum::SumConfig;
 use spa_synth::catalog::CourseCatalog;
 
-/// Platform configuration.
-#[derive(Debug, Clone)]
-pub struct SpaConfig {
-    /// SUM update rules.
-    pub sum: SumConfig,
-    /// Case-3.c message policy.
-    pub policy: MessagePolicy,
-    /// Class-imbalance weight for the selection SVM.
-    pub positive_weight: f64,
-}
-
-impl Default for SpaConfig {
-    fn default() -> Self {
-        Self {
-            sum: SumConfig::default(),
-            policy: MessagePolicy::MaxSensibility,
-            positive_weight: 4.0,
-        }
-    }
-}
+/// An empty argument the platform constructors still take, because the
+/// frozen `benchmark/` crate passes `SpaConfig::default()`; it goes
+/// with the `Spa` shim when a `benchmark` issue lets go (ROADMAP
+/// item 5a).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpaConfig;
 
 /// `ShardedSpa::new(courses, config, 1)` under the name the frozen
 /// `benchmark/` crate constructs; goes when a `benchmark` issue lets go.
@@ -67,7 +53,7 @@ mod tests {
 
     /// The in-memory single-node platform: one shard, no log.
     fn platform() -> ShardedSpa {
-        ShardedSpa::new(&courses(), SpaConfig::default(), 1).unwrap()
+        ShardedSpa::new(&courses(), SpaConfig, 1).unwrap()
     }
 
     /// Answers `user`'s next scheduled EIT question with `value`.
@@ -235,13 +221,11 @@ mod tests {
         let root = std::env::temp_dir().join(format!("spa-platform-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let spa =
-            ShardedSpa::with_log(&courses(), SpaConfig::default(), 1, &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::with_log(&courses(), SpaConfig, 1, &root, LogConfig::default()).unwrap();
         let users = train_on(&spa, 35);
         let position = spa.checkpoint().unwrap().positions[0];
         let (restored, report) =
-            ShardedSpa::recover(&courses(), SpaConfig::default(), &[], &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::recover(&courses(), SpaConfig, &[], &root, LogConfig::default()).unwrap();
         assert_eq!(report.snapshots_loaded, vec![Some(position)]);
         assert_eq!(report.total_events(), 0, "the snapshot covers the whole log");
         assert!(report.selection_restored);
@@ -310,14 +294,9 @@ mod tests {
         spa.register_campaign(campaign, &[EmotionalAttribute::Hopeful]);
         // prime the attribute
         let hopeful_id = spa.schema().emotional_ids()[EmotionalAttribute::Hopeful.ordinal()];
-        spa.shard(spa.shard_of(user)).registry().with_model(user, |m, config| {
-            m.apply_eit_answer(
-                hopeful_id,
-                EmotionalAttribute::Hopeful.ordinal(),
-                Valence::NEUTRAL,
-                config,
-            )
-            .unwrap();
+        spa.shard(spa.shard_of(user)).registry().with_model(user, |m| {
+            m.apply_eit_answer(hopeful_id, EmotionalAttribute::Hopeful.ordinal(), Valence::NEUTRAL)
+                .unwrap();
         });
         let value = || spa.model(user).unwrap().value(hopeful_id);
         let before = value();

@@ -20,7 +20,9 @@ use crate::fastmap::FastIdMap;
 use crate::sum::SumRegistry;
 use parking_lot::RwLock;
 use spa_synth::catalog::CourseCatalog;
-use spa_types::{AttributeId, AttributeSchema, CampaignId, EventKind, LifeLogEvent, Result};
+use spa_types::{
+    AttributeId, AttributeSchema, CampaignId, EmotionalAttribute, EventKind, LifeLogEvent, Result,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters of what the pre-processor has seen.
@@ -174,9 +176,13 @@ impl LifeLogPreprocessor {
     }
 
     /// Registers which emotional attributes a campaign's messages appeal
-    /// to, so later `MessageOpened` events can reward them.
-    pub fn register_campaign(&self, campaign: CampaignId, appeal: Vec<AttributeId>) {
-        self.campaign_appeal.write().insert(campaign.raw(), appeal);
+    /// to, so later `MessageOpened` events can reward them. The appeal
+    /// maps to the schema's emotional block here, so a registered
+    /// campaign names only attributes every model holds.
+    pub fn register_campaign(&self, campaign: CampaignId, appeal: &[EmotionalAttribute]) {
+        let ids = self.schema.emotional_ids();
+        let attrs = appeal.iter().map(|e| ids[e.ordinal()]).collect();
+        self.campaign_appeal.write().insert(campaign.raw(), attrs);
     }
 
     /// Counters so far.
@@ -218,66 +224,28 @@ impl LifeLogPreprocessor {
     }
 
     /// Processes one raw event against the registry (routing EIT events
-    /// through `eit`).
+    /// through `eit`): the one per-event dispatch, `apply`, under the
+    /// user's registry shard lock.
     pub fn ingest(
         &self,
         registry: &SumRegistry,
         eit: &EitEngine,
         event: &LifeLogEvent,
     ) -> Result<()> {
-        // events that cannot touch a model complete without the
-        // registry shard lock (which the old per-event path never took
-        // for them either): deliveries and skips only count, and an
-        // answer naming a question outside the bank is rejected before
-        // any lock — the same loud error `apply` would produce.
-        match &event.kind {
-            EventKind::MessageDelivered { .. } => {
-                self.stats.deliveries.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            EventKind::EitSkipped { .. } => {
-                self.stats.eit_skips.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            EventKind::EitAnswer { question, .. } if eit.bank().question(*question).is_none() => {
-                return Err(spa_types::SpaError::NotFound(format!("question {question}")));
-            }
-            EventKind::OutcomeObserved { .. } => {
-                return Err(spa_types::SpaError::Invalid(
-                    "outcome events belong to the selection log, not the shard ingest path".into(),
-                ));
-            }
-            _ => {}
-        }
-        let mut delta = PreprocessorStats::default();
-        // the appeal map is only consulted for campaign-bearing events;
-        // when it is, it is read *before* the registry shard lock (the
-        // one lock order, see LifeLogPreprocessor::apply)
+        // the appeal map is only read for campaign-bearing events, and
+        // then before the registry shard lock (the one lock order, see
+        // LifeLogPreprocessor::apply)
         let needs_appeal = matches!(
             event.kind,
             EventKind::Transaction { campaign: Some(_), .. }
                 | EventKind::MessageOpened { .. }
                 | EventKind::CampaignIgnored { .. }
         );
-        let outcome = if needs_appeal {
-            let appeal = self.campaign_appeal.read();
-            // an open of an unregistered campaign only counts — no
-            // model, no registry lock
-            if let EventKind::MessageOpened { campaign } = &event.kind {
-                if !appeal.contains_key(&campaign.raw()) {
-                    drop(appeal);
-                    self.stats.opens.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-            }
-            registry.with_model_slot(event.user, |slot, config| {
-                self.apply(slot, config, eit, &appeal, event, &mut delta)
-            })
-        } else {
-            registry.with_model_slot(event.user, |slot, config| {
-                self.apply(slot, config, eit, Self::empty_appeal(), event, &mut delta)
-            })
-        };
+        let guard = needs_appeal.then(|| self.campaign_appeal.read());
+        let appeal = guard.as_deref().unwrap_or(Self::empty_appeal());
+        let mut delta = PreprocessorStats::default();
+        let outcome = registry
+            .with_model_slot(event.user, |slot| self.apply(slot, eit, appeal, event, &mut delta));
         self.stats.merge(&delta);
         outcome
     }
@@ -306,23 +274,21 @@ impl LifeLogPreprocessor {
     /// slot: [`LifeLogPreprocessor::ingest`] wraps it for a single
     /// event, and the platform's batched ingest calls it for a whole
     /// registry bucket of events under a single lock acquisition
-    /// ([`crate::engine::Engine::apply_grouped`]). Events that touch no
-    /// per-user state (deliveries, rejected EIT answers, opens of
-    /// unregistered campaigns) never materialize a model — the slot
-    /// stays untouched.
+    /// ([`crate::engine::Engine::apply_grouped`]). Events that touch
+    /// no per-user state (deliveries, skips, rejected EIT answers,
+    /// outcome events, opens of unregistered campaigns) never
+    /// materialize a model — the slot stays untouched.
     ///
     /// Lock order: every caller acquires the campaign-appeal read
     /// guard (when the event can consult it) **before** the slot's
-    /// registry shard lock — [`LifeLogPreprocessor::ingest`],
-    /// [`LifeLogPreprocessor::punish_ignored`] and the platform's
-    /// grouped apply all do — and registration takes the appeal lock
-    /// alone. One consistent order (appeal → registry), no cycle;
-    /// never acquire the appeal lock while holding a registry shard
-    /// lock.
+    /// registry shard lock — [`LifeLogPreprocessor::ingest`] and the
+    /// platform's grouped apply both do — and registration takes the
+    /// appeal lock alone. One consistent order (appeal → registry), no
+    /// cycle; never acquire the appeal lock while holding a registry
+    /// shard lock.
     pub(crate) fn apply(
         &self,
         slot: &mut crate::sum::ModelSlot,
-        config: &crate::sum::SumConfig,
         eit: &EitEngine,
         appeal: &AppealMap,
         event: &LifeLogEvent,
@@ -331,14 +297,14 @@ impl LifeLogPreprocessor {
         match &event.kind {
             EventKind::Action { course, .. } => {
                 stats.actions += 1;
-                self.touch_usage(slot, config, course.map(|c| c.raw()), false);
+                self.touch_usage(slot, course.map(|c| c.raw()), false);
                 Ok(())
             }
             EventKind::Transaction { course, campaign } => {
                 stats.transactions += 1;
-                self.touch_usage(slot, config, Some(course.raw()), true);
+                self.touch_usage(slot, Some(course.raw()), true);
                 if let Some(campaign) = campaign {
-                    Self::reward_campaign(slot, config, appeal, *campaign);
+                    Self::reward_campaign(slot, appeal, *campaign);
                 }
                 Ok(())
             }
@@ -346,18 +312,18 @@ impl LifeLogPreprocessor {
                 // explicit feedback: treat ≥4 stars as a transactional
                 // signal for the course's topic
                 stats.actions += 1;
-                self.touch_usage(slot, config, Some(course.raw()), *stars >= 4);
+                self.touch_usage(slot, Some(course.raw()), *stars >= 4);
                 Ok(())
             }
             EventKind::EitAnswer { .. } => {
-                let incorporated = eit.apply(slot, &self.schema, config, event)?;
+                let incorporated = eit.apply(slot, &self.schema, event)?;
                 if incorporated {
                     stats.eit_answers += 1;
                 }
                 Ok(())
             }
             EventKind::EitSkipped { .. } => {
-                eit.apply(slot, &self.schema, config, event)?;
+                eit.apply(slot, &self.schema, event)?;
                 stats.eit_skips += 1;
                 Ok(())
             }
@@ -367,7 +333,7 @@ impl LifeLogPreprocessor {
             }
             EventKind::MessageOpened { campaign } => {
                 stats.opens += 1;
-                Self::reward_campaign(slot, config, appeal, *campaign);
+                Self::reward_campaign(slot, appeal, *campaign);
                 Ok(())
             }
             EventKind::ObjectiveImported { values } => {
@@ -379,7 +345,7 @@ impl LifeLogPreprocessor {
                 stats.punishments += 1;
                 if let Some(attrs) = appeal.get(&campaign.raw()) {
                     slot.get_or_create()
-                        .punish(attrs, config)
+                        .punish(attrs)
                         .expect("campaign attrs validated at registration");
                 }
                 Ok(())
@@ -393,7 +359,6 @@ impl LifeLogPreprocessor {
     fn touch_usage(
         &self,
         slot: &mut crate::sum::ModelSlot,
-        config: &crate::sum::SumConfig,
         course: Option<u32>,
         transactional: bool,
     ) {
@@ -405,30 +370,23 @@ impl LifeLogPreprocessor {
             .map(|&raw| AttributeId::new(raw));
         let model = slot.get_or_create();
         // every action nudges the activity index up
-        model.observe_subjective(activity, 1.0, config).expect("slot in range");
+        model.observe_subjective(activity, 1.0).expect("slot in range");
         if transactional {
-            model.observe_subjective(transact, 1.0, config).expect("slot in range");
+            model.observe_subjective(transact, 1.0).expect("slot in range");
         }
         if let Some(attr) = topic_attr {
-            model.observe_subjective(attr, 1.0, config).expect("slot in range");
+            model.observe_subjective(attr, 1.0).expect("slot in range");
         }
     }
 
-    fn reward_campaign(
-        slot: &mut crate::sum::ModelSlot,
-        config: &crate::sum::SumConfig,
-        appeal: &AppealMap,
-        campaign: CampaignId,
-    ) {
+    fn reward_campaign(slot: &mut crate::sum::ModelSlot, appeal: &AppealMap, campaign: CampaignId) {
         // the appeal list is borrowed straight out of the map the
         // caller holds a read guard over — no per-event Vec clone, and
         // batched callers pay the guard once per batch, not per event.
         // Registration takes the write side only at campaign bring-up,
         // so ingest never waits on it in steady state.
         if let Some(attrs) = appeal.get(&campaign.raw()) {
-            slot.get_or_create()
-                .reward(attrs, config)
-                .expect("campaign attrs validated at registration");
+            slot.get_or_create().reward(attrs).expect("campaign attrs validated at registration");
         }
     }
 }
@@ -436,14 +394,13 @@ impl LifeLogPreprocessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sum::SumConfig;
     use spa_synth::catalog::CourseCatalog;
-    use spa_types::{ActionId, CourseId, Timestamp, UserId, Valence};
+    use spa_types::{ActionId, CourseId, Timestamp, UserId, Valence, EMOTIONAL_ATTRIBUTES};
 
     fn setup() -> (LifeLogPreprocessor, SumRegistry, EitEngine) {
         let schema = AttributeSchema::emagister();
         let courses = CourseCatalog::generate(30, 6, 9).unwrap();
-        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let registry = SumRegistry::new(&schema);
         (LifeLogPreprocessor::new(schema, &courses), registry, EitEngine::standard())
     }
 
@@ -533,11 +490,11 @@ mod tests {
         let schema = AttributeSchema::emagister();
         let attr = schema.emotional_ids()[0];
         // establish a baseline value
-        registry.with_model(user, |m, config| {
-            m.apply_eit_answer(attr, 0, Valence::NEUTRAL, config).unwrap();
+        registry.with_model(user, |m| {
+            m.apply_eit_answer(attr, 0, Valence::NEUTRAL).unwrap();
         });
         let before = registry.get(user).unwrap().value(attr);
-        pre.register_campaign(campaign, vec![attr]);
+        pre.register_campaign(campaign, &[EMOTIONAL_ATTRIBUTES[0]]);
         pre.ingest(
             &registry,
             &eit,
@@ -574,10 +531,10 @@ mod tests {
         let campaign = CampaignId::new(8);
         let schema = AttributeSchema::emagister();
         let attr = schema.emotional_ids()[2];
-        registry.with_model(user, |m, config| {
-            m.apply_eit_answer(attr, 2, Valence::new(0.8), config).unwrap();
+        registry.with_model(user, |m| {
+            m.apply_eit_answer(attr, 2, Valence::new(0.8)).unwrap();
         });
-        pre.register_campaign(campaign, vec![attr]);
+        pre.register_campaign(campaign, &[EMOTIONAL_ATTRIBUTES[2]]);
         let before = registry.get(user).unwrap().value(attr);
         pre.ingest(
             &registry,

@@ -17,6 +17,12 @@ use spa_ml::svm::{LinearSvm, SvmConfig};
 use spa_ml::{Classifier, Dataset};
 use spa_types::{Result, UserId};
 
+/// Weight of a responder against a non-responder in the platform's
+/// selection SVM ([`SelectionFunction::with_imbalance`]): campaign
+/// labels are imbalanced, and the paper gives no weight for them. A
+/// calibrated input for §5.4's selection function.
+pub const POSITIVE_WEIGHT: f64 = 4.0;
+
 /// SVM-backed propensity ranker.
 ///
 /// `Clone` is part of the serving contract: [`crate::shard::ShardedSpa`]
@@ -73,8 +79,7 @@ impl SelectionFunction {
     /// Restores state written by [`SelectionFunction::write_state`].
     /// Bit-exact: the restored function scores and keeps learning
     /// identically to the one that was checkpointed. Hyper-parameters
-    /// stay as constructed (they are configuration, like
-    /// [`crate::platform::SpaConfig`]).
+    /// stay as constructed: they are not part of the state.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
         self.svm.read_state(bytes)
     }

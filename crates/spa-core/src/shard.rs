@@ -37,7 +37,7 @@ use crate::engine::{Engine, GroupScratch};
 use crate::epoch::{PublicationStats, Published, Publisher};
 use crate::platform::SpaConfig;
 use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
-use crate::selection::SelectionFunction;
+use crate::selection::{SelectionFunction, POSITIVE_WEIGHT};
 use crate::snapshot::SECTION_SELECTION;
 use parking_lot::{Mutex, RwLock};
 use spa_linalg::{RowView, SparseVec};
@@ -369,20 +369,20 @@ pub struct ShardedSpa {
 impl ShardedSpa {
     /// Builds an ephemeral (no durability) platform of `shards` engines;
     /// `shards = 1` is the in-memory single-node case.
-    pub fn new(courses: &CourseCatalog, config: SpaConfig, shards: usize) -> Result<Self> {
+    pub fn new(courses: &CourseCatalog, _config: SpaConfig, shards: usize) -> Result<Self> {
         if shards == 0 {
             return Err(SpaError::Invalid("shard count must be at least 1".into()));
         }
-        let engines = (0..shards).map(|_| Engine::new(courses, &config)).collect();
-        Ok(Self::assemble(engines, &config, real_io()))
+        let engines = (0..shards).map(|_| Engine::new(courses)).collect();
+        Ok(Self::assemble(engines, real_io()))
     }
 
     /// The facade around `engines` (never empty: [`ShardedSpa::new`]
     /// and the manifest parser both reject a zero shard count): an
     /// untrained selection function, no logs attached yet.
-    fn assemble(engines: Vec<Engine>, config: &SpaConfig, io: Arc<dyn StorageIo>) -> Self {
+    fn assemble(engines: Vec<Engine>, io: Arc<dyn StorageIo>) -> Self {
         let selection =
-            SelectionFunction::with_imbalance(engines[0].schema().len(), config.positive_weight);
+            SelectionFunction::with_imbalance(engines[0].schema().len(), POSITIVE_WEIGHT);
         Self {
             selection: Published::new(Arc::new(selection.clone()), selection),
             selection_publishes: AtomicU64::new(0),
@@ -460,7 +460,7 @@ impl ShardedSpa {
     /// stream — SUM models, EIT schedules, counters, selection weights
     /// — is recovered from snapshot + WAL. What is *not* is
     /// configuration the operator supplies at every bring-up, exactly
-    /// as they supply `courses`, `config` and `log_config`:
+    /// as they supply `courses` and `log_config`:
     ///
     /// * `campaigns` — campaign → appeal registrations, active from the
     ///   *start* of replay. Replayed `MessageOpened` / attributed
@@ -496,7 +496,7 @@ impl ShardedSpa {
     /// corruption.
     pub fn recover_with_io(
         courses: &CourseCatalog,
-        config: SpaConfig,
+        _config: SpaConfig,
         campaigns: &[(CampaignId, Vec<EmotionalAttribute>)],
         root: impl AsRef<Path>,
         log_config: LogConfig,
@@ -516,7 +516,7 @@ impl ShardedSpa {
             stale_temps: u64,
         }
         let fresh_engine = || {
-            let engine = Engine::new(courses, &config);
+            let engine = Engine::new(courses);
             for (campaign, appeal) in campaigns {
                 engine.register_campaign(*campaign, appeal);
             }
@@ -643,7 +643,7 @@ impl ShardedSpa {
             report.stale_temps_removed += stale_temps;
         }
         // assemble the facade around the recovered engines directly
-        let mut sharded = Self::assemble(engines, &config, io.clone());
+        let mut sharded = Self::assemble(engines, io.clone());
         // the global selection function: restored from the checkpoint's
         // weight snapshot when one is present and valid, then rolled
         // forward by replaying the selection WAL tail behind the
@@ -948,7 +948,7 @@ impl ShardedSpa {
     /// The events stay the caller's, borrowed for the call. A bulk batch
     /// — more than `PARALLEL_BATCH_THRESHOLD` events per engine shard —
     /// runs as consecutive batches of that size, in arrival order, so
-    /// its routing buffers ([`RoutingScratch`], reused across calls)
+    /// its routing buffers (`RoutingScratch`, reused across calls)
     /// stay the size a steady batch needs, and so do the write sections
     /// it opens. Chunking changes no byte of any shard's WAL and no
     /// applied state. Steady-state batch ingest allocates one `Vec` of
@@ -1406,12 +1406,12 @@ mod tests {
 
     #[test]
     fn zero_shards_is_invalid() {
-        assert!(ShardedSpa::new(&courses(), SpaConfig::default(), 0).is_err());
+        assert!(ShardedSpa::new(&courses(), SpaConfig, 0).is_err());
     }
 
     #[test]
     fn ingest_routes_to_the_owning_shard() {
-        let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), 4).unwrap();
+        let sharded = ShardedSpa::new(&courses(), SpaConfig, 4).unwrap();
         let user = UserId::new(17);
         let event = eit_event(&sharded, user, 0, 0.8);
         sharded.ingest(&event).unwrap();
@@ -1428,7 +1428,7 @@ mod tests {
 
     #[test]
     fn batch_ingest_counts_and_aggregates_stats() {
-        let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), 3).unwrap();
+        let sharded = ShardedSpa::new(&courses(), SpaConfig, 3).unwrap();
         let events: Vec<LifeLogEvent> =
             (0..60u32).map(|i| eit_event(&sharded, UserId::new(i), i as u64, 0.4)).collect();
         assert_eq!(sharded.ingest_batch(events.iter()).unwrap(), 60);
@@ -1437,7 +1437,7 @@ mod tests {
 
     #[test]
     fn observe_outcome_requires_a_known_user() {
-        let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), 2).unwrap();
+        let sharded = ShardedSpa::new(&courses(), SpaConfig, 2).unwrap();
         let unknown = UserId::new(404);
         assert!(matches!(
             sharded.observe_outcome(unknown, true),
@@ -1459,7 +1459,7 @@ mod tests {
     #[test]
     fn sharded_rank_top_k_equals_rank_prefix() {
         for shards in [1usize, 5] {
-            let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), shards).unwrap();
+            let sharded = ShardedSpa::new(&courses(), SpaConfig, shards).unwrap();
             let users: Vec<UserId> = (0..90).map(UserId::new).collect();
             for (i, &user) in users.iter().enumerate() {
                 let event = eit_event(&sharded, user, i as u64, (i as f64 / 90.0) * 2.0 - 1.0);
@@ -1489,14 +1489,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let user = UserId::new(9);
         {
-            let sharded = ShardedSpa::with_log(
-                &courses(),
-                SpaConfig::default(),
-                2,
-                &root,
-                LogConfig::default(),
-            )
-            .unwrap();
+            let sharded =
+                ShardedSpa::with_log(&courses(), SpaConfig, 2, &root, LogConfig::default())
+                    .unwrap();
             let good = eit_event(&sharded, user, 0, 0.6);
             sharded.ingest(&good).unwrap();
             // an answer naming a question outside the bank: the WAL
@@ -1532,8 +1527,7 @@ mod tests {
         // the durably-logged rejected events must not make recovery
         // fail forever — they are skipped, exactly as they were live
         let (recovered, report) =
-            ShardedSpa::recover(&courses(), SpaConfig::default(), &[], &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::recover(&courses(), SpaConfig, &[], &root, LogConfig::default()).unwrap();
         assert_eq!(report.total_events(), 4);
         assert_eq!(report.total_skipped(), 2);
         assert_eq!(recovered.stats().eit_answers, 4);
@@ -1542,7 +1536,7 @@ mod tests {
 
     #[test]
     fn checkpoint_requires_a_write_ahead_log() {
-        let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), 2).unwrap();
+        let sharded = ShardedSpa::new(&courses(), SpaConfig, 2).unwrap();
         assert!(matches!(sharded.checkpoint(), Err(SpaError::Invalid(_))));
         assert!(matches!(sharded.compact(), Err(SpaError::Invalid(_))));
     }
@@ -1562,8 +1556,7 @@ mod tests {
         let bias_live;
         {
             let sharded =
-                ShardedSpa::with_log(&courses, SpaConfig::default(), 3, &root, log_config.clone())
-                    .unwrap();
+                ShardedSpa::with_log(&courses, SpaConfig, 3, &root, log_config.clone()).unwrap();
             sharded.register_campaign(campaigns[0].0, &campaigns[0].1);
             for round in 0..4u64 {
                 for &user in &users {
@@ -1602,8 +1595,7 @@ mod tests {
         } // crash
 
         let (recovered, report) =
-            ShardedSpa::recover(&courses, SpaConfig::default(), &campaigns, &root, log_config)
-                .unwrap();
+            ShardedSpa::recover(&courses, SpaConfig, &campaigns, &root, log_config).unwrap();
         assert_eq!(report.shards_from_snapshot(), 3, "every shard restores from its snapshot");
         assert_eq!(report.total_events(), 10, "only the 10 tail events replay");
         assert!(report.selection_restored);
@@ -1628,7 +1620,7 @@ mod tests {
         {
             let sharded = ShardedSpa::with_log(
                 &courses,
-                SpaConfig::default(),
+                SpaConfig,
                 1,
                 &root,
                 LogConfig { segment_bytes: 128, fsync: false },
@@ -1651,7 +1643,7 @@ mod tests {
         // back to replaying everything
         let (recovered, report) = ShardedSpa::recover(
             &courses,
-            SpaConfig::default(),
+            SpaConfig,
             &[],
             &root,
             LogConfig { segment_bytes: 128, fsync: false },
@@ -1680,7 +1672,7 @@ mod tests {
         assert!(matches!(
             ShardedSpa::recover(
                 &courses,
-                SpaConfig::default(),
+                SpaConfig,
                 &[],
                 &root,
                 LogConfig { segment_bytes: 128, fsync: false }
@@ -1700,8 +1692,7 @@ mod tests {
         let first_positions;
         {
             let sharded =
-                ShardedSpa::with_log(&courses, SpaConfig::default(), 1, &root, log_config.clone())
-                    .unwrap();
+                ShardedSpa::with_log(&courses, SpaConfig, 1, &root, log_config.clone()).unwrap();
             for round in 0..6 {
                 sharded.ingest(&eit_event(&sharded, user, round, 0.7)).unwrap();
             }
@@ -1730,7 +1721,7 @@ mod tests {
         // loud failure and not to a full replay (history before A is
         // compacted away)
         let (recovered, report) =
-            ShardedSpa::recover(&courses, SpaConfig::default(), &[], &root, log_config).unwrap();
+            ShardedSpa::recover(&courses, SpaConfig, &[], &root, log_config).unwrap();
         assert_eq!(report.snapshots_loaded[0], Some(first_positions[0]));
         assert_eq!(report.total_events(), 5, "replays everything after checkpoint A");
         assert_eq!(recovered.stats().eit_answers, 11);
@@ -1743,14 +1734,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let user = UserId::new(5);
         {
-            let sharded = ShardedSpa::with_log(
-                &courses(),
-                SpaConfig::default(),
-                2,
-                &root,
-                LogConfig::default(),
-            )
-            .unwrap();
+            let sharded =
+                ShardedSpa::with_log(&courses(), SpaConfig, 2, &root, LogConfig::default())
+                    .unwrap();
             for round in 0..4 {
                 sharded.ingest(&eit_event(&sharded, user, round, 0.7)).unwrap();
             }
@@ -1764,8 +1750,7 @@ mod tests {
         std::fs::write(&snap_tmp, b"partial snapshot bytes").unwrap();
         std::fs::write(&manifest_tmp, b"partial manifest").unwrap();
         let (recovered, report) =
-            ShardedSpa::recover(&courses(), SpaConfig::default(), &[], &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::recover(&courses(), SpaConfig, &[], &root, LogConfig::default()).unwrap();
         assert_eq!(report.stale_temps_removed, 2, "both planted temps are removed and counted");
         assert!(!snap_tmp.exists());
         assert!(!manifest_tmp.exists());
@@ -1776,8 +1761,7 @@ mod tests {
         drop(recovered);
         // a clean recovery reports zero — absence is affirmative
         let (_again, report) =
-            ShardedSpa::recover(&courses(), SpaConfig::default(), &[], &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::recover(&courses(), SpaConfig, &[], &root, LogConfig::default()).unwrap();
         assert_eq!(report.stale_temps_removed, 0);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -1831,14 +1815,9 @@ mod tests {
         let stats_before;
         let row_before;
         {
-            let sharded = ShardedSpa::with_log(
-                &courses(),
-                SpaConfig::default(),
-                3,
-                &root,
-                LogConfig::default(),
-            )
-            .unwrap();
+            let sharded =
+                ShardedSpa::with_log(&courses(), SpaConfig, 3, &root, LogConfig::default())
+                    .unwrap();
             for round in 0..8 {
                 let event = eit_event(&sharded, user, round, 0.7);
                 sharded.ingest(&event).unwrap();
@@ -1848,8 +1827,7 @@ mod tests {
             row_before = sharded.feature_row(user);
         } // "crash": everything in memory is dropped
         let (recovered, report) =
-            ShardedSpa::recover(&courses(), SpaConfig::default(), &[], &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::recover(&courses(), SpaConfig, &[], &root, LogConfig::default()).unwrap();
         assert_eq!(recovered.shard_count(), 3);
         assert_eq!(report.total_events(), 8);
         assert_eq!(report.torn_shards(), 0);
@@ -1865,8 +1843,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("spa-shard-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let spa =
-            ShardedSpa::with_log(&courses(), SpaConfig::default(), 3, &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::with_log(&courses(), SpaConfig, 3, &root, LogConfig::default()).unwrap();
         (spa, root)
     }
 

@@ -17,6 +17,12 @@
 //!    recommendation reinforces the attributes its message appealed to;
 //!    ignoring it weakens them.
 //!
+//! The paper says what each stage does but gives no number for it, so
+//! the rates they apply ([`EIT_BLEND`], [`SUBJECTIVE_BLEND`],
+//! [`REWARD_RATE`], [`PUNISH_RATE`], [`RELEVANCE_GAIN`]) and §5.3's
+//! [`SENSIBILITY_THRESHOLD`] are calibrated inputs: named constants,
+//! not settings.
+//!
 //! A model holds only the attributes a user has revealed until they
 //! make up half the schema, and one pair per attribute after that (see
 //! [`SmartUserModel`]). That layout is private to this module: every
@@ -25,12 +31,12 @@
 //! [`SumRegistry::write_state`], none of which depends on it.
 //!
 //! Resident, a user is one cell owned by its registry shard's
-//! lock-free index ([`AtomicIndex`]) that holds the published
+//! lock-free index (`AtomicIndex`) that holds the published
 //! advice row readers score from and, behind the cell's publisher lock,
 //! the master model writers mutate. A row of up to three entries sits
 //! inline in the cell, so scoring such a user follows no pointer past
 //! it; a longer row spills to one pair of heap buffers (see
-//! [`PublishedRow`]). With a sparse master that is two allocations per
+//! `PublishedRow`). With a sparse master that is two allocations per
 //! user: the cell (232 B) and the master's pairs. A write section takes
 //! the registry shard's mutex first and the cell's publisher lock
 //! second (see [`SumRegistry`]).
@@ -86,34 +92,30 @@ impl AdviceFactors {
     }
 }
 
-/// Tunable constants of the SUM update rules.
-#[derive(Debug, Clone)]
-pub struct SumConfig {
-    /// Blend factor for each new EIT answer (exponential moving
-    /// average toward the expressed sensibility).
-    pub eit_blend: f64,
-    /// Step applied by a reward (value nudged toward 1).
-    pub reward_rate: f64,
-    /// Step applied by a punishment (value nudged toward 0).
-    pub punish_rate: f64,
-    /// Relevance gained per observation of an attribute.
-    pub relevance_gain: f64,
-    /// Sensibility threshold used when extracting dominant attributes
-    /// (§5.3 step 3: "attributes … that exceed a sensibility threshold").
-    pub sensibility_threshold: f64,
-}
-
-impl Default for SumConfig {
-    fn default() -> Self {
-        Self {
-            eit_blend: 0.35,
-            reward_rate: 0.12,
-            punish_rate: 0.05,
-            relevance_gain: 0.2,
-            sensibility_threshold: 0.6,
-        }
-    }
-}
+/// Blend factor of each Gradual-EIT answer after the first: the
+/// estimate moves this share of the way to the expressed sensibility.
+/// A calibrated input for §3's initialization stage; the paper gives
+/// no number.
+pub const EIT_BLEND: f64 = 0.35;
+/// Blend factor of each subjective observation after the first (the
+/// LifeLogs Pre-processor's web-usage indices). A calibrated input for
+/// §4's pre-processing; the paper gives no number.
+pub const SUBJECTIVE_BLEND: f64 = 0.3;
+/// Share of the remaining distance to 1 a reward moves an estimate. A
+/// calibrated input for §3's update stage (Fig 4); the paper gives no
+/// number.
+pub const REWARD_RATE: f64 = 0.12;
+/// Share of an estimate a punishment takes away. A calibrated input
+/// for §3's update stage (Fig 4); the paper gives no number.
+pub const PUNISH_RATE: f64 = 0.05;
+/// Relevance an EIT answer or a subjective observation adds (a reward
+/// adds half of it), capped at 1. A calibrated input for the
+/// relevance weights of §3 and §4; the paper gives no number.
+pub const RELEVANCE_GAIN: f64 = 0.2;
+/// Estimate an emotional attribute must reach to count as a dominant
+/// sensibility. A calibrated input for §5.3 step 3 ("attributes … that
+/// exceed a sensibility threshold"); the paper gives no number.
+pub const SENSIBILITY_THRESHOLD: f64 = 0.6;
 
 /// Attributes the sparse form's `live` bitmap can address; a wider
 /// schema starts dense.
@@ -319,21 +321,15 @@ impl SmartUserModel {
 
     /// Folds in a noisy observation of a subjective attribute (running
     /// exponential average, growing relevance).
-    pub fn observe_subjective(
-        &mut self,
-        attr: AttributeId,
-        value: f64,
-        config: &SumConfig,
-    ) -> Result<()> {
+    pub fn observe_subjective(&mut self, attr: AttributeId, value: f64) -> Result<()> {
         self.check(attr)?;
-        let blend = 0.3;
         let pair = self.pair_mut(attr.index());
         pair[0] = if pair[1] == 0.0 {
             value.clamp(0.0, 1.0)
         } else {
-            (1.0 - blend) * pair[0] + blend * value.clamp(0.0, 1.0)
+            (1.0 - SUBJECTIVE_BLEND) * pair[0] + SUBJECTIVE_BLEND * value.clamp(0.0, 1.0)
         };
-        pair[1] = (pair[1] + config.relevance_gain).min(1.0);
+        pair[1] = (pair[1] + RELEVANCE_GAIN).min(1.0);
         self.updates += 1;
         Ok(())
     }
@@ -350,7 +346,6 @@ impl SmartUserModel {
         attr: AttributeId,
         emo_ordinal: usize,
         answer: Valence,
-        config: &SumConfig,
     ) -> Result<()> {
         self.check(attr)?;
         if emo_ordinal >= 10 {
@@ -359,25 +354,22 @@ impl SmartUserModel {
         let sensed = (answer.value() + 1.0) / 2.0;
         let first = self.eit_answers[emo_ordinal] == 0;
         let pair = self.pair_mut(attr.index());
-        pair[0] = if first {
-            sensed
-        } else {
-            (1.0 - config.eit_blend) * pair[0] + config.eit_blend * sensed
-        };
-        pair[1] = (pair[1] + config.relevance_gain).min(1.0);
+        pair[0] = if first { sensed } else { (1.0 - EIT_BLEND) * pair[0] + EIT_BLEND * sensed };
+        pair[1] = (pair[1] + RELEVANCE_GAIN).min(1.0);
         self.eit_answers[emo_ordinal] += 1;
         self.updates += 1;
         Ok(())
     }
 
     /// **Update stage, reward** — the user opened / acted on a message
-    /// appealing to `attrs`: reinforce those attributes (Fig 4).
-    pub fn reward(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
+    /// appealing to `attrs`: reinforce those attributes (Fig 4). All or
+    /// nothing: an out-of-range attribute errors before any pair moves.
+    pub fn reward(&mut self, attrs: &[AttributeId]) -> Result<()> {
+        attrs.iter().try_for_each(|&attr| self.check(attr))?;
         for &attr in attrs {
-            self.check(attr)?;
             let pair = self.pair_mut(attr.index());
-            pair[0] += (1.0 - pair[0]) * config.reward_rate;
-            pair[1] = (pair[1] + config.relevance_gain / 2.0).min(1.0);
+            pair[0] += (1.0 - pair[0]) * REWARD_RATE;
+            pair[1] = (pair[1] + RELEVANCE_GAIN / 2.0).min(1.0);
         }
         self.updates += 1;
         Ok(())
@@ -385,13 +377,14 @@ impl SmartUserModel {
 
     /// **Update stage, punish** — the user ignored a message appealing
     /// to `attrs`: weaken those attributes. An absent attribute stays
-    /// absent (its estimate is 0, and `0 − 0 · rate` is 0).
-    pub fn punish(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
+    /// absent (its estimate is 0, and `0 − 0 · rate` is 0). All or
+    /// nothing, like [`SmartUserModel::reward`].
+    pub fn punish(&mut self, attrs: &[AttributeId]) -> Result<()> {
+        attrs.iter().try_for_each(|&attr| self.check(attr))?;
         for &attr in attrs {
-            self.check(attr)?;
             if let Some(at) = self.position(attr.index()) {
                 let value = &mut self.cells[at][0];
-                *value -= *value * config.punish_rate;
+                *value -= *value * PUNISH_RATE;
             }
         }
         self.updates += 1;
@@ -474,23 +467,19 @@ impl SmartUserModel {
         n
     }
 
-    /// Emotional attributes whose estimate exceeds the configured
-    /// sensibility threshold, sorted by estimate descending — the
+    /// Emotional attributes whose estimate reaches
+    /// [`SENSIBILITY_THRESHOLD`], sorted by estimate descending — the
     /// "dominant sensibilities" of §5.3. `emotional_ids` is the schema's
     /// emotional block (see [`AttributeSchema::emotional_ids`]). Tied
     /// estimates break by ascending attribute id (the same determinism
     /// contract as [`crate::selection::SelectionFunction::sort_by_propensity`]),
     /// so the result never depends on the input order of `emotional_ids`.
-    pub fn dominant_sensibilities(
-        &self,
-        emotional_ids: &[AttributeId],
-        config: &SumConfig,
-    ) -> Vec<(AttributeId, f64)> {
+    pub fn dominant_sensibilities(&self, emotional_ids: &[AttributeId]) -> Vec<(AttributeId, f64)> {
         let mut out: Vec<(AttributeId, f64)> = emotional_ids
             .iter()
             .filter(|&&a| self.relevance(a) > 0.0)
             .map(|&a| (a, self.value(a)))
-            .filter(|&(_, v)| v >= config.sensibility_threshold)
+            .filter(|&(_, v)| v >= SENSIBILITY_THRESHOLD)
             .collect();
         out.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
@@ -770,7 +759,7 @@ pub struct CacheStats {
 /// ([`SumRegistry::write_state`] / [`SumRegistry::restore_state`]).
 ///
 /// **One resident copy, one read mechanism.** Each of the 32 shards
-/// owns an [`AtomicIndex`] of user cells — one allocation per user: the
+/// owns an `AtomicIndex` of user cells — one allocation per user: the
 /// [`Published`] advice row and, behind the cell's publisher lock, the
 /// master model — and a mutex every write section takes first. Writers
 /// mutate masters in place under the shard mutex and then the cell's
@@ -792,7 +781,6 @@ pub struct CacheStats {
 ///   them.
 pub struct SumRegistry {
     dim: usize,
-    config: SumConfig,
     /// Schema part of the advice transform, folded once at bring-up.
     factors: AdviceFactors,
     shards: Vec<RegistryShard>,
@@ -804,21 +792,15 @@ const SHARDS: usize = 32;
 
 impl SumRegistry {
     /// Creates an empty registry of models over `schema`'s attributes.
-    pub fn new(schema: &AttributeSchema, config: SumConfig) -> Self {
+    pub fn new(schema: &AttributeSchema) -> Self {
         let dim = schema.len();
         Self {
             dim,
-            config,
             factors: AdviceFactors::new(schema),
             shards: (0..SHARDS).map(|_| RegistryShard::new(dim)).collect(),
             publishes: AtomicU64::new(0),
             rows_served: AtomicU64::new(0),
         }
-    }
-
-    /// The update-rule configuration.
-    pub fn config(&self) -> &SumConfig {
-        &self.config
     }
 
     /// Attribute dimensionality.
@@ -888,12 +870,8 @@ impl SumRegistry {
     }
 
     /// Applies `f` to the model for `user`, creating it when absent.
-    pub fn with_model<T>(
-        &self,
-        user: UserId,
-        f: impl FnOnce(&mut SmartUserModel, &SumConfig) -> T,
-    ) -> T {
-        self.with_model_slot(user, |slot, config| f(slot.get_or_create(), config))
+    pub fn with_model<T>(&self, user: UserId, f: impl FnOnce(&mut SmartUserModel) -> T) -> T {
+        self.with_model_slot(user, |slot| f(slot.get_or_create()))
     }
 
     /// Applies `f` to a **lazily materializing** handle for `user`'s
@@ -904,11 +882,7 @@ impl SumRegistry {
     /// touch no per-user state (a message delivery, a rejected EIT
     /// answer) leaves no empty model behind, and a batch of events for
     /// one user pays the lock once instead of once per event.
-    pub fn with_model_slot<T>(
-        &self,
-        user: UserId,
-        f: impl FnOnce(&mut ModelSlot, &SumConfig) -> T,
-    ) -> T {
+    pub fn with_model_slot<T>(&self, user: UserId, f: impl FnOnce(&mut ModelSlot) -> T) -> T {
         let shard = self.shard(user);
         let mut state = shard.state.lock();
         let result = {
@@ -919,7 +893,7 @@ impl SumRegistry {
                 dim: self.dim,
                 master: None,
             };
-            f(&mut slot, &self.config)
+            f(&mut slot)
         };
         self.flush_dirty(shard, &mut state);
         result
@@ -947,14 +921,14 @@ impl SumRegistry {
     pub(crate) fn with_shard_models<T>(
         &self,
         shard_index: usize,
-        f: impl FnOnce(&mut ShardModels, &SumConfig) -> T,
+        f: impl FnOnce(&mut ShardModels) -> T,
     ) -> T {
         let shard = &self.shards[shard_index];
         let mut state = shard.state.lock();
         let result = {
             let mut models =
                 ShardModels { state: &mut state, index: &shard.index, dim: self.dim, shard_index };
-            f(&mut models, &self.config)
+            f(&mut models)
         };
         self.flush_dirty(shard, &mut state);
         result
@@ -1116,7 +1090,7 @@ mod tests {
         let s = schema();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         let attr = emo_attr(&s, 0);
-        m.apply_eit_answer(attr, 0, Valence::new(0.6), &SumConfig::default()).unwrap();
+        m.apply_eit_answer(attr, 0, Valence::new(0.6)).unwrap();
         // sensibility = (0.6 + 1)/2 = 0.8
         assert!((m.value(attr) - 0.8).abs() < 1e-12);
         assert_eq!(m.eit_answer_counts()[0], 1);
@@ -1125,12 +1099,11 @@ mod tests {
     #[test]
     fn repeated_answers_blend_toward_truth() {
         let s = schema();
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         let attr = emo_attr(&s, 2);
         // truth 0.9 expressed repeatedly
         for _ in 0..12 {
-            m.apply_eit_answer(attr, 2, Valence::new(0.8), &config).unwrap();
+            m.apply_eit_answer(attr, 2, Valence::new(0.8)).unwrap();
         }
         assert!((m.value(attr) - 0.9).abs() < 0.02);
         assert!(m.relevance(attr) > 0.9, "relevance accumulates");
@@ -1139,23 +1112,20 @@ mod tests {
     #[test]
     fn eit_answer_validates_ordinal() {
         let mut m = SmartUserModel::new(UserId::new(1), 75);
-        assert!(m
-            .apply_eit_answer(AttributeId::new(70), 10, Valence::NEUTRAL, &SumConfig::default())
-            .is_err());
+        assert!(m.apply_eit_answer(AttributeId::new(70), 10, Valence::NEUTRAL).is_err());
     }
 
     #[test]
     fn reward_raises_and_punish_lowers() {
         let s = schema();
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         let attr = emo_attr(&s, 1);
-        m.apply_eit_answer(attr, 1, Valence::NEUTRAL, &config).unwrap(); // 0.5
+        m.apply_eit_answer(attr, 1, Valence::NEUTRAL).unwrap(); // 0.5
         let before = m.value(attr);
-        m.reward(&[attr], &config).unwrap();
+        m.reward(&[attr]).unwrap();
         let after_reward = m.value(attr);
         assert!(after_reward > before);
-        m.punish(&[attr], &config).unwrap();
+        m.punish(&[attr]).unwrap();
         assert!(m.value(attr) < after_reward);
         assert!(m.value(attr) >= 0.0);
     }
@@ -1163,16 +1133,15 @@ mod tests {
     #[test]
     fn reward_never_exceeds_one_punish_never_below_zero() {
         let s = schema();
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         let attr = emo_attr(&s, 0);
-        m.apply_eit_answer(attr, 0, Valence::MAX, &config).unwrap();
+        m.apply_eit_answer(attr, 0, Valence::MAX).unwrap();
         for _ in 0..100 {
-            m.reward(&[attr], &config).unwrap();
+            m.reward(&[attr]).unwrap();
         }
         assert!(m.value(attr) <= 1.0);
         for _ in 0..500 {
-            m.punish(&[attr], &config).unwrap();
+            m.punish(&[attr]).unwrap();
         }
         assert!(m.value(attr) >= 0.0);
     }
@@ -1180,10 +1149,9 @@ mod tests {
     #[test]
     fn feature_row_only_contains_observed_attributes() {
         let s = schema();
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         m.set_observed(AttributeId::new(0), 0.5).unwrap();
-        m.apply_eit_answer(emo_attr(&s, 3), 3, Valence::new(0.2), &config).unwrap();
+        m.apply_eit_answer(emo_attr(&s, 3), 3, Valence::new(0.2)).unwrap();
         let row = m.feature_row();
         assert_eq!(row.nnz(), 2);
         assert_eq!(row.dim(), 75);
@@ -1192,15 +1160,14 @@ mod tests {
     #[test]
     fn advice_row_activates_positive_and_inhibits_negative() {
         let s = schema();
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         // enthusiastic (ordinal 0, valence +1) and apathetic (ordinal 9,
         // valence −1), both at estimate 0.5 with relevance grown
         let enthusiastic = emo_attr(&s, 0);
         let apathetic = emo_attr(&s, 9);
         for _ in 0..5 {
-            m.apply_eit_answer(enthusiastic, 0, Valence::NEUTRAL, &config).unwrap();
-            m.apply_eit_answer(apathetic, 9, Valence::NEUTRAL, &config).unwrap();
+            m.apply_eit_answer(enthusiastic, 0, Valence::NEUTRAL).unwrap();
+            m.apply_eit_answer(apathetic, 9, Valence::NEUTRAL).unwrap();
         }
         let plain = m.feature_row();
         let advised = m.advice_row(&s).unwrap();
@@ -1227,15 +1194,13 @@ mod tests {
     /// A model with mixed objective/subjective/emotional coverage, for
     /// advice-path equivalence tests.
     fn mixed_model(s: &AttributeSchema) -> SmartUserModel {
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(7), 75);
         m.set_observed(AttributeId::new(0), 0.4).unwrap();
         m.set_observed(AttributeId::new(17), 0.0).unwrap(); // floored at 1e-9
-        m.observe_subjective(AttributeId::new(44), 0.6, &config).unwrap();
+        m.observe_subjective(AttributeId::new(44), 0.6).unwrap();
         for (ordinal, v) in [(0usize, 0.9), (6, 0.5), (9, -0.7)] {
             for _ in 0..3 {
-                m.apply_eit_answer(emo_attr(s, ordinal), ordinal, Valence::new(v), &config)
-                    .unwrap();
+                m.apply_eit_answer(emo_attr(s, ordinal), ordinal, Valence::new(v)).unwrap();
             }
         }
         m
@@ -1259,9 +1224,9 @@ mod tests {
 
     #[test]
     fn with_model_read_borrows_without_cloning() {
-        let reg = SumRegistry::new(&schema(), SumConfig::default());
+        let reg = SumRegistry::new(&schema());
         assert!(reg.with_model_read(UserId::new(3), |m| m.is_none()));
-        reg.with_model(UserId::new(3), |m, _| m.set_observed(AttributeId::new(2), 0.8).unwrap());
+        reg.with_model(UserId::new(3), |m| m.set_observed(AttributeId::new(2), 0.8).unwrap());
         let value = reg.with_model_read(UserId::new(3), |m| m.unwrap().value(AttributeId::new(2)));
         assert_eq!(value, 0.8);
     }
@@ -1289,7 +1254,7 @@ mod tests {
     #[test]
     fn rows_cross_the_inline_width_both_ways_and_a_spilled_slot_stays_spilled() {
         let s = schema();
-        let reg = SumRegistry::new(&s, SumConfig::default());
+        let reg = SumRegistry::new(&s);
         let user = UserId::new(11);
         let model_of = |stored: usize| {
             let mut m = SmartUserModel::new(user, 75);
@@ -1331,16 +1296,16 @@ mod tests {
     #[test]
     fn section_end_publishes_the_advice_row_of_the_master() {
         let s = schema();
-        let reg = SumRegistry::new(&s, SumConfig::default());
+        let reg = SumRegistry::new(&s);
         let user = UserId::new(7);
         assert!(reg.with_advice_row(user, |row| row.is_none()), "unknown users have no row");
         // three sections, so both slots of the cell get refilled
         for round in 0..3 {
-            reg.with_model(user, |m, config| {
+            reg.with_model(user, |m| {
                 if round == 0 {
                     *m = mixed_model(&s);
                 } else {
-                    m.reward(&[emo_attr(&s, 0)], config).unwrap();
+                    m.reward(&[emo_attr(&s, 0)]).unwrap();
                 }
             });
             assert_published_row_matches(&reg, user, &reg.get(user).unwrap());
@@ -1348,7 +1313,7 @@ mod tests {
         assert_eq!(reg.model_publishes(), 3);
         // a section that materializes the model without mutating it
         // publishes nothing
-        reg.with_model_slot(user, |slot, _| {
+        reg.with_model_slot(user, |slot| {
             slot.get_or_create();
         });
         assert_eq!(reg.row_stats(), CacheStats { hits: 0, misses: 3 });
@@ -1357,7 +1322,7 @@ mod tests {
     #[test]
     fn insert_model_republishes_even_at_an_unchanged_update_counter() {
         let s = schema();
-        let reg = SumRegistry::new(&s, SumConfig::default());
+        let reg = SumRegistry::new(&s);
         let original = mixed_model(&s);
         reg.insert_model(original.clone());
         assert_published_row_matches(&reg, original.user, &original);
@@ -1374,31 +1339,29 @@ mod tests {
     #[test]
     fn dominant_sensibilities_break_ties_by_ascending_attribute_id() {
         let s = schema();
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         let ids = s.emotional_ids();
         // three attributes pinned to the *same* estimate above threshold
         for &ordinal in &[4usize, 1, 8] {
             m.set_observed(ids[ordinal], 0.75).unwrap();
         }
-        let dom = m.dominant_sensibilities(&ids, &config);
+        let dom = m.dominant_sensibilities(&ids);
         let order: Vec<u32> = dom.iter().map(|(a, _)| a.raw()).collect();
         assert_eq!(order, vec![ids[1].raw(), ids[4].raw(), ids[8].raw()]);
         // and the order must not depend on how emotional_ids is permuted
         let reversed: Vec<AttributeId> = ids.iter().rev().copied().collect();
-        assert_eq!(m.dominant_sensibilities(&reversed, &config), dom);
+        assert_eq!(m.dominant_sensibilities(&reversed), dom);
     }
 
     #[test]
     fn dominant_sensibilities_sorted_and_thresholded() {
         let s = schema();
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         let ids = s.emotional_ids();
-        m.apply_eit_answer(ids[0], 0, Valence::new(0.9), &config).unwrap(); // 0.95
-        m.apply_eit_answer(ids[1], 1, Valence::new(0.4), &config).unwrap(); // 0.70
-        m.apply_eit_answer(ids[2], 2, Valence::new(-0.5), &config).unwrap(); // 0.25
-        let dom = m.dominant_sensibilities(&ids, &config);
+        m.apply_eit_answer(ids[0], 0, Valence::new(0.9)).unwrap(); // 0.95
+        m.apply_eit_answer(ids[1], 1, Valence::new(0.4)).unwrap(); // 0.70
+        m.apply_eit_answer(ids[2], 2, Valence::new(-0.5)).unwrap(); // 0.25
+        let dom = m.dominant_sensibilities(&ids);
         assert_eq!(dom.len(), 2, "0.25 is below the 0.6 threshold");
         assert_eq!(dom[0].0, ids[0]);
         assert_eq!(dom[1].0, ids[1]);
@@ -1407,9 +1370,9 @@ mod tests {
 
     #[test]
     fn registry_creates_on_demand_and_counts() {
-        let reg = SumRegistry::new(&schema(), SumConfig::default());
+        let reg = SumRegistry::new(&schema());
         assert!(reg.is_empty());
-        reg.with_model(UserId::new(5), |m, _| {
+        reg.with_model(UserId::new(5), |m| {
             m.set_observed(AttributeId::new(1), 0.3).unwrap();
         });
         assert_eq!(reg.len(), 1);
@@ -1420,25 +1383,24 @@ mod tests {
     #[test]
     fn registry_state_round_trips_bit_exactly() {
         let s = schema();
-        let reg = SumRegistry::new(&s, SumConfig::default());
+        let reg = SumRegistry::new(&s);
         for id in 0..40u32 {
-            reg.with_model(UserId::new(id), |m, config| {
+            reg.with_model(UserId::new(id), |m| {
                 m.set_observed(AttributeId::new(id % 40), id as f64 / 41.0).unwrap();
                 m.apply_eit_answer(
                     s.emotional_ids()[(id % 10) as usize],
                     (id % 10) as usize,
                     Valence::new(0.3),
-                    config,
                 )
                 .unwrap();
                 if id % 3 == 0 {
-                    m.reward(&[s.emotional_ids()[0]], config).unwrap();
+                    m.reward(&[s.emotional_ids()[0]]).unwrap();
                 }
             });
         }
         let mut state = Vec::new();
         reg.write_state(&mut state);
-        let restored = SumRegistry::new(&schema(), SumConfig::default());
+        let restored = SumRegistry::new(&schema());
         assert_eq!(restored.restore_state(&state).unwrap(), 40);
         assert_eq!(restored.len(), 40);
         for id in 0..40u32 {
@@ -1455,22 +1417,20 @@ mod tests {
         // trailing garbage is loud
         let mut trailing = state.clone();
         trailing.push(0);
-        assert!(SumRegistry::new(&schema(), SumConfig::default())
-            .restore_state(&trailing)
-            .is_err());
+        assert!(SumRegistry::new(&schema()).restore_state(&trailing).is_err());
     }
 
     #[test]
     fn registry_restore_validates_dimensions() {
-        let reg = SumRegistry::new(&schema(), SumConfig::default());
-        reg.with_model(UserId::new(1), |m, _| m.set_observed(AttributeId::new(0), 0.5).unwrap());
+        let reg = SumRegistry::new(&schema());
+        reg.with_model(UserId::new(1), |m| m.set_observed(AttributeId::new(0), 0.5).unwrap());
         let mut state = Vec::new();
         reg.write_state(&mut state);
         let mut narrow = AttributeSchema::new();
         for i in 0..10 {
             narrow.push(format!("a{i}"), AttributeKind::Objective, Valence::NEUTRAL).unwrap();
         }
-        let restored = SumRegistry::new(&narrow, SumConfig::default());
+        let restored = SumRegistry::new(&narrow);
         assert!(matches!(
             restored.restore_state(&state),
             Err(SpaError::DimensionMismatch { got: 75, expected: 10 })
@@ -1480,13 +1440,13 @@ mod tests {
 
     #[test]
     fn registry_is_thread_safe() {
-        let reg = std::sync::Arc::new(SumRegistry::new(&schema(), SumConfig::default()));
+        let reg = std::sync::Arc::new(SumRegistry::new(&schema()));
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let reg = reg.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u32 {
-                    reg.with_model(UserId::new((t * 1000 + i) % 100), |m, _| {
+                    reg.with_model(UserId::new((t * 1000 + i) % 100), |m| {
                         m.set_observed(AttributeId::new(0), 0.5).unwrap();
                     });
                 }
@@ -1564,21 +1524,15 @@ mod tests {
             Ok(())
         }
 
-        fn observe_subjective(
-            &mut self,
-            attr: AttributeId,
-            value: f64,
-            config: &SumConfig,
-        ) -> Result<()> {
+        fn observe_subjective(&mut self, attr: AttributeId, value: f64) -> Result<()> {
             self.check(attr)?;
             let i = 2 * attr.index();
-            let blend = 0.3;
             self.cells[i] = if self.cells[i + 1] == 0.0 {
                 value.clamp(0.0, 1.0)
             } else {
-                (1.0 - blend) * self.cells[i] + blend * value.clamp(0.0, 1.0)
+                (1.0 - SUBJECTIVE_BLEND) * self.cells[i] + SUBJECTIVE_BLEND * value.clamp(0.0, 1.0)
             };
-            self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain).min(1.0);
+            self.cells[i + 1] = (self.cells[i + 1] + RELEVANCE_GAIN).min(1.0);
             self.updates += 1;
             Ok(())
         }
@@ -1588,7 +1542,6 @@ mod tests {
             attr: AttributeId,
             emo_ordinal: usize,
             answer: Valence,
-            config: &SumConfig,
         ) -> Result<()> {
             self.check(attr)?;
             if emo_ordinal >= 10 {
@@ -1601,30 +1554,30 @@ mod tests {
             self.cells[i] = if self.eit_answers[emo_ordinal] == 0 {
                 sensed
             } else {
-                (1.0 - config.eit_blend) * self.cells[i] + config.eit_blend * sensed
+                (1.0 - EIT_BLEND) * self.cells[i] + EIT_BLEND * sensed
             };
-            self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain).min(1.0);
+            self.cells[i + 1] = (self.cells[i + 1] + RELEVANCE_GAIN).min(1.0);
             self.eit_answers[emo_ordinal] += 1;
             self.updates += 1;
             Ok(())
         }
 
-        fn reward(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
+        fn reward(&mut self, attrs: &[AttributeId]) -> Result<()> {
+            attrs.iter().try_for_each(|&attr| self.check(attr))?;
             for &attr in attrs {
-                self.check(attr)?;
                 let i = 2 * attr.index();
-                self.cells[i] += (1.0 - self.cells[i]) * config.reward_rate;
-                self.cells[i + 1] = (self.cells[i + 1] + config.relevance_gain / 2.0).min(1.0);
+                self.cells[i] += (1.0 - self.cells[i]) * REWARD_RATE;
+                self.cells[i + 1] = (self.cells[i + 1] + RELEVANCE_GAIN / 2.0).min(1.0);
             }
             self.updates += 1;
             Ok(())
         }
 
-        fn punish(&mut self, attrs: &[AttributeId], config: &SumConfig) -> Result<()> {
+        fn punish(&mut self, attrs: &[AttributeId]) -> Result<()> {
+            attrs.iter().try_for_each(|&attr| self.check(attr))?;
             for &attr in attrs {
-                self.check(attr)?;
                 let i = 2 * attr.index();
-                self.cells[i] -= self.cells[i] * config.punish_rate;
+                self.cells[i] -= self.cells[i] * PUNISH_RATE;
             }
             self.updates += 1;
             Ok(())
@@ -1746,6 +1699,18 @@ mod tests {
         assert_eq!(record(&restored), bytes);
     }
 
+    /// A fresh model's record for `user`, holding one all-zero pair at
+    /// attribute `index`.
+    fn zero_pair_record(user: UserId, index: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&user.raw().to_le_bytes());
+        out.extend_from_slice(&[0; 8 + 40]); // updates, EIT counters
+        out.extend_from_slice(&1u32.to_le_bytes()); // nnz
+        out.extend_from_slice(&index.to_le_bytes());
+        out.extend_from_slice(&[0; 16]); // estimate and relevance bits
+        out
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
@@ -1759,18 +1724,24 @@ mod tests {
                 (0u8..6, 0u32..1_000, -0.5f64..1.5, 0usize..11, 0usize..45),
                 0..160,
             ),
-            gainless in proptest::bool::ANY,
+            zero_pair in (proptest::bool::ANY, 0u32..1_000),
         ) {
-            // a zero relevance gain lets an update store an all-zero
-            // pair, which the record must still leave out
-            let config = SumConfig {
-                relevance_gain: if gainless { 0.0 } else { 0.2 },
-                ..SumConfig::default()
-            };
+            let (restored, zero_at) = zero_pair;
             for dim in [10usize, 75] {
                 let s = schema_of(dim);
-                let mut model = SmartUserModel::new(UserId::new(9), dim);
+                // no update rule stores an all-zero pair, but a restored
+                // record may hold one, which the model's own record
+                // must leave out
+                let mut model = if restored {
+                    let bytes = zero_pair_record(UserId::new(9), zero_at % dim as u32);
+                    let model = SmartUserModel::read_from(&mut &bytes[..], dim).unwrap();
+                    assert_eq!(model.cells.len(), 1, "the zero pair is stored");
+                    model
+                } else {
+                    SmartUserModel::new(UserId::new(9), dim)
+                };
                 let mut oracle = DenseOracle::new(UserId::new(9), dim);
+                assert_matches_oracle(&model, &oracle, &s);
                 for &(op, raw, value, ordinal, count) in &ops {
                     // one attribute in dim + 1 is out of range
                     let attr = AttributeId::new(raw % (dim as u32 + 1));
@@ -1781,15 +1752,15 @@ mod tests {
                     let (got, want) = match op {
                         0 => (model.set_observed(attr, value), oracle.set_observed(attr, value)),
                         1 => (
-                            model.observe_subjective(attr, value, &config),
-                            oracle.observe_subjective(attr, value, &config),
+                            model.observe_subjective(attr, value),
+                            oracle.observe_subjective(attr, value),
                         ),
                         2 => (
-                            model.apply_eit_answer(attr, ordinal, answer, &config),
-                            oracle.apply_eit_answer(attr, ordinal, answer, &config),
+                            model.apply_eit_answer(attr, ordinal, answer),
+                            oracle.apply_eit_answer(attr, ordinal, answer),
                         ),
-                        3 => (model.reward(&appeal, &config), oracle.reward(&appeal, &config)),
-                        4 => (model.punish(&appeal, &config), oracle.punish(&appeal, &config)),
+                        3 => (model.reward(&appeal), oracle.reward(&appeal)),
+                        4 => (model.punish(&appeal), oracle.punish(&appeal)),
                         _ => (
                             model.import_objective(&objective),
                             oracle.import_objective(&objective),
@@ -1818,7 +1789,7 @@ mod tests {
             }
             assert!(model.is_dense(), "dense once {half} of {dim} are stored");
             // one way: an update that lowers a value keeps the form
-            model.punish(&[AttributeId::new(dim as u32 - 1)], &SumConfig::default()).unwrap();
+            model.punish(&[AttributeId::new(dim as u32 - 1)]).unwrap();
             assert!(model.is_dense());
         }
     }
@@ -1836,15 +1807,51 @@ mod tests {
 
     #[test]
     fn punish_on_an_absent_attribute_stores_nothing() {
-        let config = SumConfig::default();
         let mut m = SmartUserModel::new(UserId::new(1), 75);
         m.set_observed(AttributeId::new(3), 0.5).unwrap();
-        m.punish(&[AttributeId::new(4), AttributeId::new(70)], &config).unwrap();
+        m.punish(&[AttributeId::new(4), AttributeId::new(70)]).unwrap();
         assert_eq!(m.cells.len(), 1, "only the observed attribute is stored");
         assert_eq!(m.position(4), None);
         assert_eq!(m.updates(), 2, "the punishment still counts as an update");
-        m.punish(&[AttributeId::new(3)], &config).unwrap();
-        assert_eq!(m.value(AttributeId::new(3)), 0.5 - 0.5 * config.punish_rate);
+        m.punish(&[AttributeId::new(3)]).unwrap();
+        assert_eq!(m.value(AttributeId::new(3)), 0.5 - 0.5 * PUNISH_RATE);
+    }
+
+    /// The calibrated inputs, pinned through what they do: one of each
+    /// update rule on a fresh model, every pair it leaves to the bit.
+    #[test]
+    fn the_update_rules_apply_the_calibrated_rates() {
+        let s = schema();
+        let (eit, subjective) = (emo_attr(&s, 0), AttributeId::new(44));
+        let mut m = SmartUserModel::new(UserId::new(1), 75);
+        m.apply_eit_answer(eit, 0, Valence::new(0.6)).unwrap(); // 0.8
+        m.apply_eit_answer(eit, 0, Valence::new(-0.2)).unwrap(); // 0.65 · 0.8 + 0.35 · 0.4
+        m.observe_subjective(subjective, 0.7).unwrap();
+        m.observe_subjective(subjective, 0.2).unwrap(); // 0.7 · 0.7 + 0.3 · 0.2
+        m.reward(&[eit]).unwrap(); // 0.66 + 0.12 · 0.34, relevance + 0.1
+        m.punish(&[subjective]).unwrap(); // 0.55 − 0.05 · 0.55
+        let bits = |attr| [m.value(attr).to_bits(), m.relevance(attr).to_bits()];
+        assert_eq!(bits(eit), [0x3fe6_6cf4_1f21_2d77, 0.5f64.to_bits()], "≈ 0.7008");
+        assert_eq!(bits(subjective), [0x3fe0_b851_eb85_1eb8, 0.4f64.to_bits()], "≈ 0.5225");
+        // the sensibility threshold admits 0.6 and not 0.5
+        m.apply_eit_answer(emo_attr(&s, 1), 1, Valence::new(0.2)).unwrap();
+        m.apply_eit_answer(emo_attr(&s, 2), 2, Valence::NEUTRAL).unwrap();
+        let dominant: Vec<AttributeId> =
+            m.dominant_sensibilities(&s.emotional_ids()).iter().map(|&(a, _)| a).collect();
+        assert_eq!(dominant, [eit, emo_attr(&s, 1)]);
+    }
+
+    #[test]
+    fn reward_and_punish_move_nothing_when_one_attribute_is_out_of_range() {
+        let mut m = SmartUserModel::new(UserId::new(1), 75);
+        let valid = AttributeId::new(66);
+        m.set_observed(valid, 0.5).unwrap();
+        let before = m.clone();
+        let appeal = [valid, AttributeId::new(75)];
+        assert!(m.reward(&appeal).is_err());
+        assert_eq!(m, before, "a failed reward moves no pair");
+        assert!(m.punish(&appeal).is_err());
+        assert_eq!(m, before, "a failed punishment moves no pair");
     }
 
     #[test]

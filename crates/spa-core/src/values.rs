@@ -1,6 +1,6 @@
 //! The Intelligent User Interface: Human Values Scale + coherence.
 //!
-//! SPA's fifth component (§4, item 5) "manage[s] an individualized and
+//! SPA's fifth component (§4, item 5) "manage\[s\] an individualized and
 //! personalized Human Values Scale of each user in his/her life cycles"
 //! and embeds a feedback mechanism enabling
 //!
@@ -113,19 +113,18 @@ impl HumanValuesScale {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sum::SumConfig;
     use spa_types::Valence;
 
     fn registry_with_user(strengths: &[(usize, f64)]) -> (SumRegistry, AttributeSchema, UserId) {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let registry = SumRegistry::new(&schema);
         let user = UserId::new(1);
-        registry.with_model(user, |model, config| {
+        registry.with_model(user, |model| {
             for &(ordinal, v) in strengths {
                 let attr = schema.emotional_ids()[ordinal];
                 // several answers so relevance builds up proportionally
                 for _ in 0..3 {
-                    model.apply_eit_answer(attr, ordinal, Valence::new(v), config).unwrap();
+                    model.apply_eit_answer(attr, ordinal, Valence::new(v)).unwrap();
                 }
             }
         });
@@ -156,16 +155,16 @@ mod tests {
     #[test]
     fn unknown_user_is_an_error() {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let registry = SumRegistry::new(&schema);
         assert!(HumanValuesScale::from_registry(&registry, &schema, UserId::new(9)).is_err());
     }
 
     #[test]
     fn empty_model_has_no_top_value() {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let registry = SumRegistry::new(&schema);
         let user = UserId::new(2);
-        registry.with_model(user, |_, _| {});
+        registry.with_model(user, |_| {});
         let scale = HumanValuesScale::from_registry(&registry, &schema, user).unwrap();
         assert!(scale.top().is_none());
     }

@@ -2,7 +2,7 @@
 //! scoring loop.
 //!
 //! The deployment described in the paper scores millions of users per
-//! campaign. Cloning a [`SparseVec`](crate::SparseVec) out of the CSR
+//! campaign. Cloning a [`SparseVec`] out of the CSR
 //! store for every row touched (as the first implementation did) costs
 //! two heap allocations per row — O(rows) allocations per batch.
 //! [`RowView`] borrows a row's index/value slices straight out of the

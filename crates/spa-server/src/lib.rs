@@ -13,7 +13,7 @@
 //!   whether it was replayed from the dedup window.
 //! * [`server`] — a `std::net` accept loop, one thread per connection,
 //!   every connection dispatching into one shared
-//!   [`SpaApi`](spa_core::SpaApi). No async runtime, no framework: the
+//!   [`SpaApi`]. No async runtime, no framework: the
 //!   platform's own locks are the concurrency model. Admission control
 //!   (bounded in-flight, connection cap), idle/slow-loris reaping,
 //!   deadline refusal and a graceful drain path keep it standing under

@@ -1,7 +1,7 @@
 //! The TCP accept loop: `std::net`, one thread per connection, one
 //! shared [`SpaApi`] behind them all.
 //!
-//! Connections speak the [`wire`](crate::wire) protocol: read one
+//! Connections speak the [`wire`] protocol: read one
 //! framed, enveloped request, dispatch it, write one framed response,
 //! repeat until the peer closes. Corruption handling mirrors the
 //! write-ahead log's:

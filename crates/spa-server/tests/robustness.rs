@@ -37,7 +37,7 @@ fn tmp_root(name: &str) -> PathBuf {
 
 fn platform() -> SpaApi {
     let courses = CourseCatalog::generate(10, 4, 3).unwrap();
-    let spa = ShardedSpa::new(&courses, SpaConfig::default(), 2).unwrap();
+    let spa = ShardedSpa::new(&courses, SpaConfig, 2).unwrap();
     spa.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
     SpaApi::new(Arc::new(spa))
 }
@@ -310,7 +310,7 @@ fn drain_refuses_new_frames_finishes_in_flight_and_checkpoints() {
     let courses = CourseCatalog::generate(10, 4, 3).unwrap();
     let spa = ShardedSpa::with_log(
         &courses,
-        SpaConfig::default(),
+        SpaConfig,
         2,
         &root,
         LogConfig { segment_bytes: 4096, fsync: false },

@@ -22,7 +22,7 @@ use std::sync::Arc;
 const N_USERS: u32 = 40;
 
 fn platform(courses: &CourseCatalog) -> SpaApi {
-    let spa = ShardedSpa::new(courses, SpaConfig::default(), 3).unwrap();
+    let spa = ShardedSpa::new(courses, SpaConfig, 3).unwrap();
     spa.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
     SpaApi::new(Arc::new(spa))
 }

@@ -310,7 +310,7 @@ pub fn decode_event_slice(mut buf: &[u8]) -> Result<LifeLogEvent> {
 }
 
 /// Writes a full frame (length, crc, payload) for one event. The frame
-/// is assembled in a fixed stack buffer ([`FrameScratch`]) — an 8-byte
+/// is assembled in a fixed stack buffer (`FrameScratch`) — an 8-byte
 /// header placeholder, the payload, then the backfilled length and CRC
 /// — and lands in `out` as one append. Zero heap traffic per frame,
 /// and the byte stream is identical to the payload-then-prefix
@@ -354,7 +354,7 @@ pub enum FrameRead {
 
 /// Maximum payload size accepted by the decoder; anything larger is
 /// treated as corruption (the widest legal event — a full outcome row
-/// at [`MAX_OUTCOME_NNZ`] entries — stays comfortably under this).
+/// at `MAX_OUTCOME_NNZ` entries — stays comfortably under this).
 pub const MAX_PAYLOAD: u32 = 4096;
 
 /// Tries to decode one frame from the front of `buf`.

@@ -226,7 +226,7 @@ impl SnapshotBuilder {
     /// [`SnapshotBuilder::write_atomic`] with a [`StorageIo`] seam: an
     /// injected fault fails the checkpoint loudly before the rename, so
     /// the discoverable snapshot set is untouched (see
-    /// [`write_file_atomic_with`] for what each fault leaves behind).
+    /// `write_file_atomic_with` for what each fault leaves behind).
     pub fn write_atomic_with(&self, path: impl AsRef<Path>, io: &dyn StorageIo) -> Result<u64> {
         let path = path.as_ref();
         let dir = path.parent().ok_or_else(|| {

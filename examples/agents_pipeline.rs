@@ -14,7 +14,7 @@ use spa::core::agents::{
 };
 use spa::core::attributes::AttributesManager;
 use spa::core::preprocessor::LifeLogPreprocessor;
-use spa::core::{EitEngine, MessageCatalog, MessagePolicy, SumConfig, SumRegistry};
+use spa::core::{EitEngine, MessageCatalog, MessagePolicy, SumRegistry};
 use spa::prelude::*;
 use spa_agents::StepRuntime;
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 fn main() -> Result<(), SpaError> {
     // shared platform state (the blackboard of Fig 3)
     let schema = AttributeSchema::emagister();
-    let registry = Arc::new(SumRegistry::new(&schema, SumConfig::default()));
+    let registry = Arc::new(SumRegistry::new(&schema));
     let courses = CourseCatalog::generate(20, 4, 2)?;
     let preprocessor = Arc::new(LifeLogPreprocessor::new(schema.clone(), &courses));
     let eit = Arc::new(EitEngine::standard());

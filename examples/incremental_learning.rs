@@ -21,7 +21,7 @@ fn main() -> Result<(), SpaError> {
     let rounds = 30u64;
     let population = Population::generate(PopulationConfig { n_users, ..Default::default() })?;
     let courses = CourseCatalog::generate(40, 8, 11)?;
-    let platform = ShardedSpa::new(&courses, SpaConfig::default(), 1)?;
+    let platform = ShardedSpa::new(&courses, SpaConfig, 1)?;
     let simulator = spa::synth::eit::AnswerSimulator::default();
 
     println!("{:>6} {:>10} {:>10} {:>10}", "round", "coverage", "fidelity", "sparsity");

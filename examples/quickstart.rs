@@ -13,7 +13,7 @@ fn main() -> Result<(), SpaError> {
     let population = Population::generate(PopulationConfig { n_users: 100, ..Default::default() })?;
     let courses = CourseCatalog::generate(12, 4, 7)?;
     // the in-memory single-node platform: one shard, no write-ahead log
-    let platform = ShardedSpa::new(&courses, SpaConfig::default(), 1)?;
+    let platform = ShardedSpa::new(&courses, SpaConfig, 1)?;
 
     // one user, with latent ground truth we can peek at (the platform
     // itself never sees this)

@@ -42,8 +42,7 @@ fn main() {
     // files per shard and compaction has something to reclaim)
     let log_config = LogConfig { segment_bytes: 16 * 1024, fsync: false };
     let platform =
-        ShardedSpa::with_log(&courses, SpaConfig::default(), shards, &root, log_config.clone())
-            .unwrap();
+        ShardedSpa::with_log(&courses, SpaConfig, shards, &root, log_config.clone()).unwrap();
     platform.register_campaign(campaigns[0].0, &campaigns[0].1);
 
     // 2. ingest: six EIT contact rounds per user plus some web usage
@@ -158,7 +157,7 @@ fn main() {
     // no retraining step before serving resumes.
     let recover_started = std::time::Instant::now();
     let (recovered, report) =
-        ShardedSpa::recover(&courses, SpaConfig::default(), &campaigns, &root, log_config).unwrap();
+        ShardedSpa::recover(&courses, SpaConfig, &campaigns, &root, log_config).unwrap();
     // the report's Display is the operator-facing summary: shards from
     // snapshot vs replay, replay volume, and every healed anomaly
     println!("recovered in {:.1?}:\n{report}", recover_started.elapsed());

@@ -30,7 +30,7 @@
 //! // a tiny synthetic world, and the platform in its in-memory
 //! // single-node form: one shard, no write-ahead log
 //! let courses = CourseCatalog::generate(10, 4, 7).unwrap();
-//! let platform = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+//! let platform = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
 //!
 //! // a user answers one Gradual-EIT question per contact
 //! let user = UserId::new(0);
@@ -80,8 +80,7 @@ pub mod prelude {
     pub use spa_core::{
         ApiRequest, ApiResponse, AssignedMessage, AssignmentCase, CheckpointReport,
         CompactionReport, EitEngine, Engine, MessageCatalog, MessagePolicy, RecoverStatus,
-        RecoveryReport, SelectionFunction, ShardedSpa, SmartUserModel, SpaApi, SumConfig,
-        SumRegistry,
+        RecoveryReport, SelectionFunction, ShardedSpa, SmartUserModel, SpaApi, SumRegistry,
     };
     pub use spa_linalg::{CsrMatrix, SparseVec};
     pub use spa_ml::{

@@ -274,7 +274,7 @@ fn recover_until_ok(
         faults.allow_read_faults(if attempt <= FAULTY_ATTEMPTS { 1 } else { 0 });
         match ShardedSpa::recover_with_io(
             courses,
-            SpaConfig::default(),
+            SpaConfig,
             campaigns,
             root,
             log_config.clone(),
@@ -317,7 +317,6 @@ fn run_soak(
 ) -> FaultCounts {
     let root = tmp_root(name);
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
-    let config = SpaConfig::default();
     // small segments so checkpoints/compaction genuinely roll and
     // delete files mid-soak
     let log_config = LogConfig { segment_bytes: 2048, fsync: false };
@@ -331,14 +330,14 @@ fn run_soak(
 
     let mut live = ShardedSpa::with_log_io(
         &courses,
-        config.clone(),
+        SpaConfig,
         shards,
         &root,
         log_config.clone(),
         faults.clone(),
     )
     .unwrap();
-    let reference = ShardedSpa::new(&courses, config.clone(), shards).unwrap();
+    let reference = ShardedSpa::new(&courses, SpaConfig, shards).unwrap();
     for (campaign, appeal) in &campaigns {
         live.register_campaign(*campaign, appeal);
         reference.register_campaign(*campaign, appeal);

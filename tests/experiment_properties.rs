@@ -64,16 +64,16 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0usize..10, -1.0f64..1.0), 1..60),
     ) {
         let schema = AttributeSchema::emagister();
-        let registry = SumRegistry::new(&schema, SumConfig::default());
+        let registry = SumRegistry::new(&schema);
         let user = UserId::new(1);
         let ids = schema.emotional_ids();
         for (op, ordinal, v) in ops {
-            registry.with_model(user, |model, config| {
+            registry.with_model(user, |model| {
                 let attr = ids[ordinal];
                 match op {
-                    0 => model.apply_eit_answer(attr, ordinal, Valence::new(v), config).unwrap(),
-                    1 => model.reward(&[attr], config).unwrap(),
-                    _ => model.punish(&[attr], config).unwrap(),
+                    0 => model.apply_eit_answer(attr, ordinal, Valence::new(v)).unwrap(),
+                    1 => model.reward(&[attr]).unwrap(),
+                    _ => model.punish(&[attr]).unwrap(),
                 }
             });
         }
@@ -97,7 +97,7 @@ proptest! {
             ..Default::default()
         }).unwrap();
         let courses = CourseCatalog::generate(5, 2, seed).unwrap();
-        let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+        let spa = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
         let user = population.users().next().unwrap();
         let sim = AnswerSimulator { noise: 0.0, seed };
         for round in 0..contacts {
@@ -134,7 +134,7 @@ proptest! {
             seed,
         };
         let run = || {
-            let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+            let spa = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
             runner.run(&spa, &spec, |_, _, _| 0.0).unwrap()
         };
         let (a, b) = (run(), run());

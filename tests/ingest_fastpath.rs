@@ -77,7 +77,7 @@ fn raw_ops() -> impl Strategy<Value = Vec<RawOp>> {
 }
 
 fn fresh_sharded(courses: &CourseCatalog, shards: usize) -> ShardedSpa {
-    let sharded = ShardedSpa::new(courses, SpaConfig::default(), shards).unwrap();
+    let sharded = ShardedSpa::new(courses, SpaConfig, shards).unwrap();
     sharded
         .register_campaign(REGISTERED, &[EmotionalAttribute::Hopeful, EmotionalAttribute::Lively]);
     sharded
@@ -197,8 +197,7 @@ fn durable_sharded(root: &Path, shards: usize, io: Arc<dyn StorageIo>) -> Sharde
     // small segments so a batch crosses many roll boundaries
     let log_config = LogConfig { segment_bytes: 4096, fsync: false };
     let sharded =
-        ShardedSpa::with_log_io(&courses, SpaConfig::default(), shards, root, log_config, io)
-            .unwrap();
+        ShardedSpa::with_log_io(&courses, SpaConfig, shards, root, log_config, io).unwrap();
     sharded
         .register_campaign(REGISTERED, &[EmotionalAttribute::Hopeful, EmotionalAttribute::Lively]);
     sharded
@@ -339,7 +338,7 @@ proptest! {
         let root_batch = tmp_root("batch");
         {
             let by_event = ShardedSpa::with_log(
-                &courses, SpaConfig::default(), shards, &root_event, log_config.clone(),
+                &courses, SpaConfig, shards, &root_event, log_config.clone(),
             ).unwrap();
             by_event.register_campaign(campaigns[0].0, &campaigns[0].1);
             for event in &stream {
@@ -348,7 +347,7 @@ proptest! {
             by_event.flush().unwrap();
 
             let by_batch = ShardedSpa::with_log(
-                &courses, SpaConfig::default(), shards, &root_batch, log_config.clone(),
+                &courses, SpaConfig, shards, &root_batch, log_config.clone(),
             ).unwrap();
             by_batch.register_campaign(campaigns[0].0, &campaigns[0].1);
             let applied = by_batch.ingest_batch(stream[..cut].iter()).unwrap()
@@ -360,7 +359,7 @@ proptest! {
         } // crash: both platforms dropped
 
         let (recovered, report) = ShardedSpa::recover(
-            &courses, SpaConfig::default(), &campaigns, &root_batch, log_config,
+            &courses, SpaConfig, &campaigns, &root_batch, log_config,
         ).unwrap();
         prop_assert_eq!(report.total_events(), accepted as u64);
         prop_assert_eq!(

@@ -86,8 +86,7 @@ fn admin_mutations_survive_a_crash_bit_identically() {
     let selection_live;
     {
         let live =
-            ShardedSpa::with_log(&courses, SpaConfig::default(), 3, &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::with_log(&courses, SpaConfig, 3, &root, LogConfig::default()).unwrap();
         live.register_campaign(campaigns[0].0, &campaigns[0].1);
         seed_users(&live, &users);
         for (i, &user) in users.iter().enumerate() {
@@ -106,14 +105,8 @@ fn admin_mutations_survive_a_crash_bit_identically() {
 
     assert_eq!(stats_live.objective_imports, 24, "imports counted live");
     assert_eq!(stats_live.punishments, 24, "punishments counted live");
-    let (recovered, report) = ShardedSpa::recover(
-        &courses,
-        SpaConfig::default(),
-        &campaigns,
-        &root,
-        LogConfig::default(),
-    )
-    .unwrap();
+    let (recovered, report) =
+        ShardedSpa::recover(&courses, SpaConfig, &campaigns, &root, LogConfig::default()).unwrap();
     assert_eq!(recovered.stats(), stats_live, "counters diverge after recovery");
     assert_eq!(
         report.selection_events_replayed, 24,
@@ -130,14 +123,8 @@ fn admin_mutations_survive_a_crash_bit_identically() {
     let follow_up = selection_state(&recovered.selection());
     recovered.flush().unwrap();
     drop(recovered);
-    let (again, report2) = ShardedSpa::recover(
-        &courses,
-        SpaConfig::default(),
-        &campaigns,
-        &root,
-        LogConfig::default(),
-    )
-    .unwrap();
+    let (again, report2) =
+        ShardedSpa::recover(&courses, SpaConfig, &campaigns, &root, LogConfig::default()).unwrap();
     assert_eq!(report2.selection_events_replayed, 25);
     assert_selection_equal(&follow_up, &again.selection(), "after second crash");
     let _ = std::fs::remove_dir_all(&root);
@@ -154,8 +141,7 @@ fn outcomes_after_a_checkpoint_replay_from_the_tail() {
     let selection_live;
     {
         let live =
-            ShardedSpa::with_log(&courses, SpaConfig::default(), 2, &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::with_log(&courses, SpaConfig, 2, &root, LogConfig::default()).unwrap();
         seed_users(&live, &users);
         for &user in &users {
             live.observe_outcome(user, true).unwrap();
@@ -170,8 +156,7 @@ fn outcomes_after_a_checkpoint_replay_from_the_tail() {
         selection_live = selection_state(&live.selection());
     }
     let (recovered, report) =
-        ShardedSpa::recover(&courses, SpaConfig::default(), &[], &root, LogConfig::default())
-            .unwrap();
+        ShardedSpa::recover(&courses, SpaConfig, &[], &root, LogConfig::default()).unwrap();
     assert!(report.selection_restored, "checkpointed weights restore");
     assert_eq!(report.selection_events_replayed, 5, "only the post-checkpoint outcomes replay");
     assert_selection_equal(&selection_live, &recovered.selection(), "checkpoint + tail");
@@ -190,8 +175,7 @@ fn trained_selection_survives_a_crash_without_a_checkpoint() {
     let selection_live;
     {
         let live =
-            ShardedSpa::with_log(&courses, SpaConfig::default(), 2, &root, LogConfig::default())
-                .unwrap();
+            ShardedSpa::with_log(&courses, SpaConfig, 2, &root, LogConfig::default()).unwrap();
         seed_users(&live, &users);
         let mut data = Dataset::new(75);
         for &user in &users {
@@ -209,8 +193,7 @@ fn trained_selection_survives_a_crash_without_a_checkpoint() {
         selection_live = selection_state(&live.selection());
     } // crash — no checkpoint() ever ran
     let (recovered, report) =
-        ShardedSpa::recover(&courses, SpaConfig::default(), &[], &root, LogConfig::default())
-            .unwrap();
+        ShardedSpa::recover(&courses, SpaConfig, &[], &root, LogConfig::default()).unwrap();
     assert!(report.selection_restored, "train_selection must persist the fit");
     assert_eq!(report.selection_events_replayed, 3);
     assert_selection_equal(&selection_live, &recovered.selection(), "fit + tail");
@@ -226,7 +209,7 @@ fn sharded_admin_mutations_match_the_single_platform() {
     let appeal = vec![EmotionalAttribute::Stimulated, EmotionalAttribute::Hopeful];
     let users: Vec<UserId> = (0..20).map(UserId::new).collect();
     let mutated = |shards: usize| {
-        let platform = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
+        let platform = ShardedSpa::new(&courses, SpaConfig, shards).unwrap();
         platform.register_campaign(campaign, &appeal);
         seed_users(&platform, &users);
         for (i, &user) in users.iter().enumerate() {

@@ -100,7 +100,7 @@ fn cross_validation_parallel_matches_serial() {
 /// users, with a selection function trained on every third of them.
 fn trained_platform(shards: usize, n_users: u32) -> (ShardedSpa, Vec<UserId>) {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
-    let spa = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
+    let spa = ShardedSpa::new(&courses, SpaConfig, shards).unwrap();
     let users: Vec<UserId> = (0..n_users).map(UserId::new).collect();
     for (i, &user) in users.iter().enumerate() {
         let question = spa.next_eit_question(user).id;
@@ -254,11 +254,11 @@ fn run_collect_matches_serial_run() {
     };
     let runner = CampaignRunner::new(&population, &response);
 
-    let spa_serial = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+    let spa_serial = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
     let serial = runner.run(&spa_serial, &spec, |_, _, _| 0.5).unwrap();
 
     for threads in [1usize, 4] {
-        let spa_par = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+        let spa_par = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
         let (parallel, users) = with_threads(threads, || {
             runner.run_collect(&spa_par, &spec, |_, user, _| (0.5, user)).unwrap()
         });

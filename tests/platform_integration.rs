@@ -12,7 +12,7 @@ fn world(n_users: usize) -> (Population, CourseCatalog, ActionCatalog, ShardedSp
         Population::generate(PopulationConfig { n_users, ..Default::default() }).unwrap();
     let courses = CourseCatalog::generate(30, 6, 9).unwrap();
     let actions = ActionCatalog::emagister();
-    let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+    let spa = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
     (population, courses, actions, spa)
 }
 
@@ -61,7 +61,7 @@ fn sensibility_index_agrees_with_the_messaging_agent() {
     // a single-appeal message is standard exactly when the user's model
     // holds that attribute under the sensibility threshold (§5.3 step 3);
     // a user who never answered has no model and reads as 0 everywhere
-    let threshold = registry(&spa).config().sensibility_threshold;
+    let threshold = spa::core::sum::SENSIBILITY_THRESHOLD;
     let emotional_ids = spa.schema().emotional_ids();
     let mut checked = 0;
     for user in population.users().take(100) {

@@ -74,7 +74,7 @@ fn users() -> Vec<UserId> {
 /// A platform with every user's model pre-created (so scoring never
 /// hits `UnknownUser` mid-race) and the campaign registered.
 fn seeded(courses: &CourseCatalog, shards: usize) -> ShardedSpa {
-    let sharded = ShardedSpa::new(courses, SpaConfig::default(), shards).unwrap();
+    let sharded = ShardedSpa::new(courses, SpaConfig, shards).unwrap();
     sharded.register_campaign(REGISTERED, &[EmotionalAttribute::Hopeful]);
     for raw in 0..N_USERS {
         sharded
@@ -198,8 +198,7 @@ fn scoring_never_blocks_across_a_checkpoint() {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
     let root = tmp_root();
     let sharded =
-        ShardedSpa::with_log(&courses, SpaConfig::default(), SHARDS, &root, LogConfig::default())
-            .unwrap();
+        ShardedSpa::with_log(&courses, SpaConfig, SHARDS, &root, LogConfig::default()).unwrap();
     sharded.register_campaign(REGISTERED, &[EmotionalAttribute::Hopeful]);
     // a real population so each checkpoint serializes enough state to
     // give the sweeps a window to land in
@@ -322,7 +321,7 @@ fn assert_reads_pass_a_parked_writer(
     let (release_tx, release_rx) = channel::<()>();
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            registry.with_model_slot(user, |slot, _| {
+            registry.with_model_slot(user, |slot| {
                 slot.get_or_create().set_observed(PROBE, 0.875).unwrap();
                 parked_tx.send(()).unwrap();
                 release_rx.recv().unwrap();

@@ -20,7 +20,7 @@ const N_USERS: u32 = 40;
 /// A trained single-node platform whose every user gave one EIT answer.
 fn platform() -> (ShardedSpa, Vec<UserId>) {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
-    let spa = ShardedSpa::new(&courses, SpaConfig::default(), 1).unwrap();
+    let spa = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
     // seed every model so observe_outcome is always legal, then train
     for (i, &user) in users.iter().enumerate() {

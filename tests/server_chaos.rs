@@ -400,9 +400,8 @@ fn serving_survives_repeated_process_kills_with_exact_accounting() {
     let campaigns = vec![(CampaignId::new(1), vec![EmotionalAttribute::Hopeful])];
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
 
-    let live =
-        ShardedSpa::with_log(&courses, SpaConfig::default(), SHARDS, &root, log_config()).unwrap();
-    let reference = ShardedSpa::new(&courses, SpaConfig::default(), SHARDS).unwrap();
+    let live = ShardedSpa::with_log(&courses, SpaConfig, SHARDS, &root, log_config()).unwrap();
+    let reference = ShardedSpa::new(&courses, SpaConfig, SHARDS).unwrap();
     for platform in [&live, &reference] {
         for (campaign, attributes) in &campaigns {
             platform.register_campaign(*campaign, attributes);
@@ -588,8 +587,7 @@ fn serving_survives_repeated_process_kills_with_exact_accounting() {
 
         // -- recover, resolve the ambiguity, verify bit identity -----
         let (recovered, report) =
-            ShardedSpa::recover(&courses, SpaConfig::default(), &campaigns, &root, log_config())
-                .unwrap();
+            ShardedSpa::recover(&courses, SpaConfig, &campaigns, &root, log_config()).unwrap();
         assert!(report.selection_restored, "cycle {cycle}: selection must restore (clean disk)");
         let replayed = resync_reference(&reference, &root, &mut positions, &recovered);
         assert!(
@@ -668,8 +666,7 @@ fn serving_survives_repeated_process_kills_with_exact_accounting() {
     drop(platform);
 
     let (last, report) =
-        ShardedSpa::recover(&courses, SpaConfig::default(), &campaigns, &root, log_config())
-            .unwrap();
+        ShardedSpa::recover(&courses, SpaConfig, &campaigns, &root, log_config()).unwrap();
     assert!(report.selection_restored);
     let replayed = resync_reference(&reference, &root, &mut positions, &last);
     assert!(replayed.is_empty(), "post-drain recovery replayed {replayed:?}");

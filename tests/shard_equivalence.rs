@@ -82,7 +82,7 @@ fn build_stream(courses: &CourseCatalog) -> Vec<LifeLogEvent> {
 /// An empty in-memory platform of `shards` engines with the stream's
 /// campaign registered.
 fn fresh(courses: &CourseCatalog, shards: usize) -> ShardedSpa {
-    let spa = ShardedSpa::new(courses, SpaConfig::default(), shards).unwrap();
+    let spa = ShardedSpa::new(courses, SpaConfig, shards).unwrap();
     spa.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
     spa
 }

@@ -87,7 +87,7 @@ proptest! {
         {
             let sharded = ShardedSpa::with_log(
                 &courses,
-                SpaConfig::default(),
+                SpaConfig,
                 shards,
                 &root,
                 LogConfig::default(),
@@ -119,7 +119,7 @@ proptest! {
         prop_assert!(survivor_total <= events.len());
 
         // reference: an ephemeral sharded platform fed the prefix
-        let reference = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
+        let reference = ShardedSpa::new(&courses, SpaConfig, shards).unwrap();
         reference.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
         for shard_events in &survivors {
             reference.ingest_batch(shard_events.iter()).unwrap();
@@ -131,7 +131,7 @@ proptest! {
         let campaigns = [(CampaignId::new(1), vec![EmotionalAttribute::Hopeful])];
         let (recovered, report) = ShardedSpa::recover(
             &courses,
-            SpaConfig::default(),
+            SpaConfig,
             &campaigns,
             &root,
             LogConfig::default(),
@@ -160,7 +160,7 @@ proptest! {
         recovered.flush().unwrap();
         let (again, report2) = ShardedSpa::recover(
             &courses,
-            SpaConfig::default(),
+            SpaConfig,
             &campaigns,
             &root,
             LogConfig::default(),

@@ -126,7 +126,7 @@ proptest! {
         {
             let live = ShardedSpa::with_log(
                 &courses,
-                SpaConfig::default(),
+                SpaConfig,
                 shards,
                 &root,
                 log_config.clone(),
@@ -188,7 +188,7 @@ proptest! {
         }
 
         // ---- reference: from-scratch replay of head + survivors -----
-        let reference = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
+        let reference = ShardedSpa::new(&courses, SpaConfig, shards).unwrap();
         reference.register_campaign(campaigns[0].0, &campaigns[0].1);
         reference.ingest_batch(events[..split].iter()).unwrap();
         let reference_data = training_data(&reference, &users);
@@ -200,7 +200,7 @@ proptest! {
         // ---- recover from snapshot + tail --------------------------
         let (recovered, report) = ShardedSpa::recover(
             &courses,
-            SpaConfig::default(),
+            SpaConfig,
             &campaigns,
             &root,
             log_config,
@@ -272,7 +272,7 @@ proptest! {
         recovered.compact().unwrap();
         let (again, report2) = ShardedSpa::recover(
             &courses,
-            SpaConfig::default(),
+            SpaConfig,
             &campaigns,
             &root,
             LogConfig { segment_bytes: 512, fsync: false },
@@ -295,7 +295,7 @@ fn concurrent_ingest_and_checkpoint_stay_consistent() {
     let root = tmp_root();
     let log_config = LogConfig { segment_bytes: 2048, fsync: false };
     let platform = std::sync::Arc::new(
-        ShardedSpa::with_log(&courses, SpaConfig::default(), 4, &root, log_config.clone()).unwrap(),
+        ShardedSpa::with_log(&courses, SpaConfig, 4, &root, log_config.clone()).unwrap(),
     );
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mut writers = Vec::new();
@@ -334,7 +334,7 @@ fn concurrent_ingest_and_checkpoint_stay_consistent() {
     drop(platform);
 
     let (recovered, report) =
-        ShardedSpa::recover(&courses, SpaConfig::default(), &[], &root, log_config).unwrap();
+        ShardedSpa::recover(&courses, SpaConfig, &[], &root, log_config).unwrap();
     assert_eq!(report.shards_from_snapshot(), 4);
     assert_eq!(
         recovered.stats(),
@@ -364,8 +364,7 @@ fn old_layout_shard_snapshots_recover_bit_identically() {
         |i: u32| make_event(i as u8, i * 7, u64::from(i), i * 13, 0.9 - f64::from(i) / 90.0);
 
     let live =
-        ShardedSpa::with_log(&courses, SpaConfig::default(), SHARDS, &root, log_config.clone())
-            .unwrap();
+        ShardedSpa::with_log(&courses, SpaConfig, SHARDS, &root, log_config.clone()).unwrap();
     live.register_campaign(campaigns[0].0, &campaigns[0].1);
     for i in 0..160 {
         let _ = live.ingest(&event(i)); // rejections are part of the stream
@@ -380,10 +379,8 @@ fn old_layout_shard_snapshots_recover_bit_identically() {
     live.observe_outcome(known[1], false).unwrap();
     live.flush().unwrap();
 
-    let recover = || {
-        ShardedSpa::recover(&courses, SpaConfig::default(), &campaigns, &root, log_config.clone())
-            .unwrap()
-    };
+    let recover =
+        || ShardedSpa::recover(&courses, SpaConfig, &campaigns, &root, log_config.clone()).unwrap();
     let assert_same_state = |a: &ShardedSpa, b: &ShardedSpa, what: &str| {
         assert_eq!(a.stats(), b.stats(), "{what}: counters");
         assert_weights_equal(&a.selection(), &b.selection(), what);
@@ -404,7 +401,7 @@ fn old_layout_shard_snapshots_recover_bit_identically() {
 
     // rewrite every shard snapshot into the old three-section layout
     let mut dormant = Vec::new();
-    SelectionFunction::with_imbalance(75, SpaConfig::default().positive_weight)
+    SelectionFunction::with_imbalance(75, spa::core::selection::POSITIVE_WEIGHT)
         .write_state(&mut dormant);
     for (shard, &position) in positions.iter().enumerate() {
         let dir = ShardedEventLog::shard_path(&root, ShardId::new(shard as u32));
