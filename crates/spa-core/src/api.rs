@@ -103,8 +103,8 @@ pub enum ApiResponse {
     Stats {
         /// The counters.
         stats: PreprocessorStats,
-        /// Epoch-publication counters for the lock-free read path.
-        publications: crate::epoch::PublicationStats,
+        /// Publication counters of the read path.
+        publications: crate::shard::PublicationStats,
     },
     /// Checkpoint written.
     Checkpointed {

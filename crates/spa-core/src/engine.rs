@@ -18,10 +18,9 @@ use crate::attributes::AttributesManager;
 use crate::eit::{EitEngine, EitQuestion};
 use crate::messaging::{AssignedMessage, MessageCatalog, MessagePolicy, MessagingAgent};
 use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
-use crate::selection::SelectionFunction;
 use crate::snapshot::{SECTION_MODELS, SECTION_STATS};
 use crate::sum::{CacheStats, SumRegistry};
-use spa_linalg::{RowView, SparseVec};
+use spa_linalg::SparseVec;
 use spa_store::snapshot::{Snapshot, SnapshotBuilder};
 use spa_store::LogPosition;
 use spa_synth::catalog::CourseCatalog;
@@ -83,7 +82,7 @@ impl GroupScratch {
     #[inline]
     pub(crate) fn push(&mut self, index: u32, event: &LifeLogEvent) {
         if self.buckets.is_empty() {
-            self.buckets.resize_with(SumRegistry::shard_count_static(), Vec::new);
+            self.buckets.resize_with(crate::sum::SHARDS, Vec::new);
         }
         self.buckets[SumRegistry::shard_index_of(event.user)].push(index);
         self.len += 1;
@@ -255,33 +254,14 @@ impl Engine {
     }
 
     /// Advice-stage (activated/inhibited) feature row: an owned copy
-    /// of the user's published row, read lock-free (the allocating
-    /// reference it is pinned to is
+    /// of the user's published row, read under its registry shard's
+    /// read guard (the allocating reference it is pinned to is
     /// [`crate::sum::SmartUserModel::advice_row`]).
     pub(crate) fn advice_row(&self, user: UserId) -> SparseVec {
         self.registry.with_advice_row(user, |row| match row {
             Some(row) => row.to_owned_vec(),
             None => SparseVec::zeros(self.schema.len()),
         })
-    }
-
-    /// Scores one user's published advice row against `selection`:
-    /// index lookup → pin → sparse dot; no lock, no allocation. An
-    /// unknown user scores as the empty row (the SVM bias), exactly
-    /// like [`Engine::advice_row`]'s zero row. The flag says whether a
-    /// published row was served, for the caller's once-per-sweep
-    /// [`Engine::note_rows_served`].
-    #[inline]
-    pub(crate) fn score(&self, selection: &SelectionFunction, user: UserId) -> Result<(f64, bool)> {
-        self.registry.with_advice_row(user, |row| {
-            let score = selection.score_view(row.unwrap_or(RowView::empty(self.schema.len())))?;
-            Ok((score, row.is_some()))
-        })
-    }
-
-    /// Records `count` scores served from this engine's published rows.
-    pub(crate) fn note_rows_served(&self, count: u64) {
-        self.registry.note_rows_served(count);
     }
 
     /// Serializes the engine's event-derived state — SUM models and

@@ -9,10 +9,9 @@
 //!   maintained through the three stages of §3 (initialization via the
 //!   Gradual EIT, advice via activation/inhibition, update via
 //!   reward/punish) — and the registry that keeps one resident model
-//!   per user and epoch-publishes its compact advice row, the one thing
-//!   scoring reads, lock-free;
-//! * [`epoch`] — the pin/publish cell and lock-free index that
-//!   publication runs on;
+//!   per user and publishes its compact advice row, the one thing
+//!   scoring reads, into a dense per-shard table that readers take a
+//!   read guard of once per registry shard an audience touches;
 //! * [`eit`] — the **Gradual Emotional Intelligence Test**: a
 //!   four-branch question bank, a one-question-per-contact scheduler and
 //!   per-branch EI scoring (Table 1);
@@ -49,10 +48,7 @@
 //!   tags + codecs), so recovery loads a snapshot and replays only the
 //!   WAL tail behind it instead of the whole history.
 
-// `deny` rather than `forbid`: the epoch-publication module is the one
-// carve-out — its pin/publish cells and lock-free index are the crate's
-// only unsafe code, each block carrying its safety argument.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agents;
@@ -61,8 +57,6 @@ pub mod attributes;
 pub mod batch;
 pub mod eit;
 pub mod engine;
-#[allow(unsafe_code)]
-pub mod epoch;
 mod fastmap;
 pub mod messaging;
 pub mod platform;
@@ -81,10 +75,9 @@ pub use api::{
 };
 pub use eit::{EitEngine, EitQuestion, QuestionBank};
 pub use engine::Engine;
-pub use epoch::{PublicationStats, Published};
 pub use messaging::{AssignedMessage, AssignmentCase, MessageCatalog, MessagePolicy};
 #[doc(hidden)]
 pub use platform::Spa;
 pub use selection::SelectionFunction;
-pub use shard::{CheckpointReport, CompactionReport, RecoveryReport, ShardedSpa};
+pub use shard::{CheckpointReport, CompactionReport, PublicationStats, RecoveryReport, ShardedSpa};
 pub use sum::{AdviceFactors, CacheStats, SmartUserModel, SumRegistry};

@@ -26,8 +26,8 @@ pub const POSITIVE_WEIGHT: f64 = 4.0;
 /// SVM-backed propensity ranker.
 ///
 /// `Clone` is part of the serving contract: [`crate::shard::ShardedSpa`]
-/// keeps a writer-side master and epoch-publishes a clone after every
-/// training step, so scoring reads never take a selection lock.
+/// keeps a writer-side master and publishes an `Arc` clone after every
+/// training step, so scoring reads never wait on the master's lock.
 #[derive(Clone)]
 pub struct SelectionFunction {
     svm: LinearSvm,

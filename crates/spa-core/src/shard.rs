@@ -21,11 +21,15 @@
 //!   model for the whole population; the platform owns the single
 //!   [`SelectionFunction`], and engines have none.
 //! * **One scoring loop.** [`ShardedSpa::score_users`] and
-//!   [`ShardedSpa::rank_top_k`] walk the audience in input order,
-//!   resolving each user's engine as they go; an audience worth a
-//!   thread hand-off is split into contiguous parts that are re-joined
+//!   [`ShardedSpa::rank_top_k`] group the audience by (engine, registry
+//!   shard), read each group's published rows under one read guard,
+//!   and write each score back to its input position; an audience worth
+//!   a thread hand-off is split into contiguous parts that are re-joined
 //!   in order (scores) or merged under the one comparator (top-k), so
 //!   results are bit-identical at any shard count and thread count.
+//!   Readers wait on no apply, checkpoint or WAL write: only on a
+//!   section end copying rows into a registry shard they read, and on
+//!   the swap of a new selection snapshot.
 //! * **Ingest is write-ahead durable.** With a [`ShardedEventLog`]
 //!   attached, every event is appended to its shard's segmented log
 //!   *before* it mutates in-memory state, so
@@ -34,12 +38,12 @@
 //!   last segment (the crash-during-append signature).
 
 use crate::engine::{Engine, GroupScratch};
-use crate::epoch::{PublicationStats, Published, Publisher};
 use crate::platform::SpaConfig;
 use crate::preprocessor::{LifeLogPreprocessor, PreprocessorStats};
 use crate::selection::{SelectionFunction, POSITIVE_WEIGHT};
 use crate::snapshot::SECTION_SELECTION;
-use parking_lot::{Mutex, RwLock};
+use crate::sum::{self, SumRegistry};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use spa_linalg::{RowView, SparseVec};
 use spa_ml::Dataset;
 use spa_store::fault::{real_io, StorageIo};
@@ -107,6 +111,10 @@ fn fan_out<T: Send>(n: usize, work: usize, f: impl Fn(usize) -> T + Sync) -> Vec
     (0..n).map(f).collect()
 }
 
+/// Users whose row slots the scoring loop resolves before it reads
+/// their rows.
+const LOOKAHEAD: usize = 16;
+
 /// How many contiguous parts a read over `users` items splits into: one
 /// per pool thread when the hand-off pays, one (the caller) otherwise.
 fn read_parts(users: usize) -> usize {
@@ -114,6 +122,28 @@ fn read_parts(users: usize) -> usize {
         return rayon::current_num_threads();
     }
     1
+}
+
+/// The positions of `keys` grouped by key — a counting sort, in input
+/// order within a group — and where each of the `groups` groups ends in
+/// them.
+fn group_positions(keys: &[u32], groups: usize) -> (Vec<u32>, Vec<usize>) {
+    let mut ends = vec![0usize; groups];
+    for &key in keys {
+        ends[key as usize] += 1;
+    }
+    // each group's start, which the fill below advances to its end
+    let mut start = 0;
+    for end in &mut ends {
+        start += *end;
+        *end = start - *end;
+    }
+    let mut order = vec![0u32; keys.len()];
+    for (position, &key) in keys.iter().enumerate() {
+        order[ends[key as usize]] = position as u32;
+        ends[key as usize] += 1;
+    }
+    (order, ends)
 }
 
 /// Collapses the failures of a multi-shard fan-out into one error. A
@@ -287,6 +317,17 @@ pub struct CompactionReport {
 }
 
 /// Reusable routing buffers for [`ShardedSpa::ingest_batch`]: one
+/// Publication counters a serving deployment can watch: how many
+/// snapshot installs the write side has performed. Reads never appear
+/// here — they are invisible to the write side by design.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PublicationStats {
+    /// Per-user advice rows installed by ingest/restore.
+    pub model_publishes: u64,
+    /// Selection-function snapshots installed by training/outcomes.
+    pub selection_publishes: u64,
+}
+
 /// [`GroupScratch`] per engine shard (registry-bucket positions and WAL
 /// frames of the events routed there), swapped out of the platform for
 /// the duration of a batch and swapped back when it completes, each
@@ -323,16 +364,17 @@ impl RoutingScratch {
 /// [`ShardedEventLog`].
 pub struct ShardedSpa {
     shards: Vec<Engine>,
-    /// The global selection function: the master behind the cell's
-    /// publisher lock and an `Arc` snapshot of it published for scoring.
-    /// Writers ([`ShardedSpa::observe_outcome`],
-    /// [`ShardedSpa::train_selection`], recovery replay) mutate the
-    /// master under that lock — the WAL append shares the hold, so log
-    /// order is apply order — then publish a clone. Readers pin the
-    /// cell, clone the `Arc` out, and unpin: **no lock**, so a scoring
-    /// fan-out proceeds untouched while an outcome's WAL append holds
-    /// the master across disk I/O.
-    selection: Published<Arc<SelectionFunction>, SelectionFunction>,
+    /// The global selection function as scoring reads it: an `Arc`
+    /// snapshot of `selection_master`. Writers
+    /// ([`ShardedSpa::observe_outcome`], [`ShardedSpa::train_selection`],
+    /// recovery replay) mutate the master under its mutex — the WAL
+    /// append shares the hold, so log order is apply order — then swap
+    /// a clone in here. Readers clone the `Arc` out under the read
+    /// guard, so a scoring fan-out waits only for that swap, never for
+    /// an outcome's WAL append holding the master across disk I/O.
+    selection: RwLock<Arc<SelectionFunction>>,
+    /// The selection master every writer mutates (see `selection`).
+    selection_master: Mutex<SelectionFunction>,
     /// Selection snapshots published so far.
     selection_publishes: AtomicU64,
     log: Option<ShardedEventLog>,
@@ -352,10 +394,10 @@ pub struct ShardedSpa {
     /// [`ShardedSpa::checkpoint`] takes it **exclusive** while
     /// serializing that shard, so the recorded log position and the
     /// serialized state agree — and other shards keep ingesting
-    /// meanwhile. Scoring and ranking never touch this latch (or any
-    /// lock): they read epoch-published advice rows and selection
+    /// meanwhile. Scoring and ranking never touch this latch or a
+    /// registry mutex: they read published advice rows and selection
     /// snapshots, so a checkpoint serializes the quiesced masters while
-    /// reads proceed untouched. Uncontended shared acquisition is a couple of
+    /// reads proceed. Uncontended shared acquisition is a couple of
     /// atomic ops, invisible next to a WAL append.
     pauses: Vec<RwLock<()>>,
     /// Serializes checkpoint/compaction against each other: both are
@@ -384,7 +426,8 @@ impl ShardedSpa {
         let selection =
             SelectionFunction::with_imbalance(engines[0].schema().len(), POSITIVE_WEIGHT);
         Self {
-            selection: Published::new(Arc::new(selection.clone()), selection),
+            selection: RwLock::new(Arc::new(selection.clone())),
+            selection_master: Mutex::new(selection),
             selection_publishes: AtomicU64::new(0),
             log: None,
             selection_log: None,
@@ -658,7 +701,7 @@ impl ShardedSpa {
         // is re-fittable from campaign history.
         let selection_dir = root.join(SELECTION_WAL_DIR);
         let selection_path = root.join(SELECTION_SNAPSHOT);
-        let mut selection = sharded.selection.lock();
+        let mut selection = sharded.selection_master.lock();
         let mut selection_replay_from = None;
         if selection_path.exists() {
             if let Ok(snap) = Snapshot::read_with(&selection_path, io.clone()) {
@@ -711,7 +754,7 @@ impl ShardedSpa {
         }
         // the master was restored/replayed with nothing published yet —
         // publish its final state before the platform goes live
-        sharded.publish_selection(&mut selection);
+        sharded.publish_selection(&selection);
         drop(selection);
         // reopening the logs cuts the torn tails reported above
         sharded.log =
@@ -780,7 +823,7 @@ impl ShardedSpa {
         // global selection weights, anchored to the selection-WAL
         // position they reflect; recovery restores the weights and
         // replays only the outcomes logged after this position
-        snapshot_bytes += self.write_selection_snapshot(log, self.selection.lock())?;
+        snapshot_bytes += self.write_selection_snapshot(log, self.selection_master.lock())?;
         // commit: one atomic manifest rewrite registers everything
         let registrations: Vec<Option<LogPosition>> = positions.iter().copied().map(Some).collect();
         ShardedEventLog::register_snapshots(log.root(), &registrations)?;
@@ -881,22 +924,20 @@ impl ShardedSpa {
 
     /// The global selection function (one model for the whole
     /// population). Returns the most recently published snapshot —
-    /// taking it never blocks, and holding it never blocks a concurrent
+    /// taking it waits only for a concurrent publication's `Arc` swap,
+    /// and holding it never blocks a concurrent
     /// [`ShardedSpa::observe_outcome`] or [`ShardedSpa::train_selection`].
     pub fn selection(&self) -> Arc<SelectionFunction> {
-        self.selection.read_with(Arc::clone)
+        Arc::clone(&self.selection.read())
     }
 
     /// Publishes a snapshot of the held selection master, and counts it.
-    fn publish_selection(
-        &self,
-        selection: &mut Publisher<'_, Arc<SelectionFunction>, SelectionFunction>,
-    ) {
-        selection.publish(|master| Arc::new(master.clone()));
+    fn publish_selection(&self, master: &SelectionFunction) {
+        *self.selection.write() = Arc::new(master.clone());
         self.selection_publishes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Epoch-publication counters: how many advice rows the shard
+    /// Publication counters: how many advice rows the shard
     /// registries have installed (one per touched user per write
     /// section) and how many selection snapshots writers have
     /// published. Monotonic; serves the stats endpoint.
@@ -1121,8 +1162,8 @@ impl ShardedSpa {
     }
 
     /// Advice-stage (activated/inhibited) feature row: an owned copy of
-    /// the user's published row, read lock-free (routed; empty row for
-    /// unknowns).
+    /// the user's published row, read under its registry shard's read
+    /// guard (routed; empty row for unknowns).
     pub fn advice_row(&self, user: UserId) -> Result<SparseVec> {
         Ok(self.owner(user).advice_row(user))
     }
@@ -1140,11 +1181,11 @@ impl ShardedSpa {
         // maintenance excludes checkpoint/compact — the snapshot write
         // below must not race a concurrent checkpoint's
         let _maintenance = self.maintenance.lock();
-        let mut selection = self.selection.lock();
+        let mut selection = self.selection_master.lock();
         selection.fit(data)?;
         // publish before the snapshot I/O: readers see the fitted
         // weights as soon as the fit lands, not after the disk write
-        self.publish_selection(&mut selection);
+        self.publish_selection(&selection);
         if let Some(log) = &self.log {
             self.write_selection_snapshot(log, selection)?;
         }
@@ -1160,7 +1201,7 @@ impl ShardedSpa {
     fn write_selection_snapshot(
         &self,
         log: &ShardedEventLog,
-        selection: Publisher<'_, Arc<SelectionFunction>, SelectionFunction>,
+        selection: MutexGuard<'_, SelectionFunction>,
     ) -> Result<u64> {
         let position =
             self.selection_log.as_ref().map(|l| l.buffered_position()).unwrap_or_default();
@@ -1196,9 +1237,9 @@ impl ShardedSpa {
     /// published for readers before the call returns.
     pub fn observe_outcome(&self, user: UserId, responded: bool) -> Result<()> {
         // the user's published advice row is copied out before the
-        // selection master is taken — the read holds no lock, so no
-        // lock-order concern exists, but capturing first keeps the
-        // master hold as short as the update itself
+        // selection master is taken — the row's read guard drops first,
+        // so the two are never held together, and capturing first keeps
+        // the master hold as short as the update itself
         let event = self.owner(user).registry().with_advice_row(user, |row| {
             let row = row.ok_or(SpaError::UnknownUser(user))?;
             Ok::<_, SpaError>(LifeLogEvent::new(
@@ -1212,7 +1253,7 @@ impl ShardedSpa {
                 },
             ))
         })?;
-        let mut selection = self.selection.lock();
+        let mut selection = self.selection_master.lock();
         if let Some(selection_log) = &self.selection_log {
             selection_log.append(&event)?;
         }
@@ -1220,20 +1261,23 @@ impl ShardedSpa {
             unreachable!("constructed above");
         };
         selection.partial_fit_view(RowView::new(*dim as usize, indices, values), *responded)?;
-        self.publish_selection(&mut selection);
+        self.publish_selection(&selection);
         Ok(())
     }
 
     /// The one scoring loop, behind [`ShardedSpa::score_users`] and
     /// [`ShardedSpa::rank_top_k`]: scores `users`' published advice
-    /// rows against the current selection snapshot in input order,
-    /// passes each contiguous part's scores through `finish`, and joins
-    /// the parts in order. Per user: the owning engine by hash, index
-    /// lookup → pin → sparse dot — **no lock, no clone, no allocation**,
-    /// bit-identical to the allocating reference
-    /// (`selection().score(&model.advice_row(schema))`, enforced by
-    /// `tests/scoring_fastpath.rs`). There is one part unless the
-    /// audience is worth a thread hand-off ([`read_parts`]).
+    /// rows against the current selection snapshot, passes each
+    /// contiguous part's scores through `finish`, and joins the parts in
+    /// order. Within a part, a counting pass groups the positions by
+    /// (engine, registry shard); each group's rows are read under one
+    /// read guard and each score lands at its input position, so the
+    /// output is in input order and bit-identical to the allocating
+    /// reference (`selection().score(&model.advice_row(schema))`,
+    /// enforced by `tests/scoring_fastpath.rs`). No clone of a row; per
+    /// part it allocates the output, the group keys and positions and
+    /// the group bounds. There is one part unless the audience is worth
+    /// a thread hand-off ([`read_parts`]).
     fn score_with(
         &self,
         users: &[UserId],
@@ -1241,26 +1285,54 @@ impl ShardedSpa {
     ) -> Result<Vec<(UserId, f64)>> {
         // one snapshot for the whole sweep: every part scores against
         // the same published weights (a concurrent observe_outcome
-        // publishes a new snapshot instead of mutating this one, and
-        // never waits on the scorers)
+        // publishes a new snapshot instead of mutating this one)
         let selection = self.selection();
+        let empty = RowView::empty(self.schema().len());
+        let engines = self.shards.len();
         let parts = read_parts(users.len());
         let part_len = users.len().div_ceil(parts).max(1);
         let score_part = |part: usize| -> Result<Vec<(UserId, f64)>> {
             let lo = (part * part_len).min(users.len());
             let part = &users[lo..(lo + part_len).min(users.len())];
-            // served-row counters fold in once per part and engine, so
-            // the read path shares no written cache line per user
-            let mut served = vec![0u64; self.shards.len()];
-            let mut scored = Vec::with_capacity(part.len());
-            for &user in part {
-                let shard = shard_index(user, self.shards.len());
-                let (score, from_row) = self.shards[shard].score(&selection, user)?;
-                served[shard] += u64::from(from_row);
-                scored.push((user, score));
-            }
-            for (engine, &count) in self.shards.iter().zip(&served) {
-                engine.note_rows_served(count);
+            let keys: Vec<u32> = part
+                .iter()
+                .map(|&user| {
+                    let engine = shard_index(user, engines);
+                    (engine * sum::SHARDS + SumRegistry::shard_index_of(user)) as u32
+                })
+                .collect();
+            let (order, ends) = group_positions(&keys, engines * sum::SHARDS);
+            let mut scored: Vec<(UserId, f64)> = part.iter().map(|&user| (user, 0.0)).collect();
+            let mut start = 0;
+            for (engine, group_ends) in self.shards.iter().zip(ends.chunks_exact(sum::SHARDS)) {
+                let registry = engine.registry();
+                // served-row counters fold in once per part and engine,
+                // so the read path shares no written cache line per user
+                let mut served = 0u64;
+                for (shard, &end) in group_ends.iter().enumerate() {
+                    if start == end {
+                        continue;
+                    }
+                    let rows = registry.shard_rows(shard);
+                    // a run's slots are all resolved before any of its
+                    // rows is read, so the probes' cache misses overlap
+                    // instead of queueing behind each score
+                    for run in order[start..end].chunks(LOOKAHEAD) {
+                        let mut slots = [None; LOOKAHEAD];
+                        for (slot, &position) in slots.iter_mut().zip(run) {
+                            *slot = rows.slot(scored[position as usize].0);
+                        }
+                        for (&slot, &position) in slots.iter().zip(run) {
+                            let row = slot.map_or(empty, |slot| rows.row_at(slot));
+                            served += u64::from(slot.is_some());
+                            scored[position as usize].1 = selection.score_view(row)?;
+                        }
+                    }
+                    start = end;
+                }
+                if served > 0 {
+                    registry.note_rows_served(served);
+                }
             }
             finish(&mut scored);
             Ok(scored)
@@ -1402,6 +1474,49 @@ mod tests {
                 "shard {shard} holds {count} of 8000 users — hash is badly skewed"
             );
         }
+    }
+
+    fn selection_bytes(selection: &SelectionFunction) -> Vec<u8> {
+        let mut out = Vec::new();
+        selection.write_state(&mut out);
+        out
+    }
+
+    #[test]
+    fn selection_publish_and_read_round_trip() {
+        let sharded = ShardedSpa::new(&courses(), SpaConfig, 2).unwrap();
+        let user = UserId::new(1);
+        sharded.ingest(&eit_event(&sharded, user, 0, 0.8)).unwrap();
+        let untrained = sharded.selection();
+        for round in 1..=3u64 {
+            sharded.observe_outcome(user, round % 2 == 1).unwrap();
+            // readers see exactly the master the writer left
+            let master = selection_bytes(&sharded.selection_master.lock());
+            assert_eq!(selection_bytes(&sharded.selection()), master, "round {round}");
+            assert_eq!(sharded.publication_stats().selection_publishes, round);
+        }
+        assert!(!untrained.is_trained(), "a held snapshot is never mutated");
+        assert!(sharded.selection().is_trained());
+    }
+
+    #[test]
+    fn a_held_selection_snapshot_survives_two_publications() {
+        let sharded = ShardedSpa::new(&courses(), SpaConfig, 1).unwrap();
+        let user = UserId::new(3);
+        sharded.ingest(&eit_event(&sharded, user, 0, 0.4)).unwrap();
+        sharded.observe_outcome(user, true).unwrap();
+        let held = sharded.selection();
+        let held_bytes = selection_bytes(&held);
+        sharded.observe_outcome(user, false).unwrap();
+        sharded.observe_outcome(user, true).unwrap();
+        // the held snapshot reads what it read, new readers the latest
+        assert_eq!(selection_bytes(&held), held_bytes);
+        assert!(!Arc::ptr_eq(&held, &sharded.selection()));
+        assert_ne!(selection_bytes(&sharded.selection()), held_bytes);
+        // and scoring still takes the published snapshot while one is held
+        let row = sharded.advice_row(user).unwrap();
+        let expected = sharded.selection().score(&row).unwrap();
+        assert_eq!(sharded.score_users(&[user]).unwrap(), vec![(user, expected)]);
     }
 
     #[test]

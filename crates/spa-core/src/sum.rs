@@ -30,19 +30,19 @@
 //! [`SmartUserModel::relevance`], the row builders or
 //! [`SumRegistry::write_state`], none of which depends on it.
 //!
-//! Resident, a user is one cell owned by its registry shard's
-//! lock-free index (`AtomicIndex`) that holds the published
-//! advice row readers score from and, behind the cell's publisher lock,
-//! the master model writers mutate. A row of up to three entries sits
-//! inline in the cell, so scoring such a user follows no pointer past
-//! it; a longer row spills to one pair of heap buffers (see
-//! `PublishedRow`). With a sparse master that is two allocations per
-//! user: the cell (232 B) and the master's pairs. A write section takes
-//! the registry shard's mutex first and the cell's publisher lock
-//! second (see [`SumRegistry`]).
+//! Resident, a user is a slot in its registry shard: a 104 B master in
+//! a `Vec` under the shard's mutex, which writers mutate, and at the
+//! same slot a 48 B published advice row in a dense table behind the
+//! shard's `RwLock`, which readers score from (`RowTable`). A row of up
+//! to three entries sits inline in the table, so scoring such a user
+//! follows no pointer past it; a longer row spills to one pair of heap
+//! buffers (see `PublishedRow`). With a sparse master the user's only
+//! allocation of its own is the master's pairs. A write section takes
+//! the shard mutex, and the table's write guard only when it ends, to
+//! copy its rows in (see [`SumRegistry`]).
 
-use crate::epoch::{AtomicIndex, Published, Publisher};
-use parking_lot::Mutex;
+use crate::fastmap::FastIdMap;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use spa_linalg::{RowView, SparseVec};
 use spa_types::{AttributeId, AttributeKind, AttributeSchema, Result, SpaError, UserId, Valence};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -540,10 +540,10 @@ impl SmartUserModel {
     }
 }
 
-/// Entries a published row holds inside the user's cell before it
-/// spills to the heap: every row of the benchmark platform's prefilled
-/// users (three EIT answers) fits, and the slot stays the 48 B of the
-/// two `Vec` headers it replaced.
+/// Entries a published row holds inline before it spills to the heap:
+/// every row of the benchmark platform's prefilled users (three EIT
+/// answers) fits, and the row stays the 48 B of the two `Vec` headers
+/// it replaced.
 const INLINE_ENTRIES: usize = 3;
 
 /// What a reader sees of one user: the compact advice-stage row, as
@@ -551,20 +551,19 @@ const INLINE_ENTRIES: usize = 3;
 /// a handful of nonzeros out of 75 attributes (§5.2).
 ///
 /// Up to [`INLINE_ENTRIES`] entries sit inline, so scoring such a user
-/// reads its cell and nothing else. A longer row spills to one pair of
-/// heap buffers, and a slot that has spilled stays spilled: the next
-/// publication into it refills those buffers in place, whatever its
+/// reads its row in the table and nothing else. A longer row spills to
+/// one pair of heap buffers, and a row that has spilled stays spilled:
+/// the next publication refills those buffers in place, whatever its
 /// length, so a dense Fig 6 row whose length changes on most
-/// publications allocates nothing once both slots are warm. The
-/// spilled form's capacity niche carries the variant, so either form
-/// is 48 B.
+/// publications allocates nothing once warm. The spilled form's
+/// capacity niche carries the variant, so either form is 48 B.
 enum PublishedRow {
     Inline { len: u32, indices: [u32; INLINE_ENTRIES], values: [f64; INLINE_ENTRIES] },
     Spilled { indices: Vec<u32>, values: Vec<f64> },
 }
 
 impl Default for PublishedRow {
-    /// The empty row: what a new cell publishes.
+    /// The empty row: what a newly registered user publishes.
     fn default() -> Self {
         Self::Inline { len: 0, indices: [0; INLINE_ENTRIES], values: [0.0; INLINE_ENTRIES] }
     }
@@ -606,73 +605,117 @@ impl PublishedRow {
     }
 }
 
-/// The writer side of a user's cell, behind its publisher lock.
+/// Everything readers of one registry shard touch, behind the shard's
+/// `RwLock`: the map from user id to slot and every user's published
+/// row, packed densely by slot.
+///
+/// Growth bound: a user is registered once and never removed, so after
+/// N registrations `rows` holds N rows (48 B each) and `slots` N
+/// entries (8 B and a control byte each). `rows`, like the masters
+/// [`ShardState`] holds by the same slot, grows by half when full, so
+/// its capacity stays at most 1.5N + 16; the map doubles, so its
+/// capacity stays at most 2N + 16
+/// (`sum::tests::row_tables_and_masters_grow_within_twice_their_users`).
+/// Republishing a user refills its row in place.
+#[derive(Default)]
+struct RowTable {
+    slots: FastIdMap<u32>,
+    rows: Vec<PublishedRow>,
+}
+
+impl RowTable {
+    #[inline]
+    fn slot(&self, user: UserId) -> Option<usize> {
+        self.slots.get(&user.raw()).map(|&slot| slot as usize)
+    }
+}
+
+/// The writer side of a user: the **master** model, the only resident
+/// copy, which every mutation applies to in place.
 struct Master {
-    /// The **master** model: the only resident copy, which every
-    /// mutation applies to in place.
     model: SmartUserModel,
-    /// The master's update counter when its row was last published (0
-    /// for the empty row a new cell starts with). While it differs from
+    /// The model's update counter when its row was last published (0
+    /// for the empty row a new user starts with). While it differs from
     /// the model's, the user is in the current section's dirty list.
     published: u64,
 }
 
-/// One user, one allocation, owned by the registry shard's index:
-/// readers pin its published row, writers take its publisher lock to
-/// reach the master, and a locked section that ends with the master
-/// changed installs the master's advice row.
-type UserCell = Published<PublishedRow, Master>;
-
-/// A cell for `model` publishing the empty row (what an unknown user
-/// scores as) until its first section ends.
-fn user_cell(model: SmartUserModel) -> UserCell {
-    Published::new(PublishedRow::default(), Master { model, published: 0 })
-}
-
-/// Derives the master's advice row into the scratch buffers and
-/// installs it as the published row. The retired slot is refilled in
-/// place ([`PublishedRow::fill`]): no allocation once both slots are
-/// warm.
-fn publish_row(
-    master: &mut Publisher<'_, PublishedRow, Master>,
-    factors: &AdviceFactors,
-    indices: &mut [u32],
-    values: &mut [f64],
-) {
-    let len = master.model.advice_compact_into(factors, indices, values);
-    master.publish_with(|_, slot| {
-        slot.get_or_insert_with(PublishedRow::default).fill(&indices[..len], &values[..len]);
-    });
-    master.published = master.model.updates;
-}
-
-/// Writer-side scratch of one registry shard, behind the shard's mutex.
-/// Scoring never touches this — it goes through the shard's
-/// [`AtomicIndex`] straight to the published cells.
+/// Writer-side state of one registry shard, behind the shard's mutex.
+/// Scoring never touches this — it reads the shard's [`RowTable`].
 struct ShardState {
-    /// Users touched by the current locked section; drained (and
+    /// Every user's master, at the user's slot in the [`RowTable`]:
+    /// one per user ever registered (104 B each), capacity at most
+    /// 1.5N + 16 like the table's rows.
+    masters: Vec<Master>,
+    /// Slots touched by the current locked section; drained (and
     /// published) when the section ends. Lives here so per-event ingest
     /// stays allocation-free.
     dirty: Vec<u32>,
     /// `dim`-long scratch the publication kernel writes a row into
-    /// before it is copied, trimmed, into the retired slot.
+    /// before it is copied, trimmed, into the table.
     row_indices: Vec<u32>,
     row_values: Vec<f64>,
 }
 
 struct RegistryShard {
-    /// Taken by every write section, before any cell's publisher lock.
+    /// Taken by every write section, before the table's guard.
     state: Mutex<ShardState>,
-    /// The shard's users: the index owns their cells.
-    index: AtomicIndex<UserCell>,
+    /// What readers see; written only by a holder of `state`.
+    table: RwLock<RowTable>,
 }
 
 impl RegistryShard {
     fn new(dim: usize) -> Self {
-        let state =
-            ShardState { dirty: Vec::new(), row_indices: vec![0; dim], row_values: vec![0.0; dim] };
-        Self { state: Mutex::new(state), index: AtomicIndex::new() }
+        let state = ShardState {
+            masters: Vec::new(),
+            dirty: Vec::new(),
+            row_indices: vec![0; dim],
+            row_values: vec![0.0; dim],
+        };
+        Self { state: Mutex::new(state), table: RwLock::new(RowTable::default()) }
     }
+
+    /// `user`'s slot, registering the user with a fresh master and the
+    /// empty row when it has none. `state` is this shard's locked state.
+    fn slot_or_register(&self, state: &mut ShardState, user: UserId, dim: usize) -> usize {
+        if let Some(slot) = self.table.read().slot(user) {
+            return slot;
+        }
+        let slot = state.masters.len();
+        push_grown_by_half(
+            &mut state.masters,
+            Master { model: SmartUserModel::new(user, dim), published: 0 },
+        );
+        let mut table = self.table.write();
+        table.slots.insert(user.raw(), slot as u32);
+        push_grown_by_half(&mut table.rows, PublishedRow::default());
+        slot
+    }
+}
+
+/// Pushes `value`, growing a full `vec` by half its length (plus 16)
+/// rather than doubling it: the masters and rows are one entry per user
+/// for good, so doubling would leave up to half of each allocated and
+/// unused.
+fn push_grown_by_half<T>(vec: &mut Vec<T>, value: T) {
+    if vec.len() == vec.capacity() {
+        vec.reserve_exact(vec.len() / 2 + 16);
+    }
+    vec.push(value);
+}
+
+/// Derives `master`'s advice row into the scratch buffers and copies it
+/// into `row` in place ([`PublishedRow::fill`]).
+fn publish_row(
+    master: &mut Master,
+    row: &mut PublishedRow,
+    factors: &AdviceFactors,
+    indices: &mut [u32],
+    values: &mut [f64],
+) {
+    let len = master.model.advice_compact_into(factors, indices, values);
+    row.fill(&indices[..len], &values[..len]);
+    master.published = master.model.updates;
 }
 
 /// A write handle to one user's slot in a locked registry shard (see
@@ -680,13 +723,13 @@ impl RegistryShard {
 /// [`ModelSlot::get_or_create`], never as a side effect of merely
 /// holding the slot.
 pub struct ModelSlot<'a> {
+    shard: &'a RegistryShard,
     state: &'a mut ShardState,
-    index: &'a AtomicIndex<UserCell>,
     user: UserId,
     dim: usize,
-    /// The user's publisher lock, held from the first
-    /// [`ModelSlot::get_or_create`] until the slot drops.
-    master: Option<Publisher<'a, PublishedRow, Master>>,
+    /// The user's slot, resolved at the first
+    /// [`ModelSlot::get_or_create`].
+    slot: Option<usize>,
 }
 
 impl ModelSlot<'_> {
@@ -701,31 +744,29 @@ impl ModelSlot<'_> {
     /// section ends and publishes.
     #[inline]
     pub fn get_or_create(&mut self) -> &mut SmartUserModel {
-        let Self { state, index, user, dim, master } = self;
-        let index = *index;
-        let master = master.get_or_insert_with(|| {
-            let cell = match index.get(user.raw()) {
-                Some(cell) => cell,
-                None => index.insert(user.raw(), user_cell(SmartUserModel::new(*user, *dim))),
-            };
-            let master = cell.lock();
-            // nothing unpublished: not yet dirty in this section (a
-            // touch that changed nothing may queue the user twice,
-            // which the flush skips)
-            if master.published == master.model.updates {
-                state.dirty.push(user.raw());
+        let slot = match self.slot {
+            Some(slot) => slot,
+            None => {
+                let slot = self.shard.slot_or_register(self.state, self.user, self.dim);
+                // nothing unpublished: not yet dirty in this section (a
+                // touch that changed nothing may queue the user twice,
+                // which the flush skips)
+                let master = &self.state.masters[slot];
+                if master.published == master.model.updates {
+                    self.state.dirty.push(slot as u32);
+                }
+                *self.slot.insert(slot)
             }
-            master
-        });
-        &mut master.model
+        };
+        &mut self.state.masters[slot].model
     }
 }
 
 /// Slot factory over one locked registry shard (see
 /// [`SumRegistry::with_shard_models`]).
 pub(crate) struct ShardModels<'a> {
+    shard: &'a RegistryShard,
     state: &'a mut ShardState,
-    index: &'a AtomicIndex<UserCell>,
     dim: usize,
     shard_index: usize,
 }
@@ -735,7 +776,35 @@ impl ShardModels<'_> {
     #[inline]
     pub(crate) fn slot(&mut self, user: UserId) -> ModelSlot<'_> {
         debug_assert_eq!(SumRegistry::shard_index_of(user), self.shard_index);
-        ModelSlot { state: self.state, index: self.index, user, dim: self.dim, master: None }
+        ModelSlot { shard: self.shard, state: self.state, user, dim: self.dim, slot: None }
+    }
+}
+
+/// The published rows of one registry shard, held under its read guard
+/// (see [`SumRegistry::shard_rows`]).
+pub(crate) struct ShardRows<'a> {
+    table: RwLockReadGuard<'a, RowTable>,
+    dim: usize,
+}
+
+impl ShardRows<'_> {
+    /// `user`'s slot; `None` when the user has no model.
+    #[inline]
+    pub(crate) fn slot(&self, user: UserId) -> Option<usize> {
+        self.table.slot(user)
+    }
+
+    /// The published row at `slot` (from [`ShardRows::slot`]).
+    #[inline]
+    pub(crate) fn row_at(&self, slot: usize) -> RowView<'_> {
+        let (indices, values) = self.table.rows[slot].entries();
+        RowView::new(self.dim, indices, values)
+    }
+
+    /// `user`'s published row; `None` when the user has no model.
+    #[inline]
+    pub(crate) fn row(&self, user: UserId) -> Option<RowView<'_>> {
+        self.slot(user).map(|slot| self.row_at(slot))
     }
 }
 
@@ -759,26 +828,27 @@ pub struct CacheStats {
 /// ([`SumRegistry::write_state`] / [`SumRegistry::restore_state`]).
 ///
 /// **One resident copy, one read mechanism.** Each of the 32 shards
-/// owns an `AtomicIndex` of user cells — one allocation per user: the
-/// [`Published`] advice row and, behind the cell's publisher lock, the
-/// master model — and a mutex every write section takes first. Writers
-/// mutate masters in place under the shard mutex and then the cell's
-/// lock and, when their locked section ends, derive each touched user's
-/// compact advice row once and install it into that user's cell. What
-/// is lock-free and what is not:
+/// keeps its masters in a `Vec` under a mutex every write section
+/// takes, and what readers see in a `RwLock`ed table: user id → slot,
+/// and each user's published advice row at that slot. Writers mutate
+/// masters in place under the mutex and, when their locked section
+/// ends, derive each touched user's compact advice row once and copy
+/// them all into the table under one write guard. What waits on what:
 ///
-/// * [`SumRegistry::with_advice_row`] — everything scoring, ranking and
-///   outcome capture read — resolves the user through the index and
-///   pins the cell: **no lock, ever**. A scoring sweep proceeds
-///   untouched through concurrent `ingest_batch`, checkpoint and
-///   compaction, and sees each user's row exactly as it stood at some
-///   section boundary — never a torn intermediate — because publication
-///   is all-or-nothing per cell.
+/// * [`SumRegistry::with_advice_row`] and the scoring loop's `shard_rows` —
+///   everything scoring, ranking and outcome capture read — take the
+///   table's read guard. They never wait on an apply, a checkpoint or
+///   a WAL write, only on a section end copying rows into the same
+///   registry shard or on a new user's registration. A reader sees
+///   each user's row exactly as it stood at some section boundary,
+///   never a torn intermediate.
 /// * [`SumRegistry::with_model_read`] / [`SumRegistry::get`] — the rare
 ///   whole-model reads (feature rows, EIT scheduling, dominant
 ///   sensibilities, checkpoint serialisation) — borrow the master under
-///   the shard mutex and the cell's lock, and wait for a writer holding
-///   them.
+///   the shard mutex, and wait for a writer holding it.
+///
+/// Lock order: the shard mutex, then the table's guard. Readers take
+/// only the table's read guard.
 pub struct SumRegistry {
     dim: usize,
     /// Schema part of the advice transform, folded once at bring-up.
@@ -788,7 +858,8 @@ pub struct SumRegistry {
     rows_served: AtomicU64,
 }
 
-const SHARDS: usize = 32;
+/// Registry shards per [`SumRegistry`].
+pub(crate) const SHARDS: usize = 32;
 
 impl SumRegistry {
     /// Creates an empty registry of models over `schema`'s attributes.
@@ -809,20 +880,23 @@ impl SumRegistry {
     }
 
     fn shard(&self, user: UserId) -> &RegistryShard {
-        &self.shards[user.raw() as usize % SHARDS]
+        &self.shards[Self::shard_index_of(user)]
     }
 
     /// Publishes the advice row of every master the just-ended section
-    /// mutated. Runs with the shard mutex still held, so a
-    /// single-threaded caller observes its own writes immediately and
-    /// publications are section-atomic per user.
+    /// mutated, under one write guard of the shard's table. Runs with
+    /// the shard mutex still held, so a single-threaded caller observes
+    /// its own writes immediately and publications are section-atomic.
     fn flush_dirty(&self, shard: &RegistryShard, state: &mut ShardState) {
-        let ShardState { dirty, row_indices, row_values } = state;
+        let ShardState { masters, dirty, row_indices, row_values } = state;
+        let mut table = None;
         let mut published = 0u64;
-        for key in dirty.drain(..) {
-            let mut master = shard.index.get(key).expect("dirty user exists").lock();
+        for slot in dirty.drain(..) {
+            let master = &mut masters[slot as usize];
             if master.published != master.model.updates {
-                publish_row(&mut master, &self.factors, row_indices, row_values);
+                let guard = table.get_or_insert_with(|| shard.table.write());
+                let row = &mut guard.rows[slot as usize];
+                publish_row(master, row, &self.factors, row_indices, row_values);
                 published += 1;
             }
         }
@@ -832,13 +906,13 @@ impl SumRegistry {
     }
 
     /// How many advice rows have been published so far (monotone) —
-    /// the write half of the epoch machinery, surfaced for stats.
+    /// the write half of publication, surfaced for stats.
     pub fn model_publishes(&self) -> u64 {
         self.publishes.load(Ordering::Relaxed)
     }
 
     /// Read-path counters: rows published, and scores the callers of
-    /// [`SumRegistry::with_advice_row`] reported as served from one.
+    /// `shard_rows` reported as served from one.
     pub fn row_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.rows_served.load(Ordering::Relaxed),
@@ -855,7 +929,7 @@ impl SumRegistry {
 
     /// Number of models stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.index.keys().count()).sum()
+        self.shards.iter().map(|shard| shard.table.read().slots.len()).sum()
     }
 
     /// True when no models are stored.
@@ -863,8 +937,8 @@ impl SumRegistry {
         self.len() == 0
     }
 
-    /// Clones the model for `user`, if present (takes the shard mutex
-    /// and the cell's lock, see [`SumRegistry::with_model_read`]).
+    /// Clones the model for `user`, if present (takes the shard mutex,
+    /// see [`SumRegistry::with_model_read`]).
     pub fn get(&self, user: UserId) -> Option<SmartUserModel> {
         self.with_model_read(user, |model| model.cloned())
     }
@@ -886,27 +960,17 @@ impl SumRegistry {
         let shard = self.shard(user);
         let mut state = shard.state.lock();
         let result = {
-            let mut slot = ModelSlot {
-                state: &mut state,
-                index: &shard.index,
-                user,
-                dim: self.dim,
-                master: None,
-            };
+            let mut slot = ModelSlot { shard, state: &mut state, user, dim: self.dim, slot: None };
             f(&mut slot)
         };
         self.flush_dirty(shard, &mut state);
         result
     }
 
-    /// Number of internal registry shards (stable: the batched ingest
-    /// path buckets events by [`SumRegistry::shard_index_of`] so each
-    /// bucket shares one lock acquisition).
-    pub(crate) fn shard_count_static() -> usize {
-        SHARDS
-    }
-
-    /// The internal shard a user's model lives in.
+    /// The internal shard a user's model lives in (the batched ingest
+    /// path buckets events by it so each bucket shares one lock
+    /// acquisition, and the scoring loop groups an audience by it so
+    /// each group shares one read guard).
     #[inline]
     pub(crate) fn shard_index_of(user: UserId) -> usize {
         user.raw() as usize % SHARDS
@@ -926,39 +990,39 @@ impl SumRegistry {
         let shard = &self.shards[shard_index];
         let mut state = shard.state.lock();
         let result = {
-            let mut models =
-                ShardModels { state: &mut state, index: &shard.index, dim: self.dim, shard_index };
+            let mut models = ShardModels { shard, state: &mut state, dim: self.dim, shard_index };
             f(&mut models)
         };
         self.flush_dirty(shard, &mut state);
         result
     }
 
+    /// The published rows of internal shard `shard_index`, under one
+    /// read guard: the scoring loop reads every audience member of one
+    /// shard through it. Holding it delays a section end on this shard
+    /// (which waits to copy rows in), never another reader; keep it
+    /// short.
+    #[inline]
+    pub(crate) fn shard_rows(&self, shard_index: usize) -> ShardRows<'_> {
+        ShardRows { table: self.shards[shard_index].table.read(), dim: self.dim }
+    }
+
     /// Applies `f` to `user`'s published advice row — bit-identical to
     /// `advice_row(schema)` of the model as it stood when the last
     /// write section touching it ended; `None` when the user has no
-    /// model. **Lock-free**: the user resolves through the shard's
-    /// atomic index and the row is the pinned published value, so this
-    /// never waits on ingest, checkpoint or any other writer. Holding
-    /// the pin only delays the *second-next* publication of this one
-    /// user's cell; keep `f` short anyway.
+    /// model. Takes the shard table's read guard, so it never waits on
+    /// ingest, checkpoint or a WAL write, only on a section end copying
+    /// rows into this shard (see [`SumRegistry`]); keep `f` short.
     #[inline]
     pub fn with_advice_row<T>(&self, user: UserId, f: impl FnOnce(Option<RowView<'_>>) -> T) -> T {
-        match self.shard(user).index.get(user.raw()) {
-            Some(cell) => {
-                let row = cell.pin();
-                let (indices, values) = row.entries();
-                f(Some(RowView::new(self.dim, indices, values)))
-            }
-            None => f(None),
-        }
+        f(self.shard_rows(Self::shard_index_of(user)).row(user))
     }
 
     /// Applies `f` to a *borrowed* master model — the clone-free
     /// counterpart of [`SumRegistry::get`] (`None` when the user has no
-    /// model). Holds the user's shard mutex and cell lock for the
-    /// duration of `f`, so it waits for a write section on that shard to
-    /// end, and — neither lock is re-entrant — must not be called from inside
+    /// model). Holds the user's shard mutex for the duration of `f`, so
+    /// it waits for a write section on that shard to end, and — the
+    /// mutex is not re-entrant — must not be called from inside
     /// [`SumRegistry::with_model`] / [`SumRegistry::with_model_slot`]
     /// or another `with_model_read`.
     pub fn with_model_read<T>(
@@ -967,9 +1031,9 @@ impl SumRegistry {
         f: impl FnOnce(Option<&SmartUserModel>) -> T,
     ) -> T {
         let shard = self.shard(user);
-        let _section = shard.state.lock();
-        let master = shard.index.get(user.raw()).map(Published::lock);
-        f(master.as_ref().map(|master| &master.model))
+        let state = shard.state.lock();
+        let slot = shard.table.read().slot(user);
+        f(slot.map(|slot| &state.masters[slot].model))
     }
 
     /// Inserts (or replaces) a fully materialized model — the snapshot
@@ -981,31 +1045,29 @@ impl SumRegistry {
         debug_assert_eq!(model.dim(), self.dim, "model dimension must match the registry");
         let shard = self.shard(model.user);
         let mut state = shard.state.lock();
-        let ShardState { row_indices, row_values, .. } = &mut *state;
-        let key = model.user.raw();
-        let mut master = match shard.index.get(key) {
-            Some(cell) => {
-                let mut master = cell.lock();
-                master.model = model;
-                master
-            }
-            None => shard.index.insert(key, user_cell(model)).lock(),
-        };
-        publish_row(&mut master, &self.factors, row_indices, row_values);
+        let slot = shard.slot_or_register(&mut state, model.user, self.dim);
+        let ShardState { masters, row_indices, row_values, .. } = &mut *state;
+        let master = &mut masters[slot];
+        master.model = model;
+        let mut table = shard.table.write();
+        publish_row(master, &mut table.rows[slot], &self.factors, row_indices, row_values);
         self.publishes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sorted user ids present in the registry, read from the shards'
-    /// indexes without a lock.
+    /// Sorted user ids present in the registry.
     pub fn user_ids(&self) -> Vec<UserId> {
-        let mut ids: Vec<UserId> =
-            self.shards.iter().flat_map(|shard| shard.index.keys()).map(UserId::new).collect();
+        let mut ids: Vec<UserId> = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            ids.extend(shard.table.read().slots.keys().copied().map(UserId::new));
+        }
         ids.sort_unstable();
         ids
     }
 
     /// Serializes every model into `out` — the SUM section of a
-    /// platform checkpoint ([`crate::snapshot`]).
+    /// platform checkpoint ([`crate::snapshot`]). Takes each shard's
+    /// mutex once and holds them all while it writes, so the models
+    /// form one consistent cut.
     ///
     /// Layout (little-endian): `dim u32 | count u64`, then per model in
     /// ascending user order: `user u32 | updates u64 | 10 × u32 eit
@@ -1017,11 +1079,19 @@ impl SumRegistry {
     /// [`SumRegistry::restore_state`] is exact to the bit — including
     /// a negative zero, should an update rule ever produce one.
     pub fn write_state(&self, out: &mut Vec<u8>) {
-        let users = self.user_ids();
+        let states: Vec<_> = self.shards.iter().map(|shard| shard.state.lock()).collect();
+        // (user, slot): a user's shard follows from its id
+        let mut order: Vec<(u32, u32)> = states
+            .iter()
+            .flat_map(|state| state.masters.iter().enumerate())
+            .map(|(slot, master)| (master.model.user.raw(), slot as u32))
+            .collect();
+        order.sort_unstable();
         out.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        out.extend_from_slice(&(users.len() as u64).to_le_bytes());
-        for user in users {
-            self.with_model_read(user, |model| model.expect("listed user exists").write_to(out));
+        out.extend_from_slice(&(order.len() as u64).to_le_bytes());
+        for (user, slot) in order {
+            let state = &states[Self::shard_index_of(UserId::new(user))];
+            state.masters[slot as usize].model.write_to(out);
         }
     }
 
@@ -1235,20 +1305,19 @@ mod tests {
     #[test]
     fn a_user_cell_keeps_its_size_with_rows_inline() {
         use std::mem::size_of;
-        // the spilled form's capacity niche carries both the variant
-        // and the slot's `None`
+        // a user is a 48 B row in the dense table readers scan (the
+        // spilled form's capacity niche carries the variant), a 104 B
+        // master under the shard mutex, an 8 B slot-map entry and its
+        // master's pairs
         assert_eq!(size_of::<PublishedRow>(), 48);
-        assert_eq!(size_of::<Option<PublishedRow>>(), 48);
-        // two slots of 56 B, the slot index, the publisher lock and the
-        // master: a 240 B malloc chunk
-        assert_eq!(size_of::<UserCell>(), 232);
+        assert_eq!(size_of::<Master>(), 104);
     }
 
-    /// Whether `user`'s current published row has spilled to the heap.
+    /// Whether `user`'s published row has spilled to the heap.
     fn spilled(reg: &SumRegistry, user: UserId) -> bool {
-        let cell = reg.shard(user).index.get(user.raw()).expect("user has a cell");
-        let row = cell.pin();
-        matches!(*row, PublishedRow::Spilled { .. })
+        let table = reg.shard(user).table.read();
+        let slot = table.slot(user).expect("user has a row");
+        matches!(table.rows[slot], PublishedRow::Spilled { .. })
     }
 
     #[test]
@@ -1265,7 +1334,7 @@ mod tests {
             m
         };
         // widths on both sides of the inline limit, each published
-        // twice so both slots hold it
+        // twice
         let widths = [0, 3, 4, 2, 40, 1, 3, 0, 75, 5];
         for (step, &width) in widths.iter().enumerate() {
             for _ in 0..2 {
@@ -1273,7 +1342,7 @@ mod tests {
                 reg.insert_model(model.clone());
                 assert_published_row_matches(&reg, user, &model);
             }
-            // a slot spills at its first row past the limit and stays
+            // a row spills at its first width past the limit and stays
             // spilled: only the first widths can still be inline
             let ever_spilled = widths[..=step].iter().any(|&w| w > INLINE_ENTRIES);
             assert_eq!(spilled(&reg, user), ever_spilled, "after width {width}");
@@ -1299,7 +1368,7 @@ mod tests {
         let reg = SumRegistry::new(&s);
         let user = UserId::new(7);
         assert!(reg.with_advice_row(user, |row| row.is_none()), "unknown users have no row");
-        // three sections, so both slots of the cell get refilled
+        // three sections, so the row is refilled in place twice
         for round in 0..3 {
             reg.with_model(user, |m| {
                 if round == 0 {
@@ -1875,5 +1944,237 @@ mod tests {
         assert_eq!(sparse, dense);
         dense.pair_mut(2)[0] = 0.25;
         assert_ne!(sparse, dense);
+    }
+
+    /// The `(slot map, rows, masters)` capacities and the user count of
+    /// the registry shard `user` lives in.
+    fn shard_capacities(reg: &SumRegistry, user: UserId) -> ([usize; 3], usize) {
+        let shard = reg.shard(user);
+        let state = shard.state.lock();
+        let table = shard.table.read();
+        let capacities = [table.slots.capacity(), table.rows.capacity(), state.masters.capacity()];
+        (capacities, table.slots.len())
+    }
+
+    #[test]
+    fn row_tables_and_masters_grow_within_twice_their_users() {
+        let reg = SumRegistry::new(&schema());
+        for id in 0..20_000u32 {
+            let user = UserId::new(id);
+            reg.with_model(user, |m| m.set_observed(AttributeId::new(id % 75), 0.5).unwrap());
+            let ([map, rows, masters], users) = shard_capacities(&reg, user);
+            assert!(map <= 2 * users + 16, "{map} map entries for {users} users at {id}");
+            for vec in [rows, masters] {
+                assert!(2 * vec <= 3 * users + 32, "{vec} entries for {users} users at {id}");
+            }
+        }
+        assert_eq!(reg.len(), 20_000);
+    }
+
+    /// Each heap buffer a registry shard holds, by address and capacity.
+    fn shard_buffers(reg: &SumRegistry, user: UserId) -> Vec<(usize, usize)> {
+        let shard = reg.shard(user);
+        let state = shard.state.lock();
+        let table = shard.table.read();
+        let mut buffers = vec![
+            (table.rows.as_ptr() as usize, table.rows.capacity()),
+            (state.masters.as_ptr() as usize, state.masters.capacity()),
+            (state.dirty.as_ptr() as usize, state.dirty.capacity()),
+            (0, table.slots.capacity()),
+        ];
+        for row in &table.rows {
+            if let PublishedRow::Spilled { indices, values } = row {
+                buffers.push((indices.as_ptr() as usize, indices.capacity()));
+                buffers.push((values.as_ptr() as usize, values.capacity()));
+            }
+        }
+        for master in &state.masters {
+            buffers.push((master.model.cells.as_ptr() as usize, master.model.cells.capacity()));
+        }
+        buffers
+    }
+
+    #[test]
+    fn steady_republication_allocates_nothing() {
+        let s = schema();
+        let reg = SumRegistry::new(&s);
+        // one registry shard's users: inline rows of two entries and
+        // spilled rows of five
+        let users: Vec<UserId> = (0..64u32).map(|i| UserId::new(i * SHARDS as u32)).collect();
+        let appeal = |user: UserId| -> Vec<AttributeId> {
+            let width = if user.raw().is_multiple_of(2) { 2 } else { 5 };
+            (0..width).map(|k| emo_attr(&s, k)).collect()
+        };
+        for &user in &users {
+            reg.with_model(user, |m| m.set_observed(appeal(user)[0], 0.5).unwrap());
+            reg.with_model(user, |m| m.reward(&appeal(user)).unwrap());
+        }
+        let warm = shard_buffers(&reg, users[0]);
+        let publishes = reg.model_publishes();
+        for round in 0..20 {
+            for &user in &users {
+                reg.with_model(user, |m| {
+                    if round % 2 == 0 {
+                        m.reward(&appeal(user)).unwrap();
+                    } else {
+                        m.punish(&appeal(user)).unwrap();
+                    }
+                });
+            }
+        }
+        assert_eq!(reg.model_publishes() - publishes, 20 * 64, "every section republished");
+        assert_eq!(shard_buffers(&reg, users[0]), warm, "a buffer moved or grew");
+        for &user in &users {
+            assert_published_row_matches(&reg, user, &reg.get(user).unwrap());
+        }
+    }
+
+    #[test]
+    fn rows_are_found_across_table_growth() {
+        let reg = SumRegistry::new(&schema());
+        // 500 users over 32 shards, each shard's table growing past
+        // 16; attributes below 65 are not emotional, so the advice row
+        // holds the estimate itself
+        for i in 0..500u32 {
+            reg.with_model(UserId::new(i * 3), |m| {
+                m.set_observed(AttributeId::new(i % 65), 0.25).unwrap()
+            });
+        }
+        for i in 0..500u32 {
+            let row = reg.with_advice_row(UserId::new(i * 3), |row| {
+                row.map(|row| (row.indices().to_vec(), row.values().to_vec()))
+            });
+            assert_eq!(row, Some((vec![i % 65], vec![0.25])), "user {}", i * 3);
+        }
+        assert!(reg.with_advice_row(UserId::new(1), |row| row.is_none()));
+        assert!(reg.with_advice_row(UserId::new(499 * 3 + 1), |row| row.is_none()));
+        let ids: Vec<u32> = reg.user_ids().into_iter().map(UserId::raw).collect();
+        assert_eq!(ids, (0..500u32).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(reg.len(), 500);
+    }
+
+    #[test]
+    fn insert_model_replaces_a_present_user_in_its_slot() {
+        let s = schema();
+        let reg = SumRegistry::new(&s);
+        let first = mixed_model(&s);
+        let user = first.user;
+        reg.with_model(UserId::new(user.raw() + SHARDS as u32), |m| {
+            m.set_observed(AttributeId::new(1), 0.5).unwrap()
+        });
+        reg.insert_model(first.clone());
+        let slot = reg.shard(user).table.read().slot(user);
+        let mut second = first.clone();
+        second.set_observed(AttributeId::new(2), 0.75).unwrap();
+        reg.insert_model(second.clone());
+        assert_eq!(reg.shard(user).table.read().slot(user), slot, "the user keeps its slot");
+        assert_eq!(reg.len(), 2, "replaced, not added");
+        assert_eq!(reg.shard(user).state.lock().masters.len(), 2);
+        assert_eq!(reg.get(user), Some(second.clone()));
+        assert_published_row_matches(&reg, user, &second);
+    }
+
+    #[test]
+    fn row_reads_race_user_registration() {
+        let reg = std::sync::Arc::new(SumRegistry::new(&schema()));
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                let (reg, stop) = (reg.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    let mut hits = 0u64;
+                    loop {
+                        // one full sweep runs after every insert landed
+                        let stopping = stop.load(Ordering::Acquire);
+                        for id in 0..2000u32 {
+                            reg.with_advice_row(UserId::new(id), |row| {
+                                if let Some(row) = row {
+                                    // a user is registered with the empty
+                                    // row, then its section publishes (a
+                                    // non-emotional attribute: the
+                                    // estimate itself)
+                                    if row.nnz() > 0 {
+                                        assert_eq!(row.indices(), &[id % 65]);
+                                        assert_eq!(row.values(), &[id as f64 / 4000.0 + 1e-3]);
+                                    }
+                                    hits += 1;
+                                }
+                            });
+                        }
+                        if stopping {
+                            return hits;
+                        }
+                    }
+                })
+            })
+            .collect();
+        for id in 0..2000u32 {
+            reg.with_model(UserId::new(id), |m| {
+                m.set_observed(AttributeId::new(id % 65), id as f64 / 4000.0 + 1e-3).unwrap()
+            });
+        }
+        stop.store(true, Ordering::Release);
+        for reader in readers {
+            assert!(reader.join().unwrap() >= 2000, "the last sweep sees every user");
+        }
+        assert_eq!(reg.len(), 2000);
+    }
+
+    /// Readers check that every row of `user` they see holds one value
+    /// in all its entries while `writers` threads each publish `rounds`
+    /// rows of `width` equal entries; a torn row would mix two.
+    fn readers_see_only_whole_rows(writers: u32, width: u32, rounds: u32) {
+        let reg = std::sync::Arc::new(SumRegistry::new(&schema()));
+        let user = UserId::new(7);
+        reg.with_model(user, |m| m.set_observed(AttributeId::new(0), 0.5).unwrap());
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (reg, stop) = (reg.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        reg.with_advice_row(user, |row| {
+                            let values = row.expect("registered").values();
+                            assert!(values.iter().all(|&v| v == values[0]), "torn row {values:?}");
+                        });
+                    }
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..writers)
+            .map(|w| {
+                let reg = reg.clone();
+                std::thread::spawn(move || {
+                    for round in 0..rounds {
+                        let value = (round * 2 + w) as f64 / (rounds * 2) as f64;
+                        reg.with_model(user, |m| {
+                            for attr in 0..width {
+                                m.set_observed(AttributeId::new(attr), value).unwrap();
+                            }
+                        });
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        for reader in readers {
+            reader.join().unwrap();
+        }
+        assert_published_row_matches(&reg, user, &reg.get(user).unwrap());
+    }
+
+    #[test]
+    fn concurrent_readers_only_ever_see_whole_rows() {
+        // three entries fit inline
+        readers_see_only_whole_rows(1, 3, 10_000);
+    }
+
+    #[test]
+    fn readers_race_two_writers_without_tearing() {
+        // six entries spill, and two writers take turns at the section
+        readers_see_only_whole_rows(2, 6, 3_000);
     }
 }

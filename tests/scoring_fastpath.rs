@@ -1,16 +1,18 @@
-//! Differential tests for the zero-allocation scoring engine.
+//! Differential tests for the scoring engine.
 //!
 //! `ShardedSpa::score_users` serves campaign sweeps from the compact
-//! advice rows the registry publishes at the end of every write section.
-//! These proptests interleave arbitrary ingest (republication), batch
-//! scoring, top-k ranking, incremental selection updates, objective
-//! imports and registry restores, asserting after every step that the
-//! published-row engine is **bit-identical** to a reference recomputed
-//! from first principles: the master model's allocating
-//! `advice_row(schema)` through `selection().score`. Imports widen rows
-//! past the entries a cell holds inline and restores of earlier state
-//! narrow them again, each republishing into the cell's two slots in
-//! turn.
+//! advice rows the registry publishes at the end of every write section,
+//! reading an audience grouped by registry shard and writing each score
+//! back to its input position. These proptests interleave arbitrary
+//! ingest (republication), batch scoring, top-k ranking, incremental
+//! selection updates, objective imports and registry restores, asserting
+//! after every step that the published-row engine is **bit-identical**
+//! to a reference recomputed from first principles: the master model's
+//! allocating `advice_row(schema)` through `selection().score`. Imports
+//! widen rows past the entries a row holds inline and restores of
+//! earlier state narrow them again, each republishing the row in place.
+//! Arbitrary audiences — duplicates, unknown ids, sizes from empty to
+//! several parallel parts — keep input order at one and three shards.
 
 use proptest::prelude::*;
 use spa::prelude::*;
@@ -19,8 +21,13 @@ const N_USERS: u32 = 40;
 
 /// A trained single-node platform whose every user gave one EIT answer.
 fn platform() -> (ShardedSpa, Vec<UserId>) {
+    platform_of(1)
+}
+
+/// [`platform`] over `shards` engines.
+fn platform_of(shards: usize) -> (ShardedSpa, Vec<UserId>) {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
-    let spa = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
+    let spa = ShardedSpa::new(&courses, SpaConfig, shards).unwrap();
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
     // seed every model so observe_outcome is always legal, then train
     for (i, &user) in users.iter().enumerate() {
@@ -45,6 +52,17 @@ fn ingest_answer(spa: &ShardedSpa, user: UserId, at: u64, valence: f64) {
     .unwrap();
 }
 
+/// Reference scores in input order, one user at a time, from the
+/// published row `advice_row` copies out (the empty row for an unknown
+/// id) — no grouping, no parts.
+fn per_user_scores(spa: &ShardedSpa, users: &[UserId]) -> Vec<(UserId, f64)> {
+    let selection = spa.selection();
+    users
+        .iter()
+        .map(|&user| (user, selection.score(&spa.advice_row(user).unwrap()).unwrap()))
+        .collect()
+}
+
 /// Reference scores in input order, from each master model's
 /// allocating advice row — nothing on this path is published state.
 fn reference_scores(spa: &ShardedSpa, users: &[UserId]) -> Vec<(UserId, f64)> {
@@ -58,7 +76,7 @@ fn reference_scores(spa: &ShardedSpa, users: &[UserId]) -> Vec<(UserId, f64)> {
         .collect()
 }
 
-/// Every user's published row (the lock-free copy scoring reads)
+/// Every user's published row (the copy scoring reads)
 /// against the master's allocating `advice_row(schema)`: the same
 /// indices, the same value bits.
 fn assert_published_rows_equal_reference(spa: &ShardedSpa, users: &[UserId], what: &str) {
@@ -164,18 +182,41 @@ proptest! {
         assert_scored_bits_equal(&scored, &reference, "final sweep");
     }
 
-    /// `rank_top_k(k)` ≡ `rank()[..k]` for arbitrary k on a
-    /// platform with a mid-stream mutation (one row republished).
+    /// `rank_top_k(k)` ≡ `rank()[..k]` for arbitrary k on a platform
+    /// with a mid-stream mutation (one row republished), at one and
+    /// three shards, over audiences of 0, 1, 16, 1024 and more than
+    /// twice `PARALLEL_BATCH_THRESHOLD` ids drawn with repeats from the
+    /// users and from ids no one ingested — so groups repeat a user,
+    /// hold unknown ids, and span several parts where the pool has more
+    /// than one thread (CI runs this at one thread and by default).
+    /// `score_users` equals the per-user reference in input order.
     #[test]
     fn rank_top_k_equals_rank_prefix_for_arbitrary_k(
         k in 0usize..(N_USERS as usize + 20),
         touched in 0u32..N_USERS,
         valence in -1.0f64..1.0,
+        seed in 0u64..u64::MAX,
     ) {
-        let (spa, users) = platform();
-        ingest_answer(&spa, users[touched as usize], 99_999, valence);
-        let full = spa.rank(&users).unwrap();
-        let top = spa.rank_top_k(&users, k).unwrap();
-        assert_scored_bits_equal(&top, &full[..k.min(full.len())], "top-k vs rank prefix");
+        let large = 2 * spa::ml::PARALLEL_BATCH_THRESHOLD + 123;
+        for shards in [1usize, 3] {
+            let (spa, users) = platform_of(shards);
+            ingest_answer(&spa, users[touched as usize], 99_999, valence);
+            for size in [0usize, 1, 16, 1024, large] {
+                // ids below 2 · N_USERS: about half unknown, and repeats
+                let mut state = seed ^ (size as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let audience: Vec<UserId> = (0..size)
+                    .map(|_| {
+                        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        UserId::new((state >> 33) as u32 % (2 * N_USERS))
+                    })
+                    .collect();
+                let what = format!("{shards} shards, {size} users");
+                let scored = spa.score_users(&audience).unwrap();
+                assert_scored_bits_equal(&scored, &per_user_scores(&spa, &audience), &what);
+                let full = spa.rank(&audience).unwrap();
+                let top = spa.rank_top_k(&audience, k).unwrap();
+                assert_scored_bits_equal(&top, &full[..k.min(full.len())], &what);
+            }
+        }
     }
 }
