@@ -203,6 +203,8 @@ pub struct SpaClient {
     addr: SocketAddr,
     config: ClientConfig,
     stream: Option<TcpStream>,
+    /// The request encode buffer: cleared and refilled by every call,
+    /// so it keeps its allocation instead of regrowing per request.
     scratch: BytesMut,
     /// Request-id stream — 64-bit SplitMix64 draws, `0` skipped.
     ids: SplitMix64,
@@ -393,10 +395,7 @@ impl SpaClient {
                 send_bytes(stream, &frame[..split])?;
                 send_bytes(stream, &frame[split..])?;
             }
-            _ => {
-                let payload = self.scratch.split().freeze();
-                send_payload(stream, &payload)?;
-            }
+            _ => wire::send_frame(stream, &self.scratch).map_err(classify_io)?,
         }
         match fault {
             Some((_, CallFault::DropRx)) => {
@@ -484,10 +483,33 @@ fn classify_io(error: io::Error) -> ClientError {
     }
 }
 
-fn send_payload(stream: &mut TcpStream, payload: &[u8]) -> Result<(), ClientError> {
-    wire::send_frame(stream, payload).map_err(classify_io)
-}
-
 fn send_bytes(stream: &mut TcpStream, bytes: &[u8]) -> Result<(), ClientError> {
     stream.write_all(bytes).and_then(|()| stream.flush()).map_err(classify_io)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spa_core::platform::SpaConfig;
+    use spa_core::{ShardedSpa, SpaApi};
+    use spa_synth::catalog::CourseCatalog;
+    use spa_types::UserId;
+
+    #[test]
+    fn the_request_buffer_keeps_its_allocation_across_calls() {
+        let courses = CourseCatalog::generate(10, 4, 3).unwrap();
+        let spa = ShardedSpa::new(&courses, SpaConfig, 1).unwrap();
+        let handle = crate::serve(Arc::new(SpaApi::new(Arc::new(spa))), "127.0.0.1:0").unwrap();
+        let mut client = SpaClient::connect(handle.addr()).unwrap();
+        let score = ApiRequest::Score { users: (0..16).map(UserId::new).collect() };
+        client.call(&score).unwrap();
+        let (ptr, capacity) = (client.scratch.as_ptr(), client.scratch.capacity());
+        assert!(capacity > 0, "the first call's encode buffer was handed away");
+        for request in [&ApiRequest::Stats, &score].into_iter().cycle().take(8) {
+            client.call(request).unwrap();
+            assert_ne!(client.scratch.capacity(), 0, "the encode buffer was handed away");
+            assert_eq!(client.scratch.as_ptr(), ptr, "the encode buffer was reallocated");
+        }
+        handle.shutdown();
+    }
 }

@@ -28,7 +28,7 @@ use spa_core::preprocessor::PreprocessorStats;
 use spa_core::{ApiRequest, ApiResponse, PublicationStats, RecoverStatus, RequestEnvelope};
 use spa_store::codec::{crc32, decode_event_slice, encode_event, MAX_PAYLOAD};
 use spa_types::{Result, SpaError, UserId};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard cap on one frame's payload. Large enough for a full scoring
 /// audience or ingest batch, small enough that a corrupted length
@@ -438,6 +438,14 @@ pub fn decode_enveloped_response(payload: &[u8]) -> Result<(u64, bool, ApiRespon
 
 /// Writes one frame (header + payload) and flushes. Oversized payloads
 /// are refused before any byte leaves.
+///
+/// Header and payload go out in one vectored write, so on a socket a
+/// whole frame is normally one `writev` and one TCP segment rather
+/// than two: a `TCP_NODELAY` peer wakes once per frame, not once per
+/// half. A short write is finished with further vectored writes (the
+/// bytes on the wire are the same either way), an interrupted write is
+/// retried, and a writer that accepts nothing fails with
+/// `ErrorKind::WriteZero`.
 pub fn send_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_WIRE_PAYLOAD as usize {
         return Err(io::Error::new(
@@ -448,8 +456,21 @@ pub fn send_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
     let mut header = [0u8; 8];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    writer.write_all(&header)?;
-    writer.write_all(payload)?;
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "writer accepted no bytes of a frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
 }
 
@@ -485,12 +506,17 @@ fn is_timeout(kind: io::ErrorKind) -> bool {
 /// * `ErrorKind::InvalidData` — a flipped bit (CRC mismatch) or an
 ///   oversized length prefix. The stream can no longer be trusted to
 ///   be frame-aligned and must be closed.
+///
+/// A read interrupted by a signal (`ErrorKind::Interrupted`) is
+/// retried where it stopped, as `Read::read_exact` does: it is neither
+/// a torn frame nor a reason to drop the connection.
 pub fn recv_frame_event<R: Read>(reader: &mut R) -> io::Result<FrameEvent> {
     let mut header = [0u8; 8];
     let mut filled = 0;
     while filled < header.len() {
         let n = match reader.read(&mut header[filled..]) {
             Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if is_timeout(e.kind()) => {
                 return Ok(if filled == 0 { FrameEvent::IdleBoundary } else { FrameEvent::Stalled })
             }
@@ -520,6 +546,7 @@ pub fn recv_frame_event<R: Read>(reader: &mut R) -> io::Result<FrameEvent> {
     while got < payload.len() {
         let n = match reader.read(&mut payload[got..]) {
             Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if is_timeout(e.kind()) => return Ok(FrameEvent::Stalled),
             Err(e) => return Err(e),
         };
@@ -562,5 +589,125 @@ pub fn recv_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
         FrameEvent::Stalled => {
             Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out mid-frame"))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// A writer that takes at most `limit` bytes per call and counts
+    /// its calls; `script` fails the first calls with the given kinds.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        limit: usize,
+        script: VecDeque<io::ErrorKind>,
+    }
+
+    impl CountingWriter {
+        fn new(limit: usize) -> Self {
+            Self { bytes: Vec::new(), writes: 0, limit, script: VecDeque::new() }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            if let Some(kind) = self.script.pop_front() {
+                return Err(io::Error::new(kind, "scripted"));
+            }
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.limit - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let payload = b"one frame, one write".as_slice();
+        let mut writer = CountingWriter::new(usize::MAX);
+        send_frame(&mut writer, payload).unwrap();
+        assert_eq!(writer.writes, 1, "header and payload must leave in one call");
+        assert_eq!(writer.bytes, framed(payload));
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_deliver_the_whole_frame() {
+        let payload = b"split across many short writes".as_slice();
+        let mut writer = CountingWriter::new(3);
+        writer.script.push_back(io::ErrorKind::Interrupted);
+        send_frame(&mut writer, payload).unwrap();
+        assert_eq!(writer.bytes, framed(payload), "bytes must equal header ++ payload");
+        assert_eq!(writer.writes, 1 + (8 + payload.len()).div_ceil(3));
+
+        let mut empty = CountingWriter::new(3);
+        send_frame(&mut empty, &[]).unwrap();
+        assert_eq!(empty.bytes, framed(&[]));
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_write_zero() {
+        let mut writer = CountingWriter::new(0);
+        let error = send_frame(&mut writer, b"nowhere to go").unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(writer.writes, 1, "a zero-byte write is not retried");
+    }
+
+    /// A reader that plays back a script of chunks and errors.
+    struct ScriptedReader(VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for ScriptedReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(error)) => Err(error),
+                Some(Ok(chunk)) => {
+                    assert!(chunk.len() <= buf.len(), "script chunk overruns the read");
+                    buf[..chunk.len()].copy_from_slice(&chunk);
+                    Ok(chunk.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_resume_mid_header_and_mid_payload() {
+        let payload = b"a signal is not a torn frame".to_vec();
+        let frame = framed(&payload);
+        let interrupted = || Err(io::Error::from(io::ErrorKind::Interrupted));
+        let mut reader = ScriptedReader(VecDeque::from([
+            Ok(frame[..3].to_vec()),
+            interrupted(),
+            Ok(frame[3..8].to_vec()),
+            Ok(frame[8..12].to_vec()),
+            interrupted(),
+            Ok(frame[12..].to_vec()),
+        ]));
+        match recv_frame_event(&mut reader).unwrap() {
+            FrameEvent::Frame(got) => assert_eq!(got, payload),
+            other => panic!("expected the frame, got {other:?}"),
+        }
+        assert!(matches!(recv_frame_event(&mut reader).unwrap(), FrameEvent::CleanClose));
     }
 }

@@ -4,9 +4,10 @@
 //! exactly-once retry over the wire, deadline refusal, and both sides
 //! of deterministic network fault injection.
 
+use bytes::BytesMut;
 use spa_core::platform::SpaConfig;
 use spa_core::{ApiRequest, ApiResponse, RequestEnvelope, ShardedSpa, SpaApi};
-use spa_server::wire::recv_frame;
+use spa_server::wire::{self, recv_frame};
 use spa_server::{
     serve_with, ClientConfig, ClientError, NetFaultConfig, NetFaultPlan, ServeOptions, SpaClient,
     INJECTED_NET_DROP, INJECTED_NET_STALL,
@@ -363,6 +364,52 @@ fn a_retried_mutation_lands_exactly_once_and_replays_identically() {
     assert_eq!(second.response, first.response, "replay must be the cached answer");
     assert_eq!(handle.stats().dedup_hits.load(Ordering::Relaxed), 1);
     assert_eq!(transactions(&mut client), 1, "the mutation landed exactly once");
+    handle.shutdown();
+}
+
+/// Two complete requests arriving in one segment are both answered, in
+/// order, each with its own id and with the bytes in-process dispatch
+/// produces: a frame boundary inside a read is not lost, whatever the
+/// read side buffers.
+#[test]
+fn pipelined_frames_are_answered_in_order() {
+    let handle = serve_with(Arc::new(platform()), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let twin = platform();
+    let requests = [
+        (RequestEnvelope::stamped(11, 0), ingest(7, 42)),
+        (
+            RequestEnvelope::stamped(12, 0),
+            ApiRequest::Score { users: vec![UserId::new(7), UserId::new(8)] },
+        ),
+    ];
+    let mut burst = Vec::new();
+    let mut payload = BytesMut::new();
+    for (envelope, request) in &requests {
+        payload.clear();
+        wire::encode_enveloped_request(envelope, request, &mut payload);
+        wire::send_frame(&mut burst, &payload).unwrap();
+    }
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&burst).unwrap();
+
+    let mut expected = BytesMut::new();
+    for (envelope, request) in &requests {
+        let answer = recv_frame(&mut raw).unwrap().expect("a response frame per request");
+        let (id, _, response) = wire::decode_enveloped_response(&answer).unwrap();
+        assert_eq!(id, envelope.id, "responses must come back in request order");
+        let local = twin.dispatch_enveloped(envelope, request);
+        expected.clear();
+        wire::encode_enveloped_response(
+            envelope.id,
+            local.replayed,
+            &local.response,
+            &mut expected,
+        );
+        assert_eq!(answer, expected.to_vec(), "served {response:?} differs from in-process");
+    }
+    assert_eq!(handle.stats().frames_served.load(Ordering::Relaxed), 2);
+    drop(raw);
     handle.shutdown();
 }
 
