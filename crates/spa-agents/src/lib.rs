@@ -17,6 +17,7 @@
 //! API, so an agent implementation runs unchanged on either.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod runtime;

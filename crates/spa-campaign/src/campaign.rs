@@ -36,7 +36,7 @@ pub enum Channel {
 
 impl Channel {
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Channel::Push => "push",
             Channel::Newsletter => "newsletter",
@@ -70,7 +70,7 @@ pub struct ContactRecord {
     /// untrained — training campaigns).
     pub score: f64,
     /// Emotional attribute of the assigned message (`None` = standard).
-    pub appeal: Option<EmotionalAttribute>,
+    pub(crate) appeal: Option<EmotionalAttribute>,
     /// Whether the user transacted (a useful impact).
     pub responded: bool,
 }
@@ -78,10 +78,8 @@ pub struct ContactRecord {
 /// Aggregate outcome of one campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
-    /// The spec that ran.
-    pub id: CampaignId,
     /// Channel.
-    pub channel: Channel,
+    pub(crate) channel: Channel,
     /// Per-contact records (one per targeted user).
     pub contacts: Vec<ContactRecord>,
     /// Useful impacts (responses).
@@ -90,7 +88,7 @@ pub struct CampaignOutcome {
 
 impl CampaignOutcome {
     /// The paper's **predictive score**: useful impacts over targets.
-    pub fn predictive_score(&self) -> f64 {
+    pub(crate) fn predictive_score(&self) -> f64 {
         if self.contacts.is_empty() {
             0.0
         } else {
@@ -112,7 +110,7 @@ impl<'a> CampaignRunner<'a> {
     }
 
     /// Draws the random audience for a spec.
-    pub fn draw_audience(&self, spec: &CampaignSpec) -> Vec<UserId> {
+    pub(crate) fn draw_audience(&self, spec: &CampaignSpec) -> Vec<UserId> {
         let mut rng = StdRng::seed_from_u64(spec.seed ^ spec.id.raw() as u64);
         let n = self.population.len();
         let target = spec.target_size.min(n);
@@ -169,7 +167,7 @@ impl<'a> CampaignRunner<'a> {
             responses += record.responded as usize;
             contacts.push(record);
         }
-        Ok(CampaignOutcome { id: spec.id, channel: spec.channel, contacts, responses })
+        Ok(CampaignOutcome { channel: spec.channel, contacts, responses })
     }
 
     /// Runs one campaign with contacts fanned out across the pool's
@@ -208,7 +206,7 @@ impl<'a> CampaignRunner<'a> {
             contacts.push(record);
             payloads.push(payload);
         }
-        Ok((CampaignOutcome { id: spec.id, channel: spec.channel, contacts, responses }, payloads))
+        Ok((CampaignOutcome { channel: spec.channel, contacts, responses }, payloads))
     }
 
     /// One contact: delivery, the contact's single EIT question, message
@@ -387,12 +385,7 @@ mod tests {
 
     #[test]
     fn predictive_score_of_empty_campaign_is_zero() {
-        let outcome = CampaignOutcome {
-            id: CampaignId::new(0),
-            channel: Channel::Push,
-            contacts: vec![],
-            responses: 0,
-        };
+        let outcome = CampaignOutcome { channel: Channel::Push, contacts: vec![], responses: 0 };
         assert_eq!(outcome.predictive_score(), 0.0);
     }
 

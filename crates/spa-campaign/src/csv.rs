@@ -12,7 +12,7 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Quotes a field if needed per RFC 4180.
-pub fn quote_field(field: &str) -> String {
+pub(crate) fn quote_field(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -21,7 +21,7 @@ pub fn quote_field(field: &str) -> String {
 }
 
 /// Serializes rows of string fields into CSV text.
-pub fn to_csv<S: AsRef<str>>(rows: &[Vec<S>]) -> String {
+pub(crate) fn to_csv<S: AsRef<str>>(rows: &[Vec<S>]) -> String {
     let mut out = String::new();
     for row in rows {
         let mut first = true;

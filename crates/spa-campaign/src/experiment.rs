@@ -90,17 +90,17 @@ impl Default for ExperimentConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignReport {
     /// Campaign number (1-based, as the paper charts them).
-    pub number: usize,
+    pub(crate) number: usize,
     /// Channel.
-    pub channel: Channel,
+    pub(crate) channel: Channel,
     /// Users targeted.
-    pub targets: usize,
+    pub(crate) targets: usize,
     /// Useful impacts (transactions).
     pub useful_impacts: usize,
     /// Predictive score = useful impacts / targets.
-    pub predictive_score: f64,
+    pub(crate) predictive_score: f64,
     /// ROC-AUC of the selection scores within this campaign.
-    pub auc: f64,
+    pub(crate) auc: f64,
 }
 
 /// Everything the Fig 6 experiment measures.
@@ -123,7 +123,7 @@ pub struct ExperimentResult {
     pub auc: f64,
     /// Expected response rate of generic marketing (standard message,
     /// no ranking) over the same audience.
-    pub baseline_rate: f64,
+    pub(crate) baseline_rate: f64,
     /// Realized SPA response rate over all contacts.
     pub spa_rate: f64,
     /// Relative redemption improvement over generic marketing

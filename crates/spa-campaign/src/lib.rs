@@ -17,6 +17,7 @@
 //! * [`csv`] — the writer that puts those CSV tables on disk.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod campaign;

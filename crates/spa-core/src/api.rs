@@ -142,7 +142,7 @@ impl ApiRequest {
     /// write-ahead log. Only these are eligible for idempotent-retry
     /// dedup: re-executing a read is harmless, but re-executing a
     /// mutation after its response was lost would double-apply it.
-    pub fn is_mutation(&self) -> bool {
+    pub(crate) fn is_mutation(&self) -> bool {
         matches!(
             self,
             ApiRequest::Ingest { .. }
@@ -184,7 +184,7 @@ impl RequestEnvelope {
     }
 
     /// Whether the deadline had already passed at `now_micros`.
-    pub fn expired_at(&self, now_micros: u64) -> bool {
+    pub(crate) fn expired_at(&self, now_micros: u64) -> bool {
         self.sent_unix_micros != 0
             && self.deadline_micros != 0
             && now_micros > self.sent_unix_micros.saturating_add(u64::from(self.deadline_micros))
@@ -235,7 +235,7 @@ enum DedupClaim {
 ///
 /// Eviction is strictly FIFO by **completion order**, bounded at
 /// `capacity` completed entries; memory cost is `capacity` × (one
-/// cached response + two `u64`s) — at the default capacity of 4096 and
+/// cached response + two `u64`s) — at the facade's capacity of 4096 and
 /// the small fixed-size responses mutations produce (`Ingested`,
 /// `OutcomeRecorded`), well under a megabyte. The window is
 /// process-local: it dies with the server incarnation, so exactly-once
@@ -255,7 +255,7 @@ struct DedupInner {
 
 impl DedupWindow {
     /// An empty window evicting beyond `capacity` completed entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(DedupInner {
                 slots: HashMap::new(),
@@ -350,24 +350,28 @@ impl From<&RecoveryReport> for RecoverStatus {
     }
 }
 
-/// The serving facade: an [`Arc<ShardedSpa>`] plus the recovery report
+/// The serving facade: an [`Arc<ShardedSpa>`] plus the recovery status
 /// it booted with. Clone-cheap, `Send + Sync`, `&self` throughout — a
 /// server hands one instance to every connection thread.
 #[derive(Clone)]
 pub struct SpaApi {
     platform: Arc<ShardedSpa>,
-    recovery: Option<Arc<RecoveryReport>>,
+    recover_status: RecoverStatus,
     dedup: Arc<DedupWindow>,
 }
 
-/// Default bound on the dedup window: completed mutation responses
-/// retained for replay (see [`DedupWindow`] for the memory cost).
-pub const DEFAULT_DEDUP_CAPACITY: usize = 4096;
+/// Bound on the dedup window: completed mutation responses retained
+/// for replay (see [`DedupWindow`] for the memory cost).
+const DEDUP_CAPACITY: usize = 4096;
 
 impl SpaApi {
     /// Wraps a cold-started platform (no recovery provenance).
     pub fn new(platform: Arc<ShardedSpa>) -> Self {
-        Self { platform, recovery: None, dedup: Arc::new(DedupWindow::new(DEFAULT_DEDUP_CAPACITY)) }
+        Self {
+            platform,
+            recover_status: RecoverStatus::default(),
+            dedup: Arc::new(DedupWindow::new(DEDUP_CAPACITY)),
+        }
     }
 
     /// Wraps a recovered platform together with what recovery found,
@@ -378,15 +382,9 @@ impl SpaApi {
     pub fn recovered(platform: Arc<ShardedSpa>, report: RecoveryReport) -> Self {
         Self {
             platform,
-            recovery: Some(Arc::new(report)),
-            dedup: Arc::new(DedupWindow::new(DEFAULT_DEDUP_CAPACITY)),
+            recover_status: RecoverStatus::from(&report),
+            dedup: Arc::new(DedupWindow::new(DEDUP_CAPACITY)),
         }
-    }
-
-    /// Replaces the dedup window bound (builder-style, deploy time).
-    pub fn with_dedup_capacity(mut self, capacity: usize) -> Self {
-        self.dedup = Arc::new(DedupWindow::new(capacity));
-        self
     }
 
     /// The dedup window (shared with every clone of this facade).
@@ -398,16 +396,6 @@ impl SpaApi {
     /// surface, e.g. campaign registration at deploy time).
     pub fn platform(&self) -> &Arc<ShardedSpa> {
         &self.platform
-    }
-
-    /// The full recovery report, when the platform was recovered.
-    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_deref()
-    }
-
-    /// This platform's startup provenance as a wire-ready digest.
-    pub fn recover_status(&self) -> RecoverStatus {
-        self.recovery.as_deref().map(RecoverStatus::from).unwrap_or_default()
     }
 
     /// Executes one request. Never panics on request content; platform
@@ -452,7 +440,7 @@ impl SpaApi {
                 shards_skipped: report.shards_skipped as u64,
             }),
             ApiRequest::RecoverStatus => {
-                Ok(ApiResponse::RecoverStatus { status: self.recover_status() })
+                Ok(ApiResponse::RecoverStatus { status: self.recover_status })
             }
         };
         outcome.unwrap_or_else(|error| ApiResponse::Error { message: error.to_string() })
@@ -715,7 +703,7 @@ mod tests {
     /// an evicted id re-executes.
     #[test]
     fn dedup_eviction_order_is_fifo_by_completion() {
-        let api = api().with_dedup_capacity(3);
+        let api = SpaApi { dedup: Arc::new(DedupWindow::new(3)), ..api() };
         for id in 1..=3u64 {
             let out =
                 api.dispatch_enveloped(&RequestEnvelope::stamped(id, 0), &ingest_request(1, id));

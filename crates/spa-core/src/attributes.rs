@@ -7,7 +7,7 @@
 //! by automatically assigning weights (relevancies)."
 //!
 //! Concretely:
-//! * [`AttributesManager::dominant_sensibilities`] extracts a user's
+//! * `AttributesManager::dominant_sensibilities` extracts a user's
 //!   dominant emotional attributes as weighted sensibilities;
 //! * [`AttributesManager::select_features`] performs the paper's
 //!   SVM-based dimensionality reduction (§5.2) by delegating to
@@ -30,11 +30,6 @@ impl AttributesManager {
         Self { schema }
     }
 
-    /// The schema.
-    pub fn schema(&self) -> &AttributeSchema {
-        &self.schema
-    }
-
     /// A user's dominant emotional sensibilities as
     /// `(attribute, relevance-weighted strength)`, sorted descending —
     /// the input the Messaging Agent's step 3 consumes. Returns an
@@ -42,7 +37,7 @@ impl AttributesManager {
     /// Scans the model's ten emotional attributes through
     /// [`SumRegistry::with_model_read`] — call it outside any write
     /// section on `registry`.
-    pub fn dominant_sensibilities(
+    pub(crate) fn dominant_sensibilities(
         &self,
         registry: &SumRegistry,
         user: UserId,

@@ -23,7 +23,7 @@ pub struct EitQuestion {
     /// Identifier (dense, position in the bank).
     pub id: QuestionId,
     /// Four-branch ability the question exercises.
-    pub branch: Branch,
+    pub(crate) branch: Branch,
     /// Emotional attribute the answer is evidence for.
     pub target: EmotionalAttribute,
     /// Question template shown to the user (one per contact).
@@ -69,7 +69,7 @@ impl QuestionBank {
     }
 
     /// Lookup by id.
-    pub fn question(&self, id: QuestionId) -> Option<&EitQuestion> {
+    pub(crate) fn question(&self, id: QuestionId) -> Option<&EitQuestion> {
         self.questions.get(id.index())
     }
 
@@ -93,18 +93,6 @@ pub struct BranchScores {
     pub scores: [Option<f64>; 4],
 }
 
-impl BranchScores {
-    /// Overall EI score: mean of the available branch scores.
-    pub fn overall(&self) -> Option<f64> {
-        let present: Vec<f64> = self.scores.iter().flatten().copied().collect();
-        if present.is_empty() {
-            None
-        } else {
-            Some(present.iter().sum::<f64>() / present.len() as f64)
-        }
-    }
-}
-
 /// Scheduler + answer processor for the Gradual EIT.
 pub struct EitEngine {
     bank: QuestionBank,
@@ -112,7 +100,7 @@ pub struct EitEngine {
 
 impl EitEngine {
     /// Wraps a question bank.
-    pub fn new(bank: QuestionBank) -> Result<Self> {
+    pub(crate) fn new(bank: QuestionBank) -> Result<Self> {
         if bank.is_empty() {
             return Err(SpaError::Invalid("question bank is empty".into()));
         }
@@ -128,7 +116,7 @@ impl EitEngine {
     /// fewest incorporated answers (ties break in paper order), cycling
     /// through branches as evidence accumulates. One call = one contact
     /// (§5.2's one-question-per-push rule). Reads the user's ten answer
-    /// counters through [`SumRegistry::with_model_read`] — call it
+    /// counters through `SumRegistry::with_model_read` — call it
     /// outside any write section on `registry`.
     pub fn next_question(&self, registry: &SumRegistry, user: UserId) -> &EitQuestion {
         let counts = registry
@@ -184,7 +172,7 @@ impl EitEngine {
     /// through each branch. With the standard bank every branch probes
     /// every attribute, so this reduces to the user's mean expressed
     /// intensity once coverage is complete. Borrows the model through
-    /// [`SumRegistry::with_model_read`] — call it outside any write
+    /// `SumRegistry::with_model_read` — call it outside any write
     /// section on `registry`.
     pub fn branch_scores(
         &self,
@@ -369,7 +357,7 @@ mod tests {
         let (engine, registry, schema) = setup();
         let pre = preprocessor(&schema);
         let user = UserId::new(6);
-        assert_eq!(engine.branch_scores(&registry, &schema, user).overall(), None);
+        assert_eq!(engine.branch_scores(&registry, &schema, user), BranchScores::default());
         // ten answers → every attribute probed once → branch 1 covered
         for round in 0..10 {
             let q = engine.next_question(&registry, user);
@@ -382,9 +370,9 @@ mod tests {
         }
         let scores = engine.branch_scores(&registry, &schema, user);
         assert!(scores.scores[0].is_some());
-        assert!(scores.scores[1].is_none(), "second branch not yet exercised");
-        let overall = scores.overall().unwrap();
-        assert!((overall - 0.75).abs() < 1e-9, "answers of +0.5 valence → 0.75 sensibility");
+        assert_eq!(scores.scores[1..], [None, None, None], "later branches not yet exercised");
+        let first = scores.scores[0].unwrap();
+        assert!((first - 0.75).abs() < 1e-9, "answers of +0.5 valence → 0.75 sensibility");
     }
 
     #[test]

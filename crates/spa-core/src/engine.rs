@@ -235,7 +235,7 @@ impl Engine {
     }
 
     /// Pre-processing counters.
-    pub fn stats(&self) -> PreprocessorStats {
+    pub(crate) fn stats(&self) -> PreprocessorStats {
         self.preprocessor.stats()
     }
 

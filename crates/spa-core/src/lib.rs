@@ -12,7 +12,7 @@
 //!   per user and publishes its compact advice row, the one thing
 //!   scoring reads, into a dense per-shard table that readers take a
 //!   read guard of once per registry shard an audience touches;
-//! * [`eit`] — the **Gradual Emotional Intelligence Test**: a
+//! * `eit` — the **Gradual Emotional Intelligence Test**: a
 //!   four-branch question bank, a one-question-per-contact scheduler and
 //!   per-branch EI scoring (Table 1);
 //! * [`preprocessor`] — the **LifeLogs Pre-processor**: distills raw
@@ -32,10 +32,10 @@
 //!   [`spa_agents`] runtime;
 //! * [`values`] — the Intelligent User Interface's **Human Values
 //!   Scale** and coherence function (§4, component 5);
-//! * [`engine`] — the per-shard [`engine::Engine`]: one registry,
+//! * `engine` — the per-shard [`engine::Engine`]: one registry,
 //!   pre-processor, EIT engine, attributes manager and messaging agent
 //!   — no selection function, no log, no threads of its own;
-//! * [`shard`] — the one platform ([`shard::ShardedSpa`]): N engines
+//! * `shard` — the one platform ([`shard::ShardedSpa`]): N engines
 //!   keyed by a stable user hash behind one routing facade that owns
 //!   the global selection function, the write-ahead logs and the
 //!   fan-out, with crash-recovery replay. `shards = 1` and no log is
@@ -49,29 +49,29 @@
 //!   WAL tail behind it instead of the whole history.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod agents;
-pub mod api;
+pub(crate) mod api;
 pub mod attributes;
 pub mod batch;
-pub mod eit;
-pub mod engine;
+pub(crate) mod eit;
+pub(crate) mod engine;
 mod fastmap;
 pub mod messaging;
 pub mod platform;
 pub mod preprocessor;
 pub mod recommend;
 pub mod selection;
-pub mod shard;
+pub(crate) mod shard;
 pub mod snapshot;
 pub mod sum;
 pub mod values;
 
 pub use api::{
     now_unix_micros, ApiRequest, ApiResponse, DedupWindow, Dispatched, RecoverStatus,
-    RequestEnvelope, SpaApi, DEFAULT_DEDUP_CAPACITY, ERR_DEADLINE_EXCEEDED, ERR_DRAINING,
-    ERR_SERVER_BUSY,
+    RequestEnvelope, SpaApi, ERR_DEADLINE_EXCEEDED, ERR_DRAINING, ERR_SERVER_BUSY,
 };
 pub use eit::{EitEngine, EitQuestion, QuestionBank};
 pub use engine::Engine;
@@ -80,4 +80,4 @@ pub use messaging::{AssignedMessage, AssignmentCase, MessageCatalog, MessagePoli
 pub use platform::Spa;
 pub use selection::SelectionFunction;
 pub use shard::{CheckpointReport, CompactionReport, PublicationStats, RecoveryReport, ShardedSpa};
-pub use sum::{AdviceFactors, CacheStats, SmartUserModel, SumRegistry};
+pub use sum::{CacheStats, SmartUserModel, SumRegistry};

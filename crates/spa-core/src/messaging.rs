@@ -116,12 +116,12 @@ impl MessageCatalog {
     }
 
     /// The fallback message.
-    pub fn standard(&self) -> &str {
+    pub(crate) fn standard(&self) -> &str {
         &self.standard
     }
 
     /// The message for one attribute.
-    pub fn for_attribute(&self, emo: EmotionalAttribute) -> &str {
+    pub(crate) fn for_attribute(&self, emo: EmotionalAttribute) -> &str {
         &self.per_attribute[&emo]
     }
 }
@@ -137,11 +137,6 @@ impl MessagingAgent {
     /// Creates an agent with a catalog and a case-3.c policy.
     pub fn new(catalog: MessageCatalog, policy: MessagePolicy) -> Self {
         Self { catalog, policy }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> MessagePolicy {
-        self.policy
     }
 
     /// Assigns a message.

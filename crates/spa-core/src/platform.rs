@@ -1,7 +1,7 @@
 //! The platform's construction shells.
 //!
 //! The platform itself is [`crate::shard::ShardedSpa`] (one engine per
-//! shard, see [`crate::engine`]). It has nothing to configure: the SUM
+//! shard, see `crate::engine`). It has nothing to configure: the SUM
 //! rates are constants in [`crate::sum`], the selection class weight
 //! is [`crate::selection::POSITIVE_WEIGHT`] and the message policy is
 //! [`crate::messaging::MessagePolicy::MaxSensibility`]. The unit tests

@@ -179,21 +179,21 @@ impl LifeLogPreprocessor {
     /// to, so later `MessageOpened` events can reward them. The appeal
     /// maps to the schema's emotional block here, so a registered
     /// campaign names only attributes every model holds.
-    pub fn register_campaign(&self, campaign: CampaignId, appeal: &[EmotionalAttribute]) {
+    pub(crate) fn register_campaign(&self, campaign: CampaignId, appeal: &[EmotionalAttribute]) {
         let ids = self.schema.emotional_ids();
         let attrs = appeal.iter().map(|e| ids[e.ordinal()]).collect();
         self.campaign_appeal.write().insert(campaign.raw(), attrs);
     }
 
     /// Counters so far.
-    pub fn stats(&self) -> PreprocessorStats {
+    pub(crate) fn stats(&self) -> PreprocessorStats {
         self.stats.snapshot()
     }
 
     /// Overwrites the counters — used when restoring a platform from a
     /// snapshot, so post-recovery stats continue from the checkpointed
     /// values instead of restarting at zero.
-    pub fn restore_stats(&self, stats: PreprocessorStats) {
+    pub(crate) fn restore_stats(&self, stats: PreprocessorStats) {
         self.stats.restore(stats);
     }
 
@@ -226,7 +226,7 @@ impl LifeLogPreprocessor {
     /// Processes one raw event against the registry (routing EIT events
     /// through `eit`): the one per-event dispatch, `apply`, under the
     /// user's registry shard lock.
-    pub fn ingest(
+    pub(crate) fn ingest(
         &self,
         registry: &SumRegistry,
         eit: &EitEngine,

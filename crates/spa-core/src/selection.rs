@@ -31,13 +31,12 @@ pub const POSITIVE_WEIGHT: f64 = 4.0;
 #[derive(Clone)]
 pub struct SelectionFunction {
     svm: LinearSvm,
-    dim: usize,
 }
 
 impl SelectionFunction {
     /// Creates an untrained selection function for `dim` features.
-    pub fn new(dim: usize, config: SvmConfig) -> Self {
-        Self { svm: LinearSvm::new(dim, config), dim }
+    pub(crate) fn new(dim: usize, config: SvmConfig) -> Self {
+        Self { svm: LinearSvm::new(dim, config) }
     }
 
     /// Default hyper-parameters tuned for imbalanced campaign labels:
@@ -54,7 +53,11 @@ impl SelectionFunction {
     /// Incrementally folds in one observed outcome over a borrowed row
     /// (SPA's incremental learning; the batch baseline retrains
     /// instead) — what the platform's `observe_outcome` applies.
-    pub fn partial_fit_view(&mut self, features: RowView<'_>, responded: bool) -> Result<()> {
+    pub(crate) fn partial_fit_view(
+        &mut self,
+        features: RowView<'_>,
+        responded: bool,
+    ) -> Result<()> {
         self.svm.partial_fit_view(features, if responded { 1.0 } else { -1.0 })
     }
 
@@ -80,7 +83,7 @@ impl SelectionFunction {
     /// Bit-exact: the restored function scores and keeps learning
     /// identically to the one that was checkpointed. Hyper-parameters
     /// stay as constructed: they are not part of the state.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
         self.svm.read_state(bytes)
     }
 
@@ -92,7 +95,7 @@ impl SelectionFunction {
     /// Propensity score of one borrowed feature row (zero-copy) — the
     /// kernel every scoring surface routes through, published advice rows
     /// included.
-    pub fn score_view(&self, features: RowView<'_>) -> Result<f64> {
+    pub(crate) fn score_view(&self, features: RowView<'_>) -> Result<f64> {
         self.svm.decision_view(features)
     }
 
@@ -101,11 +104,11 @@ impl SelectionFunction {
     /// bit-identical ranking at any shard and thread count depends on
     /// there being exactly one. Descending by score; ties break by ascending user
     /// id, so the order is total whenever ids are distinct.
-    pub fn propensity_cmp(a: &(UserId, f64), b: &(UserId, f64)) -> std::cmp::Ordering {
+    pub(crate) fn propensity_cmp(a: &(UserId, f64), b: &(UserId, f64)) -> std::cmp::Ordering {
         b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
     }
 
-    /// Sorts scored users with [`SelectionFunction::propensity_cmp`].
+    /// Sorts scored users with `SelectionFunction::propensity_cmp`.
     pub fn sort_by_propensity(scored: &mut [(UserId, f64)]) {
         scored.sort_by(Self::propensity_cmp);
     }
@@ -116,7 +119,7 @@ impl SelectionFunction {
     /// of O(n log n): a quickselect partition isolates the top `k`,
     /// then only that slice is sorted. This is what lets a Fig-6-style
     /// "contact the top fraction" campaign skip the full audience sort.
-    pub fn top_k_by_propensity(scored: &mut Vec<(UserId, f64)>, k: usize) {
+    pub(crate) fn top_k_by_propensity(scored: &mut Vec<(UserId, f64)>, k: usize) {
         if k == 0 {
             scored.clear();
             return;
@@ -126,11 +129,6 @@ impl SelectionFunction {
             scored.truncate(k);
         }
         scored.sort_by(Self::propensity_cmp);
-    }
-
-    /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 }
 

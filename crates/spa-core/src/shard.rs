@@ -79,7 +79,7 @@ const SELECTION_WAL_DIR: &str = "selection-wal";
 /// bytes, reduced modulo the shard count. Deterministic across runs,
 /// platforms and process restarts — a prerequisite for replaying
 /// per-shard logs back onto the shard that wrote them.
-pub fn shard_index(user: UserId, shards: usize) -> usize {
+pub(crate) fn shard_index(user: UserId, shards: usize) -> usize {
     debug_assert!(shards > 0);
     // the single-node platform routes on every call too: anything
     // modulo one is zero, so it skips the hash and the divide
@@ -184,14 +184,14 @@ pub struct RecoveryReport {
     /// Events replayed and applied per shard (index = shard id). With a
     /// snapshot this counts only the **tail** behind it — the events
     /// the snapshot did not already cover.
-    pub events_replayed: Vec<u64>,
+    pub(crate) events_replayed: Vec<u64>,
     /// Intact logged events the platform rejected on replay, per shard
     /// (it rejected them identically at live ingest time, so they never
     /// contributed state; see [`ShardedSpa::recover`]).
-    pub events_skipped: Vec<u64>,
+    pub(crate) events_skipped: Vec<u64>,
     /// Torn tail found per shard, if any (cut when recovery reopens the
     /// shard's log).
-    pub torn_tails: Vec<Option<TornTail>>,
+    pub(crate) torn_tails: Vec<Option<TornTail>>,
     /// The snapshot position each shard was restored from (`None` =
     /// that shard replayed its full history).
     pub snapshots_loaded: Vec<Option<LogPosition>>,
@@ -209,7 +209,7 @@ pub struct RecoveryReport {
     pub selection_events_replayed: u64,
     /// Torn tail found in the selection WAL, if any (cut when recovery
     /// reopens it).
-    pub selection_torn_tail: Option<TornTail>,
+    pub(crate) selection_torn_tail: Option<TornTail>,
     /// Shards whose registered snapshot failed to load, forcing the
     /// fallback ladder (an older snapshot or a full replay). Zero on a
     /// healthy recovery; every unit here is a detected corruption that
@@ -308,7 +308,7 @@ pub struct CompactionReport {
     /// Bytes those segments held.
     pub bytes_reclaimed: u64,
     /// Superseded snapshot files removed.
-    pub snapshots_pruned: usize,
+    pub(crate) snapshots_pruned: usize,
     /// Shards (or the selection log) whose registered snapshot failed
     /// re-validation and were therefore left uncompacted (their history
     /// is the only copy of the covered events until a fresh checkpoint
@@ -517,7 +517,7 @@ impl ShardedSpa {
     /// A logged event the in-memory platform *rejects* (e.g. an
     /// `EitAnswer` naming a question id outside the bank) is rejected
     /// identically on replay — it never mutated live state, so it is
-    /// skipped and counted in [`RecoveryReport::events_skipped`] rather
+    /// skipped and counted in `RecoveryReport::events_skipped` rather
     /// than poisoning every future recovery of the log.
     pub fn recover(
         courses: &CourseCatalog,
@@ -1144,7 +1144,7 @@ impl ShardedSpa {
 
     /// Applies `f` to `user`'s *borrowed* master model (`None` when the
     /// user has none) — the routed
-    /// [`crate::sum::SumRegistry::with_model_read`], with its caveats:
+    /// `crate::sum::SumRegistry::with_model_read`, with its caveats:
     /// it holds the user's registry shard mutex for the duration of
     /// `f`.
     pub fn with_model_read<T>(
@@ -1370,7 +1370,7 @@ impl ShardedSpa {
     /// (same comparator, same tie-breaks). Each part of the scoring
     /// loop keeps only its own top `k` (any global top-`k` user is
     /// top-`k` within its part), so a final
-    /// [`SelectionFunction::top_k_by_propensity`] over at most
+    /// `SelectionFunction::top_k_by_propensity` over at most
     /// `parts × k` candidates reproduces the global prefix — no full
     /// audience sort anywhere.
     pub fn rank_top_k(&self, users: &[UserId], k: usize) -> Result<Vec<(UserId, f64)>> {

@@ -40,7 +40,7 @@ use spa_types::{Result, SpaError};
 /// ([`crate::sum::SumRegistry::write_state`]).
 pub const SECTION_MODELS: u32 = 1;
 
-/// Section tag: pre-processor counters ([`encode_stats`]).
+/// Section tag: pre-processor counters (`encode_stats`).
 pub const SECTION_STATS: u32 = 2;
 
 /// Section tag: selection-function SVM state
@@ -48,7 +48,7 @@ pub const SECTION_STATS: u32 = 2;
 pub const SECTION_SELECTION: u32 = 3;
 
 /// Serializes the pre-processor counters (eight `u64`s, little-endian).
-pub fn encode_stats(stats: &PreprocessorStats) -> Vec<u8> {
+pub(crate) fn encode_stats(stats: &PreprocessorStats) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     for v in [
         stats.actions,
@@ -66,7 +66,7 @@ pub fn encode_stats(stats: &PreprocessorStats) -> Vec<u8> {
 }
 
 /// Decodes counters written by [`encode_stats`].
-pub fn decode_stats(bytes: &[u8]) -> Result<PreprocessorStats> {
+pub(crate) fn decode_stats(bytes: &[u8]) -> Result<PreprocessorStats> {
     if bytes.len() != 64 {
         return Err(SpaError::Corrupt(format!(
             "stats section is {} bytes, expected 64",

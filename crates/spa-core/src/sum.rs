@@ -59,13 +59,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `(1 + 0·r).max(0) ≡ 1`, so one branch-free formula covers both kinds
 /// bit-identically.
 #[derive(Debug, Clone)]
-pub struct AdviceFactors {
+pub(crate) struct AdviceFactors {
     coeffs: Vec<f64>,
 }
 
 impl AdviceFactors {
     /// Builds the coefficient table for a schema.
-    pub fn new(schema: &AttributeSchema) -> Self {
+    pub(crate) fn new(schema: &AttributeSchema) -> Self {
         let coeffs = schema
             .iter()
             .map(|def| if def.kind == AttributeKind::Emotional { def.valence.value() } else { 0.0 })
@@ -75,19 +75,14 @@ impl AdviceFactors {
 
     /// Attribute dimensionality.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.coeffs.len()
-    }
-
-    /// True for a zero-attribute schema.
-    pub fn is_empty(&self) -> bool {
-        self.coeffs.is_empty()
     }
 
     /// The advice factor of attribute `index` at `relevance` — exactly
     /// the value [`SmartUserModel::advice_row`] derives from the schema.
     #[inline]
-    pub fn factor(&self, index: usize, relevance: f64) -> f64 {
+    pub(crate) fn factor(&self, index: usize, relevance: f64) -> f64 {
         (1.0 + self.coeffs[index] * relevance).max(0.0)
     }
 }
@@ -144,7 +139,7 @@ const LIVE_BITS: usize = 128;
 #[derive(Debug, Clone)]
 pub struct SmartUserModel {
     /// Owner.
-    pub user: UserId,
+    pub(crate) user: UserId,
     /// Attribute dimensionality of the schema.
     dim: u32,
     /// Per-emotional-attribute count of EIT answers incorporated.
@@ -172,13 +167,13 @@ impl PartialEq for SmartUserModel {
 
 impl SmartUserModel {
     /// Fresh, empty model for a 75-attribute schema (or any `dim`).
-    pub fn new(user: UserId, dim: usize) -> Self {
+    pub(crate) fn new(user: UserId, dim: usize) -> Self {
         let cells = if dim > LIVE_BITS { vec![[0.0; 2]; dim] } else { Vec::new() };
         Self { user, dim: dim as u32, eit_answers: [0; 10], updates: 0, live: [0; 2], cells }
     }
 
     /// Attribute dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim as usize
     }
 
@@ -280,11 +275,6 @@ impl SmartUserModel {
         })
     }
 
-    /// Number of updates applied so far.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
     /// EIT answers incorporated per emotional attribute (paper order).
     pub fn eit_answer_counts(&self) -> &[u32; 10] {
         &self.eit_answers
@@ -321,7 +311,7 @@ impl SmartUserModel {
 
     /// Folds in a noisy observation of a subjective attribute (running
     /// exponential average, growing relevance).
-    pub fn observe_subjective(&mut self, attr: AttributeId, value: f64) -> Result<()> {
+    pub(crate) fn observe_subjective(&mut self, attr: AttributeId, value: f64) -> Result<()> {
         self.check(attr)?;
         let pair = self.pair_mut(attr.index());
         pair[0] = if pair[1] == 0.0 {
@@ -395,7 +385,7 @@ impl SmartUserModel {
     /// (unobserved attributes stay absent — the sparsity the paper
     /// fights). Values are floored at a tiny epsilon so an observed
     /// zero still registers as present.
-    pub fn feature_row(&self) -> SparseVec {
+    pub(crate) fn feature_row(&self) -> SparseVec {
         let pairs = self
             .stored()
             .filter(|&(_, pair)| pair[1] > 0.0)
@@ -436,7 +426,7 @@ impl SmartUserModel {
     /// # Panics
     /// When `factors` or the buffers disagree with the model dimension
     /// (all derive from the platform schema, so a mismatch is a bug).
-    pub fn advice_compact_into(
+    pub(crate) fn advice_compact_into(
         &self,
         factors: &AdviceFactors,
         indices: &mut [u32],
@@ -474,7 +464,10 @@ impl SmartUserModel {
     /// estimates break by ascending attribute id (the same determinism
     /// contract as [`crate::selection::SelectionFunction::sort_by_propensity`]),
     /// so the result never depends on the input order of `emotional_ids`.
-    pub fn dominant_sensibilities(&self, emotional_ids: &[AttributeId]) -> Vec<(AttributeId, f64)> {
+    pub(crate) fn dominant_sensibilities(
+        &self,
+        emotional_ids: &[AttributeId],
+    ) -> Vec<(AttributeId, f64)> {
         let mut out: Vec<(AttributeId, f64)> = emotional_ids
             .iter()
             .filter(|&&a| self.relevance(a) > 0.0)
@@ -733,11 +726,6 @@ pub struct ModelSlot<'a> {
 }
 
 impl ModelSlot<'_> {
-    /// The user this slot addresses.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-
     /// Borrows the user's **master** model, creating an empty one on
     /// first touch. Mutations apply to the master only; scoring keeps
     /// seeing the previously published row until the enclosing locked
@@ -835,14 +823,14 @@ pub struct CacheStats {
 /// ends, derive each touched user's compact advice row once and copy
 /// them all into the table under one write guard. What waits on what:
 ///
-/// * [`SumRegistry::with_advice_row`] and the scoring loop's `shard_rows` —
+/// * `SumRegistry::with_advice_row` and the scoring loop's `shard_rows` —
 ///   everything scoring, ranking and outcome capture read — take the
 ///   table's read guard. They never wait on an apply, a checkpoint or
 ///   a WAL write, only on a section end copying rows into the same
 ///   registry shard or on a new user's registration. A reader sees
 ///   each user's row exactly as it stood at some section boundary,
 ///   never a torn intermediate.
-/// * [`SumRegistry::with_model_read`] / [`SumRegistry::get`] — the rare
+/// * `SumRegistry::with_model_read` / [`SumRegistry::get`] — the rare
 ///   whole-model reads (feature rows, EIT scheduling, dominant
 ///   sensibilities, checkpoint serialisation) — borrow the master under
 ///   the shard mutex, and wait for a writer holding it.
@@ -874,11 +862,6 @@ impl SumRegistry {
         }
     }
 
-    /// Attribute dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     fn shard(&self, user: UserId) -> &RegistryShard {
         &self.shards[Self::shard_index_of(user)]
     }
@@ -907,13 +890,13 @@ impl SumRegistry {
 
     /// How many advice rows have been published so far (monotone) —
     /// the write half of publication, surfaced for stats.
-    pub fn model_publishes(&self) -> u64 {
+    pub(crate) fn model_publishes(&self) -> u64 {
         self.publishes.load(Ordering::Relaxed)
     }
 
     /// Read-path counters: rows published, and scores the callers of
     /// `shard_rows` reported as served from one.
-    pub fn row_stats(&self) -> CacheStats {
+    pub(crate) fn row_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.rows_served.load(Ordering::Relaxed),
             misses: self.model_publishes(),
@@ -928,7 +911,7 @@ impl SumRegistry {
     }
 
     /// Number of models stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|shard| shard.table.read().slots.len()).sum()
     }
 
@@ -938,7 +921,7 @@ impl SumRegistry {
     }
 
     /// Clones the model for `user`, if present (takes the shard mutex,
-    /// see [`SumRegistry::with_model_read`]).
+    /// see `SumRegistry::with_model_read`).
     pub fn get(&self, user: UserId) -> Option<SmartUserModel> {
         self.with_model_read(user, |model| model.cloned())
     }
@@ -1014,7 +997,11 @@ impl SumRegistry {
     /// ingest, checkpoint or a WAL write, only on a section end copying
     /// rows into this shard (see [`SumRegistry`]); keep `f` short.
     #[inline]
-    pub fn with_advice_row<T>(&self, user: UserId, f: impl FnOnce(Option<RowView<'_>>) -> T) -> T {
+    pub(crate) fn with_advice_row<T>(
+        &self,
+        user: UserId,
+        f: impl FnOnce(Option<RowView<'_>>) -> T,
+    ) -> T {
         f(self.shard_rows(Self::shard_index_of(user)).row(user))
     }
 
@@ -1025,7 +1012,7 @@ impl SumRegistry {
     /// mutex is not re-entrant — must not be called from inside
     /// [`SumRegistry::with_model`] / [`SumRegistry::with_model_slot`]
     /// or another `with_model_read`.
-    pub fn with_model_read<T>(
+    pub(crate) fn with_model_read<T>(
         &self,
         user: UserId,
         f: impl FnOnce(Option<&SmartUserModel>) -> T,
@@ -1052,16 +1039,6 @@ impl SumRegistry {
         let mut table = shard.table.write();
         publish_row(master, &mut table.rows[slot], &self.factors, row_indices, row_values);
         self.publishes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sorted user ids present in the registry.
-    pub fn user_ids(&self) -> Vec<UserId> {
-        let mut ids: Vec<UserId> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            ids.extend(shard.table.read().slots.keys().copied().map(UserId::new));
-        }
-        ids.sort_unstable();
-        ids
     }
 
     /// Serializes every model into `out` — the SUM section of a
@@ -1140,7 +1117,7 @@ mod tests {
         let m = SmartUserModel::new(UserId::new(1), 75);
         assert_eq!(m.dim(), 75);
         assert_eq!(m.feature_row().nnz(), 0);
-        assert_eq!(m.updates(), 0);
+        assert_eq!(m.updates, 0);
     }
 
     #[test]
@@ -1399,7 +1376,7 @@ mod tests {
         // restore into a warm registry hands over
         let mut swapped = original.clone();
         swapped.pair_mut(0)[0] = 0.9;
-        assert_eq!(swapped.updates(), original.updates());
+        assert_eq!(swapped.updates, original.updates);
         reg.insert_model(swapped.clone());
         assert_published_row_matches(&reg, swapped.user, &swapped);
         assert_eq!(reg.model_publishes(), 2);
@@ -1475,7 +1452,7 @@ mod tests {
         for id in 0..40u32 {
             let a = reg.get(UserId::new(id)).unwrap();
             let b = restored.get(UserId::new(id)).unwrap();
-            assert_eq!(a.updates(), b.updates());
+            assert_eq!(a.updates, b.updates);
             assert_eq!(a.eit_answer_counts(), b.eit_answer_counts());
             for i in 0..75u32 {
                 let attr = AttributeId::new(i);
@@ -1743,7 +1720,7 @@ mod tests {
     fn assert_matches_oracle(model: &SmartUserModel, oracle: &DenseOracle, s: &AttributeSchema) {
         let dim = oracle.dim();
         assert_eq!(model.dim(), dim);
-        assert_eq!(model.updates(), oracle.updates);
+        assert_eq!(model.updates, oracle.updates);
         assert_eq!(model.eit_answer_counts(), &oracle.eit_answers);
         for i in 0..dim as u32 + 2 {
             let attr = AttributeId::new(i);
@@ -1881,7 +1858,7 @@ mod tests {
         m.punish(&[AttributeId::new(4), AttributeId::new(70)]).unwrap();
         assert_eq!(m.cells.len(), 1, "only the observed attribute is stored");
         assert_eq!(m.position(4), None);
-        assert_eq!(m.updates(), 2, "the punishment still counts as an update");
+        assert_eq!(m.updates, 2, "the punishment still counts as an update");
         m.punish(&[AttributeId::new(3)]).unwrap();
         assert_eq!(m.value(AttributeId::new(3)), 0.5 - 0.5 * PUNISH_RATE);
     }
@@ -2048,8 +2025,6 @@ mod tests {
         }
         assert!(reg.with_advice_row(UserId::new(1), |row| row.is_none()));
         assert!(reg.with_advice_row(UserId::new(499 * 3 + 1), |row| row.is_none()));
-        let ids: Vec<u32> = reg.user_ids().into_iter().map(UserId::raw).collect();
-        assert_eq!(ids, (0..500u32).map(|i| i * 3).collect::<Vec<_>>());
         assert_eq!(reg.len(), 500);
     }
 

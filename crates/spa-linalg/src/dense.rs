@@ -22,49 +22,12 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// L1 norm.
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// `y += alpha * x` (the BLAS `axpy` kernel).
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len(), "axpy: dimension mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 /// `y *= alpha`.
 #[inline]
 pub fn scale(alpha: f64, y: &mut [f64]) {
     for yi in y.iter_mut() {
         *yi *= alpha;
     }
-}
-
-/// Index of the maximum element; `None` on an empty slice. Ties resolve
-/// to the first maximal index, NaN entries are skipped.
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        if v.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bv)) if v <= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the minimum element; `None` on an empty slice (NaN skipped).
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let negated: Vec<f64> = a.iter().map(|v| -v).collect();
-    argmax(&negated)
 }
 
 /// Numerically-stable logistic sigmoid.
@@ -76,16 +39,6 @@ pub fn sigmoid(z: f64) -> f64 {
     } else {
         let e = z.exp();
         e / (1.0 + e)
-    }
-}
-
-/// Cosine similarity between two dense vectors; 0 when either is zero.
-pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
-    let (na, nb) = (norm2(a), norm2(b));
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot(a, b) / (na * nb)
     }
 }
 
@@ -102,15 +55,7 @@ mod tests {
     #[test]
     fn norms() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm1(&[3.0, -4.0]), 7.0);
         assert_eq!(norm2(&[]), 0.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 2.0];
-        axpy(2.0, &[10.0, 20.0], &mut y);
-        assert_eq!(y, vec![21.0, 42.0]);
     }
 
     #[test]
@@ -121,33 +66,11 @@ mod tests {
     }
 
     #[test]
-    fn argmax_basics() {
-        assert_eq!(argmax(&[1.0, 3.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[2.0, 2.0]), Some(0), "ties take the first index");
-        assert_eq!(argmax(&[f64::NAN, 1.0]), Some(1), "NaN is skipped");
-        assert_eq!(argmax(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn argmin_mirrors_argmax() {
-        assert_eq!(argmin(&[1.0, -3.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[]), None);
-    }
-
-    #[test]
     fn sigmoid_is_stable_at_extremes() {
         assert!(sigmoid(1000.0) > 0.999999);
         assert!(sigmoid(-1000.0) < 1e-6);
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-15);
         assert!(sigmoid(-1000.0).is_finite());
-    }
-
-    #[test]
-    fn cosine_handles_zero_vectors() {
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
-        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-12);
     }
 
     proptest! {
@@ -163,14 +86,6 @@ mod tests {
             let a: Vec<f64> = ab.iter().map(|p| p.0).collect();
             let b: Vec<f64> = ab.iter().map(|p| p.1).collect();
             prop_assert!(dot(&a, &b).abs() <= norm2(&a) * norm2(&b) + 1e-6);
-        }
-
-        #[test]
-        fn cosine_is_bounded(ab in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..32)) {
-            let a: Vec<f64> = ab.iter().map(|p| p.0).collect();
-            let b: Vec<f64> = ab.iter().map(|p| p.1).collect();
-            let c = cosine(&a, &b);
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&c));
         }
 
         #[test]

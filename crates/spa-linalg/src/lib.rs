@@ -11,13 +11,14 @@
 //! plain slices to stay composable with caller-owned buffers.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod dense;
 pub mod matrix;
-pub mod row;
+pub(crate) mod row;
 pub mod similarity;
-pub mod sparse;
+pub(crate) mod sparse;
 pub mod stats;
 
 pub use matrix::CsrMatrix;

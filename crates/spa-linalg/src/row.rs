@@ -78,14 +78,6 @@ impl<'a> RowView<'a> {
         self.indices.len()
     }
 
-    /// Value at `index` (0 when not stored).
-    pub fn get(self, index: u32) -> f64 {
-        match self.indices.binary_search(&index) {
-            Ok(pos) => self.values[pos],
-            Err(_) => 0.0,
-        }
-    }
-
     /// Iterates stored `(index, value)` pairs in index order.
     pub fn iter(self) -> RowIter<'a> {
         RowIter { indices: self.indices, values: self.values, pos: 0 }

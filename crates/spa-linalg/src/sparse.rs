@@ -68,7 +68,7 @@ impl SparseVec {
     /// re-checking invariants (checked in debug builds). Producers that
     /// already hold sorted unique in-range indices — CSR rows, row
     /// views — use this to skip [`Self::from_pairs`]' re-validation.
-    pub fn from_sorted_unchecked(dim: usize, indices: Vec<u32>, values: Vec<f64>) -> Self {
+    pub(crate) fn from_sorted_unchecked(dim: usize, indices: Vec<u32>, values: Vec<f64>) -> Self {
         debug_assert_eq!(indices.len(), values.len());
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices must be sorted unique");
         debug_assert!(indices.last().is_none_or(|&i| (i as usize) < dim));
@@ -106,54 +106,12 @@ impl SparseVec {
         self.indices.len()
     }
 
-    /// Fraction of dimensions that are zero (1.0 for the empty vector).
-    pub fn sparsity(&self) -> f64 {
-        if self.dim == 0 {
-            1.0
-        } else {
-            1.0 - self.nnz() as f64 / self.dim as f64
-        }
-    }
-
     /// Value at `index` (0 when not stored).
     pub fn get(&self, index: u32) -> f64 {
         match self.indices.binary_search(&index) {
             Ok(pos) => self.values[pos],
             Err(_) => 0.0,
         }
-    }
-
-    /// Sets `index` to `value` (inserting, updating or removing).
-    ///
-    /// # Errors
-    /// Out-of-range index or non-finite value.
-    pub fn set(&mut self, index: u32, value: f64) -> Result<()> {
-        if (index as usize) >= self.dim {
-            return Err(SpaError::DimensionMismatch {
-                got: index as usize + 1,
-                expected: self.dim,
-            });
-        }
-        if !value.is_finite() {
-            return Err(SpaError::Invalid(format!("non-finite value at index {index}")));
-        }
-        match self.indices.binary_search(&index) {
-            Ok(pos) => {
-                if value == 0.0 {
-                    self.indices.remove(pos);
-                    self.values.remove(pos);
-                } else {
-                    self.values[pos] = value;
-                }
-            }
-            Err(pos) => {
-                if value != 0.0 {
-                    self.indices.insert(pos, index);
-                    self.values.insert(pos, value);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Iterates over stored `(index, value)` pairs in index order.
@@ -171,39 +129,10 @@ impl SparseVec {
         &self.values
     }
 
-    /// Materializes as a dense vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim];
-        for (i, v) in self.iter() {
-            out[i as usize] = v;
-        }
-        out
-    }
-
-    /// Sparse·sparse dot product (linear merge over stored entries).
-    /// Accepts any [`SparseRow`] — an owned vector or a borrowed view.
-    pub fn dot<R: SparseRow + ?Sized>(&self, other: &R) -> f64 {
-        SparseRow::dot(self, other)
-    }
-
     /// Sparse·dense dot product.
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
         debug_assert_eq!(self.dim, dense.len(), "sparse dot_dense: dimension mismatch");
         self.iter().map(|(i, v)| v * dense[i as usize]).sum()
-    }
-
-    /// `dense += alpha * self` — the sparse axpy used by SGD weight
-    /// updates, touching only stored entries.
-    pub fn add_scaled_into(&self, alpha: f64, dense: &mut [f64]) {
-        debug_assert_eq!(self.dim, dense.len(), "sparse axpy: dimension mismatch");
-        for (i, v) in self.iter() {
-            dense[i as usize] += alpha * v;
-        }
-    }
-
-    /// L2 norm over stored entries.
-    pub fn norm2(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Restriction of this vector to `keep` (a sorted set of indices is
@@ -265,20 +194,7 @@ mod tests {
         let dense = vec![0.0, 1.5, 0.0, -2.0];
         let v = SparseVec::from_dense(&dense);
         assert_eq!(v.nnz(), 2);
-        assert_eq!(v.to_dense(), dense);
-    }
-
-    #[test]
-    fn set_inserts_updates_removes() {
-        let mut v = SparseVec::zeros(5);
-        v.set(3, 2.0).unwrap();
-        assert_eq!(v.get(3), 2.0);
-        v.set(3, 4.0).unwrap();
-        assert_eq!(v.get(3), 4.0);
-        v.set(3, 0.0).unwrap();
-        assert_eq!(v.nnz(), 0, "setting zero removes the entry");
-        assert!(v.set(5, 1.0).is_err());
-        assert!(v.set(1, f64::NAN).is_err());
+        assert_eq!((v.dim(), v.indices(), v.values()), (4, &[1, 3][..], &[1.5, -2.0][..]));
     }
 
     #[test]
@@ -297,12 +213,6 @@ mod tests {
         let mut acc = vec![0.0; 4];
         a.add_scaled_into(2.0, &mut acc);
         assert_eq!(acc, vec![0.0, 4.0, 0.0, -2.0]);
-    }
-
-    #[test]
-    fn sparsity_fraction() {
-        assert_eq!(SparseVec::zeros(0).sparsity(), 1.0);
-        assert_eq!(sv(4, &[(0, 1.0)]).sparsity(), 0.75);
     }
 
     #[test]
@@ -341,23 +251,6 @@ mod tests {
             let dense_dot: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             prop_assert!((sa.dot(&sb) - dense_dot).abs() < 1e-9);
             prop_assert!((sa.dot_dense(&b) - dense_dot).abs() < 1e-9);
-        }
-
-        #[test]
-        fn to_dense_round_trip(a in proptest::collection::vec(-10f64..10.0, 0..24)) {
-            let v = SparseVec::from_dense(&a);
-            prop_assert_eq!(v.to_dense(), a);
-        }
-
-        #[test]
-        fn set_then_get(dim in 1usize..32, idx in 0u32..32, val in -5f64..5.0) {
-            let idx = idx % dim as u32;
-            let mut v = SparseVec::zeros(dim);
-            v.set(idx, val).unwrap();
-            prop_assert_eq!(v.get(idx), val);
-            // indices stay sorted
-            let sorted = v.indices().windows(2).all(|w| w[0] < w[1]);
-            prop_assert!(sorted);
         }
     }
 }

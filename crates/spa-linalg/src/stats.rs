@@ -1,59 +1,12 @@
 //! Descriptive statistics helpers used by reports and metrics.
 
 /// Arithmetic mean; 0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Population variance; 0 for slices shorter than 2.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
-/// Linear-interpolated percentile, `q` in `[0, 100]`. `None` when empty.
-pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in percentile input"));
-    let q = q.clamp(0.0, 100.0) / 100.0;
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (50th percentile).
-pub fn median(xs: &[f64]) -> Option<f64> {
-    percentile(xs, 50.0)
-}
-
-/// Fixed-width histogram over `[lo, hi)` with `bins` buckets; values
-/// outside the range clamp into the edge buckets.
-pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-    assert!(bins > 0 && hi > lo, "histogram needs bins > 0 and hi > lo");
-    let mut counts = vec![0usize; bins];
-    let width = (hi - lo) / bins as f64;
-    for &x in xs {
-        let b = (((x - lo) / width).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-        counts[b] += 1;
-    }
-    counts
 }
 
 /// Pearson correlation between two equal-length dense samples; 0 when
@@ -89,38 +42,6 @@ mod tests {
     fn mean_and_variance() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(variance(&[5.0]), 0.0);
-        assert!((variance(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert!((stddev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), Some(1.0));
-        assert_eq!(percentile(&xs, 100.0), Some(4.0));
-        assert_eq!(median(&xs), Some(2.5));
-        assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn percentile_clamps_q() {
-        let xs = [1.0, 2.0];
-        assert_eq!(percentile(&xs, -5.0), Some(1.0));
-        assert_eq!(percentile(&xs, 500.0), Some(2.0));
-    }
-
-    #[test]
-    fn histogram_buckets_and_clamps() {
-        let h = histogram(&[-1.0, 0.0, 0.5, 0.99, 5.0], 0.0, 1.0, 2);
-        assert_eq!(h, vec![2, 3]);
-        assert_eq!(h.iter().sum::<usize>(), 5, "every sample lands in a bucket");
-    }
-
-    #[test]
-    #[should_panic(expected = "histogram needs")]
-    fn histogram_rejects_empty_range() {
-        let _ = histogram(&[1.0], 1.0, 1.0, 4);
     }
 
     #[test]
@@ -134,22 +55,11 @@ mod tests {
 
     proptest! {
         #[test]
-        fn variance_is_nonnegative(xs in proptest::collection::vec(-1e3f64..1e3, 0..64)) {
-            prop_assert!(variance(&xs) >= 0.0);
-        }
-
-        #[test]
         fn mean_is_within_range(xs in proptest::collection::vec(-1e3f64..1e3, 1..64)) {
             let m = mean(&xs);
             let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
-        }
-
-        #[test]
-        fn histogram_conserves_count(xs in proptest::collection::vec(-10f64..10.0, 0..64)) {
-            let h = histogram(&xs, -5.0, 5.0, 7);
-            prop_assert_eq!(h.iter().sum::<usize>(), xs.len());
         }
     }
 }

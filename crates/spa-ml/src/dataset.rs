@@ -1,7 +1,5 @@
-//! Labelled sparse datasets and deterministic splits.
+//! Labelled sparse datasets.
 
-use rand::prelude::*;
-use rand::rngs::StdRng;
 use spa_linalg::{CsrMatrix, SparseVec};
 use spa_types::{Result, SpaError};
 
@@ -19,18 +17,6 @@ impl Dataset {
     /// Empty dataset with `cols` feature columns.
     pub fn new(cols: usize) -> Self {
         Self { x: CsrMatrix::new(cols), y: Vec::new() }
-    }
-
-    /// Builds from parallel rows and labels.
-    pub fn from_rows(cols: usize, rows: &[SparseVec], labels: &[f64]) -> Result<Self> {
-        if rows.len() != labels.len() {
-            return Err(SpaError::DimensionMismatch { got: labels.len(), expected: rows.len() });
-        }
-        let mut d = Dataset::new(cols);
-        for (row, &label) in rows.iter().zip(labels.iter()) {
-            d.push(row, label)?;
-        }
-        Ok(d)
     }
 
     /// Appends one labelled example.
@@ -54,7 +40,7 @@ impl Dataset {
     }
 
     /// Number of feature columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.x.cols()
     }
 
@@ -63,64 +49,15 @@ impl Dataset {
         self.y.iter().filter(|&&y| y > 0.0).count()
     }
 
-    /// Fraction of positive labels (0 when empty).
-    pub fn base_rate(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.positives() as f64 / self.len() as f64
-        }
-    }
-
     /// Subset by row indices (rows are copied into the new dataset's
     /// CSR buffers directly — no per-row temporaries).
-    pub fn subset(&self, rows: &[usize]) -> Dataset {
+    pub(crate) fn subset(&self, rows: &[usize]) -> Dataset {
         let mut d = Dataset::new(self.cols());
         for &r in rows {
             d.x.push_row_view(self.x.row(r)).expect("same column count");
             d.y.push(self.y[r]);
         }
         d
-    }
-
-    /// Deterministic shuffled train/test split; `test_fraction ∈ (0, 1)`.
-    pub fn train_test_split(&self, test_fraction: f64, seed: u64) -> Result<(Dataset, Dataset)> {
-        if !(0.0..1.0).contains(&test_fraction) || test_fraction == 0.0 {
-            return Err(SpaError::Invalid(format!(
-                "test_fraction must be in (0,1), got {test_fraction}"
-            )));
-        }
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.shuffle(&mut StdRng::seed_from_u64(seed));
-        let n_test = ((self.len() as f64) * test_fraction).round() as usize;
-        let n_test = n_test.clamp(1, self.len().saturating_sub(1).max(1));
-        let (test_rows, train_rows) = order.split_at(n_test.min(order.len()));
-        Ok((self.subset(train_rows), self.subset(test_rows)))
-    }
-
-    /// Stratified split: preserves the positive rate in both halves,
-    /// which matters because campaign response rates are heavily
-    /// imbalanced (a ~20% predictive score means 80% negatives).
-    pub fn stratified_split(&self, test_fraction: f64, seed: u64) -> Result<(Dataset, Dataset)> {
-        if !(0.0..1.0).contains(&test_fraction) || test_fraction == 0.0 {
-            return Err(SpaError::Invalid(format!(
-                "test_fraction must be in (0,1), got {test_fraction}"
-            )));
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pos: Vec<usize> = (0..self.len()).filter(|&r| self.y[r] > 0.0).collect();
-        let mut neg: Vec<usize> = (0..self.len()).filter(|&r| self.y[r] <= 0.0).collect();
-        pos.shuffle(&mut rng);
-        neg.shuffle(&mut rng);
-        let cut = |v: &Vec<usize>| ((v.len() as f64) * test_fraction).round() as usize;
-        let (pc, nc) = (cut(&pos), cut(&neg));
-        let mut test_rows: Vec<usize> = pos[..pc].to_vec();
-        test_rows.extend_from_slice(&neg[..nc]);
-        let mut train_rows: Vec<usize> = pos[pc..].to_vec();
-        train_rows.extend_from_slice(&neg[nc..]);
-        train_rows.shuffle(&mut rng);
-        test_rows.shuffle(&mut rng);
-        Ok((self.subset(&train_rows), self.subset(&test_rows)))
     }
 }
 
@@ -151,8 +88,6 @@ mod tests {
     fn base_rate_counts_positives() {
         let d = toy(10, 2, 0.3);
         assert_eq!(d.positives(), 3);
-        assert!((d.base_rate() - 0.3).abs() < 1e-12);
-        assert_eq!(Dataset::new(2).base_rate(), 0.0);
     }
 
     #[test]
@@ -162,49 +97,5 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.x.row_vec(0).get(0), 5.0);
         assert_eq!(s.y[1], 1.0);
-    }
-
-    #[test]
-    fn split_partitions_every_row() {
-        let d = toy(20, 2, 0.5);
-        let (train, test) = d.train_test_split(0.25, 7).unwrap();
-        assert_eq!(train.len() + test.len(), 20);
-        assert_eq!(test.len(), 5);
-    }
-
-    #[test]
-    fn split_is_seed_deterministic() {
-        let d = toy(50, 2, 0.5);
-        let (a1, b1) = d.train_test_split(0.2, 42).unwrap();
-        let (a2, b2) = d.train_test_split(0.2, 42).unwrap();
-        assert_eq!(a1.y, a2.y);
-        assert_eq!(b1.y, b2.y);
-        let (_, b3) = d.train_test_split(0.2, 43).unwrap();
-        // overwhelmingly likely to differ with 50 rows
-        assert!(b1.x != b3.x || b1.y != b3.y);
-    }
-
-    #[test]
-    fn split_rejects_bad_fraction() {
-        let d = toy(4, 2, 0.5);
-        assert!(d.train_test_split(0.0, 1).is_err());
-        assert!(d.train_test_split(1.0, 1).is_err());
-        assert!(d.stratified_split(-0.1, 1).is_err());
-    }
-
-    #[test]
-    fn stratified_split_preserves_base_rate() {
-        let d = toy(1000, 2, 0.1);
-        let (train, test) = d.stratified_split(0.3, 11).unwrap();
-        assert!((train.base_rate() - 0.1).abs() < 0.02);
-        assert!((test.base_rate() - 0.1).abs() < 0.02);
-        assert_eq!(train.len() + test.len(), 1000);
-    }
-
-    #[test]
-    fn from_rows_checks_lengths() {
-        let rows = vec![SparseVec::zeros(2)];
-        assert!(Dataset::from_rows(2, &rows, &[1.0, -1.0]).is_err());
-        assert!(Dataset::from_rows(2, &rows, &[1.0]).is_ok());
     }
 }

@@ -21,10 +21,11 @@
 //! dominated by missing Gradual-EIT answers (§5.2's sparsity problem).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod cv;
-pub mod dataset;
+pub(crate) mod dataset;
 pub mod feature_selection;
 pub mod knn;
 pub mod logreg;

@@ -1,93 +1,13 @@
 //! Evaluation metrics.
 //!
-//! Alongside the standard classification metrics, this module implements
-//! the two campaign-marketing measures the paper reports:
-//!
-//! * the **cumulative gains curve** (the paper's "cumulative redemption
-//!   curve", Fig 6a): rank the audience by model score and plot the
-//!   fraction of all responders captured against the fraction of the
-//!   audience contacted;
-//! * the **predictive score** (Fig 6b): useful impacts obtained divided
-//!   by messages sent for a targeted slice of the audience.
+//! Alongside ROC AUC, this module implements the **cumulative gains
+//! curve** (the paper's "cumulative redemption curve", Fig 6a): rank the
+//! audience by model score and plot the fraction of all responders
+//! captured against the fraction of the audience contacted. The paper's
+//! other measure, the predictive score of Fig 6b, is counted from the
+//! contacts a campaign makes (`spa_campaign::CampaignOutcome`).
 
 use spa_types::{Result, SpaError};
-
-/// 2×2 confusion counts for binary labels (`±1.0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Confusion {
-    /// True positives.
-    pub tp: usize,
-    /// False positives.
-    pub fp: usize,
-    /// True negatives.
-    pub tn: usize,
-    /// False negatives.
-    pub fn_: usize,
-}
-
-impl Confusion {
-    /// Tallies predictions against labels.
-    pub fn from_predictions(y_true: &[f64], y_pred: &[f64]) -> Result<Self> {
-        if y_true.len() != y_pred.len() {
-            return Err(SpaError::DimensionMismatch { got: y_pred.len(), expected: y_true.len() });
-        }
-        let mut c = Confusion::default();
-        for (&t, &p) in y_true.iter().zip(y_pred.iter()) {
-            match (t > 0.0, p > 0.0) {
-                (true, true) => c.tp += 1,
-                (false, true) => c.fp += 1,
-                (false, false) => c.tn += 1,
-                (true, false) => c.fn_ += 1,
-            }
-        }
-        Ok(c)
-    }
-
-    /// Total examples.
-    pub fn total(&self) -> usize {
-        self.tp + self.fp + self.tn + self.fn_
-    }
-
-    /// (tp + tn) / total; 0 when empty.
-    pub fn accuracy(&self) -> f64 {
-        let n = self.total();
-        if n == 0 {
-            0.0
-        } else {
-            (self.tp + self.tn) as f64 / n as f64
-        }
-    }
-
-    /// tp / (tp + fp); 0 when no positives were predicted.
-    pub fn precision(&self) -> f64 {
-        let denom = self.tp + self.fp;
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// tp / (tp + fn); 0 when no positives exist.
-    pub fn recall(&self) -> f64 {
-        let denom = self.tp + self.fn_;
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let (p, r) = (self.precision(), self.recall());
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-}
 
 /// Area under the ROC curve via the rank statistic (Mann–Whitney U),
 /// with tie correction. Returns 0.5 when either class is absent.
@@ -120,23 +40,6 @@ pub fn roc_auc(y_true: &[f64], scores: &[f64]) -> Result<f64> {
         y_true.iter().zip(ranks.iter()).filter(|(&y, _)| y > 0.0).map(|(_, &r)| r).sum();
     let u = rank_sum_pos - (n_pos * (n_pos + 1)) as f64 / 2.0;
     Ok(u / (n_pos as f64 * n_neg as f64))
-}
-
-/// Binary cross-entropy for probability predictions in `[0, 1]`.
-pub fn log_loss(y_true: &[f64], probs: &[f64]) -> Result<f64> {
-    if y_true.len() != probs.len() {
-        return Err(SpaError::DimensionMismatch { got: probs.len(), expected: y_true.len() });
-    }
-    if y_true.is_empty() {
-        return Ok(0.0);
-    }
-    let eps = 1e-12;
-    let mut acc = 0.0;
-    for (&y, &p) in y_true.iter().zip(probs.iter()) {
-        let p = p.clamp(eps, 1.0 - eps);
-        acc -= if y > 0.0 { p.ln() } else { (1.0 - p).ln() };
-    }
-    Ok(acc / y_true.len() as f64)
 }
 
 /// One point of a cumulative gains curve.
@@ -200,72 +103,10 @@ pub fn captured_at(curve: &[GainsPoint], effort: f64) -> f64 {
     curve.last().map(|p| p.captured).unwrap_or(0.0)
 }
 
-/// Area under the gains curve (trapezoid rule). Random targeting gives
-/// 0.5; perfect targeting approaches `1 − base_rate/2`.
-pub fn gains_auc(curve: &[GainsPoint]) -> f64 {
-    curve
-        .windows(2)
-        .map(|w| (w[1].effort - w[0].effort) * (w[0].captured + w[1].captured) / 2.0)
-        .sum()
-}
-
-/// Lift over random targeting at an effort level: `captured / effort`.
-pub fn lift_at(curve: &[GainsPoint], effort: f64) -> f64 {
-    if effort <= 0.0 {
-        return 1.0;
-    }
-    captured_at(curve, effort) / effort
-}
-
-/// The paper's **predictive score**: positives among the targeted slice
-/// divided by the slice size (= precision of the "contact" decision at
-/// a fixed depth). `depth_fraction` is the share of the ranked audience
-/// actually contacted.
-pub fn predictive_score(y_true: &[f64], scores: &[f64], depth_fraction: f64) -> Result<f64> {
-    if y_true.len() != scores.len() {
-        return Err(SpaError::DimensionMismatch { got: scores.len(), expected: y_true.len() });
-    }
-    if !(0.0..=1.0).contains(&depth_fraction) || depth_fraction == 0.0 {
-        return Err(SpaError::Invalid(format!(
-            "depth_fraction must be in (0,1], got {depth_fraction}"
-        )));
-    }
-    let n = y_true.len();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    let k = ((n as f64 * depth_fraction).round() as usize).clamp(1, n);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
-    let hits = order[..k].iter().filter(|&&i| y_true[i] > 0.0).count();
-    Ok(hits as f64 / k as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn confusion_counts() {
-        let c =
-            Confusion::from_predictions(&[1.0, 1.0, -1.0, -1.0], &[1.0, -1.0, 1.0, -1.0]).unwrap();
-        assert_eq!((c.tp, c.fn_, c.fp, c.tn), (1, 1, 1, 1));
-        assert_eq!(c.accuracy(), 0.5);
-        assert_eq!(c.precision(), 0.5);
-        assert_eq!(c.recall(), 0.5);
-        assert_eq!(c.f1(), 0.5);
-    }
-
-    #[test]
-    fn confusion_edge_cases() {
-        let empty = Confusion::default();
-        assert_eq!(empty.accuracy(), 0.0);
-        assert_eq!(empty.precision(), 0.0);
-        assert_eq!(empty.recall(), 0.0);
-        assert_eq!(empty.f1(), 0.0);
-        assert!(Confusion::from_predictions(&[1.0], &[]).is_err());
-    }
 
     #[test]
     fn auc_perfect_and_inverted() {
@@ -287,17 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn log_loss_rewards_confidence() {
-        let y = [1.0, -1.0];
-        let confident = log_loss(&y, &[0.99, 0.01]).unwrap();
-        let hedged = log_loss(&y, &[0.6, 0.4]).unwrap();
-        let wrong = log_loss(&y, &[0.01, 0.99]).unwrap();
-        assert!(confident < hedged && hedged < wrong);
-        assert_eq!(log_loss(&[], &[]).unwrap(), 0.0);
-        assert!(log_loss(&y, &[0.0, 1.0]).unwrap().is_finite(), "clamped at the boundary");
-    }
-
-    #[test]
     fn gains_curve_perfect_ranking() {
         // 2 positives in 10, perfectly ranked: all captured at 20% effort.
         let mut y = vec![-1.0; 10];
@@ -308,7 +138,6 @@ mod tests {
         assert_eq!(captured_at(&curve, 0.2), 1.0);
         assert_eq!(captured_at(&curve, 1.0), 1.0);
         assert_eq!(captured_at(&curve, 0.0), 0.0);
-        assert_eq!(lift_at(&curve, 0.2), 5.0);
     }
 
     #[test]
@@ -322,7 +151,6 @@ mod tests {
         for pt in &curve {
             assert!((pt.captured - pt.effort).abs() < 0.05, "{pt:?}");
         }
-        assert!((gains_auc(&curve) - 0.5).abs() < 0.05);
     }
 
     #[test]
@@ -333,17 +161,6 @@ mod tests {
         assert_eq!(empty.len(), 5);
         assert_eq!(captured_at(&empty, 0.5), 0.0);
         assert_eq!(captured_at(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn predictive_score_is_precision_at_depth() {
-        let y = [1.0, 1.0, -1.0, -1.0, -1.0];
-        let s = [0.9, 0.8, 0.7, 0.2, 0.1];
-        assert_eq!(predictive_score(&y, &s, 0.4).unwrap(), 1.0);
-        assert!((predictive_score(&y, &s, 1.0).unwrap() - 0.4).abs() < 1e-12);
-        assert!(predictive_score(&y, &s, 0.0).is_err());
-        assert!(predictive_score(&y, &s, 1.5).is_err());
-        assert!(predictive_score(&y, &[0.5], 0.5).is_err());
     }
 
     proptest! {

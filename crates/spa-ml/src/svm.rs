@@ -88,11 +88,6 @@ impl LinearSvm {
         self.bias
     }
 
-    /// Hyper-parameters.
-    pub fn config(&self) -> &SvmConfig {
-        &self.config
-    }
-
     /// True once `fit` or `partial_fit` has run.
     pub fn is_trained(&self) -> bool {
         self.trained
@@ -205,25 +200,6 @@ impl LinearSvm {
         }
         self.trained = trained;
         Ok(())
-    }
-
-    /// Average hinge loss + L2 penalty on a dataset (the primal
-    /// objective; useful for convergence tests).
-    pub fn objective(&self, data: &Dataset) -> Result<f64> {
-        if data.cols() != self.weights.len() {
-            return Err(SpaError::DimensionMismatch {
-                got: data.cols(),
-                expected: self.weights.len(),
-            });
-        }
-        let mut loss = 0.0;
-        for r in 0..data.len() {
-            let margin = data.y[r] * (data.x.row_dot_dense(r, &self.weights) + self.bias);
-            loss += (1.0 - margin).max(0.0);
-        }
-        let n = data.len().max(1) as f64;
-        let w_norm = spa_linalg::dense::dot(&self.weights, &self.weights);
-        Ok(loss / n + 0.5 * self.config.lambda * w_norm)
     }
 }
 
@@ -352,15 +328,28 @@ mod tests {
         assert_eq!(a.bias(), b.bias());
     }
 
+    /// Average hinge loss + L2 penalty on a dataset: the primal objective
+    /// that Pegasos minimises.
+    fn objective(svm: &LinearSvm, data: &Dataset) -> f64 {
+        let mut loss = 0.0;
+        for r in 0..data.len() {
+            let margin = data.y[r] * (data.x.row_dot_dense(r, &svm.weights) + svm.bias);
+            loss += (1.0 - margin).max(0.0);
+        }
+        let n = data.len().max(1) as f64;
+        let w_norm = spa_linalg::dense::dot(&svm.weights, &svm.weights);
+        loss / n + 0.5 * svm.config.lambda * w_norm
+    }
+
     #[test]
     fn objective_decreases_with_training() {
         let data = separable(300, 4, 6);
         let mut svm = LinearSvm::new(4, SvmConfig { epochs: 1, ..Default::default() });
         svm.fit(&data).unwrap();
-        let early = svm.objective(&data).unwrap();
+        let early = objective(&svm, &data);
         let mut svm10 = LinearSvm::new(4, SvmConfig { epochs: 12, ..Default::default() });
         svm10.fit(&data).unwrap();
-        let late = svm10.objective(&data).unwrap();
+        let late = objective(&svm10, &data);
         assert!(
             late <= early + 1e-9,
             "12-epoch objective {late} should not exceed 1-epoch {early}"

@@ -185,7 +185,7 @@ pub struct CallReport {
     /// The response.
     pub response: ApiResponse,
     /// Attempts spent (1 = first try succeeded).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Whether the final answer was a dedup replay.
     pub replayed: bool,
 }
@@ -238,11 +238,6 @@ impl SpaClient {
             other => io::Error::new(io::ErrorKind::ConnectionRefused, other.to_string()),
         })?;
         Ok(client)
-    }
-
-    /// The address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// A fresh nonzero request id from this client's seeded stream.
@@ -319,7 +314,7 @@ impl SpaClient {
     }
 
     /// [`SpaClient::call_with_retry`] with a caller-chosen id.
-    pub fn retry_enveloped(
+    pub(crate) fn retry_enveloped(
         &mut self,
         id: u64,
         request: &ApiRequest,

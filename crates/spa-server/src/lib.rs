@@ -11,17 +11,17 @@
 //!   tail. Every request rides under a 20-byte envelope (client id +
 //!   sent stamp + relative deadline); every response echoes the id and
 //!   whether it was replayed from the dedup window.
-//! * [`server`] — a `std::net` accept loop, one thread per connection,
+//! * `server` — a `std::net` accept loop, one thread per connection,
 //!   every connection dispatching into one shared
 //!   [`SpaApi`]. No async runtime, no framework: the
 //!   platform's own locks are the concurrency model. Admission control
 //!   (bounded in-flight, connection cap), idle/slow-loris reaping,
 //!   deadline refusal and a graceful drain path keep it standing under
 //!   overload.
-//! * [`client`] — a blocking client speaking the same frames, with
+//! * `client` — a blocking client speaking the same frames, with
 //!   default socket timeouts, typed retryable errors and
 //!   idempotent-by-id retry.
-//! * [`netfault`] — deterministic, ledgered network fault injection
+//! * `netfault` — deterministic, ledgered network fault injection
 //!   (connection drops, stalls, partial writes) for the chaos soak.
 //!
 //! The serving contract: a request dispatched through this stack and
@@ -31,16 +31,17 @@
 //! once** no matter how many connections died under it.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod netfault;
-pub mod server;
+pub(crate) mod client;
+pub(crate) mod netfault;
+pub(crate) mod server;
 pub mod wire;
 
 pub use client::{CallOutcome, CallReport, ClientConfig, ClientError, RetryPolicy, SpaClient};
 pub use netfault::{
-    CallFault, NetFaultConfig, NetFaultCounts, NetFaultLedger, NetFaultPlan, INJECTED_NET_DROP,
+    NetFaultConfig, NetFaultCounts, NetFaultLedger, NetFaultPlan, INJECTED_NET_DROP,
     INJECTED_NET_STALL, MASKED_RESPONSE_LOSS,
 };
 pub use server::{

@@ -58,7 +58,7 @@ pub const MASKED_RESPONSE_LOSS: &str = "masked response loss";
 
 /// The fault drawn for one client call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CallFault {
+pub(crate) enum CallFault {
     /// Tear the outgoing request frame at a drawn point, then sever
     /// the connection. The request never executes.
     DropTx,
@@ -118,11 +118,6 @@ impl NetFaultCounts {
     pub fn must_surface(&self) -> u64 {
         self.drops_tx + self.drops_rx + self.stalls
     }
-
-    /// All injections.
-    pub fn total(&self) -> u64 {
-        self.must_surface() + self.partial_writes
-    }
 }
 
 impl NetFaultLedger {
@@ -164,13 +159,8 @@ impl NetFaultPlan {
     }
 
     /// Whether the plan is currently armed.
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.armed.load(Ordering::SeqCst)
-    }
-
-    /// The plan's configuration.
-    pub fn config(&self) -> &NetFaultConfig {
-        &self.config
     }
 
     /// The exact injection ledger.
@@ -181,7 +171,7 @@ impl NetFaultPlan {
     /// Draws at most one fault for the next call, counting it in the
     /// ledger at draw time (an injected fault is *committed* — the
     /// caller must act on it).
-    pub fn draw_call_fault(&self) -> Option<CallFault> {
+    pub(crate) fn draw_call_fault(&self) -> Option<CallFault> {
         if !self.is_armed() {
             return None;
         }
@@ -208,7 +198,7 @@ impl NetFaultPlan {
     /// Where to tear a `frame_len`-byte frame: a strict prefix length
     /// in `[0, frame_len)`, so a torn request can never be mistaken
     /// for a delivered one.
-    pub fn draw_tear_point(&self, frame_len: usize) -> usize {
+    pub(crate) fn draw_tear_point(&self, frame_len: usize) -> usize {
         debug_assert!(frame_len > 0);
         let mut rng = self.rng.lock().expect("net fault rng");
         rng.gen_range(frame_len as u64) as usize
@@ -238,7 +228,7 @@ mod tests {
         b.set_armed(true);
         assert_eq!(drain(&a, 2000), drain(&b, 2000));
         assert_eq!(a.ledger().counts(), b.ledger().counts());
-        assert!(a.ledger().counts().total() > 0, "rates chosen to actually fire");
+        assert_ne!(a.ledger().counts(), NetFaultCounts::default(), "rates chosen to actually fire");
     }
 
     #[test]
@@ -252,7 +242,7 @@ mod tests {
         };
         let plan = NetFaultPlan::seeded(config);
         assert!(drain(&plan, 100).iter().all(Option::is_none));
-        assert_eq!(plan.ledger().counts().total(), 0);
+        assert_eq!(plan.ledger().counts(), NetFaultCounts::default());
         plan.set_armed(true);
         // the armed schedule starts exactly where a never-disarmed one would
         assert_eq!(plan.draw_call_fault(), Some(CallFault::DropTx));

@@ -22,9 +22,10 @@
 //!   idle past [`ServeOptions::idle_timeout`] are reaped
 //!   (`idle_reaped`), peers stalling **mid-frame** are cut immediately
 //!   as slow-loris suspects (`slow_reaped`);
-//! * **graceful drain** — [`ServerHandle::drain`] stops accepting,
-//!   answers new frames [`ERR_DRAINING`], lets in-flight requests
-//!   finish, checkpoints the platform and only then returns;
+//! * **graceful drain** — [`ServerHandle::begin_drain`] stops
+//!   accepting and answers new frames [`ERR_DRAINING`];
+//!   [`ServerHandle::finish_drain`] lets in-flight requests finish,
+//!   checkpoints the platform and only then returns;
 //! * **hard kill** — [`ServerHandle::hard_kill`] severs every
 //!   connection with no goodbye and no checkpoint, modelling `SIGKILL`
 //!   for the process-kill chaos soak.
@@ -50,7 +51,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted.
-    pub connections: AtomicU64,
+    pub(crate) connections: AtomicU64,
     /// Connections refused at accept time (connection cap).
     pub connections_refused: AtomicU64,
     /// Requests dispatched and answered (including `Error` answers to
@@ -86,7 +87,7 @@ pub struct ServerStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)] // field-for-field mirror of ServerStats
 pub struct ServerCounts {
-    pub connections: u64,
+    pub(crate) connections: u64,
     pub connections_refused: u64,
     pub frames_served: u64,
     pub corrupt_frames: u64,
@@ -176,8 +177,6 @@ impl Default for ServeOptions {
 /// What a graceful drain accomplished.
 #[derive(Debug)]
 pub struct DrainReport {
-    /// Connections still live when the drain began.
-    pub connections_at_drain: usize,
     /// Whether every connection finished within the drain's bounded
     /// wait (a `false` means a peer was still attached when the
     /// checkpoint was cut — its in-flight request had already
@@ -233,11 +232,6 @@ impl ServerHandle {
         self.shared.stats.clone()
     }
 
-    /// The facade this server dispatches into.
-    pub fn api(&self) -> &Arc<SpaApi> {
-        &self.shared.api
-    }
-
     /// Connections currently attached.
     pub fn live_connections(&self) -> usize {
         self.shared.live_connections.load(Ordering::SeqCst)
@@ -264,7 +258,6 @@ impl ServerHandle {
     /// the next process starts from a snapshot instead of a long tail
     /// replay.
     pub fn finish_drain(&mut self) -> DrainReport {
-        let connections_at_drain = self.live_connections();
         // close the read half of every live connection: idle peers see
         // a clean close; a response still being written goes out whole
         for stream in self.shared.registry.lock().expect("registry lock").values() {
@@ -272,14 +265,7 @@ impl ServerHandle {
         }
         let quiesced = self.await_quiescence(Duration::from_secs(10));
         let checkpoint = self.shared.api.dispatch(&ApiRequest::Checkpoint);
-        DrainReport { connections_at_drain, quiesced, checkpoint }
-    }
-
-    /// The full graceful exit: finish in-flight requests, refuse new
-    /// frames loudly, checkpoint, and only then return.
-    pub fn drain(mut self) -> DrainReport {
-        self.begin_drain();
-        self.finish_drain()
+        DrainReport { quiesced, checkpoint }
     }
 
     /// Kills the server the way `SIGKILL` would: stops accepting and

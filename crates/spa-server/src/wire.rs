@@ -36,10 +36,10 @@ use std::io::{self, IoSlice, Read, Write};
 pub const MAX_WIRE_PAYLOAD: u32 = 1 << 20;
 
 /// Most users one `Score` / `RankTopK` request may carry.
-pub const MAX_AUDIENCE: u32 = 65_536;
+pub(crate) const MAX_AUDIENCE: u32 = 65_536;
 
 /// Most events one `IngestBatch` request may carry.
-pub const MAX_BATCH: u32 = 16_384;
+pub(crate) const MAX_BATCH: u32 = 16_384;
 
 const OP_SCORE: u8 = 1;
 const OP_RANK_TOP_K: u8 = 2;

@@ -26,6 +26,7 @@
 //!   failures, transient `EIO` and read-side bit rot.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod codec;

@@ -34,7 +34,7 @@ pub const WRITE_RETRY_LIMIT: u32 = 4;
 
 /// Base backoff between transient-write retries, in microseconds
 /// (doubled per successive retry of the same write).
-pub const WRITE_RETRY_BACKOFF_US: u64 = 20;
+pub(crate) const WRITE_RETRY_BACKOFF_US: u64 = 20;
 
 /// Write-path fault accounting for one log: how the bounded retry
 /// policy disposed of transient write faults. All zero under
@@ -88,12 +88,13 @@ pub struct LogStats {
 }
 
 /// A durable position in a segmented log: the byte `offset` within
-/// segment `segment` where the next frame will begin. Positions are
-/// recorded by [`EventLog::flushed_position`] (always on a frame
-/// boundary), stored inside snapshots ([`crate::snapshot`]), and
-/// consumed by [`EventLog::replay_iter_from`] (replay the tail after a
-/// checkpoint) and [`EventLog::compact_before`] (delete fully covered
-/// segments). Ordered by `(segment, offset)`.
+/// segment `segment` where the next frame will begin. A checkpoint
+/// takes its position with [`EventLog::buffered_position`] (always on a
+/// frame boundary) and makes the prefix before it durable with
+/// [`EventLog::sync_up_to`]. Positions are stored inside snapshots
+/// ([`crate::snapshot`]) and consumed by [`EventLog::replay_iter_from`]
+/// (replay the tail after a checkpoint) and [`EventLog::compact_before`]
+/// (delete fully covered segments). Ordered by `(segment, offset)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LogPosition {
     /// Segment index the position points into.
@@ -125,7 +126,7 @@ pub struct CompactionStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TornTail {
     /// Index of the (last) segment holding the partial frame.
-    pub segment: u64,
+    pub(crate) segment: u64,
     /// Byte offset of the first torn byte within that segment.
     pub offset: u64,
     /// How many trailing bytes the partial frame occupies.
@@ -459,20 +460,6 @@ impl EventLog {
         self.writer.lock().io_counters
     }
 
-    /// Flushes, then returns the writer's current position — the frame
-    /// boundary where the next append will land. Everything before this
-    /// position is on disk (through the OS; through the platter when
-    /// `fsync`), which is what makes it safe to record inside a
-    /// checkpoint as "the log prefix this snapshot covers".
-    pub fn flushed_position(&self) -> Result<LogPosition> {
-        let mut w = self.writer.lock();
-        w.file.flush()?;
-        if self.config.fsync {
-            sync_guarded(self.io.as_ref(), w.file.get_ref())?;
-        }
-        Ok(LogPosition { segment: w.segment_index, offset: w.segment_bytes })
-    }
-
     /// The writer's current frame boundary **without any I/O** — the
     /// position accounts for buffered-but-unflushed appends. Use when a
     /// caller needs the position while holding a latency-sensitive lock
@@ -566,9 +553,10 @@ impl EventLog {
     /// segment tail a snapshot does not cover. Segments below
     /// `from.segment` are skipped without being opened (compaction may
     /// already have deleted them); the start segment is read from
-    /// `from.offset` (a frame boundary recorded by
-    /// [`EventLog::flushed_position`]), so replay cost is proportional
-    /// to the tail, not the history.
+    /// `from.offset` (a frame boundary taken by
+    /// [`EventLog::buffered_position`] and made durable by
+    /// [`EventLog::sync_up_to`]), so replay cost is proportional to the
+    /// tail, not the history.
     ///
     /// A non-zero `from` whose segment file is missing is loud
     /// corruption: it means compaction outran the snapshot that was
@@ -1156,11 +1144,13 @@ mod tests {
         let dir = tmp_dir("position");
         let config = LogConfig { segment_bytes: 256, fsync: false };
         let log = EventLog::open(&dir, config).unwrap();
-        assert_eq!(log.flushed_position().unwrap(), LogPosition::default());
+        log.flush().unwrap();
+        assert_eq!(log.buffered_position(), LogPosition::default());
         for i in 0..30 {
             log.append(&event(i)).unwrap();
         }
-        let pos = log.flushed_position().unwrap();
+        log.flush().unwrap();
+        let pos = log.buffered_position();
         assert!(pos.segment > 0, "30 events must roll a 256-byte segment");
         // the recorded position equals the on-disk size of its segment
         assert_eq!(fs::metadata(segment_path(&dir, pos.segment)).unwrap().len(), pos.offset);
@@ -1176,7 +1166,8 @@ mod tests {
         for e in &events[..60] {
             log.append(e).unwrap();
         }
-        let mark = log.flushed_position().unwrap();
+        log.flush().unwrap();
+        let mark = log.buffered_position();
         for e in &events[60..] {
             log.append(e).unwrap();
         }
@@ -1185,7 +1176,7 @@ mod tests {
             EventLog::replay_iter_from(&dir, mark).unwrap().collect::<Result<Vec<_>>>().unwrap();
         assert_eq!(tail, &events[60..], "tail replay must resume exactly at the mark");
         // position-at-end replays nothing
-        let end = log.flushed_position().unwrap();
+        let end = log.buffered_position();
         assert_eq!(EventLog::replay_iter_from(&dir, end).unwrap().count(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1198,11 +1189,13 @@ mod tests {
             for i in 0..10 {
                 log.append(&event(i)).unwrap();
             }
-            let mark = log.flushed_position().unwrap();
+            log.flush().unwrap();
+            let mark = log.buffered_position();
             for i in 10..19 {
                 log.append(&event(i)).unwrap();
             }
-            let last_frame = log.flushed_position().unwrap();
+            log.flush().unwrap();
+            let last_frame = log.buffered_position();
             log.append(&event(19)).unwrap();
             log.flush().unwrap();
             let (_, torn_len) = tear_last_segment(&dir, 3);
@@ -1229,7 +1222,8 @@ mod tests {
         for e in &events[..90] {
             log.append(e).unwrap();
         }
-        let mark = log.flushed_position().unwrap();
+        log.flush().unwrap();
+        let mark = log.buffered_position();
         for e in &events[90..] {
             log.append(e).unwrap();
         }
@@ -1263,8 +1257,8 @@ mod tests {
         for i in 0..90 {
             log.append(&event(i)).unwrap();
         }
-        let mark = log.flushed_position().unwrap();
         log.flush().unwrap();
+        let mark = log.buffered_position();
         // compact past the snapshot position (an operator error): the
         // mark's own segment is gone, so resuming must fail loudly
         // rather than silently skipping events

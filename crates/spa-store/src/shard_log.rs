@@ -23,7 +23,7 @@
 //!   …
 //! ```
 
-use crate::fault::{real_io, StorageIo};
+use crate::fault::StorageIo;
 use crate::log::{CompactionStats, EventLog, LogConfig, LogPosition, LogStats, WriteFaultCounters};
 use spa_types::{LifeLogEvent, Result, ShardId, SpaError};
 use std::fs;
@@ -117,16 +117,12 @@ pub struct ShardedEventLog {
 }
 
 impl ShardedEventLog {
-    /// Opens (creating if needed) a sharded log with `shards` shards.
-    /// If the directory was used before, the manifest must agree —
-    /// replaying events under a different partitioning would silently
-    /// scramble per-shard streams, so a mismatch is a loud error.
-    pub fn open(root: impl Into<PathBuf>, shards: usize, config: LogConfig) -> Result<Self> {
-        Self::open_with_io(root, shards, config, real_io())
-    }
-
-    /// [`ShardedEventLog::open`] with an explicit [`StorageIo`] seam,
-    /// shared by every shard's log (see [`EventLog::open_with_io`]).
+    /// Opens (creating if needed) a sharded log with `shards` shards,
+    /// whose logs share one [`StorageIo`] seam (see
+    /// [`EventLog::open_with_io`]). If the directory was used before,
+    /// the manifest must agree — replaying events under a different
+    /// partitioning would silently scramble per-shard streams, so a
+    /// mismatch is a loud error.
     pub fn open_with_io(
         root: impl Into<PathBuf>,
         shards: usize,
@@ -158,13 +154,8 @@ impl ShardedEventLog {
 
     /// Opens an existing sharded log, taking the shard count from the
     /// manifest (the crash-recovery entry point: the recovering process
-    /// does not need to know the original configuration).
-    pub fn open_existing(root: impl Into<PathBuf>, config: LogConfig) -> Result<Self> {
-        Self::open_existing_with_io(root, config, real_io())
-    }
-
-    /// [`ShardedEventLog::open_existing`] with an explicit
-    /// [`StorageIo`] seam.
+    /// does not need to know the original configuration), with an
+    /// explicit [`StorageIo`] seam.
     pub fn open_existing_with_io(
         root: impl Into<PathBuf>,
         config: LogConfig,
@@ -175,19 +166,9 @@ impl ShardedEventLog {
         Self::open_with_io(root, shards, config, io)
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.logs.len()
-    }
-
     /// Root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// The log backing one shard.
-    pub fn log(&self, shard: ShardId) -> &EventLog {
-        &self.logs[shard.index()]
     }
 
     /// Appends one event to one shard's log.
@@ -288,6 +269,7 @@ impl ShardedEventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::real_io;
     use spa_types::{ActionId, EventKind, Timestamp, UserId};
 
     fn tmp_root(name: &str) -> PathBuf {
@@ -307,7 +289,7 @@ mod tests {
     #[test]
     fn routes_appends_to_the_right_shard() {
         let root = tmp_root("route");
-        let set = ShardedEventLog::open(&root, 3, LogConfig::default()).unwrap();
+        let set = ShardedEventLog::open_with_io(&root, 3, LogConfig::default(), real_io()).unwrap();
         for i in 0..30 {
             set.append(ShardId::new(i % 3), &event(i)).unwrap();
         }
@@ -329,23 +311,25 @@ mod tests {
     fn manifest_pins_the_shard_count() {
         let root = tmp_root("manifest");
         {
-            let _ = ShardedEventLog::open(&root, 4, LogConfig::default()).unwrap();
+            let _ =
+                ShardedEventLog::open_with_io(&root, 4, LogConfig::default(), real_io()).unwrap();
         }
         // reopening with the same count is fine, a different count is loud
-        assert!(ShardedEventLog::open(&root, 4, LogConfig::default()).is_ok());
+        assert!(ShardedEventLog::open_with_io(&root, 4, LogConfig::default(), real_io()).is_ok());
         assert!(matches!(
-            ShardedEventLog::open(&root, 5, LogConfig::default()),
+            ShardedEventLog::open_with_io(&root, 5, LogConfig::default(), real_io()),
             Err(SpaError::Invalid(_))
         ));
-        let reopened = ShardedEventLog::open_existing(&root, LogConfig::default()).unwrap();
-        assert_eq!(reopened.shards(), 4);
+        let reopened =
+            ShardedEventLog::open_existing_with_io(&root, LogConfig::default(), real_io()).unwrap();
+        assert_eq!(reopened.logs.len(), 4);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn zero_shards_is_invalid() {
         let root = tmp_root("zero");
-        assert!(ShardedEventLog::open(&root, 0, LogConfig::default()).is_err());
+        assert!(ShardedEventLog::open_with_io(&root, 0, LogConfig::default(), real_io()).is_err());
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -353,7 +337,9 @@ mod tests {
     fn open_existing_without_manifest_is_an_error() {
         let root = tmp_root("nomanifest");
         fs::create_dir_all(&root).unwrap();
-        assert!(ShardedEventLog::open_existing(&root, LogConfig::default()).is_err());
+        assert!(
+            ShardedEventLog::open_existing_with_io(&root, LogConfig::default(), real_io()).is_err()
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -363,7 +349,7 @@ mod tests {
         fs::create_dir_all(&root).unwrap();
         fs::write(root.join(MANIFEST), "not-a-number\n").unwrap();
         assert!(matches!(
-            ShardedEventLog::open_existing(&root, LogConfig::default()),
+            ShardedEventLog::open_existing_with_io(&root, LogConfig::default(), real_io()),
             Err(SpaError::Corrupt(_))
         ));
         let _ = fs::remove_dir_all(&root);
@@ -373,7 +359,8 @@ mod tests {
     fn snapshot_registration_round_trips_and_merges() {
         let root = tmp_root("register");
         {
-            let _ = ShardedEventLog::open(&root, 3, LogConfig::default()).unwrap();
+            let _ =
+                ShardedEventLog::open_with_io(&root, 3, LogConfig::default(), real_io()).unwrap();
         }
         assert_eq!(
             ShardedEventLog::registered_snapshots(&root).unwrap(),
@@ -394,8 +381,9 @@ mod tests {
             vec![Some(first), Some(second), None]
         );
         // the count line still reads back, and reopening still works
-        let reopened = ShardedEventLog::open_existing(&root, LogConfig::default()).unwrap();
-        assert_eq!(reopened.shards(), 3);
+        let reopened =
+            ShardedEventLog::open_existing_with_io(&root, LogConfig::default(), real_io()).unwrap();
+        assert_eq!(reopened.logs.len(), 3);
         // wrong-arity registration is rejected
         assert!(ShardedEventLog::register_snapshots(&root, &[None]).is_err());
         let _ = fs::remove_dir_all(&root);
@@ -409,7 +397,7 @@ mod tests {
         assert!(matches!(ShardedEventLog::registered_snapshots(&root), Err(SpaError::Corrupt(_))));
         fs::write(root.join(MANIFEST), "2\nnonsense line\n").unwrap();
         assert!(matches!(
-            ShardedEventLog::open_existing(&root, LogConfig::default()),
+            ShardedEventLog::open_existing_with_io(&root, LogConfig::default(), real_io()),
             Err(SpaError::Corrupt(_))
         ));
         let _ = fs::remove_dir_all(&root);

@@ -58,14 +58,14 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"SPASNAP1";
 
 /// Current container format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// Suffix of finished snapshot files.
-pub const SNAPSHOT_EXT: &str = "snap";
+pub(crate) const SNAPSHOT_EXT: &str = "snap";
 
 /// Suffix of in-flight temporary files (ignored by discovery, removed
 /// loudly by recovery's [`remove_stale_temps`]).
-pub const TMP_EXT: &str = "snap-tmp";
+pub(crate) const TMP_EXT: &str = "snap-tmp";
 
 /// Makes a completed rename durable by fsyncing its directory. A POSIX
 /// notion — on non-unix targets the rename is left to the OS's own
@@ -334,7 +334,7 @@ impl Snapshot {
 
 /// Canonical file name of a snapshot covering `position`, sortable by
 /// position (zero-padded) so lexical order is coverage order.
-pub fn snapshot_file_name(position: LogPosition) -> String {
+pub(crate) fn snapshot_file_name(position: LogPosition) -> String {
     format!("snapshot-{:010}-{:012}.{SNAPSHOT_EXT}", position.segment, position.offset)
 }
 

@@ -44,7 +44,7 @@ impl ActionKind {
     /// True for the families the paper counts as transactions
     /// ("click streams, information requirement …, enrollments,
     /// opinions" — §5.4 counts these as the actions campaigns elicit).
-    pub fn is_transactional(self) -> bool {
+    pub(crate) fn is_transactional(self) -> bool {
         matches!(self, ActionKind::InfoRequest | ActionKind::Enroll | ActionKind::Opinion)
     }
 }
@@ -57,12 +57,12 @@ pub struct ActionCatalog {
 
 impl ActionCatalog {
     /// Paper-scale catalog: exactly 984 actions.
-    pub const EMAGISTER_ACTIONS: usize = 984;
+    pub(crate) const EMAGISTER_ACTIONS: usize = 984;
 
     /// Builds a catalog of `n` actions, spreading the behavioural
     /// families with realistic skew: browsing dominates, enrollments
     /// are rare.
-    pub fn new(n: usize) -> Result<Self> {
+    pub(crate) fn new(n: usize) -> Result<Self> {
         if n < ActionKind::ALL.len() {
             return Err(SpaError::Invalid(format!(
                 "catalog needs at least {} actions",
@@ -116,7 +116,7 @@ impl ActionCatalog {
 
     /// Samples an action, biased toward the given family with
     /// probability `bias` (else uniform over the catalog).
-    pub fn sample(&self, rng: &mut StdRng, prefer: ActionKind, bias: f64) -> ActionId {
+    pub(crate) fn sample(&self, rng: &mut StdRng, prefer: ActionKind, bias: f64) -> ActionId {
         if rng.gen::<f64>() < bias {
             let pool = self.actions_of(prefer);
             if !pool.is_empty() {
@@ -138,7 +138,7 @@ pub struct Course {
     /// step 1): the emotional attributes the course can appeal to.
     pub appeal: Vec<EmotionalAttribute>,
     /// Relative price level in `[0, 1]`.
-    pub price_level: f64,
+    pub(crate) price_level: f64,
 }
 
 /// The course catalog.
@@ -184,7 +184,7 @@ impl CourseCatalog {
     }
 
     /// Number of topics.
-    pub fn n_topics(&self) -> usize {
+    pub(crate) fn n_topics(&self) -> usize {
         self.n_topics
     }
 
@@ -199,7 +199,7 @@ impl CourseCatalog {
     }
 
     /// Courses in one topic.
-    pub fn by_topic(&self, topic: usize) -> Vec<&Course> {
+    pub(crate) fn by_topic(&self, topic: usize) -> Vec<&Course> {
         self.courses.iter().filter(|c| c.topic == topic).collect()
     }
 }

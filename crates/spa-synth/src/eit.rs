@@ -64,13 +64,6 @@ impl AnswerSimulator {
         let answer = Valence::new(2.0 * sensibility - 1.0 + noise);
         LifeLogEvent::new(user.id, at, EventKind::EitAnswer { question, answer })
     }
-
-    /// Converts an expressed answer valence back to a `[0, 1]`
-    /// sensibility estimate (the inverse of the mapping in
-    /// [`Self::react`]; the platform-side decoder).
-    pub fn valence_to_sensibility(answer: Valence) -> f64 {
-        (answer.value() + 1.0) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -166,21 +159,13 @@ mod tests {
                 );
                 if let EventKind::EitAnswer { answer, .. } = e.kind {
                     xs.push(user.sensibility(EmotionalAttribute::Enthusiastic));
-                    ys.push(AnswerSimulator::valence_to_sensibility(answer));
+                    ys.push(answer.value());
                 }
             }
         }
         assert!(xs.len() > 100, "need a reasonable sample, got {}", xs.len());
         let r = spa_linalg::stats::correlation(&xs, &ys);
         assert!(r > 0.85, "answers must reflect latent sensibility, r = {r}");
-    }
-
-    #[test]
-    fn valence_mapping_round_trips_without_noise() {
-        for s in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let v = Valence::new(2.0 * s - 1.0);
-            assert!((AnswerSimulator::valence_to_sensibility(v) - s).abs() < 1e-12);
-        }
     }
 
     #[test]

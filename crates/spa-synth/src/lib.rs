@@ -18,7 +18,7 @@
 //!   the §5.1 stats table);
 //! * [`eit`] — the Gradual-EIT answering process, with the non-response
 //!   behaviour that creates the paper's sparsity problem;
-//! * [`response`] — the latent campaign-response model: the probability
+//! * `response` — the latent campaign-response model: the probability
 //!   a user transacts given the message variant they received, used as
 //!   ground truth by the campaign engine;
 //! * [`scenario`] — declarative lifecycle scenarios ("production
@@ -30,12 +30,13 @@
 //! Everything is deterministic for a given seed.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod catalog;
 pub mod eit;
 pub mod population;
-pub mod response;
+pub(crate) mod response;
 pub mod scenario;
 pub mod weblog;
 

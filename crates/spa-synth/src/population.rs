@@ -23,17 +23,14 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use spa_linalg::SparseVec;
 use spa_types::{AttributeSchema, Result, SpaError, UserId, EMOTIONAL_ATTRIBUTES};
 
 /// Number of emotional attributes (paper §5.1).
-pub const N_EMOTIONAL: usize = 10;
+pub(crate) const N_EMOTIONAL: usize = 10;
 /// Number of objective attributes in the emagister schema.
-pub const N_OBJECTIVE: usize = 40;
+pub(crate) const N_OBJECTIVE: usize = 40;
 /// Number of subjective attributes in the emagister schema.
-pub const N_SUBJECTIVE: usize = 25;
-/// Total attribute count (paper §5.1: 75).
-pub const N_ATTRIBUTES: usize = N_OBJECTIVE + N_SUBJECTIVE + N_EMOTIONAL;
+pub(crate) const N_SUBJECTIVE: usize = 25;
 
 /// Configuration for population generation.
 #[derive(Debug, Clone)]
@@ -76,13 +73,13 @@ pub struct LatentUser {
     /// Objective attribute values in `[0, 1]`.
     pub objective: Vec<f64>,
     /// Subjective attribute values in `[0, 1]`.
-    pub subjective: Vec<f64>,
+    pub(crate) subjective: Vec<f64>,
     /// Baseline log-odds offset for transacting, roughly in `[-1, 1]`.
-    pub base_propensity: f64,
+    pub(crate) base_propensity: f64,
     /// Relative WebLog volume in `(0, 1]`.
-    pub activity: f64,
+    pub(crate) activity: f64,
     /// Probability of answering any given EIT question.
-    pub eit_response_rate: f64,
+    pub(crate) eit_response_rate: f64,
 }
 
 impl LatentUser {
@@ -106,9 +103,7 @@ impl LatentUser {
 /// A generated population plus the attribute schema it speaks.
 #[derive(Debug, Clone)]
 pub struct Population {
-    config: PopulationConfig,
     schema: AttributeSchema,
-    archetypes: Vec<[f64; N_EMOTIONAL]>,
     users: Vec<LatentUser>,
 }
 
@@ -189,12 +184,7 @@ impl Population {
                 eit_response_rate,
             });
         }
-        Ok(Self { config, schema: AttributeSchema::emagister(), archetypes, users })
-    }
-
-    /// The generation configuration.
-    pub fn config(&self) -> &PopulationConfig {
-        &self.config
+        Ok(Self { schema: AttributeSchema::emagister(), users })
     }
 
     /// The 75-attribute emagister schema this population speaks.
@@ -220,55 +210,6 @@ impl Population {
     /// Iterates over all users.
     pub fn users(&self) -> impl Iterator<Item = &LatentUser> {
         self.users.iter()
-    }
-
-    /// Archetype profiles.
-    pub fn archetypes(&self) -> &[[f64; N_EMOTIONAL]] {
-        &self.archetypes
-    }
-
-    /// The **observed** feature row for a user, as the SPA platform
-    /// would see it after pre-processing:
-    ///
-    /// * objective attributes: always observed (measurement noise σ=0.02);
-    /// * subjective attributes: observed only when the user has been
-    ///   active enough for WebLogs to reveal them (σ=0.08);
-    /// * emotional attributes: observed only where `answered[i]`
-    ///   (σ=0.08) — the Gradual-EIT sparsity.
-    ///
-    /// Values land in `[0, 1]`; feature order follows
-    /// [`AttributeSchema::emagister`]. `noise_seed` isolates observation
-    /// noise from generation noise.
-    pub fn observed_row(
-        &self,
-        id: UserId,
-        answered: &[bool; N_EMOTIONAL],
-        noise_seed: u64,
-    ) -> Result<SparseVec> {
-        let user = self.user(id).ok_or_else(|| SpaError::NotFound(format!("user {id}")))?;
-        let mut rng =
-            StdRng::seed_from_u64(noise_seed ^ (id.raw() as u64).wrapping_mul(0x9E37_79B9));
-        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(N_ATTRIBUTES);
-        for (i, &v) in user.objective.iter().enumerate() {
-            pairs.push((i as u32, clamp01(v + 0.02 * gauss(&mut rng)).max(1e-9)));
-        }
-        if user.activity > 0.1 {
-            for (i, &v) in user.subjective.iter().enumerate() {
-                pairs.push((
-                    (N_OBJECTIVE + i) as u32,
-                    clamp01(v + 0.08 * gauss(&mut rng)).max(1e-9),
-                ));
-            }
-        }
-        for (i, &v) in user.emotional.iter().enumerate() {
-            if answered[i] {
-                pairs.push((
-                    (N_OBJECTIVE + N_SUBJECTIVE + i) as u32,
-                    clamp01(v + 0.08 * gauss(&mut rng)).max(1e-9),
-                ));
-            }
-        }
-        SparseVec::from_pairs(N_ATTRIBUTES, pairs)
     }
 }
 
@@ -320,7 +261,6 @@ mod tests {
     fn schema_matches_paper_dimensions() {
         let p = small();
         assert_eq!(p.schema().len(), 75);
-        assert_eq!(N_ATTRIBUTES, 75);
     }
 
     #[test]
@@ -379,37 +319,6 @@ mod tests {
         let dom = u.dominant_emotion();
         let max = u.emotional.iter().cloned().fold(f64::MIN, f64::max);
         assert_eq!(u.sensibility(dom), max);
-    }
-
-    #[test]
-    fn observed_row_respects_answer_mask() {
-        let p = small();
-        let no_answers = [false; N_EMOTIONAL];
-        let all_answers = [true; N_EMOTIONAL];
-        let row_none = p.observed_row(UserId::new(3), &no_answers, 1).unwrap();
-        let row_all = p.observed_row(UserId::new(3), &all_answers, 1).unwrap();
-        let emo_range = (N_OBJECTIVE + N_SUBJECTIVE) as u32..N_ATTRIBUTES as u32;
-        assert!(row_none.iter().all(|(i, _)| !emo_range.contains(&i)));
-        let observed_emo = row_all.iter().filter(|(i, _)| emo_range.contains(i)).count();
-        assert_eq!(observed_emo, N_EMOTIONAL);
-        assert_eq!(row_all.dim(), 75);
-    }
-
-    #[test]
-    fn observed_row_noise_is_deterministic_per_seed() {
-        let p = small();
-        let mask = [true; N_EMOTIONAL];
-        let a = p.observed_row(UserId::new(5), &mask, 42).unwrap();
-        let b = p.observed_row(UserId::new(5), &mask, 42).unwrap();
-        let c = p.observed_row(UserId::new(5), &mask, 43).unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn observed_row_unknown_user_errors() {
-        let p = small();
-        assert!(p.observed_row(UserId::new(9999), &[true; N_EMOTIONAL], 0).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   attributes, so non-emotional models retain some skill);
 //! * an optional per-contact noise term.
 //!
-//! [`ResponseModel::calibrate`] bisects the intercept so the population
+//! [`ResponseModel::calibrate_mixed`] bisects the intercept so the population
 //! mean response matches a target rate — the paper's Fig 6(b) average
 //! predictive score of ≈21% is the calibration target for E4.
 
@@ -26,7 +26,7 @@ use spa_types::{EmotionalAttribute, Result, SpaError};
 #[derive(Debug, Clone)]
 pub struct ResponseConfig {
     /// Intercept (log-odds of responding with zero match and neutral
-    /// propensity). Set by [`ResponseModel::calibrate`].
+    /// propensity). Set by `ResponseModel::calibrate_mixed`.
     pub intercept: f64,
     /// Weight on the message/sensibility match term.
     pub match_weight: f64,
@@ -60,11 +60,6 @@ impl ResponseModel {
     /// Wraps a configuration.
     pub fn new(config: ResponseConfig) -> Self {
         Self { config }
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> &ResponseConfig {
-        &self.config
     }
 
     /// Match term: the user's latent sensibility for the message's
@@ -116,7 +111,7 @@ impl ResponseModel {
     /// Mean response probability over a population when every user
     /// receives the message variant that best matches their latent
     /// profile (`best_match = true`) or a generic message (`false`).
-    pub fn mean_probability(&self, population: &Population, best_match: bool) -> f64 {
+    pub(crate) fn mean_probability(&self, population: &Population, best_match: bool) -> f64 {
         let total: f64 = population
             .users()
             .map(|u| {
@@ -127,18 +122,12 @@ impl ResponseModel {
         total / population.len() as f64
     }
 
-    /// Bisects the intercept so that `mean_probability(population,
-    /// best_match)` hits `target` (±1e-4). This pins the synthetic
-    /// campaign's average response rate to the paper's observed ≈21%.
-    pub fn calibrate(self, population: &Population, target: f64, best_match: bool) -> Result<Self> {
-        let coverage = if best_match { 1.0 } else { 0.0 };
-        self.calibrate_mixed(population, target, coverage)
-    }
-
-    /// Like [`Self::calibrate`], but against a *mixed* audience in which
-    /// a fraction `coverage` of users receives their best-matching
-    /// message and the rest the generic one. This models the realistic
-    /// campaign mix: the Gradual EIT only ever discovers sensibilities
+    /// Bisects the intercept so that the mean response probability over
+    /// a *mixed* audience hits `target` (±1e-4): a fraction `coverage` of
+    /// users receives their best-matching message and the rest the
+    /// generic one. This pins the synthetic campaign's average response
+    /// rate to the paper's observed ≈21%. The mix models the realistic
+    /// campaign: the Gradual EIT only ever discovers sensibilities
     /// for part of the audience (§5.2's sparsity problem), so only part
     /// of the contacts are emotionally matched.
     pub fn calibrate_mixed(
@@ -220,7 +209,7 @@ mod tests {
     fn calibration_hits_the_target() {
         let pop = population();
         let model =
-            ResponseModel::new(ResponseConfig::default()).calibrate(&pop, 0.21, true).unwrap();
+            ResponseModel::new(ResponseConfig::default()).calibrate_mixed(&pop, 0.21, 1.0).unwrap();
         let mean = model.mean_probability(&pop, true);
         assert!((mean - 0.21).abs() < 0.005, "calibrated mean {mean}");
     }
@@ -228,15 +217,19 @@ mod tests {
     #[test]
     fn calibration_rejects_absurd_targets() {
         let pop = population();
-        assert!(ResponseModel::new(ResponseConfig::default()).calibrate(&pop, 0.0, true).is_err());
-        assert!(ResponseModel::new(ResponseConfig::default()).calibrate(&pop, 1.0, true).is_err());
+        assert!(ResponseModel::new(ResponseConfig::default())
+            .calibrate_mixed(&pop, 0.0, 1.0)
+            .is_err());
+        assert!(ResponseModel::new(ResponseConfig::default())
+            .calibrate_mixed(&pop, 1.0, 1.0)
+            .is_err());
     }
 
     #[test]
     fn bernoulli_draws_match_probabilities_in_aggregate() {
         let pop = population();
         let model = ResponseModel::new(ResponseConfig { noise: 0.0, ..Default::default() })
-            .calibrate(&pop, 0.2, true)
+            .calibrate_mixed(&pop, 0.2, 1.0)
             .unwrap();
         let mut hits = 0u32;
         for (k, user) in pop.users().enumerate() {

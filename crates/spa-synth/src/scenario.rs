@@ -29,13 +29,13 @@ use spa_types::{
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CohortSpec {
     /// First user id in the cohort.
-    pub first_user: u32,
+    pub(crate) first_user: u32,
     /// Number of consecutive user ids in the cohort.
-    pub users: u32,
+    pub(crate) users: u32,
     /// First tick (inclusive) the cohort is present.
-    pub arrive_tick: u32,
+    pub(crate) arrive_tick: u32,
     /// Tick (exclusive) the cohort churns out; `None` = stays forever.
-    pub depart_tick: Option<u32>,
+    pub(crate) depart_tick: Option<u32>,
 }
 
 impl CohortSpec {
@@ -49,15 +49,15 @@ impl CohortSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignPhase {
     /// Campaign identity.
-    pub campaign: CampaignId,
+    pub(crate) campaign: CampaignId,
     /// Emotional appeal the campaign targets (used when registering
     /// the campaign on a platform; the engine itself only needs the
     /// window).
-    pub appeal: Vec<EmotionalAttribute>,
+    pub(crate) appeal: Vec<EmotionalAttribute>,
     /// First tick (inclusive) the flight is live.
-    pub start_tick: u32,
+    pub(crate) start_tick: u32,
     /// Tick (exclusive) the flight stops.
-    pub stop_tick: u32,
+    pub(crate) stop_tick: u32,
 }
 
 impl CampaignPhase {
@@ -73,9 +73,9 @@ impl CampaignPhase {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValenceDrift {
     /// Peak shift applied to answer valences (0 disables drift).
-    pub amplitude: f64,
+    pub(crate) amplitude: f64,
     /// Period of the drift cycle in ticks (must be positive).
-    pub period_ticks: f64,
+    pub(crate) period_ticks: f64,
 }
 
 impl Default for ValenceDrift {
@@ -202,7 +202,7 @@ impl ScenarioSpec {
     /// Validates the spec (non-empty cohorts, sane windows, positive
     /// knobs) so engine construction fails loudly instead of emitting a
     /// degenerate stream.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let invalid =
             |msg: String| Err(SpaError::Invalid(format!("scenario {}: {msg}", self.name)));
         if self.ticks == 0 || self.events_per_tick == 0 {
@@ -244,13 +244,13 @@ impl ScenarioSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TickBatch {
     /// Tick index within the scenario.
-    pub tick: u32,
+    pub(crate) tick: u32,
     /// The events of this tick, in generation order.
     pub events: Vec<LifeLogEvent>,
     /// How many users were active this tick.
-    pub active_users: usize,
+    pub(crate) active_users: usize,
     /// Campaign flights live this tick.
-    pub active_campaigns: Vec<CampaignId>,
+    pub(crate) active_campaigns: Vec<CampaignId>,
 }
 
 /// Executes a [`ScenarioSpec`] deterministically, one [`TickBatch`]
@@ -286,21 +286,11 @@ impl ScenarioEngine {
         Ok(Self { spec, rng, tick: 0, active: Vec::new(), cdf: Vec::new() })
     }
 
-    /// The spec being executed.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
     /// Every campaign the scenario will ever run, for registering on a
     /// platform at bring-up (campaign configuration is not logged, so
     /// live and recovered platforms must register identically).
     pub fn all_campaigns(&self) -> Vec<(CampaignId, Vec<EmotionalAttribute>)> {
         self.spec.campaigns.iter().map(|p| (p.campaign, p.appeal.clone())).collect()
-    }
-
-    /// Ticks not yet generated.
-    pub fn ticks_remaining(&self) -> u32 {
-        self.spec.ticks - self.tick
     }
 
     fn rebuild_active(&mut self, tick: u32) {

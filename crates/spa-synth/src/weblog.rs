@@ -44,14 +44,14 @@ pub struct WeblogStats {
     pub active_users: u64,
     /// Estimated raw-log volume in bytes (at the ~160 bytes/record of a
     /// classic Apache combined log line).
-    pub estimated_bytes: u64,
+    pub(crate) estimated_bytes: u64,
     /// `estimated_bytes` normalized to a 30-day month.
     pub estimated_bytes_per_month: u64,
 }
 
 /// Bytes per raw WebLog record in the volume estimate (Apache combined
 /// log format averages ≈160 bytes/line).
-pub const BYTES_PER_RAW_RECORD: u64 = 160;
+pub(crate) const BYTES_PER_RAW_RECORD: u64 = 160;
 
 /// Generates WebLog events for the whole population, invoking `sink`
 /// for each event (streaming, so millions of events need not fit in

@@ -91,7 +91,7 @@ impl EmotionalAttribute {
     /// Canonical valence direction: the first six attributes express
     /// attraction (positive affect toward the recommended item), the
     /// last four aversion or inhibition.
-    pub fn canonical_valence(self) -> Valence {
+    pub(crate) fn canonical_valence(self) -> Valence {
         match self {
             EmotionalAttribute::Enthusiastic
             | EmotionalAttribute::Motivated
@@ -110,11 +110,6 @@ impl EmotionalAttribute {
     pub fn ordinal(self) -> usize {
         EMOTIONAL_ATTRIBUTES.iter().position(|&e| e == self).expect("every variant is listed")
     }
-
-    /// Parses the lower-case paper name.
-    pub fn parse(name: &str) -> Option<Self> {
-        EMOTIONAL_ATTRIBUTES.into_iter().find(|e| e.name() == name)
-    }
 }
 
 impl fmt::Display for EmotionalAttribute {
@@ -127,7 +122,7 @@ impl fmt::Display for EmotionalAttribute {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeDef {
     /// Stable identifier; equals the attribute's position in the schema.
-    pub id: AttributeId,
+    pub(crate) id: AttributeId,
     /// Human-readable name (unique within a schema).
     pub name: String,
     /// Objective / subjective / emotional.
@@ -212,18 +207,13 @@ impl AttributeSchema {
         self.defs.get(id.index())
     }
 
-    /// Looks an id up by name.
-    pub fn id_of(&self, name: &str) -> Option<AttributeId> {
-        self.by_name.get(name).copied()
-    }
-
     /// Iterates over all definitions in id order.
     pub fn iter(&self) -> impl Iterator<Item = &AttributeDef> {
         self.defs.iter()
     }
 
     /// Iterates over definitions of one kind.
-    pub fn of_kind(&self, kind: AttributeKind) -> impl Iterator<Item = &AttributeDef> {
+    pub(crate) fn of_kind(&self, kind: AttributeKind) -> impl Iterator<Item = &AttributeDef> {
         self.defs.iter().filter(move |d| d.kind == kind)
     }
 
@@ -273,18 +263,10 @@ mod tests {
 
     #[test]
     fn canonical_valences_split_positive_negative() {
-        let positives = EMOTIONAL_ATTRIBUTES.iter().filter(|e| e.canonical_valence().is_positive());
-        let negatives = EMOTIONAL_ATTRIBUTES.iter().filter(|e| e.canonical_valence().is_negative());
+        let positives = EMOTIONAL_ATTRIBUTES.iter().filter(|e| e.canonical_valence().value() > 0.0);
+        let negatives = EMOTIONAL_ATTRIBUTES.iter().filter(|e| e.canonical_valence().value() < 0.0);
         assert_eq!(positives.count(), 6);
         assert_eq!(negatives.count(), 4);
-    }
-
-    #[test]
-    fn parse_round_trips() {
-        for e in EMOTIONAL_ATTRIBUTES {
-            assert_eq!(EmotionalAttribute::parse(e.name()), Some(e));
-        }
-        assert_eq!(EmotionalAttribute::parse("angry"), None);
     }
 
     #[test]
@@ -299,7 +281,6 @@ mod tests {
         let s = AttributeSchema::emagister();
         for (i, def) in s.iter().enumerate() {
             assert_eq!(def.id.index(), i);
-            assert_eq!(s.id_of(&def.name), Some(def.id));
             assert_eq!(s.get(def.id), Some(def));
         }
     }
@@ -318,7 +299,6 @@ mod tests {
         let s = AttributeSchema::new();
         assert!(s.is_empty());
         assert_eq!(s.get(AttributeId::new(0)), None);
-        assert_eq!(s.id_of("nope"), None);
     }
 
     #[test]

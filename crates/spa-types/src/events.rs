@@ -34,12 +34,6 @@ impl Timestamp {
     pub const fn plus_millis(self, ms: u64) -> Self {
         Timestamp(self.0 + ms)
     }
-
-    /// Saturating difference in milliseconds.
-    #[inline]
-    pub const fn millis_since(self, earlier: Timestamp) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl fmt::Display for Timestamp {
@@ -185,8 +179,6 @@ mod tests {
         let t0 = Timestamp::from_millis(100);
         let t1 = t0.plus_millis(50);
         assert_eq!(t1.millis(), 150);
-        assert_eq!(t1.millis_since(t0), 50);
-        assert_eq!(t0.millis_since(t1), 0, "difference saturates at zero");
     }
 
     #[test]

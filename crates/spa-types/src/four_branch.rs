@@ -34,7 +34,7 @@ pub const BRANCHES: [Branch; 4] =
 
 impl Branch {
     /// Branch number as printed in Table 1 (1-based).
-    pub fn number(self) -> u8 {
+    pub(crate) fn number(self) -> u8 {
         match self {
             Branch::Perceiving => 1,
             Branch::Facilitating => 2,
@@ -54,7 +54,7 @@ impl Branch {
     }
 
     /// One-line ability description.
-    pub fn description(self) -> &'static str {
+    pub(crate) fn description(self) -> &'static str {
         match self {
             Branch::Perceiving => {
                 "Ability to perceive emotions in oneself and others, and in objects, art and stories"

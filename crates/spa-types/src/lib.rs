@@ -17,14 +17,15 @@
 //! * raw interactions are collected into a **LifeLog** event stream.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod attributes;
-pub mod error;
-pub mod events;
+pub(crate) mod attributes;
+pub(crate) mod error;
+pub(crate) mod events;
 pub mod four_branch;
-pub mod ids;
-pub mod valence;
+pub(crate) mod ids;
+pub(crate) mod valence;
 
 pub use attributes::{
     AttributeDef, AttributeKind, AttributeSchema, EmotionalAttribute, EMOTIONAL_ATTRIBUTES,

@@ -24,8 +24,6 @@ pub struct Valence(f64);
 impl Valence {
     /// Maximum attraction.
     pub const MAX: Valence = Valence(1.0);
-    /// Maximum aversion.
-    pub const MIN: Valence = Valence(-1.0);
     /// Emotional indifference.
     pub const NEUTRAL: Valence = Valence(0.0);
 
@@ -43,35 +41,6 @@ impl Valence {
     #[inline]
     pub const fn value(self) -> f64 {
         self.0
-    }
-
-    /// True when the valence denotes attraction (strictly positive).
-    #[inline]
-    pub fn is_positive(self) -> bool {
-        self.0 > 0.0
-    }
-
-    /// True when the valence denotes aversion (strictly negative).
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self.0 < 0.0
-    }
-
-    /// Magnitude of the affective response, ignoring direction.
-    #[inline]
-    pub fn intensity(self) -> f64 {
-        self.0.abs()
-    }
-
-    /// Moves this valence toward `target` by fraction `rate` in `[0, 1]`.
-    ///
-    /// This is the primitive used by the reward/punish update stage: a
-    /// reward nudges the stored valence toward `MAX`, a punishment toward
-    /// `MIN`, with `rate` playing the role of a learning rate.
-    #[inline]
-    pub fn nudge_toward(self, target: Valence, rate: f64) -> Valence {
-        let rate = rate.clamp(0.0, 1.0);
-        Valence::new(self.0 + (target.0 - self.0) * rate)
     }
 }
 
@@ -128,39 +97,6 @@ mod tests {
     #[test]
     fn nan_becomes_neutral() {
         assert_eq!(Valence::new(f64::NAN), Valence::NEUTRAL);
-    }
-
-    #[test]
-    fn sign_predicates() {
-        assert!(Valence::new(0.1).is_positive());
-        assert!(Valence::new(-0.1).is_negative());
-        assert!(!Valence::NEUTRAL.is_positive());
-        assert!(!Valence::NEUTRAL.is_negative());
-    }
-
-    #[test]
-    fn intensity_is_absolute() {
-        assert_eq!(Valence::new(-0.4).intensity(), 0.4);
-        assert_eq!(Valence::new(0.4).intensity(), 0.4);
-    }
-
-    #[test]
-    fn nudge_moves_toward_target() {
-        let v = Valence::new(0.0).nudge_toward(Valence::MAX, 0.5);
-        assert!((v.value() - 0.5).abs() < 1e-12);
-        let w = v.nudge_toward(Valence::MIN, 0.5);
-        assert!((w.value() - (-0.25)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nudge_with_full_rate_reaches_target() {
-        assert_eq!(Valence::new(-0.8).nudge_toward(Valence::MAX, 1.0), Valence::MAX);
-    }
-
-    #[test]
-    fn nudge_clamps_rate() {
-        assert_eq!(Valence::new(0.0).nudge_toward(Valence::MAX, 5.0), Valence::MAX);
-        assert_eq!(Valence::new(0.3).nudge_toward(Valence::MAX, -1.0).value(), 0.3);
     }
 
     #[test]

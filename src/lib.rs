@@ -59,6 +59,7 @@
 //! index.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use spa_agents as agents;
 pub use spa_campaign as campaign;
