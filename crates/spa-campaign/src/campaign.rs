@@ -179,8 +179,8 @@ impl<'a> CampaignRunner<'a> {
     /// behind the sharded registry locks, and the response draw is
     /// keyed by `(campaign, contact index)` — so contacts are
     /// independent and the outcome is **byte-identical at any thread
-    /// count**, including 1. The hook sees the contact index `k` and
-    /// must be a pure function of the platform state for its user.
+    /// count**, including 1. The hook must be a pure function of the
+    /// platform state for its user.
     pub fn run_collect<T: Send>(
         &self,
         spa: &ShardedSpa,

@@ -24,17 +24,38 @@ use crate::campaign::{CampaignOutcome, CampaignRunner, CampaignSpec, Channel};
 use spa_core::platform::SpaConfig;
 use spa_core::selection::SelectionFunction;
 use spa_core::ShardedSpa;
-use spa_linalg::SparseVec;
+use spa_linalg::RowView;
 use spa_ml::metrics::{self, GainsPoint};
 use spa_ml::Dataset;
 use spa_synth::catalog::{ActionCatalog, CourseCatalog};
 use spa_synth::weblog::{self, WeblogConfig};
 use spa_synth::{Population, PopulationConfig, ResponseConfig, ResponseModel};
-use spa_types::{CampaignId, CourseId, Result, SpaError, Timestamp, UserId};
+use spa_types::{AttributeId, CampaignId, CourseId, Result, SpaError, Timestamp, UserId};
+use std::cell::RefCell;
 
 /// Number of attributes in the non-emotional block (objective +
 /// subjective) — the ablation keeps features below this index.
 const NON_EMOTIONAL_DIM: u32 = 65;
+
+/// One campaign-aware feature row, written in place by
+/// [`Experiment::featurize`]: its buffers are reused from contact to
+/// contact, so featurizing allocates nothing once they have grown.
+#[derive(Default)]
+struct FeatureRow {
+    indices: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl FeatureRow {
+    fn view(&self, dim: usize) -> RowView<'_> {
+        RowView::new(dim, &self.indices, &self.values)
+    }
+}
+
+thread_local! {
+    /// The feature row of the contacts this thread runs.
+    static FEATURE_ROW: RefCell<FeatureRow> = RefCell::default();
+}
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -179,31 +200,39 @@ impl Experiment {
         &self.response
     }
 
-    fn mask(&self, row: SparseVec) -> SparseVec {
-        if self.config.mask_emotional {
-            row.masked(|i| i < NON_EMOTIONAL_DIM)
-        } else {
-            row
-        }
-    }
-
-    /// Campaign-aware feature row: the (masked) advice-stage row plus
-    /// two *match features* — the maximum and mean estimated sensibility
-    /// of the user for the campaign course's appeal attributes. The
-    /// paper scores users per campaign ("ranking users to assess their
-    /// propensity to accept a recommended item", §5.2), and the match
-    /// features are exactly what a per-campaign model can see: how well
-    /// this user's discovered emotional profile fits *this* course's
-    /// sales talk. Under the E7 ablation they are zeroed along with the
-    /// emotional block.
+    /// Campaign-aware feature row, written into `row`: the advice-stage
+    /// row (its emotional block dropped under the E7 ablation) plus
+    /// four *match features* at the schema's width and above — the
+    /// maximum and mean estimated sensibility of the user for the
+    /// campaign course's appeal attributes, the assigned message's
+    /// estimate and a matched flag. The paper scores users per campaign
+    /// ("ranking users to assess their propensity to accept a
+    /// recommended item", §5.2), and the match features are exactly
+    /// what a per-campaign model can see: how well this user's
+    /// discovered emotional profile fits *this* course's sales talk.
+    /// Under the E7 ablation they are zeroed along with the emotional
+    /// block. `emotional_ids` is the schema's emotional block.
     fn featurize(
         &self,
         spa: &ShardedSpa,
+        emotional_ids: &[AttributeId],
         user: UserId,
         appeal: &[spa_types::EmotionalAttribute],
         message: &spa_core::messaging::AssignedMessage,
-    ) -> SparseVec {
-        let base = self.mask(spa.advice_row(user).unwrap_or_else(|_| SparseVec::zeros(75)));
+        row: &mut FeatureRow,
+    ) {
+        row.indices.clear();
+        row.values.clear();
+        // the published row is copied straight out of its read guard;
+        // its indices ascend, so the ablation keeps a prefix
+        let keep_below = if self.config.mask_emotional { NON_EMOTIONAL_DIM } else { u32::MAX };
+        spa.with_advice_row(user, |advice| {
+            if let Some(advice) = advice {
+                let kept = advice.indices().partition_point(|&i| i < keep_below);
+                row.indices.extend_from_slice(&advice.indices()[..kept]);
+                row.values.extend_from_slice(&advice.values()[..kept]);
+            }
+        });
         // one borrowed read of the user's model (under its registry
         // shard mutex) computes every match feature — no whole-model
         // clone per contact (this runs inside the per-campaign contact
@@ -215,9 +244,8 @@ impl Experiment {
             } else {
                 spa.with_model_read(user, |model| match model {
                     Some(model) => {
-                        let ids = spa.schema().emotional_ids();
                         let estimates = appeal.iter().map(|e| {
-                            let attr = ids[e.ordinal()];
+                            let attr = emotional_ids[e.ordinal()];
                             if model.relevance(attr) > 0.0 {
                                 model.value(attr)
                             } else {
@@ -234,7 +262,7 @@ impl Experiment {
                         // the assigned message is known before the send: its
                         // appealed attribute's estimate and a matched flag
                         let (estimate, flag) = match message.attribute {
-                            Some(emo) => (model.value(ids[emo.ordinal()]), 1.0),
+                            Some(emo) => (model.value(emotional_ids[emo.ordinal()]), 1.0),
                             None => (0.0, 0.0),
                         };
                         (max, mean, estimate, flag)
@@ -245,17 +273,16 @@ impl Experiment {
                     },
                 })
             };
-        let match_block = SparseVec::from_pairs(
-            4,
-            [
-                (0u32, max_match.max(1e-9)),
-                (1u32, mean_match.max(1e-9)),
-                (2u32, assigned_estimate.max(1e-9)),
-                (3u32, matched_flag.max(1e-9)),
-            ],
-        )
-        .expect("four fixed indices");
-        base.concat(&match_block)
+        // floored above zero, so all four are always stored
+        let offset = spa.schema().len() as u32;
+        for (j, feature) in
+            [max_match, mean_match, assigned_estimate, matched_flag].into_iter().enumerate()
+        {
+            let feature = feature.max(1e-9);
+            debug_assert!(feature.is_finite(), "match feature {j} is {feature}");
+            row.indices.push(offset + j as u32);
+            row.values.push(feature);
+        }
     }
 
     fn campaign_spec(&self, number: usize, id_offset: u32) -> CampaignSpec {
@@ -340,12 +367,17 @@ impl Experiment {
         // across the pool's threads; rows come back in
         // contact order, so the training set is thread-count-invariant.
         let feature_dim = spa.schema().len() + 4;
+        let emotional_ids = spa.schema().emotional_ids();
         let mut training = Dataset::new(feature_dim);
         for t in 0..self.config.n_training_campaigns {
             let spec = self.campaign_spec(t, 1000);
             let appeal = spec.course.appeal.clone();
             let (outcome, rows) = runner.run_collect(&spa, &spec, |spa, user, message| {
-                (f64::NAN, self.featurize(spa, user, &appeal, message))
+                let row = FEATURE_ROW.with_borrow_mut(|row| {
+                    self.featurize(spa, &emotional_ids, user, &appeal, message, row);
+                    row.view(feature_dim).to_owned_vec()
+                });
+                (f64::NAN, row)
             })?;
             for (row, contact) in rows.iter().zip(outcome.contacts.iter()) {
                 training.push(row, if contact.responded { 1.0 } else { -1.0 })?;
@@ -377,7 +409,11 @@ impl Experiment {
             // the paper's 1.34M-users-per-push workload — uses every
             // core while staying deterministic.
             let (outcome, _) = runner.run_collect(&spa, &spec, |spa, user, message| {
-                (selection.score(&self.featurize(spa, user, &appeal, message)).unwrap_or(0.0), ())
+                let score = FEATURE_ROW.with_borrow_mut(|row| {
+                    self.featurize(spa, &emotional_ids, user, &appeal, message, row);
+                    selection.score_view(row.view(feature_dim)).unwrap_or(0.0)
+                });
+                (score, ())
             })?;
             // Pool *within-campaign percentile ranks*, not raw margins:
             // "X% of commercial action" (Fig 6a) means contacting the
@@ -463,6 +499,61 @@ mod tests {
             target_fraction: 0.4,
             mask_emotional: mask,
             ..Default::default()
+        }
+    }
+
+    /// A featurized row is the published advice row (cut below the
+    /// emotional block under the ablation) followed by the four match
+    /// features at the schema's width, each stored, and the reused
+    /// buffers carry nothing over from the contact before.
+    #[test]
+    fn a_feature_row_is_the_advice_row_then_the_match_block() {
+        for mask in [false, true] {
+            let experiment =
+                Experiment::new(ExperimentConfig { n_users: 200, ..small_config(mask) }).unwrap();
+            let spa = ShardedSpa::new(&experiment.courses, SpaConfig, 1).unwrap();
+            let answers = spa_synth::eit::AnswerSimulator::default();
+            for user in experiment.population.users().take(50) {
+                spa.import_objective(user.id, &user.objective).unwrap();
+                for round in 0..12 {
+                    let question = spa.next_eit_question(user.id);
+                    let event = answers.react(
+                        user,
+                        question.id,
+                        question.target,
+                        round,
+                        Timestamp::from_millis(round),
+                    );
+                    spa.ingest(&event).unwrap();
+                }
+            }
+            let emotional_ids = spa.schema().emotional_ids();
+            let width = spa.schema().len() as u32;
+            let appeal = experiment.courses.course(CourseId::new(3)).unwrap().appeal.clone();
+            let mut row = FeatureRow::default();
+            // users 0–49 have models; 150 has none
+            for user in [0u32, 7, 49, 150].map(UserId::new) {
+                let message = spa.assign_message(user, &appeal).unwrap();
+                experiment.featurize(&spa, &emotional_ids, user, &appeal, &message, &mut row);
+                let advice: Vec<(u32, f64)> = spa
+                    .advice_row(user)
+                    .unwrap()
+                    .iter()
+                    .filter(|&(i, _)| !mask || i < NON_EMOTIONAL_DIM)
+                    .collect();
+                let entries: Vec<(u32, f64)> = row.view(width as usize + 4).iter().collect();
+                let (head, tail) = entries.split_at(advice.len().min(entries.len()));
+                assert_eq!(head, advice.as_slice(), "{user}");
+                let tail_indices: Vec<u32> = tail.iter().map(|&(i, _)| i).collect();
+                assert_eq!(tail_indices, (width..width + 4).collect::<Vec<_>>(), "{user}");
+                assert!(tail.iter().all(|&(_, v)| v >= 1e-9), "{user}: {tail:?}");
+                if mask {
+                    assert!(
+                        tail.iter().all(|&(_, v)| v == 1e-9),
+                        "ablation zeroes the match block"
+                    );
+                }
+            }
         }
     }
 

@@ -181,7 +181,7 @@ mod tests {
         let courses = CourseCatalog::generate(20, 4, 2).unwrap();
         let preprocessor = Arc::new(LifeLogPreprocessor::new(schema.clone(), &courses));
         let eit = Arc::new(EitEngine::standard());
-        let manager = Arc::new(AttributesManager::new(schema));
+        let manager = Arc::new(AttributesManager::new(&schema));
         let messaging = Arc::new(MessagingAgent::new(
             MessageCatalog::standard_catalog("Course Z"),
             MessagePolicy::MaxSensibility,

@@ -16,18 +16,22 @@
 use crate::sum::SumRegistry;
 use spa_ml::feature_selection::FeatureMask;
 use spa_ml::svm::LinearSvm;
-use spa_types::{AttributeSchema, EmotionalAttribute, Result, UserId, EMOTIONAL_ATTRIBUTES};
+use spa_types::{
+    AttributeId, AttributeSchema, EmotionalAttribute, Result, UserId, EMOTIONAL_ATTRIBUTES,
+};
 
 /// The Attributes Manager: user-level sensibility extraction and
 /// population-level attribute selection.
 pub struct AttributesManager {
-    schema: AttributeSchema,
+    /// The schema's emotional block in schema order (one id per
+    /// [`EmotionalAttribute`] ordinal), taken from the schema once.
+    emotional_ids: Vec<AttributeId>,
 }
 
 impl AttributesManager {
     /// Creates a manager over a schema.
-    pub fn new(schema: AttributeSchema) -> Self {
-        Self { schema }
+    pub fn new(schema: &AttributeSchema) -> Self {
+        Self { emotional_ids: schema.emotional_ids() }
     }
 
     /// A user's dominant emotional sensibilities as
@@ -42,10 +46,10 @@ impl AttributesManager {
         registry: &SumRegistry,
         user: UserId,
     ) -> Vec<(EmotionalAttribute, f64)> {
-        let emotional_ids = self.schema.emotional_ids();
+        let emotional_ids = &self.emotional_ids;
         registry
             .with_model_read(user, |model| match model {
-                Some(model) => model.dominant_sensibilities(&emotional_ids),
+                Some(model) => model.dominant_sensibilities(emotional_ids),
                 None => Vec::new(),
             })
             .into_iter()
@@ -75,14 +79,14 @@ mod tests {
     fn dominant_sensibilities_for_unknown_user_is_empty() {
         let schema = AttributeSchema::emagister();
         let registry = SumRegistry::new(&schema);
-        let manager = AttributesManager::new(schema);
+        let manager = AttributesManager::new(&schema);
         assert!(manager.dominant_sensibilities(&registry, UserId::new(1)).is_empty());
     }
 
     #[test]
     fn dominant_sensibilities_map_to_emotional_attributes() {
         let schema = AttributeSchema::emagister();
-        let manager = AttributesManager::new(schema.clone());
+        let manager = AttributesManager::new(&schema);
         let registry = SumRegistry::new(&schema);
         let user = UserId::new(3);
         registry.with_model(user, |m| {
@@ -98,7 +102,7 @@ mod tests {
 
     #[test]
     fn select_features_requires_a_trained_svm() {
-        let manager = AttributesManager::new(AttributeSchema::emagister());
+        let manager = AttributesManager::new(&AttributeSchema::emagister());
         let svm = LinearSvm::with_dim(75);
         assert!(manager.select_features(&svm, 10).is_err());
     }

@@ -161,7 +161,7 @@ impl Engine {
             registry: SumRegistry::new(&schema),
             eit: EitEngine::standard(),
             preprocessor: LifeLogPreprocessor::new(schema.clone(), courses),
-            manager: AttributesManager::new(schema.clone()),
+            manager: AttributesManager::new(&schema),
             messaging: MessagingAgent::new(
                 MessageCatalog::standard_catalog("this course"),
                 MessagePolicy::MaxSensibility,
@@ -239,9 +239,10 @@ impl Engine {
         self.preprocessor.stats()
     }
 
-    /// The next Gradual-EIT question for a user (one per contact).
-    pub(crate) fn next_eit_question(&self, user: UserId) -> EitQuestion {
-        self.eit.next_question(&self.registry, user).clone()
+    /// The next Gradual-EIT question for a user (one per contact),
+    /// borrowed from the engine's question bank.
+    pub(crate) fn next_eit_question(&self, user: UserId) -> &EitQuestion {
+        self.eit.next_question(&self.registry, user)
     }
 
     /// Plain observed feature row for a user (empty row for unknowns).

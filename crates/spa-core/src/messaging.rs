@@ -20,7 +20,7 @@
 //!      user's *highest sensibility* ([`MessagePolicy::MaxSensibility`]).
 
 use spa_types::{EmotionalAttribute, Result, SpaError, EMOTIONAL_ATTRIBUTES};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How to resolve case 3.c (several matching sensibilities).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,8 +57,8 @@ pub struct AssignedMessage {
     /// All matching sensibilities in the order the case considered them
     /// (Fig 5(b) prints this full ordering).
     pub matches: Vec<EmotionalAttribute>,
-    /// Final message text.
-    pub text: String,
+    /// Final message text, shared with the catalog it came from.
+    pub text: Arc<str>,
 }
 
 /// Pre-generated sales messages: one per emotional attribute plus the
@@ -66,15 +66,15 @@ pub struct AssignedMessage {
 /// and then is saved in a database of messages").
 #[derive(Debug, Clone)]
 pub struct MessageCatalog {
-    standard: String,
-    per_attribute: HashMap<EmotionalAttribute, String>,
+    standard: Arc<str>,
+    /// One message per emotional attribute, indexed by its ordinal.
+    per_attribute: [Arc<str>; EMOTIONAL_ATTRIBUTES.len()],
 }
 
 impl MessageCatalog {
     /// Default catalog with one emotional argument per attribute.
     pub fn standard_catalog(course_name: &str) -> Self {
-        let mut per_attribute = HashMap::new();
-        for emo in EMOTIONAL_ATTRIBUTES {
+        let per_attribute = EMOTIONAL_ATTRIBUTES.map(|emo| {
             let text = match emo {
                 EmotionalAttribute::Enthusiastic => format!(
                     "Feel the rush of something new: {course_name} is the course people can't stop talking about!"
@@ -107,22 +107,24 @@ impl MessageCatalog {
                     "Five minutes a day is enough to start: {course_name} makes it effortless."
                 ),
             };
-            per_attribute.insert(emo, text);
-        }
+            Arc::from(text)
+        });
         Self {
-            standard: format!("Discover {course_name} — one of our most popular training courses."),
+            standard: Arc::from(format!(
+                "Discover {course_name} — one of our most popular training courses."
+            )),
             per_attribute,
         }
     }
 
     /// The fallback message.
-    pub(crate) fn standard(&self) -> &str {
+    pub(crate) fn standard(&self) -> &Arc<str> {
         &self.standard
     }
 
     /// The message for one attribute.
-    pub(crate) fn for_attribute(&self, emo: EmotionalAttribute) -> &str {
-        &self.per_attribute[&emo]
+    pub(crate) fn for_attribute(&self, emo: EmotionalAttribute) -> &Arc<str> {
+        &self.per_attribute[emo.ordinal()]
     }
 }
 
@@ -154,31 +156,32 @@ impl MessagingAgent {
         if product_attributes.is_empty() {
             return Err(SpaError::Invalid("a course needs at least one product attribute".into()));
         }
-        // step 3: intersect user sensibilities with product attributes
-        let matches: Vec<(EmotionalAttribute, f64)> = sensibilities
+        // step 3: intersect user sensibilities with product attributes,
+        // in sensibility order (strongest first)
+        let matches: Vec<EmotionalAttribute> = sensibilities
             .iter()
-            .filter(|(emo, _)| product_attributes.contains(emo))
-            .copied()
+            .map(|&(emo, _)| emo)
+            .filter(|emo| product_attributes.contains(emo))
             .collect();
         match matches.len() {
             0 => Ok(AssignedMessage {
                 case: AssignmentCase::Standard,
                 attribute: None,
-                matches: Vec::new(),
-                text: self.catalog.standard().to_owned(),
+                matches,
+                text: Arc::clone(self.catalog.standard()),
             }),
             1 => Ok(AssignedMessage {
                 case: AssignmentCase::SingleAttribute,
-                attribute: Some(matches[0].0),
-                matches: vec![matches[0].0],
-                text: self.catalog.for_attribute(matches[0].0).to_owned(),
+                attribute: Some(matches[0]),
+                text: Arc::clone(self.catalog.for_attribute(matches[0])),
+                matches,
             }),
             _ => match self.policy {
                 MessagePolicy::Priority => {
                     // order by product priority (the order given)
                     let mut ordered: Vec<EmotionalAttribute> = product_attributes
                         .iter()
-                        .filter(|p| matches.iter().any(|(m, _)| m == *p))
+                        .filter(|p| matches.contains(p))
                         .copied()
                         .collect();
                     let chosen = ordered[0];
@@ -187,17 +190,17 @@ impl MessagingAgent {
                         case: AssignmentCase::PriorityOrder,
                         attribute: Some(chosen),
                         matches: ordered,
-                        text: self.catalog.for_attribute(chosen).to_owned(),
+                        text: Arc::clone(self.catalog.for_attribute(chosen)),
                     })
                 }
                 MessagePolicy::MaxSensibility => {
                     // sensibilities arrive sorted descending; keep that order
-                    let chosen = matches[0].0;
+                    let chosen = matches[0];
                     Ok(AssignedMessage {
                         case: AssignmentCase::MaxSensibility,
                         attribute: Some(chosen),
-                        matches: matches.iter().map(|(m, _)| *m).collect(),
-                        text: self.catalog.for_attribute(chosen).to_owned(),
+                        text: Arc::clone(self.catalog.for_attribute(chosen)),
+                        matches,
                     })
                 }
             },
@@ -222,6 +225,21 @@ mod tests {
         assert_eq!(msg.attribute, None);
         assert!(msg.text.contains("most popular"));
         assert!(msg.matches.is_empty());
+    }
+
+    #[test]
+    fn assigned_texts_share_the_catalog_copy() {
+        let a = agent(MessagePolicy::MaxSensibility);
+        let hopeful = [
+            a.assign(&[Hopeful], &[(Hopeful, 0.9)]).unwrap(),
+            a.assign(&[Shy, Hopeful], &[(Hopeful, 0.8), (Shy, 0.7)]).unwrap(),
+        ];
+        assert_eq!(hopeful[1].case, AssignmentCase::MaxSensibility);
+        assert!(Arc::ptr_eq(&hopeful[0].text, &hopeful[1].text));
+        let standard =
+            [a.assign(&[Shy], &[]).unwrap(), a.assign(&[Lively], &[(Hopeful, 0.9)]).unwrap()];
+        assert!(Arc::ptr_eq(&standard[0].text, &standard[1].text));
+        assert!(!Arc::ptr_eq(&standard[0].text, &hopeful[0].text));
     }
 
     #[test]

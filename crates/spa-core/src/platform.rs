@@ -85,6 +85,18 @@ mod tests {
     }
 
     #[test]
+    fn with_advice_row_borrows_what_advice_row_copies() {
+        let spa = platform();
+        let user = UserId::new(3);
+        spa.import_objective(user, &[0.4, 0.0, 0.9]).unwrap();
+        answer(&spa, user, 0, 0.8);
+        let copied = spa.advice_row(user).unwrap();
+        assert!(copied.nnz() > 0);
+        spa.with_advice_row(user, |row| assert_eq!(row, Some(copied.view())));
+        assert!(spa.with_advice_row(UserId::new(9), |row| row.is_none()), "no model, no row");
+    }
+
+    #[test]
     fn import_objective_fills_the_objective_block() {
         let spa = platform();
         let user = UserId::new(2);

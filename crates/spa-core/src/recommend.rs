@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn popular_actions_outrank_unpopular_ones_within_family() {
         let catalog = ActionCatalog::emagister();
-        let enrolls = catalog.actions_of(ActionKind::Enroll);
+        let enrolls = catalog.actions_of(ActionKind::Enroll).to_vec();
         let features = SparseVec::from_pairs(75, [(0, 1.0)]).unwrap();
         // hammer a single enroll action
         let mut ex = Vec::new();

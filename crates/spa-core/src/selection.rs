@@ -95,7 +95,7 @@ impl SelectionFunction {
     /// Propensity score of one borrowed feature row (zero-copy) — the
     /// kernel every scoring surface routes through, published advice rows
     /// included.
-    pub(crate) fn score_view(&self, features: RowView<'_>) -> Result<f64> {
+    pub fn score_view(&self, features: RowView<'_>) -> Result<f64> {
         self.svm.decision_view(features)
     }
 

@@ -1113,8 +1113,8 @@ impl ShardedSpa {
 
     /// The next Gradual-EIT question for a user, one per contact (the
     /// schedule is a function of the user's own history, so it is the
-    /// same at any shard count).
-    pub fn next_eit_question(&self, user: UserId) -> crate::eit::EitQuestion {
+    /// same at any shard count), borrowed from the question bank.
+    pub fn next_eit_question(&self, user: UserId) -> &crate::eit::EitQuestion {
         self.owner(user).next_eit_question(user)
     }
 
@@ -1166,6 +1166,16 @@ impl ShardedSpa {
     /// guard (routed; empty row for unknowns).
     pub fn advice_row(&self, user: UserId) -> Result<SparseVec> {
         Ok(self.owner(user).advice_row(user))
+    }
+
+    /// Applies `f` to `user`'s *borrowed* published advice row (`None`
+    /// when the user has no model) — the copy-free form of
+    /// [`ShardedSpa::advice_row`], routed to
+    /// `crate::sum::SumRegistry::with_advice_row`. `f` runs under the
+    /// user's registry shard read guard: keep it short, and call
+    /// nothing on this platform from inside it.
+    pub fn with_advice_row<T>(&self, user: UserId, f: impl FnOnce(Option<RowView<'_>>) -> T) -> T {
+        self.owner(user).registry().with_advice_row(user, f)
     }
 
     /// Trains the global selection function on labelled campaign

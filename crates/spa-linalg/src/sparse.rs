@@ -106,12 +106,10 @@ impl SparseVec {
         self.indices.len()
     }
 
-    /// Value at `index` (0 when not stored).
+    /// Value at `index` (0 when not stored): [`SparseRow::get`], callable
+    /// without the trait in scope.
     pub fn get(&self, index: u32) -> f64 {
-        match self.indices.binary_search(&index) {
-            Ok(pos) => self.values[pos],
-            Err(_) => 0.0,
-        }
+        SparseRow::get(self, index)
     }
 
     /// Iterates over stored `(index, value)` pairs in index order.
@@ -129,38 +127,10 @@ impl SparseVec {
         &self.values
     }
 
-    /// Sparse·dense dot product.
+    /// Sparse·dense dot product: [`SparseRow::dot_dense`], callable
+    /// without the trait in scope.
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        debug_assert_eq!(self.dim, dense.len(), "sparse dot_dense: dimension mismatch");
-        self.iter().map(|(i, v)| v * dense[i as usize]).sum()
-    }
-
-    /// Restriction of this vector to `keep` (a sorted set of indices is
-    /// not required): entries outside `keep` are dropped, the dimension
-    /// is preserved. Used by SVM-weight feature selection to mask
-    /// attribute groups.
-    pub fn masked(&self, keep: impl Fn(u32) -> bool) -> SparseVec {
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (i, v) in self.iter() {
-            if keep(i) {
-                indices.push(i);
-                values.push(v);
-            }
-        }
-        SparseVec { dim: self.dim, indices, values }
-    }
-
-    /// Concatenates two sparse vectors (`self ⧺ other`), producing a
-    /// vector of dimension `self.dim + other.dim`. Used to join
-    /// objective/subjective features with the emotional block.
-    pub fn concat(&self, other: &SparseVec) -> SparseVec {
-        let mut indices = self.indices.clone();
-        let mut values = self.values.clone();
-        let offset = self.dim as u32;
-        indices.extend(other.indices.iter().map(|&i| i + offset));
-        values.extend_from_slice(&other.values);
-        SparseVec { dim: self.dim + other.dim, indices, values }
+        SparseRow::dot_dense(self, dense)
     }
 }
 
@@ -213,25 +183,6 @@ mod tests {
         let mut acc = vec![0.0; 4];
         a.add_scaled_into(2.0, &mut acc);
         assert_eq!(acc, vec![0.0, 4.0, 0.0, -2.0]);
-    }
-
-    #[test]
-    fn masked_keeps_dimension() {
-        let v = sv(6, &[(0, 1.0), (2, 2.0), (5, 3.0)]);
-        let m = v.masked(|i| i < 3);
-        assert_eq!(m.dim(), 6);
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.get(5), 0.0);
-    }
-
-    #[test]
-    fn concat_offsets_second_block() {
-        let a = sv(3, &[(1, 1.0)]);
-        let b = sv(2, &[(0, 2.0)]);
-        let c = a.concat(&b);
-        assert_eq!(c.dim(), 5);
-        assert_eq!(c.get(1), 1.0);
-        assert_eq!(c.get(3), 2.0);
     }
 
     #[test]

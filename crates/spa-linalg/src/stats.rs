@@ -39,7 +39,7 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_no_values_and_of_some() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }

@@ -85,7 +85,7 @@ mod tests {
     }
 
     #[test]
-    fn base_rate_counts_positives() {
+    fn positives_counts_the_positive_labels() {
         let d = toy(10, 2, 0.3);
         assert_eq!(d.positives(), 3);
     }

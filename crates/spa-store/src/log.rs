@@ -1140,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn flushed_position_tracks_the_frame_boundary() {
+    fn buffered_position_after_flush_is_the_segment_size() {
         let dir = tmp_dir("position");
         let config = LogConfig { segment_bytes: 256, fsync: false };
         let log = EventLog::open(&dir, config).unwrap();

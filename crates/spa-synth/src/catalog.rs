@@ -53,6 +53,10 @@ impl ActionKind {
 #[derive(Debug, Clone)]
 pub struct ActionCatalog {
     kinds: Vec<ActionKind>,
+    /// The actions of each family in id order, indexed by the family's
+    /// position in [`ActionKind::ALL`]: built once, so biased sampling
+    /// never scans the catalog.
+    by_kind: [Vec<ActionId>; ActionKind::ALL.len()],
 }
 
 impl ActionCatalog {
@@ -81,7 +85,11 @@ impl ActionCatalog {
         while kinds.len() < n {
             kinds.push(ActionKind::Browse);
         }
-        Ok(Self { kinds })
+        let mut by_kind: [Vec<ActionId>; ActionKind::ALL.len()] = Default::default();
+        for (i, &kind) in kinds.iter().enumerate() {
+            by_kind[kind as usize].push(ActionId::new(i as u32));
+        }
+        Ok(Self { kinds, by_kind })
     }
 
     /// The emagister-scale catalog (984 actions).
@@ -104,14 +112,9 @@ impl ActionCatalog {
         self.kinds.get(action.index()).copied()
     }
 
-    /// All actions of one family.
-    pub fn actions_of(&self, kind: ActionKind) -> Vec<ActionId> {
-        self.kinds
-            .iter()
-            .enumerate()
-            .filter(|&(_, &k)| k == kind)
-            .map(|(i, _)| ActionId::new(i as u32))
-            .collect()
+    /// All actions of one family, in id order.
+    pub fn actions_of(&self, kind: ActionKind) -> &[ActionId] {
+        &self.by_kind[kind as usize]
     }
 
     /// Samples an action, biased toward the given family with
@@ -146,6 +149,9 @@ pub struct Course {
 pub struct CourseCatalog {
     courses: Vec<Course>,
     n_topics: usize,
+    /// The courses of each topic in id order, built once, so drawing a
+    /// course of the user's topic never scans the catalog.
+    by_topic: Vec<Vec<CourseId>>,
 }
 
 impl CourseCatalog {
@@ -157,20 +163,23 @@ impl CourseCatalog {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut courses = Vec::with_capacity(n);
+        let mut by_topic = vec![Vec::new(); n_topics];
         for id in 0..n {
             let n_appeal = rng.gen_range(1..=4usize);
             let mut pool: Vec<EmotionalAttribute> = EMOTIONAL_ATTRIBUTES.to_vec();
             pool.shuffle(&mut rng);
             pool.truncate(n_appeal);
             pool.sort();
-            courses.push(Course {
+            let course = Course {
                 id: CourseId::new(id as u32),
                 topic: rng.gen_range(0..n_topics),
                 appeal: pool,
                 price_level: rng.gen(),
-            });
+            };
+            by_topic[course.topic].push(course.id);
+            courses.push(course);
         }
-        Ok(Self { courses, n_topics })
+        Ok(Self { courses, n_topics, by_topic })
     }
 
     /// Number of courses.
@@ -198,9 +207,10 @@ impl CourseCatalog {
         self.courses.iter()
     }
 
-    /// Courses in one topic.
-    pub(crate) fn by_topic(&self, topic: usize) -> Vec<&Course> {
-        self.courses.iter().filter(|c| c.topic == topic).collect()
+    /// Ids of the courses in one topic, in id order (empty for a topic
+    /// out of range).
+    pub(crate) fn by_topic(&self, topic: usize) -> &[CourseId] {
+        self.by_topic.get(topic).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -219,6 +229,18 @@ mod tests {
         let catalog = ActionCatalog::emagister();
         for kind in ActionKind::ALL {
             assert!(!catalog.actions_of(kind).is_empty(), "{kind:?} missing");
+        }
+    }
+
+    #[test]
+    fn family_pools_are_the_catalog_in_id_order() {
+        let catalog = ActionCatalog::emagister();
+        for kind in ActionKind::ALL {
+            let scanned: Vec<ActionId> = (0..catalog.len() as u32)
+                .map(ActionId::new)
+                .filter(|&a| catalog.kind(a) == Some(kind))
+                .collect();
+            assert_eq!(catalog.actions_of(kind), scanned.as_slice(), "{kind:?}");
         }
     }
 
@@ -290,6 +312,17 @@ mod tests {
         assert!(catalog.course(CourseId::new(100)).is_none());
         let total: usize = (0..5).map(|t| catalog.by_topic(t).len()).sum();
         assert_eq!(total, 100);
+    }
+
+    #[test]
+    fn topic_pools_are_the_catalog_in_id_order() {
+        let catalog = CourseCatalog::generate(100, 5, 1).unwrap();
+        // topic 5 is out of range: its pool is empty
+        for topic in 0..6 {
+            let scanned: Vec<CourseId> =
+                catalog.courses().filter(|c| c.topic == topic).map(|c| c.id).collect();
+            assert_eq!(catalog.by_topic(topic), scanned.as_slice(), "topic {topic}");
+        }
     }
 
     #[test]

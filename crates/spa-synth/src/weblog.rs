@@ -153,7 +153,7 @@ fn synth_event(
         if pool.is_empty() {
             None
         } else {
-            Some(pool[rng.gen_range(0..pool.len())].id)
+            Some(pool[rng.gen_range(0..pool.len())])
         }
     } else {
         Some(spa_types::CourseId::new(rng.gen_range(0..courses.len()) as u32))

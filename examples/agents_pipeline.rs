@@ -26,7 +26,7 @@ fn main() -> Result<(), SpaError> {
     let courses = CourseCatalog::generate(20, 4, 2)?;
     let preprocessor = Arc::new(LifeLogPreprocessor::new(schema.clone(), &courses));
     let eit = Arc::new(EitEngine::standard());
-    let manager = Arc::new(AttributesManager::new(schema));
+    let manager = Arc::new(AttributesManager::new(&schema));
     let messaging = Arc::new(spa::core::messaging::MessagingAgent::new(
         MessageCatalog::standard_catalog("the Data Engineering course"),
         MessagePolicy::MaxSensibility,
