@@ -272,12 +272,15 @@ impl Engine {
     /// shard's write-pause latch), so the serialized registry, counters
     /// and position agree.
     pub(crate) fn build_snapshot(&self, position: LogPosition) -> SnapshotBuilder {
+        let stats = crate::snapshot::encode_stats(&self.stats());
+        // the stats section's tag and length (12 bytes) follow the models
+        let room_after = 12 + stats.len();
         let mut builder = SnapshotBuilder::new(position);
-        let mut models = Vec::new();
-        self.registry.write_state(&mut models);
         builder
-            .section(SECTION_MODELS, models)
-            .section(SECTION_STATS, crate::snapshot::encode_stats(&self.stats()));
+            .section_with(SECTION_MODELS, |out| {
+                self.registry.write_state_leaving(out, room_after);
+            })
+            .section(SECTION_STATS, stats);
         builder
     }
 

@@ -100,9 +100,10 @@ pub(crate) fn shard_index(user: UserId, shards: usize) -> usize {
 /// and `work` items (events, users) are [`spa_ml::parallel_worthy`],
 /// inline on the caller in index order otherwise. A hand-off costs
 /// ≈ 0.25 ms of spawn, wake and join, so a batch earns one from 2048
-/// items up; checkpoint and recovery (tens of milliseconds per shard)
-/// pass `usize::MAX`. Results come back in index order either way — the
-/// bit-identity-across-thread-counts guarantee every caller relies on.
+/// items up; checkpoint, compaction and recovery (about ten
+/// milliseconds or more per shard) pass `usize::MAX`. Results come back
+/// in index order either way — the bit-identity-across-thread-counts
+/// guarantee every caller relies on.
 fn fan_out<T: Send>(n: usize, work: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     if n > 1 && spa_ml::parallel_worthy(work) {
         use rayon::prelude::*;
@@ -832,44 +833,61 @@ impl ShardedSpa {
 
     /// Deletes WAL segments fully covered by each shard's registered
     /// checkpoint (see [`spa_store::log::EventLog::compact_before`])
-    /// and prunes snapshot files the registered one supersedes. Safe
+    /// and prunes snapshot files the registered one supersedes, shard
+    /// by shard in parallel when the pool has more than one thread. Safe
     /// during live ingest — only closed, fully-covered segments are
     /// touched. Disk usage becomes O(state + tail) instead of
     /// O(history).
     ///
     /// Before deleting anything, each shard's registered snapshot is
-    /// **re-validated** (full CRC read): the covered events exist
-    /// nowhere else once their segments are gone, so compacting behind
-    /// a snapshot that bit-rotted after registration would turn a
-    /// recoverable situation (recover falls back to full replay) into
-    /// permanent data loss. A shard with an unloadable snapshot is
-    /// skipped — its history stays replayable until a fresh checkpoint
-    /// succeeds.
+    /// **re-validated** (a full CRC read from disk,
+    /// [`Snapshot::read_position_with`], which copies no section out):
+    /// the covered events exist nowhere else once their segments are
+    /// gone, so compacting behind a snapshot that bit-rotted after
+    /// registration would turn a recoverable situation (recover falls
+    /// back to full replay) into permanent data loss. A shard with an
+    /// unloadable snapshot is skipped — its history stays replayable
+    /// until a fresh checkpoint succeeds.
     pub fn compact(&self) -> Result<CompactionReport> {
         let log = self.log.as_ref().ok_or_else(|| {
             SpaError::Invalid("compaction requires a write-ahead-logged platform".into())
         })?;
         let _maintenance = self.maintenance.lock();
         let registered = ShardedEventLog::registered_snapshots(log.root())?;
-        let mut report = CompactionReport::default();
-        for (index, position) in registered.iter().enumerate() {
-            let Some(position) = position else { continue };
+        // one shard's share of the report; shards are independent (own
+        // log, own directory), so they compact side by side like
+        // checkpoint's snapshots
+        let compact_shard = |index: usize| -> Result<CompactionReport> {
+            let mut report = CompactionReport::default();
+            let Some(position) = registered[index] else { return Ok(report) };
             let shard_id = ShardId::new(index as u32);
             let dir = ShardedEventLog::shard_path(log.root(), shard_id);
-            let snapshot_ok =
-                Snapshot::read_with(snapshot::snapshot_path(&dir, *position), self.io.clone())
-                    .is_ok_and(|snap| snap.position() == *position);
+            let snapshot_ok = Snapshot::read_position_with(
+                snapshot::snapshot_path(&dir, position),
+                self.io.as_ref(),
+            )
+            .is_ok_and(|covered| covered == position);
             if !snapshot_ok {
                 // skipped, and *visibly* skipped: the report says how
                 // many shards kept their history because their snapshot
                 // could not be trusted
-                report.shards_skipped += 1;
-                continue;
+                report.shards_skipped = 1;
+                return Ok(report);
             }
-            let stats = log.compact_before(shard_id, *position)?;
-            report.segments_deleted += stats.segments_deleted;
-            report.bytes_reclaimed += stats.bytes_reclaimed;
-            report.snapshots_pruned += snapshot::prune_snapshots_before(&dir, *position)?;
+            let stats = log.compact_before(shard_id, position)?;
+            report.segments_deleted = stats.segments_deleted;
+            report.bytes_reclaimed = stats.bytes_reclaimed;
+            report.snapshots_pruned = snapshot::prune_snapshots_before(&dir, position)?;
+            Ok(report)
+        };
+        // every shard is attempted; every failing shard's error is
+        // preserved in the joined message
+        let mut report = CompactionReport::default();
+        for shard in all_shards(fan_out(registered.len(), usize::MAX, compact_shard))? {
+            report.segments_deleted += shard.segments_deleted;
+            report.bytes_reclaimed += shard.bytes_reclaimed;
+            report.snapshots_pruned += shard.snapshots_pruned;
+            report.shards_skipped += shard.shards_skipped;
         }
         // the selection WAL compacts behind `selection.snap` under the
         // same discipline: the snapshot is re-validated first, because
@@ -878,9 +896,9 @@ impl ShardedSpa {
         if let Some(selection_log) = &self.selection_log {
             let selection_path = log.root().join(SELECTION_SNAPSHOT);
             if selection_path.exists() {
-                match Snapshot::read_with(&selection_path, self.io.clone()) {
-                    Ok(snap) => {
-                        let stats = selection_log.compact_before(snap.position())?;
+                match Snapshot::read_position_with(&selection_path, self.io.as_ref()) {
+                    Ok(position) => {
+                        let stats = selection_log.compact_before(position)?;
                         report.segments_deleted += stats.segments_deleted;
                         report.bytes_reclaimed += stats.bytes_reclaimed;
                     }
@@ -1215,14 +1233,12 @@ impl ShardedSpa {
     ) -> Result<u64> {
         let position =
             self.selection_log.as_ref().map(|l| l.buffered_position()).unwrap_or_default();
-        let mut state = Vec::new();
-        selection.write_state(&mut state);
+        let mut builder = SnapshotBuilder::new(position);
+        builder.section_with(SECTION_SELECTION, |out| selection.write_state(out));
         drop(selection);
         if let Some(selection_log) = &self.selection_log {
             selection_log.sync_up_to(position)?;
         }
-        let mut builder = SnapshotBuilder::new(position);
-        builder.section(SECTION_SELECTION, state);
         builder.write_atomic_with(log.root().join(SELECTION_SNAPSHOT), self.io.as_ref())
     }
 
@@ -1804,6 +1820,53 @@ mod tests {
             ),
             Err(SpaError::Corrupt(_))
         ));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn parallel_compaction_skips_only_the_rotten_shard() {
+        let root = std::env::temp_dir().join(format!("spa-shard-rotone-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let log_config = LogConfig { segment_bytes: 128, fsync: false };
+        let sharded = ShardedSpa::with_log(&courses(), SpaConfig, 3, &root, log_config).unwrap();
+        for round in 0..6 {
+            for user in (0..30).map(UserId::new) {
+                let event = eit_event(&sharded, user, round * 100 + u64::from(user.raw()), 0.7);
+                sharded.ingest(&event).unwrap();
+            }
+        }
+        sharded.checkpoint().unwrap();
+        let registered = ShardedEventLog::registered_snapshots(&root).unwrap();
+        let shard_dir = |index: u32| ShardedEventLog::shard_path(&root, ShardId::new(index));
+        let rotten = spa_store::snapshot::snapshot_path(shard_dir(1), registered[1].unwrap());
+        let mut bytes = std::fs::read(&rotten).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&rotten, &bytes).unwrap();
+        // three pool threads, so the shards compact side by side
+        let report = rayon::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap()
+            .install(|| sharded.compact())
+            .unwrap();
+        assert_eq!(report.shards_skipped, 1, "only the rotten shard is skipped");
+        assert!(report.segments_deleted > 0);
+        for index in [0, 2] {
+            let covered = registered[index as usize].unwrap();
+            assert!(covered.segment > 0, "128-byte segments must have rolled");
+            assert_eq!(
+                spa_store::EventLog::first_segment_index(shard_dir(index)).unwrap(),
+                Some(covered.segment),
+                "shard {index} dropped its covered segments"
+            );
+        }
+        assert_eq!(
+            spa_store::EventLog::first_segment_index(shard_dir(1)).unwrap(),
+            Some(0),
+            "the rotten shard keeps its whole history"
+        );
+        drop(sharded);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -116,6 +116,14 @@ pub const SENSIBILITY_THRESHOLD: f64 = 0.6;
 /// schema starts dense.
 const LIVE_BITS: usize = 128;
 
+/// Bytes of a model record's fixed part in [`SumRegistry::write_state`]:
+/// user, update counter, ten EIT counters and `nnz`.
+const RECORD_HEAD: usize = 4 + 8 + 40 + 4;
+
+/// Bytes of one stored attribute in a model record: index, value bits
+/// and relevance bits.
+const RECORD_ENTRY: usize = 4 + 8 + 8;
+
 /// One user's Smart User Model.
 ///
 /// Each attribute carries an `[estimate, relevance]` pair: the estimate
@@ -484,20 +492,34 @@ impl SmartUserModel {
     /// every attribute whose estimate or relevance is a non-zero bit
     /// pattern, ascending — the same bytes from either form.
     fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.user.raw().to_le_bytes());
-        out.extend_from_slice(&self.updates.to_le_bytes());
-        for c in &self.eit_answers {
-            out.extend_from_slice(&c.to_le_bytes());
+        let mut head = [0u8; RECORD_HEAD];
+        head[0..4].copy_from_slice(&self.user.raw().to_le_bytes());
+        head[4..12].copy_from_slice(&self.updates.to_le_bytes());
+        for (c, at) in self.eit_answers.iter().zip((12..52).step_by(4)) {
+            head[at..at + 4].copy_from_slice(&c.to_le_bytes());
         }
-        let live =
-            self.stored().filter(|&(_, pair)| pair[0].to_bits() != 0 || pair[1].to_bits() != 0);
-        let nnz = live.clone().count() as u32;
-        out.extend_from_slice(&nnz.to_le_bytes());
-        for (i, pair) in live {
-            out.extend_from_slice(&(i as u32).to_le_bytes());
-            out.extend_from_slice(&pair[0].to_bits().to_le_bytes());
-            out.extend_from_slice(&pair[1].to_bits().to_le_bytes());
+        // nnz (head[52..56]) is patched once the entries are written
+        let nnz_at = out.len() + 52;
+        out.extend_from_slice(&head);
+        let mut nnz = 0u32;
+        for (i, pair) in self.stored() {
+            if pair[0].to_bits() == 0 && pair[1].to_bits() == 0 {
+                continue;
+            }
+            let mut entry = [0u8; RECORD_ENTRY];
+            entry[0..4].copy_from_slice(&(i as u32).to_le_bytes());
+            entry[4..12].copy_from_slice(&pair[0].to_bits().to_le_bytes());
+            entry[12..20].copy_from_slice(&pair[1].to_bits().to_le_bytes());
+            out.extend_from_slice(&entry);
+            nnz += 1;
         }
+        out[nnz_at..nnz_at + 4].copy_from_slice(&nnz.to_le_bytes());
+    }
+
+    /// The most bytes [`SmartUserModel::write_to`] appends for this
+    /// model: every stored attribute written.
+    fn record_len_bound(&self) -> usize {
+        RECORD_HEAD + RECORD_ENTRY * self.cells.len()
     }
 
     /// Decodes one record written by [`SmartUserModel::write_to`] for a
@@ -1055,15 +1077,30 @@ impl SumRegistry {
     /// travel as raw bits, so the round trip through
     /// [`SumRegistry::restore_state`] is exact to the bit — including
     /// a negative zero, should an update rule ever produce one.
+    ///
+    /// `out` is reserved once, for the most the models can take, so a
+    /// multi-megabyte section is never regrown by copying.
     pub fn write_state(&self, out: &mut Vec<u8>) {
+        self.write_state_leaving(out, 0);
+    }
+
+    /// [`SumRegistry::write_state`] reserving `room_after` more bytes
+    /// for what the caller appends behind the section, so that does not
+    /// regrow `out` either.
+    pub(crate) fn write_state_leaving(&self, out: &mut Vec<u8>, room_after: usize) {
         let states: Vec<_> = self.shards.iter().map(|shard| shard.state.lock()).collect();
         // (user, slot): a user's shard follows from its id
+        let mut bound = 12;
         let mut order: Vec<(u32, u32)> = states
             .iter()
             .flat_map(|state| state.masters.iter().enumerate())
-            .map(|(slot, master)| (master.model.user.raw(), slot as u32))
+            .map(|(slot, master)| {
+                bound += master.model.record_len_bound();
+                (master.model.user.raw(), slot as u32)
+            })
             .collect();
         order.sort_unstable();
+        out.reserve(bound + room_after);
         out.extend_from_slice(&(self.dim as u32).to_le_bytes());
         out.extend_from_slice(&(order.len() as u64).to_le_bytes());
         for (user, slot) in order {

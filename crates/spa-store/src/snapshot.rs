@@ -31,6 +31,23 @@
 //! crc32 over body                        (4 bytes)
 //! ```
 //!
+//! ## Built in place, validated without copies
+//!
+//! A shard snapshot runs to megabytes, and a checkpoint writes one per
+//! shard, so no step of the maintenance path copies a whole image.
+//! [`SnapshotBuilder`] holds the file image itself: the header is
+//! written when the builder starts, and each section is appended to the
+//! image as it is added — [`SnapshotBuilder::section_with`] hands the
+//! image to the section's encoder, which appends its payload straight
+//! into it (the section count and length are patched behind it). The
+//! CRC is computed over the image in place and written after it.
+//!
+//! Reading has one parse, borrowed from the file buffer, that checks
+//! magic, CRC, version, every section's bounds and trailing bytes.
+//! [`Snapshot::decode`] copies the sections out of it;
+//! [`Snapshot::read_position_with`] — what compaction runs before it
+//! deletes covered segments — makes the same checks and copies nothing.
+//!
 //! ## Atomicity
 //!
 //! [`SnapshotBuilder::write_atomic`] writes to a temporary file in the
@@ -89,27 +106,34 @@ pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
 /// the shard manifest alike, so the sequence has exactly one
 /// implementation to audit.
 pub(crate) fn write_file_atomic(path: &Path, tmp: &Path, bytes: &[u8]) -> Result<()> {
-    write_file_atomic_with(path, tmp, bytes, &crate::fault::RealIo)
+    write_file_atomic_with(path, tmp, &[bytes], &crate::fault::RealIo)
 }
 
-/// [`write_file_atomic`] with a [`StorageIo`] seam. Unlike the WAL
-/// append path there is no retry policy here: any injected fault fails
-/// the whole atomic write loudly (the final `path` is never touched —
-/// the rename only happens after a clean write + fsync) and the
-/// operation as a whole (a checkpoint) simply did not commit. A torn
-/// or transient fault leaves the partial/empty **temp** file behind,
-/// exactly like a crash mid-checkpoint — recovery's
+/// [`write_file_atomic`] of the concatenation of `parts` (a snapshot
+/// image and the CRC behind it, so the image is never copied to append
+/// four bytes), with a [`StorageIo`] seam consulted once for the whole
+/// file. Unlike the WAL append path there is no retry policy here: any
+/// injected fault fails the whole atomic write loudly (the final `path`
+/// is never touched — the rename only happens after a clean write +
+/// fsync) and the operation as a whole (a checkpoint) simply did not
+/// commit. A torn or transient fault leaves the partial/empty **temp**
+/// file behind, exactly like a crash mid-checkpoint — recovery's
 /// [`remove_stale_temps`] sweeps those.
 pub(crate) fn write_file_atomic_with(
     path: &Path,
     tmp: &Path,
-    bytes: &[u8],
+    parts: &[&[u8]],
     io: &dyn StorageIo,
 ) -> Result<()> {
     {
         let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(tmp)?;
-        match io.write_fault(bytes.len()) {
-            None => file.write_all(bytes)?,
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        match io.write_fault(len) {
+            None => {
+                for part in parts {
+                    file.write_all(part)?;
+                }
+            }
             Some(WriteFault::Transient) => {
                 return Err(SpaError::Io(injected_error(
                     INJECTED_TRANSIENT_EIO,
@@ -117,11 +141,16 @@ pub(crate) fn write_file_atomic_with(
                 )))
             }
             Some(WriteFault::Torn { keep }) => {
-                let keep = keep.min(bytes.len());
-                file.write_all(&bytes[..keep])?;
+                let keep = keep.min(len);
+                let mut left = keep;
+                for part in parts {
+                    let n = left.min(part.len());
+                    file.write_all(&part[..n])?;
+                    left -= n;
+                }
                 return Err(SpaError::Io(injected_error(
                     INJECTED_TORN_WRITE,
-                    format!("{keep} of {} bytes landed in {}", bytes.len(), tmp.display()),
+                    format!("{keep} of {len} bytes landed in {}", tmp.display()),
                 )));
             }
         }
@@ -180,39 +209,52 @@ pub fn take<'a>(cursor: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]>
     Ok(head)
 }
 
-/// Builds and atomically writes one snapshot file.
+/// Bytes of the fixed header: magic, version, position, section count.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 16 + 4;
+
+/// Where the section count sits in the image.
+const SECTION_COUNT_AT: usize = HEADER_LEN - 4;
+
+/// Builds and atomically writes one snapshot file. The builder holds
+/// the file image itself — magic, header and each section as it is
+/// added — so writing it costs one CRC pass over the image and the
+/// write, never a copy.
 pub struct SnapshotBuilder {
-    position: LogPosition,
-    sections: Vec<(u32, Vec<u8>)>,
+    image: Vec<u8>,
 }
 
 impl SnapshotBuilder {
     /// Starts a snapshot covering the log prefix up to `position`.
     pub fn new(position: LogPosition) -> Self {
-        Self { position, sections: Vec::new() }
+        let mut image = Vec::with_capacity(HEADER_LEN);
+        image.extend_from_slice(MAGIC);
+        image.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        image.extend_from_slice(&position.segment.to_le_bytes());
+        image.extend_from_slice(&position.offset.to_le_bytes());
+        image.extend_from_slice(&0u32.to_le_bytes());
+        Self { image }
     }
 
     /// Appends one tagged section. Tags are the platform layer's
     /// vocabulary; the container does not interpret them.
     pub fn section(&mut self, tag: u32, payload: Vec<u8>) -> &mut Self {
-        self.sections.push((tag, payload));
-        self
+        self.section_with(tag, |out| out.extend_from_slice(&payload))
     }
 
-    /// Serializes the snapshot body (everything between magic and CRC).
-    fn body(&self) -> Vec<u8> {
-        let payload_len: usize = self.sections.iter().map(|(_, p)| p.len() + 12).sum();
-        let mut body = Vec::with_capacity(4 + 16 + 4 + payload_len);
-        body.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        body.extend_from_slice(&self.position.segment.to_le_bytes());
-        body.extend_from_slice(&self.position.offset.to_le_bytes());
-        body.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (tag, payload) in &self.sections {
-            body.extend_from_slice(&tag.to_le_bytes());
-            body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            body.extend_from_slice(payload);
-        }
-        body
+    /// Appends one tagged section whose payload `write` appends straight
+    /// into the image (it must only append: the bytes it finds in `out`
+    /// are the snapshot so far).
+    pub fn section_with(&mut self, tag: u32, write: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
+        let count_at = SECTION_COUNT_AT..HEADER_LEN;
+        let count = u32::from_le_bytes(self.image[count_at.clone()].try_into().expect("4 bytes"));
+        self.image[count_at].copy_from_slice(&(count + 1).to_le_bytes());
+        self.image.extend_from_slice(&tag.to_le_bytes());
+        let len_at = self.image.len();
+        self.image.extend_from_slice(&0u64.to_le_bytes());
+        write(&mut self.image);
+        let len = (self.image.len() - len_at - 8) as u64;
+        self.image[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+        self
     }
 
     /// Writes the snapshot to `path` atomically (temp file in the same
@@ -233,13 +275,9 @@ impl SnapshotBuilder {
             SpaError::Invalid(format!("snapshot path {} has no parent directory", path.display()))
         })?;
         fs::create_dir_all(dir)?;
-        let body = self.body();
-        let mut bytes = Vec::with_capacity(MAGIC.len() + body.len() + 4);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        write_file_atomic_with(path, &path.with_extension(TMP_EXT), &bytes, io)?;
-        Ok(bytes.len() as u64)
+        let crc = crc32(&self.image[MAGIC.len()..]).to_le_bytes();
+        write_file_atomic_with(path, &path.with_extension(TMP_EXT), &[&self.image, &crc], io)?;
+        Ok((self.image.len() + crc.len()) as u64)
     }
 }
 
@@ -248,6 +286,64 @@ impl SnapshotBuilder {
 pub struct Snapshot {
     position: LogPosition,
     sections: Vec<(u32, Vec<u8>)>,
+}
+
+/// Reads a whole snapshot file and passes the buffer through
+/// [`StorageIo::read_fault`] (`tail = false` — a snapshot is not a log
+/// tail), so injected bit rot meets the container CRC like real rot.
+fn read_image(path: &Path, io: &dyn StorageIo) -> Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    File::open(path)?.read_to_end(&mut bytes)?;
+    io.read_fault(&mut bytes, false);
+    Ok(bytes)
+}
+
+/// Names the file in a snapshot validation error.
+fn in_file(path: &Path) -> impl FnOnce(SpaError) -> SpaError + '_ {
+    move |e| SpaError::Corrupt(format!("snapshot {}: {e}", path.display()))
+}
+
+/// The one validation of a snapshot image: magic, CRC, version, every
+/// section's bounds and no trailing bytes, in that order. Hands each
+/// `(tag, payload)` to `section` as a borrow of `bytes`, in file order,
+/// and returns the covered position. Any mismatch is
+/// [`SpaError::Corrupt`].
+fn parse<'a>(bytes: &'a [u8], mut section: impl FnMut(u32, &'a [u8])) -> Result<LogPosition> {
+    if bytes.len() < HEADER_LEN + 4 {
+        return Err(SpaError::Corrupt("file shorter than the fixed header".into()));
+    }
+    if &bytes[..MAGIC.len()] != MAGIC {
+        return Err(SpaError::Corrupt("bad magic".into()));
+    }
+    let body = &bytes[MAGIC.len()..bytes.len() - 4];
+    let crc_stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+    let crc_actual = crc32(body);
+    if crc_stored != crc_actual {
+        return Err(SpaError::Corrupt(format!(
+            "checksum mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}"
+        )));
+    }
+    let mut cursor = body;
+    let version = u32::from_le_bytes(take(&mut cursor, 4, "version")?.try_into().expect("4"));
+    if version != SNAPSHOT_VERSION {
+        return Err(SpaError::Corrupt(format!("unsupported snapshot version {version}")));
+    }
+    let segment = u64::from_le_bytes(take(&mut cursor, 8, "segment")?.try_into().expect("8"));
+    let offset = u64::from_le_bytes(take(&mut cursor, 8, "offset")?.try_into().expect("8"));
+    let n_sections =
+        u32::from_le_bytes(take(&mut cursor, 4, "section count")?.try_into().expect("4"));
+    for i in 0..n_sections {
+        let tag = u32::from_le_bytes(take(&mut cursor, 4, "section tag")?.try_into().expect("4"));
+        let len =
+            u64::from_le_bytes(take(&mut cursor, 8, "section length")?.try_into().expect("8"));
+        let len = usize::try_from(len)
+            .map_err(|_| SpaError::Corrupt(format!("section {i} length {len} overflows")))?;
+        section(tag, take(&mut cursor, len, "section payload")?);
+    }
+    if !cursor.is_empty() {
+        return Err(SpaError::Corrupt(format!("{} trailing bytes", cursor.len())));
+    }
+    Ok(LogPosition { segment, offset })
 }
 
 impl Snapshot {
@@ -265,54 +361,32 @@ impl Snapshot {
     /// [`SpaError::Corrupt`].
     pub fn read_with(path: impl AsRef<Path>, io: Arc<dyn StorageIo>) -> Result<Self> {
         let path = path.as_ref();
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        io.read_fault(&mut bytes, false);
-        Self::decode(&bytes)
-            .map_err(|e| SpaError::Corrupt(format!("snapshot {}: {e}", path.display())))
+        Self::decode(&read_image(path, io.as_ref())?).map_err(in_file(path))
     }
 
     /// Decodes a snapshot from raw bytes (the validation core of
     /// [`Snapshot::read`]).
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < MAGIC.len() + 4 + 16 + 4 + 4 {
-            return Err(SpaError::Corrupt("file shorter than the fixed header".into()));
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(SpaError::Corrupt("bad magic".into()));
-        }
-        let body = &bytes[MAGIC.len()..bytes.len() - 4];
-        let crc_stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        let crc_actual = crc32(body);
-        if crc_stored != crc_actual {
-            return Err(SpaError::Corrupt(format!(
-                "checksum mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}"
-            )));
-        }
-        let mut cursor = body;
-        let version = u32::from_le_bytes(take(&mut cursor, 4, "version")?.try_into().expect("4"));
-        if version != SNAPSHOT_VERSION {
-            return Err(SpaError::Corrupt(format!("unsupported snapshot version {version}")));
-        }
-        let segment = u64::from_le_bytes(take(&mut cursor, 8, "segment")?.try_into().expect("8"));
-        let offset = u64::from_le_bytes(take(&mut cursor, 8, "offset")?.try_into().expect("8"));
-        let n_sections =
-            u32::from_le_bytes(take(&mut cursor, 4, "section count")?.try_into().expect("4"));
         let mut sections = Vec::new();
-        for i in 0..n_sections {
-            let tag =
-                u32::from_le_bytes(take(&mut cursor, 4, "section tag")?.try_into().expect("4"));
-            let len =
-                u64::from_le_bytes(take(&mut cursor, 8, "section length")?.try_into().expect("8"));
-            let len = usize::try_from(len)
-                .map_err(|_| SpaError::Corrupt(format!("section {i} length {len} overflows")))?;
-            let payload = take(&mut cursor, len, "section payload")?.to_vec();
-            sections.push((tag, payload));
-        }
-        if !cursor.is_empty() {
-            return Err(SpaError::Corrupt(format!("{} trailing bytes", cursor.len())));
-        }
-        Ok(Self { position: LogPosition { segment, offset }, sections })
+        let position = parse(bytes, |tag, payload| sections.push((tag, payload.to_vec())))?;
+        Ok(Self { position, sections })
+    }
+
+    /// Fully validates a snapshot file — the same checks as
+    /// [`Snapshot::read_with`], through the same [`StorageIo::read_fault`]
+    /// seam — and returns only the position it covers, copying no
+    /// section out. What compaction needs before it deletes the covered
+    /// segments.
+    pub fn read_position_with(path: impl AsRef<Path>, io: &dyn StorageIo) -> Result<LogPosition> {
+        let path = path.as_ref();
+        Self::decode_position(&read_image(path, io)?).map_err(in_file(path))
+    }
+
+    /// [`Snapshot::decode`]'s validation alone: the covered position of
+    /// a snapshot image that passes every check, and the same
+    /// [`SpaError::Corrupt`] for one that fails any.
+    pub fn decode_position(bytes: &[u8]) -> Result<LogPosition> {
+        parse(bytes, |_, _| {})
     }
 
     /// Log position the snapshot covers: recovery replays the tail

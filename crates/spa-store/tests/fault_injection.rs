@@ -346,6 +346,32 @@ fn snapshot_write_faults_never_touch_the_final_path() {
     }
 }
 
+/// The position-only validating read compaction runs meets injected
+/// rot through the same seam as `Snapshot::read_with`, and the CRC
+/// surfaces it.
+#[test]
+fn position_only_snapshot_read_meets_rot_through_the_same_seam() {
+    let dir = tmp_dir("snap-rot-position");
+    std::fs::create_dir_all(&dir).unwrap();
+    let position = LogPosition { segment: 2, offset: 64 };
+    let mut builder = SnapshotBuilder::new(position);
+    builder.section(1, (0..=255u8).collect::<Vec<u8>>());
+    let path = snapshot::snapshot_path(&dir, position);
+    builder.write_atomic(&path).unwrap();
+    let faults =
+        plan(FaultPlanConfig { seed: 61, read_rot_per_10k: 10_000, ..FaultPlanConfig::default() });
+    faults.set_armed(true);
+    faults.allow_read_faults(1);
+    let err = Snapshot::read_position_with(&path, faults.as_ref()).unwrap_err();
+    // this seed's flip lands past the header: the CRC is what catches it
+    assert!(matches!(err, SpaError::Corrupt(_)), "snapshot rot must surface: {err}");
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    assert_eq!(faults.ledger().counts().read_corruptions, 1);
+    // the file is untouched, and the read budget is spent
+    assert_eq!(Snapshot::read_position_with(&path, faults.as_ref()).unwrap(), position);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn snapshot_read_rot_fails_the_crc_loudly() {
     let dir = tmp_dir("snap-rot");

@@ -85,6 +85,47 @@ fn every_truncation_is_detected() {
     }
 }
 
+/// `Snapshot::decode` and the position-only validating read share one
+/// parse, so they give one verdict: both accept an image (at the same
+/// position) or both reject it with the same `SpaError::Corrupt`.
+fn assert_one_verdict(bytes: &[u8], what: &str) {
+    match (Snapshot::decode(bytes), Snapshot::decode_position(bytes)) {
+        (Ok(full), Ok(position)) => assert_eq!(full.position(), position, "{what}"),
+        (Err(SpaError::Corrupt(full)), Err(SpaError::Corrupt(position))) => {
+            assert_eq!(full, position, "{what}: both reject, for the same reason")
+        }
+        (full, position) => {
+            panic!("{what}: decode gave {full:?}, the position-only read {position:?}")
+        }
+    }
+}
+
+/// Every single-bit flip and every truncation of a clean image gets the
+/// same verdict from `Snapshot::decode` and from the position-only
+/// validating read compaction runs before it deletes segments.
+#[test]
+fn the_position_only_read_gives_the_verdict_of_decode() {
+    let clean = small_snapshot_bytes();
+    assert_one_verdict(&clean, "clean image");
+    assert_eq!(
+        Snapshot::decode_position(&clean).unwrap(),
+        LogPosition { segment: 2, offset: 1234 }
+    );
+    for position in 0..clean.len() {
+        for bit in 0..8u8 {
+            let mut corrupted = clean.clone();
+            corrupted[position] ^= 1 << bit;
+            assert_one_verdict(&corrupted, &format!("byte {position} bit {bit}"));
+        }
+    }
+    for cut in 0..clean.len() {
+        assert_one_verdict(&clean[..cut], &format!("truncation to {cut} bytes"));
+    }
+    let mut longer = clean.clone();
+    longer.push(0);
+    assert_one_verdict(&longer, "one trailing byte");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -109,6 +150,22 @@ proptest! {
         if changed && corrupted != clean {
             prop_assert!(matches!(Snapshot::decode(&corrupted), Err(SpaError::Corrupt(_))));
         }
+    }
+
+    /// Random multi-bit corruption and cuts: the position-only read
+    /// still gives `Snapshot::decode`'s verdict.
+    #[test]
+    fn random_damage_gets_one_verdict(
+        flips in proptest::collection::vec((0usize..4096, 0u8..8), 0..12),
+        cut in 0usize..4096,
+    ) {
+        let mut damaged = small_snapshot_bytes();
+        for (pos, bit) in flips {
+            let pos = pos % damaged.len();
+            damaged[pos] ^= 1 << bit;
+        }
+        damaged.truncate(cut.max(damaged.len() / 2));
+        assert_one_verdict(&damaged, "random damage");
     }
 
     /// Arbitrary section payloads round-trip byte-identically through
